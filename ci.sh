@@ -19,6 +19,10 @@
 #                   + end-to-end suites in release mode (real loopback
 #                   sockets, 8-client mixed traffic, crash-mid-frame
 #                   serviceability)
+#   --perfbench     build the repository benchmark (perfbench/), run its
+#                   op-stream generator tests, then a 3 s untraced smoke
+#                   run of each BENCHMARK.json workload; a wrong answer or
+#                   a failed durability check exits nonzero and fails
 #   --tsan          run the ThreadSanitizer leg over the partition/merge and
 #                   cache tests — needs nightly + `rust-src` (std must be
 #                   rebuilt instrumented); skipped with a notice otherwise
@@ -44,6 +48,7 @@ RUN_REBASE=0
 RUN_RECOVERY=0
 RUN_HISTORY=0
 RUN_SERVE=0
+RUN_PERFBENCH=0
 
 for arg in "$@"; do
   case "$arg" in
@@ -54,6 +59,7 @@ for arg in "$@"; do
     --vet)          RUN_VET=1 ;;
     --recovery)     RUN_RECOVERY=1 ;;
     --serve)        RUN_SERVE=1 ;;
+    --perfbench)    RUN_PERFBENCH=1 ;;
     --no-gate)      RUN_GATE=0 ;;
     --bench-rebase) RUN_REBASE=1 ;;
     -h|--help)      grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
@@ -124,6 +130,22 @@ run_serve() {
   cargo test --release -p vh-serve -q
 }
 
+# The repository benchmark is its own cargo workspace; its answer and
+# durability oracles make every workload's exit status a correctness
+# check, so a short run of each gates the change without timing it.
+run_perfbench() {
+  echo "==> perfbench leg (generator tests + 3 s smoke of every workload)"
+  local manifest=perfbench/Cargo.toml
+  cargo build --release --offline --manifest-path "$manifest" --bin perfbench
+  cargo test --release --offline --manifest-path "$manifest" -q
+  for workload in served-mix view-query edit-stream; do
+    echo "    smoke: $workload"
+    cargo run --release --quiet --offline --manifest-path "$manifest" \
+      --bin perfbench -- --workload "$workload" --seed 7 --seconds 3 \
+      --trace 0 >/dev/null
+  done
+}
+
 run_tsan() {
   echo "==> tsan leg (partition/merge + cache under ThreadSanitizer)"
   if ! nightly_has rust-src; then
@@ -192,6 +214,10 @@ fi
 
 if [ "$RUN_SERVE" = 1 ]; then
   run_serve
+fi
+
+if [ "$RUN_PERFBENCH" = 1 ]; then
+  run_perfbench
 fi
 
 if [ "$RUN_BENCH" = 1 ] || [ "$RUN_HISTORY" = 1 ]; then

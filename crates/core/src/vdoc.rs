@@ -17,7 +17,7 @@ use crate::range::{related_prefix, PrefixTables};
 use crate::vdg::{VDataGuide, VTypeId, VdgError};
 use crate::vpbn::VPbnRef;
 use std::sync::Arc;
-use vh_dataguide::TypedDocument;
+use vh_dataguide::{Touch, TouchedNode, TypedDocument};
 use vh_obs::{AxisCounters, RangeChoice};
 use vh_pbn::keys;
 use vh_xml::NodeId;
@@ -79,10 +79,14 @@ impl TypeIndex {
     }
 }
 
-/// Splice maintenance for the per-type index. Touched nodes are
-/// reconciled against their *final* document state — moved nodes make the
-/// journaled numbers non-monotone, so positions are recomputed from the
-/// live assignment rather than replayed chronologically.
+/// Splice maintenance for the per-type index. Pre-batch entries of
+/// touched nodes are located by binary search under their pre-batch
+/// numbers: a node whose first touch in the batch is a removal was listed
+/// under that touch's journaled number and type, and untouched nodes keep
+/// their current numbers. Once those entries are out, every list holds
+/// untouched nodes only, so each live touched node is inserted at the
+/// position of its *final* number — moved nodes make the journaled
+/// numbers non-monotone, so positions are never replayed chronologically.
 // oracle: rebuild_index_oracle
 impl crate::cache::MaintainView for TypeIndex {
     fn maintain(
@@ -94,44 +98,50 @@ impl crate::cache::MaintainView for TypeIndex {
         if !ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
             return Maintained::MustRecompute;
         }
-        if delta.touched.is_empty() {
-            return Maintained::Unchanged;
-        }
-        // One entry per touched node: its final state (liveness, number,
-        // type) is read from the document below, so it does not matter how
-        // many times the batch moved it.
-        let mut touched: Vec<usize> = delta.touched.iter().map(|t| t.id.index()).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        // Virtual types whose lists could have changed: every type a
-        // touched node ever had in this batch maps to at most one of them.
-        let mut affected: Vec<usize> = delta
+        // Only a touched node of a visible type can change a list: every
+        // type a touched node ever had in this batch maps to at most one.
+        if !delta
             .touched
             .iter()
-            .filter_map(|t| ctx.vdg.vtype_of(t.ty).map(|vt| vt.index()))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        if affected.is_empty() {
+            .any(|t| ctx.vdg.vtype_of(t.ty).is_some())
+        {
             return Maintained::Unchanged;
         }
-        let mut by_vtype = self.by_vtype.clone();
-        for &vi in &affected {
-            by_vtype[vi].retain(|id| touched.binary_search(&id.index()).is_err());
-        }
+        // One entry per touched node, its first touch of the batch (the
+        // stable sort keeps chronological order within a node).
+        let mut first: Vec<&TouchedNode> = delta.touched.iter().collect();
+        first.sort_by_key(|t| t.id);
+        first.dedup_by_key(|t| t.id);
         let pbn = ctx.td.pbn();
-        for &i in &touched {
-            let id = NodeId::from_index(i);
-            // Dead or detached nodes keep the empty number and stay out.
-            let Some(num) = pbn.by_node_checked(id).filter(|p| !p.is_empty()) else {
+        let before = |id: NodeId| match first.binary_search_by_key(&id, |t| t.id) {
+            Ok(i) => &first[i].pbn,
+            Err(_) => pbn.pbn_of(id),
+        };
+        let mut by_vtype = self.by_vtype.clone();
+        for t in first.iter().filter(|t| t.touch == Touch::Removed) {
+            let Some(vt) = ctx.vdg.vtype_of(t.ty) else {
                 continue;
             };
-            let Some(vt) = ctx.vdg.vtype_of(ctx.td.type_of(id)) else {
+            let list = &mut by_vtype[vt.index()];
+            let pos = list.partition_point(|&x| before(x) < &t.pbn);
+            if list.get(pos) != Some(&t.id) {
+                // The index does not hold the pre-batch state the journal
+                // describes; only a rebuild is safe.
+                return Maintained::MustRecompute;
+            }
+            list.remove(pos);
+        }
+        for t in &first {
+            // Dead or detached nodes keep the empty number and stay out.
+            let Some(num) = pbn.by_node_checked(t.id).filter(|p| !p.is_empty()) else {
+                continue;
+            };
+            let Some(vt) = ctx.vdg.vtype_of(ctx.td.type_of(t.id)) else {
                 continue;
             };
             let list = &mut by_vtype[vt.index()];
             let pos = list.partition_point(|&x| pbn.pbn_of(x) < num);
-            list.insert(pos, id);
+            list.insert(pos, t.id);
         }
         Maintained::Replaced(TypeIndex { by_vtype })
     }
@@ -847,6 +857,60 @@ mod tests {
         let (next, spliced) = reconcile(&idx, &mut td, &vdg);
         assert!(spliced, "deletes must splice");
         idx = next;
+
+        // Insert a book, then move that same book to the front, in one
+        // batch: its first touch is an add, so nothing is searched out.
+        td.insert_fragment(data, 2, "<book><title>I</title></book>")
+            .unwrap();
+        let books = of(&td, &["data", "book"]);
+        td.move_subtree(books[2], data, 0).unwrap();
+        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
+        assert!(spliced, "insert-then-move must splice");
+        idx = next;
+
+        // Move an author subtree, then delete it, in one batch: found
+        // under its pre-batch numbers, never re-inserted.
+        let authors = of(&td, &["data", "book", "author"]);
+        let books = of(&td, &["data", "book"]);
+        td.move_subtree(authors[1], books[0], 0).unwrap();
+        td.delete_subtree(authors[1]).unwrap();
+        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
+        assert!(spliced, "move-then-delete must splice");
+        idx = next;
+
+        // Move a title's text under a name: its guide type changes from
+        // title/#text to name/#text, so it leaves one virtual type's list
+        // for another's.
+        let title_text = of(&td, &["data", "book", "title", "#text"])[0];
+        let name = of(&td, &["data", "book", "author", "name"])[0];
+        let before_ty = td.type_of(title_text);
+        td.move_subtree(title_text, name, 0).unwrap();
+        assert_ne!(td.type_of(title_text), before_ty);
+        assert!(
+            vdg.vtype_of(before_ty).is_some() && vdg.vtype_of(td.type_of(title_text)).is_some()
+        );
+        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
+        assert!(spliced, "a type-changing move must splice");
+        idx = next;
+
+        // A journaled removal the index does not hold where its number
+        // says it should (here: a node id the document never had, claimed
+        // at an existing title's number) must refuse to splice.
+        {
+            use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
+            let title = of(&td, &["data", "book", "title"])[0];
+            let bogus = ViewDelta {
+                touched: vec![TouchedNode {
+                    id: NodeId::from_index(td.doc().len() + 5),
+                    ty: td.type_of(title),
+                    pbn: td.pbn().pbn_of(title).clone(),
+                    touch: Touch::Removed,
+                }],
+                ..ViewDelta::default()
+            };
+            let ctx = MaintainCtx { td: &td, vdg: &vdg };
+            assert_eq!(idx.maintain(&bogus, &ctx), Maintained::MustRecompute);
+        }
 
         // A new type under a visible parent forces the recompute path.
         let titles = of(&td, &["data", "book", "title"]);

@@ -156,13 +156,9 @@ impl TypedDocument {
         if self.doc.parent(target).is_none() {
             return Err(EditError::RootTarget);
         }
-        let subtree: Vec<NodeId> = self.doc.descendants_or_self(target).collect();
+        let removed = self.retire_subtree(target);
         self.doc.detach(target);
-        for &id in &subtree {
-            self.journal_removal(id);
-            self.pbn.remove_node(id);
-        }
-        Ok(subtree.len())
+        Ok(removed)
     }
 
     /// Moves the subtree rooted at `target` to become the `pos`-th child
@@ -193,11 +189,7 @@ impl TypedDocument {
         }
         // Retire the subtree's numbers first so the neighbour scan below
         // sees only the surviving siblings.
-        let subtree: Vec<NodeId> = self.doc.descendants_or_self(target).collect();
-        for &id in &subtree {
-            self.journal_removal(id);
-            self.pbn.remove_node(id);
-        }
+        self.retire_subtree(target);
         self.doc.detach(target);
         self.doc.attach_at(parent, pos, target);
         self.renumber_inserted(parent, pos, target);
@@ -291,6 +283,9 @@ impl TypedDocument {
                 .resize(self.doc.len(), crate::types::TypeId::from_index(0));
         }
         let parent_ty = self.type_of[parent.index()];
+        // Preorder with dense child numbers is document order, so the
+        // subtree's numbers come out as one sorted run.
+        let mut run: Vec<(Pbn, NodeId)> = Vec::new();
         let mut stack: Vec<(NodeId, Pbn, crate::types::TypeId)> =
             vec![(root_id, root_pbn, parent_ty)];
         while let Some((id, num, ptype)) = stack.pop() {
@@ -302,8 +297,6 @@ impl TypedDocument {
             };
             let ty = self.guide.intern_child(ptype, name);
             self.type_of[id.index()] = ty;
-            let inserted = self.pbn.insert_node(id, num.clone());
-            debug_assert!(inserted, "minted numbers are unique by construction");
             self.journal.record(TouchedNode {
                 id,
                 ty,
@@ -313,22 +306,28 @@ impl TypedDocument {
             for (i, &c) in self.doc.children(id).iter().enumerate().rev() {
                 stack.push((c, num.child(i as u32 + 1), ty));
             }
+            run.push((num, id));
         }
+        let inserted = self.pbn.insert_run(run);
+        debug_assert!(inserted, "minted numbers are unique by construction");
     }
 
-    /// Journals the retirement of a still-numbered node (delete, or the
-    /// detach half of a move).
-    fn journal_removal(&mut self, id: NodeId) {
-        let Some(pbn) = self.pbn.by_node_checked(id).filter(|p| !p.is_empty()) else {
-            return;
-        };
-        let pbn = pbn.clone();
-        self.journal.record(TouchedNode {
-            id,
-            ty: self.type_of[id.index()],
-            pbn,
-            touch: Touch::Removed,
-        });
+    /// Retires the numbers of the still-attached subtree rooted at
+    /// `target` (delete, or the detach half of a move) and journals each
+    /// retirement in document order. Returns the number of nodes retired.
+    fn retire_subtree(&mut self, target: NodeId) -> usize {
+        let run = self.pbn.remove_subtree(target);
+        debug_assert_eq!(run.len(), self.doc.descendants_or_self(target).count());
+        let retired = run.len();
+        for (pbn, id) in run {
+            self.journal.record(TouchedNode {
+                id,
+                ty: self.type_of[id.index()],
+                pbn,
+                touch: Touch::Removed,
+            });
+        }
+        retired
     }
 }
 

@@ -72,6 +72,118 @@ impl PbnArena {
         }
     }
 
+    /// Absorbs a delta segment: turns this arena, built over an earlier
+    /// numbering, into the arena of the current numbering `sorted`
+    /// (`by_node` its per-node form, whose length is the id space).
+    /// `dirty` lists, sorted and deduplicated, every node whose number
+    /// was inserted or removed since this arena was built; every other
+    /// node keeps its key. Surviving runs of slots are copied as
+    /// contiguous blocks and only dirty nodes that still hold a number
+    /// are encoded, so the result equals `build(sorted, by_node.len())`
+    /// at the cost of a copy plus O(dirty) encodes.
+    ///
+    /// oracle: build
+    pub(crate) fn splice(&mut self, sorted: &[(Pbn, NodeId)], by_node: &[Pbn], dirty: &[NodeId]) {
+        // New-table positions of the dirty nodes still numbered, and the
+        // old slots of the dirty nodes this arena keyed (now stale).
+        let mut fresh: Vec<(usize, NodeId)> = Vec::with_capacity(dirty.len());
+        let mut stale: Vec<usize> = Vec::with_capacity(dirty.len());
+        for &id in dirty {
+            if let Some(pbn) = by_node.get(id.index()).filter(|p| !p.is_empty()) {
+                if let Ok(pos) = sorted.binary_search_by(|(p, _)| p.cmp(pbn)) {
+                    fresh.push((pos, id));
+                }
+            }
+            if let Some(slot) = self.slot_of(id) {
+                stale.push(slot);
+            }
+        }
+        fresh.sort_unstable();
+        stale.sort_unstable();
+        let fresh_keys: Vec<EncodedPbn> = fresh
+            .iter()
+            .map(|&(pos, _)| EncodedPbn::encode(&sorted[pos].0))
+            .collect();
+        let stale_bytes: usize = stale.iter().map(|&s| self.key_at_slot(s).len()).sum();
+        let fresh_bytes: usize = fresh_keys.iter().map(|k| k.as_bytes().len()).sum();
+
+        let mut out = PbnArena {
+            bytes: Vec::with_capacity(self.bytes.len() - stale_bytes + fresh_bytes),
+            offsets: Vec::with_capacity(sorted.len() + 1),
+            node_of_slot: Vec::with_capacity(sorted.len()),
+            slot_of_node: std::mem::take(&mut self.slot_of_node),
+        };
+        out.offsets.push(0);
+        // Survivors are the old slots minus the stale ones, taken in
+        // order; each call copies them until `out` holds `upto` slots, one
+        // block per run between stale slots.
+        let mut next_old = 0usize;
+        let mut stale_iter = stale.iter().copied().peekable();
+        let mut copy_survivors = |out: &mut PbnArena, upto: usize| {
+            while out.len() < upto {
+                while stale_iter.next_if_eq(&next_old).is_some() {
+                    next_old += 1;
+                }
+                let end = stale_iter
+                    .peek()
+                    .map_or(self.len(), |&s| s)
+                    .min(next_old + (upto - out.len()));
+                if end == next_old {
+                    break; // old slots exhausted: `sorted` disagrees with `dirty`
+                }
+                out.append_run(self, next_old..end);
+                next_old = end;
+            }
+        };
+        for (&(pos, id), key) in fresh.iter().zip(&fresh_keys) {
+            copy_survivors(&mut out, pos);
+            out.push_key(key.as_bytes(), id);
+        }
+        copy_survivors(&mut out, sorted.len());
+
+        // The inverse map changes only from the first stale or fresh slot
+        // on: slots before it keep their numbering.
+        out.slot_of_node.resize(by_node.len(), NO_SLOT);
+        for &id in dirty {
+            if let Some(cell) = out.slot_of_node.get_mut(id.index()) {
+                *cell = NO_SLOT;
+            }
+        }
+        let first_change = [fresh.first().map(|f| f.0), stale.first().copied()]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(out.len());
+        for slot in first_change..out.len() {
+            let id = out.node_of_slot[slot];
+            out.slot_of_node[id.index()] = slot as u32;
+        }
+        *self = out;
+    }
+
+    /// Appends the slots `run` of `src` as one block of key bytes,
+    /// rebased offsets and nodes (the inverse map is left to the caller).
+    fn append_run(&mut self, src: &PbnArena, run: Range<usize>) {
+        let first = src.offsets[run.start];
+        let base = self.bytes.len() as u32;
+        self.bytes
+            .extend_from_slice(&src.bytes[first as usize..src.offsets[run.end] as usize]);
+        self.offsets.extend(
+            src.offsets[run.start + 1..=run.end]
+                .iter()
+                .map(|&o| o - first + base),
+        );
+        self.node_of_slot.extend_from_slice(&src.node_of_slot[run]);
+    }
+
+    /// Appends one key at the next slot (the inverse map is left to the
+    /// caller).
+    fn push_key(&mut self, key: &[u8], id: NodeId) {
+        self.bytes.extend_from_slice(key);
+        self.offsets.push(self.bytes.len() as u32);
+        self.node_of_slot.push(id);
+    }
+
     /// Reassembles an arena from its persisted columns, validating the
     /// structural invariants (monotone offsets spanning `bytes`, in-range
     /// node ids, keys in strictly increasing document order).

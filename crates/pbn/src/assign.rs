@@ -15,11 +15,12 @@ use vh_xml::{Document, NodeId};
 /// After construction the assignment is **mutable**: minted numbers are
 /// merged into `by_node`/`sorted` immediately (so every number-level read
 /// is always current), while the columnar byte [`PbnArena`] is refreshed
-/// lazily by [`PbnAssignment::compact`]. The set of edits the arena has
-/// not yet absorbed is the *delta segment*; byte-key consumers (slot
-/// windows, twig galloping) must compact first — the engine does this
-/// before serving queries and bounds the delta with an automatic
-/// compaction threshold.
+/// lazily by [`PbnAssignment::compact`]. The edits the arena has not yet
+/// absorbed are the *delta segment*, recorded as the ids they dirtied;
+/// compaction splices just those nodes into the arena. Byte-key
+/// consumers (slot windows, twig galloping) must compact first — the
+/// engine does this before serving queries and bounds the delta with an
+/// automatic compaction threshold.
 #[derive(Clone, Debug)]
 pub struct PbnAssignment {
     /// `by_node[id.index()]` is the number of node `id`.
@@ -28,11 +29,12 @@ pub struct PbnAssignment {
     /// are merged here eagerly; this is the always-fresh read view.
     sorted: Vec<(Pbn, NodeId)>,
     /// Columnar encoded-key form of the numbering as of the last
-    /// compaction; stale while `delta > 0`.
+    /// compaction; stale while `dirty` is non-empty.
     arena: PbnArena,
-    /// Number of edits (inserts + removals) not yet compacted into the
-    /// arena.
-    delta: usize,
+    /// The delta segment: the node of every insert and removal not yet
+    /// compacted into the arena, one entry per edit (a moved node
+    /// appears twice).
+    dirty: Vec<NodeId>,
 }
 
 impl PbnAssignment {
@@ -57,7 +59,7 @@ impl PbnAssignment {
             by_node,
             sorted,
             arena,
-            delta: 0,
+            dirty: Vec::new(),
         }
     }
 
@@ -85,7 +87,7 @@ impl PbnAssignment {
             by_node,
             sorted,
             arena,
-            delta: 0,
+            dirty: Vec::new(),
         }
     }
 
@@ -153,43 +155,55 @@ impl PbnAssignment {
         &self.sorted[start..end]
     }
 
-    /// Records a newly minted number for `id`, merging it into the sorted
-    /// table and per-node map immediately. The arena is *not* updated —
-    /// the edit joins the delta segment until [`PbnAssignment::compact`].
-    ///
-    /// Returns `false` (and changes nothing) if the number is already
-    /// assigned to another node — minted keys must be unique.
-    pub fn insert_node(&mut self, id: NodeId, pbn: Pbn) -> bool {
-        let pos = match self.sorted.binary_search_by(|(p, _)| p.cmp(&pbn)) {
-            Ok(_) => return false,
-            Err(pos) => pos,
+    /// Merges a freshly minted subtree — `(number, node)` pairs in
+    /// strictly increasing document order — into the sorted table with
+    /// one splice. The run must land in a gap of the table: no assigned
+    /// number may fall between its first and last key, which is checked
+    /// at both ends. Returns `false` (and changes nothing) otherwise, or
+    /// when the run is not strictly increasing. Number-level reads see the
+    /// run at once; the arena is *not* updated — the run joins the delta
+    /// segment until [`PbnAssignment::compact`]. A single minted node is
+    /// a one-element run.
+    pub fn insert_run(&mut self, run: Vec<(Pbn, NodeId)>) -> bool {
+        let (Some((first, _)), Some((last, _))) = (run.first(), run.last()) else {
+            return true;
         };
-        if self.by_node.len() <= id.index() {
-            self.by_node.resize(id.index() + 1, Pbn::empty());
+        if run.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return false;
         }
-        self.by_node[id.index()] = pbn.clone();
-        self.sorted.insert(pos, (pbn, id));
-        self.delta += 1;
+        let pos = self.sorted.partition_point(|(p, _)| p < first);
+        if self.sorted.get(pos).is_some_and(|(p, _)| p <= last) {
+            return false;
+        }
+        let id_space = run.iter().map(|(_, id)| id.index() + 1).max().unwrap_or(0);
+        if self.by_node.len() < id_space {
+            self.by_node.resize(id_space, Pbn::empty());
+        }
+        for (pbn, id) in &run {
+            self.by_node[id.index()] = pbn.clone();
+            self.dirty.push(*id);
+        }
+        self.sorted.splice(pos..pos, run);
         true
     }
 
-    /// Removes the assignment of `id`, if any. The node's `by_node` entry
-    /// reverts to the empty number; the arena keeps the stale key until
-    /// [`PbnAssignment::compact`].
-    pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let Some(pbn) = self.by_node.get(id.index()).cloned() else {
-            return false;
+    /// Removes the numbers of the subtree rooted at `root` — one
+    /// contiguous run of the sorted table — with one drain, and returns
+    /// the run in document order (empty when `root` holds no number).
+    /// Every removed node's `by_node` entry reverts to the empty number;
+    /// the arena keeps the stale keys until [`PbnAssignment::compact`].
+    pub fn remove_subtree(&mut self, root: NodeId) -> Vec<(Pbn, NodeId)> {
+        let Some(p) = self.by_node.get(root.index()).filter(|p| !p.is_empty()) else {
+            return Vec::new();
         };
-        if pbn.is_empty() {
-            return false;
+        let start = self.sorted.partition_point(|(q, _)| q < p);
+        let len = self.sorted[start..].partition_point(|(q, _)| p.is_prefix_of(q));
+        let run: Vec<(Pbn, NodeId)> = self.sorted.drain(start..start + len).collect();
+        for (_, id) in &run {
+            self.by_node[id.index()] = Pbn::empty();
+            self.dirty.push(*id);
         }
-        let Ok(pos) = self.sorted.binary_search_by(|(p, _)| p.cmp(&pbn)) else {
-            return false;
-        };
-        self.sorted.remove(pos);
-        self.by_node[id.index()] = Pbn::empty();
-        self.delta += 1;
-        true
+        run
     }
 
     /// Number of edits the arena has not yet absorbed. While non-zero,
@@ -197,16 +211,27 @@ impl PbnAssignment {
     /// last compaction, not the current numbering.
     #[inline]
     pub fn delta_len(&self) -> usize {
-        self.delta
+        self.dirty.len()
     }
 
-    /// Rebuilds the columnar arena from the (always-fresh) sorted table,
-    /// absorbing the delta segment. Returns the number of edits merged.
+    /// Size of the node-id space (one past the largest id ever numbered);
+    /// the arena's inverse map spans it after a compaction.
+    #[inline]
+    pub fn id_space(&self) -> usize {
+        self.by_node.len()
+    }
+
+    /// Absorbs the delta segment into the columnar arena by splicing the
+    /// dirtied nodes into it ([`PbnArena::build`] over the sorted table is
+    /// the from-scratch twin it must equal). Returns the number of edits
+    /// merged.
     pub fn compact(&mut self) -> usize {
-        let merged = self.delta;
+        let merged = self.dirty.len();
         if merged > 0 {
-            self.arena = PbnArena::build(&self.sorted, self.by_node.len());
-            self.delta = 0;
+            let mut dirty = std::mem::take(&mut self.dirty);
+            dirty.sort_unstable();
+            dirty.dedup();
+            self.arena.splice(&self.sorted, &self.by_node, &dirty);
         }
         merged
     }
@@ -295,8 +320,8 @@ mod tests {
         // a fresh id past the current id space.
         let minted = crate::mint::KeyGen::between(&pbn![1], Some(&pbn![1, 1]), Some(&pbn![1, 2]));
         let new_id = NodeId::from_index(doc.len());
-        assert!(a.insert_node(new_id, minted.clone()));
-        assert!(!a.insert_node(NodeId::from_index(doc.len() + 1), minted.clone()));
+        assert!(a.insert_run(vec![(minted.clone(), new_id)]));
+        assert!(!a.insert_run(vec![(minted.clone(), NodeId::from_index(doc.len() + 1))]));
         assert_eq!(a.delta_len(), 1);
 
         // Number-level reads see the edit immediately…
@@ -328,20 +353,226 @@ mod tests {
         let root = doc.root().unwrap();
         let book1 = doc.children(root)[0];
         let n = a.len();
+        let subtree = doc.descendants_or_self(book1).count();
 
-        assert!(a.remove_node(book1));
-        assert!(!a.remove_node(book1), "double remove is a no-op");
-        assert_eq!(a.len(), n - 1);
+        let run = a.remove_subtree(book1);
+        assert_eq!(run.len(), subtree);
+        assert_eq!(run[0], (pbn![1, 1], book1), "the run starts at its root");
+        assert!(
+            a.remove_subtree(book1).is_empty(),
+            "double remove is a no-op"
+        );
+        assert_eq!(a.len(), n - subtree);
         assert_eq!(a.node_of(&pbn![1, 1]), None);
-        assert_eq!(a.by_node_checked(book1), Some(&Pbn::empty()));
+        assert!(run
+            .iter()
+            .all(|(_, id)| a.by_node_checked(*id) == Some(&Pbn::empty())));
 
         // The freed number can be re-minted for a different node.
         let id = NodeId::from_index(doc.len());
-        assert!(a.insert_node(id, pbn![1, 1]));
+        assert!(a.insert_run(vec![(pbn![1, 1], id)]));
         assert_eq!(a.node_of(&pbn![1, 1]), Some(id));
-        assert_eq!(a.delta_len(), 2);
+        assert_eq!(a.delta_len(), subtree + 1);
         a.compact();
         assert_eq!(a.key_of(id), a.arena().key_of(id));
-        assert_eq!(a.arena().len(), n);
+        assert_eq!(a.arena().len(), n - subtree + 1);
+    }
+
+    /// The splice oracle: the compacted arena equals a from-scratch build
+    /// over the sorted table, byte for byte, inverse map included.
+    fn assert_arena_matches_build(a: &PbnAssignment) {
+        assert_eq!(a.delta_len(), 0, "compact drained the delta");
+        assert_eq!(
+            a.arena(),
+            &PbnArena::build(a.in_document_order(), a.id_space())
+        );
+    }
+
+    /// The direct children of `parent` in document order.
+    fn children_of(a: &PbnAssignment, parent: &Pbn) -> Vec<Pbn> {
+        a.in_document_order()
+            .iter()
+            .filter(|(p, _)| p.parent().as_ref() == Some(parent))
+            .map(|(p, _)| p.clone())
+            .collect()
+    }
+
+    /// A number minted into gap `gap` among `parent`'s children, as an
+    /// insert or move destination would mint it.
+    fn mint_under(a: &PbnAssignment, parent: &Pbn, gap: usize) -> Pbn {
+        let kids = children_of(a, parent);
+        let gap = gap % (kids.len() + 1);
+        let left = gap.checked_sub(1).and_then(|i| kids.get(i));
+        crate::mint::KeyGen::between(parent, left, kids.get(gap))
+    }
+
+    /// A numbered node picked by `pick`, never the root when `non_root`.
+    fn pick_node(a: &PbnAssignment, pick: u16, non_root: bool) -> Option<(Pbn, NodeId)> {
+        let table = a.in_document_order();
+        let skip = usize::from(non_root);
+        let n = table.len().checked_sub(skip).filter(|&n| n > 0)?;
+        table.get(skip + usize::from(pick) % n).cloned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random insert/remove/move/re-mint scripts, compacted at random
+        /// points: every compaction must splice exactly the arena a
+        /// rebuild produces.
+        #[test]
+        fn spliced_arenas_equal_the_rebuilt_arena(
+            script in proptest::prelude::prop::collection::vec(
+                (0u8..6, 0u16..=u16::MAX, 0u16..=u16::MAX), 1..60),
+        ) {
+            let doc = paper_figure2();
+            let mut a = PbnAssignment::assign(&doc);
+            let mut next_id = doc.len();
+            for (op, x, y) in script {
+                match op {
+                    // Insert a fresh subtree (root plus two children) with
+                    // ids past the current id space.
+                    0 => {
+                        let Some((parent, _)) = pick_node(&a, x, false) else { continue };
+                        let root = mint_under(&a, &parent, usize::from(y));
+                        let run = vec![
+                            (root.clone(), NodeId::from_index(next_id)),
+                            (root.child(1), NodeId::from_index(next_id + 1)),
+                            (root.child(2), NodeId::from_index(next_id + 2)),
+                        ];
+                        next_id += 3 + usize::from(y % 5);
+                        proptest::prop_assert!(a.insert_run(run));
+                    }
+                    // Delete a subtree.
+                    1 => {
+                        let Some((_, id)) = pick_node(&a, x, true) else { continue };
+                        proptest::prop_assert!(!a.remove_subtree(id).is_empty());
+                    }
+                    // Move a subtree: drain it, re-mint its root under a
+                    // surviving parent, renumber the rest below it.
+                    2 => {
+                        let Some((old_root, id)) = pick_node(&a, x, true) else { continue };
+                        let run = a.remove_subtree(id);
+                        let Some((parent, _)) = pick_node(&a, y, false) else { continue };
+                        let root = mint_under(&a, &parent, usize::from(x));
+                        let moved: Vec<(Pbn, NodeId)> = run
+                            .into_iter()
+                            .map(|(p, id)| {
+                                let mut comps = root.components().to_vec();
+                                comps.extend_from_slice(&p.components()[old_root.len()..]);
+                                (Pbn::from_comps(comps), id)
+                            })
+                            .collect();
+                        proptest::prop_assert!(a.insert_run(moved));
+                    }
+                    // Re-mint a subtree in place (drain it, then insert the
+                    // same run back).
+                    3 => {
+                        let Some((_, id)) = pick_node(&a, x, false) else { continue };
+                        let run = a.remove_subtree(id);
+                        proptest::prop_assert!(a.insert_run(run));
+                    }
+                    // Insert a fresh leaf: a one-element run.
+                    4 => {
+                        let Some((parent, _)) = pick_node(&a, x, false) else { continue };
+                        let leaf = mint_under(&a, &parent, usize::from(y));
+                        proptest::prop_assert!(
+                            a.insert_run(vec![(leaf, NodeId::from_index(next_id))])
+                        );
+                        next_id += 1;
+                    }
+                    _ => {
+                        a.compact();
+                        assert_arena_matches_build(&a);
+                    }
+                }
+            }
+            a.compact();
+            assert_arena_matches_build(&a);
+        }
+    }
+
+    #[test]
+    fn compacting_an_empty_delta_leaves_the_arena_alone() {
+        let mut a = PbnAssignment::assign(&paper_figure2());
+        let before = a.arena().clone();
+        assert_eq!(a.compact(), 0);
+        assert_eq!(a.arena(), &before);
+        assert_arena_matches_build(&a);
+    }
+
+    #[test]
+    fn a_fully_dirty_arena_splices_like_a_rebuild() {
+        let doc = paper_figure2();
+        let mut a = PbnAssignment::assign(&doc);
+        let root = doc.root().unwrap();
+        // Every number retired, then every node re-minted under new ids.
+        let run = a.remove_subtree(root);
+        assert_eq!(run.len(), doc.len());
+        a.compact();
+        assert!(a.arena().is_empty());
+        assert_arena_matches_build(&a);
+        let shifted: Vec<(Pbn, NodeId)> = run
+            .into_iter()
+            .map(|(p, id)| (p, NodeId::from_index(id.index() + doc.len())))
+            .collect();
+        assert!(a.insert_run(shifted));
+        assert_eq!(a.compact(), doc.len());
+        assert_eq!(a.id_space(), doc.len() * 2);
+        assert_arena_matches_build(&a);
+    }
+
+    #[test]
+    fn edits_at_the_first_and_last_slot_splice_cleanly() {
+        let doc = paper_figure2();
+        let mut a = PbnAssignment::assign(&doc);
+        // Last slot: the final text node in document order.
+        let (_, last) = a.in_document_order().last().cloned().unwrap();
+        assert_eq!(a.remove_subtree(last).len(), 1);
+        a.compact();
+        assert_arena_matches_build(&a);
+        // First slot: re-mint the whole tree in place from the root, then
+        // append a last child.
+        let root = doc.root().unwrap();
+        let run = a.remove_subtree(root);
+        assert!(a.insert_run(run));
+        let tail = mint_under(&a, &pbn![1], usize::MAX);
+        assert!(a.insert_run(vec![(tail, NodeId::from_index(doc.len()))]));
+        a.compact();
+        assert_arena_matches_build(&a);
+        // Front of the root's children: slot 1.
+        let front = mint_under(&a, &pbn![1], 0);
+        assert!(a.insert_run(vec![(front, NodeId::from_index(doc.len() + 1))]));
+        a.compact();
+        assert_arena_matches_build(&a);
+    }
+
+    #[test]
+    fn id_space_growth_widens_the_inverse_map() {
+        let doc = paper_figure2();
+        let mut a = PbnAssignment::assign(&doc);
+        let far = NodeId::from_index(doc.len() + 100);
+        let leaf = mint_under(&a, &pbn![1, 1], 1);
+        assert!(a.insert_run(vec![(leaf, far)]));
+        a.compact();
+        assert_eq!(a.arena().id_space(), doc.len() + 101);
+        assert_arena_matches_build(&a);
+    }
+
+    #[test]
+    fn runs_that_overlap_assigned_numbers_are_refused() {
+        let doc = paper_figure2();
+        let mut a = PbnAssignment::assign(&doc);
+        let id = NodeId::from_index(doc.len());
+        // 1.1 is assigned: a run starting at it, or spanning past 1.1.1,
+        // must be refused whole.
+        assert!(!a.insert_run(vec![(pbn![1, 1], id)]));
+        let front = mint_under(&a, &pbn![1], 0);
+        assert!(!a.insert_run(vec![(front.clone(), id), (pbn![1, 1, 1], id)]));
+        // A run out of document order is refused too.
+        let back = mint_under(&a, &pbn![1], usize::MAX);
+        assert!(!a.insert_run(vec![(back, id), (front, id)]));
+        assert_eq!(a.delta_len(), 0);
+        assert_eq!(a.len(), doc.len());
     }
 }

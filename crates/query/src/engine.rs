@@ -446,10 +446,11 @@ impl Engine {
     /// acknowledged state from the base documents plus the synced log.
     ///
     /// Sibling numbers are minted *between* their neighbours
-    /// ([`vh_pbn::KeyGen`]), so no existing node is ever renumbered; the
-    /// byte arena absorbs the edit via an immediate bounded compaction so
-    /// concurrent readers ([`Engine::run`] takes `&self`) always see a
-    /// fresh arena.
+    /// ([`vh_pbn::KeyGen`]), so no existing node is ever renumbered. The
+    /// edit's dirtied nodes are spliced into the byte arena before this
+    /// returns ([`vh_pbn::PbnAssignment::compact`]: a block copy of the
+    /// surviving keys plus encodes of the touched ones), so readers
+    /// ([`Engine::run`] takes `&self`) always see a fresh arena.
     pub fn apply(&mut self, edit: Edit) -> Result<EditReceipt, FlwrError> {
         self.apply_traced(edit, false).map(|(receipt, _)| receipt)
     }

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 mod common;
 use common::{concretize, URI};
+use vpbn_suite::pbn::PbnArena;
 use vpbn_suite::query::api::{Engine, ExecOptions, QueryRequest};
 use vpbn_suite::xml::{serialize, SerializeOptions};
 
@@ -56,6 +57,13 @@ fn answers(engine: &Engine) -> Vec<Vec<String>> {
         Err(e) => out.push(vec![format!("error:{}", e.code())]),
     }
     out
+}
+
+/// The arena oracle: the edited engine's spliced byte arena equals a
+/// from-scratch build over its own sorted numbering, byte for byte.
+fn arena_matches_build(engine: &Engine) -> bool {
+    let pbn = engine.document(URI).expect("registered").pbn();
+    pbn.arena() == &PbnArena::build(pbn.in_document_order(), pbn.id_space())
 }
 
 proptest! {
@@ -124,6 +132,7 @@ proptest! {
                 applied,
                 script
             );
+            prop_assert!(arena_matches_build(&edited), "threads={} script={:?}", threads, script);
         }
     }
 
@@ -187,6 +196,13 @@ proptest! {
                 threads,
                 threshold,
                 chunk,
+                script
+            );
+            prop_assert!(
+                arena_matches_build(&edited),
+                "threads={} threshold={} script={:?}",
+                threads,
+                threshold,
                 script
             );
         }
