@@ -18,14 +18,16 @@
 #   --serve         run the query-server leg: the vh-serve protocol fuzz
 #                   + end-to-end suites in release mode (real loopback
 #                   sockets, 8-client mixed traffic, crash-mid-frame
-#                   serviceability)
+#                   serviceability) and the linearizable-reads history
+#                   check (1/2/8 readers beside one writer on a tenant)
 #   --perfbench     build the repository benchmark (perfbench/), run its
 #                   op-stream generator tests, then a 3 s untraced smoke
 #                   run of each BENCHMARK.json workload; a wrong answer or
 #                   a failed durability check exits nonzero and fails
-#   --tsan          run the ThreadSanitizer leg over the partition/merge and
-#                   cache tests — needs nightly + `rust-src` (std must be
-#                   rebuilt instrumented); skipped with a notice otherwise
+#   --tsan          run the ThreadSanitizer leg over the partition/merge,
+#                   cache and linearizable-reads tests — needs nightly +
+#                   `rust-src` (std must be rebuilt instrumented); skipped
+#                   with a notice otherwise
 #   --vet           run vh-vet (already part of the gate; useful with
 #                   --no-gate for a lint-only run)
 #   --bench-history run the quick bench profile, append this commit's
@@ -147,7 +149,7 @@ run_perfbench() {
 }
 
 run_tsan() {
-  echo "==> tsan leg (partition/merge + cache under ThreadSanitizer)"
+  echo "==> tsan leg (partition/merge, cache and tenant reads under ThreadSanitizer)"
   if ! nightly_has rust-src; then
     echo "    SKIPPED: nightly 'rust-src' component not installed" >&2
     echo "    (TSan needs std rebuilt with instrumentation via -Zbuild-std;" >&2
@@ -162,6 +164,9 @@ run_tsan() {
   RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
     cargo +nightly test -q -Zbuild-std --target "$host" \
     -p vh-core --test stress_interleave
+  RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
+    cargo +nightly test -q -Zbuild-std --target "$host" \
+    -p vh-serve --test linearizable_reads
 }
 
 if [ "$RUN_REBASE" = 1 ]; then

@@ -332,6 +332,14 @@ pub struct Engine {
     doc_gen: HashMap<String, u64>,
 }
 
+// Concurrent readers share one engine (vh-serve runs a tenant's queries
+// under a shared `RwLock` read guard), so a field that is not `Sync`
+// must fail the build here rather than force a mutex back on callers.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Engine>();
+};
+
 impl Default for Engine {
     fn default() -> Self {
         Engine {

@@ -13,7 +13,8 @@
 //!   encoding. Encoded addresses sort correctly under `memcmp` and
 //!   carry their tenant as an unambiguous byte prefix.
 //! * [`registry`] — tenants resolved by a SWAR `starts_with` over those
-//!   prefixes, each holding its own [`vh_query::Engine`] behind a mutex.
+//!   prefixes, each holding its own [`vh_query::Engine`] behind an
+//!   `RwLock`: queries share it, edits take it exclusively.
 //! * [`admission`] — per-tenant token buckets and concurrency caps.
 //!   Overload is *shed* with a distinct wire status, never dropped.
 //! * [`metrics`] — live `vh_serve_*` counters and per-stage latency

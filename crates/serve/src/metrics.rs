@@ -3,6 +3,7 @@
 //! the `metrics` verb and the HTTP `/metrics` endpoint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use vh_obs::prom::PromWriter;
 
@@ -62,7 +63,11 @@ pub struct ServeMetrics {
     pub dropped_connections_total: AtomicU64,
     /// Time from first payload byte to decoded request.
     pub decode_ns: LatencyHisto,
-    /// Time inside the tenant engine (query, edit, snapshot).
+    /// Time a request waits for its tenant's engine guard (shared for
+    /// queries and snapshots, exclusive for edits).
+    pub lock_wait_ns: LatencyHisto,
+    /// Time executing the request (query, edit, snapshot), lock wait
+    /// included.
     pub exec_ns: LatencyHisto,
     /// Time from decoded request to response bytes written.
     pub total_ns: LatencyHisto,
@@ -72,6 +77,11 @@ impl ServeMetrics {
     /// A zeroed metrics block.
     pub fn new() -> ServeMetrics {
         ServeMetrics::default()
+    }
+
+    /// Records a lock wait that began at `since`.
+    pub fn lock_wait_since(&self, since: Instant) {
+        self.lock_wait_ns.observe(since.elapsed().as_nanos() as u64);
     }
 
     /// Requests shed for any reason.
@@ -142,6 +152,7 @@ impl ServeMetrics {
         );
         for (stage, histo) in [
             ("decode", &self.decode_ns),
+            ("lock_wait", &self.lock_wait_ns),
             ("exec", &self.exec_ns),
             ("total", &self.total_ns),
         ] {
@@ -198,5 +209,6 @@ mod tests {
         }
         assert!(text.contains("vh_serve_shed_total{reason=\"quota\"} 1"));
         assert!(text.contains("stage=\"exec\""));
+        assert!(text.contains("stage=\"lock_wait\""));
     }
 }

@@ -7,7 +7,7 @@
 //! ordinal, one tenant's key can never be a byte prefix of another's,
 //! and a single SWAR `starts_with` per tenant resolves the route.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use vh_pbn::keys::starts_with_swar;
 use vh_query::Engine;
@@ -19,12 +19,18 @@ use crate::wire::{Address, Reject};
 pub struct Tenant {
     name: String,
     prefix: Vec<u8>,
-    // `Engine` is `Send` but not `Sync` (storage counters are `Cell`s),
-    // so cross-worker sharing goes through a mutex, exactly like the
-    // vh-workload read/write scenario.
-    engine: Mutex<Engine>,
+    // Queries share the engine under read guards; edits take it
+    // exclusively. std's `RwLock` prefers a waiting writer, so a steady
+    // read load cannot starve edits.
+    engine: RwLock<Engine>,
     admission: Admission,
 }
+
+// Workers serve one tenant from many threads at once.
+const _: () = {
+    const fn sync<T: Sync>() {}
+    sync::<Tenant>();
+};
 
 impl Tenant {
     /// The tenant's name (the address's first segment, decoded).
@@ -37,10 +43,18 @@ impl Tenant {
         &self.prefix
     }
 
-    /// Locks the tenant engine (poison-tolerant: a panicked request
-    /// must not take the tenant down with it).
-    pub fn engine(&self) -> MutexGuard<'_, Engine> {
-        self.engine.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Shared access to the tenant engine, for queries: any number of
+    /// readers run at once (poison-tolerant: a panicked request must
+    /// not take the tenant down with it).
+    pub fn read(&self) -> RwLockReadGuard<'_, Engine> {
+        self.engine.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the tenant engine, for edits: waits out
+    /// every reader and blocks new ones (poison-tolerant, like
+    /// [`Tenant::read`]).
+    pub fn engine(&self) -> RwLockWriteGuard<'_, Engine> {
+        self.engine.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The tenant's admission controller.
@@ -79,7 +93,7 @@ impl Registry {
         self.tenants.push(Tenant {
             name: name.to_owned(),
             prefix,
-            engine: Mutex::new(engine),
+            engine: RwLock::new(engine),
             admission: Admission::new(quota),
         });
         Ok(())

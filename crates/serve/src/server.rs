@@ -370,7 +370,7 @@ fn handle_payload(payload: &[u8], shared: &Shared, t_decode: Instant) -> Respons
         .fetch_add(1, Ordering::Relaxed);
     shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
     let t_exec = Instant::now();
-    // vet: allow(hold-across-blocking) — the admission guard *is* the in-flight count: it must span the engine call so shedding sees true concurrency, and it serialises nothing (per-tenant cap)
+    // vet: allow(hold-across-blocking) — the admission guard *is* the in-flight count: it must span the engine call so shedding sees true concurrency, and it excludes no other request (per-tenant cap)
     let response = execute(&request, tenant, shared);
     shared
         .metrics
@@ -399,8 +399,10 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
     let doc = &request.address.document;
     match &request.body {
         RequestBody::Point { path } => {
-            let engine = tenant.engine();
-            // vet: allow(hold-across-blocking) — Engine is Send + !Sync; per-tenant serialisation under the registry mutex is the documented execution model (one writer per tenant)
+            let waited = Instant::now();
+            let engine = tenant.read();
+            shared.metrics.lock_wait_since(waited);
+            // vet: allow(hold-across-blocking) — a shared read guard: queries on the tenant run concurrently and only an edit waits for this one to finish (one writer per tenant)
             match engine.run(&QueryRequest::path(doc, path)) {
                 Ok(out) => Response::Count(out.nodes.map_or(0, |n| n.len() as u64)),
                 Err(e) => Response::Error {
@@ -410,8 +412,10 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
             }
         }
         RequestBody::Twig { spec, path } => {
-            let engine = tenant.engine();
-            // vet: allow(hold-across-blocking) — same per-tenant serialisation contract as the Point arm
+            let waited = Instant::now();
+            let engine = tenant.read();
+            shared.metrics.lock_wait_since(waited);
+            // vet: allow(hold-across-blocking) — the same shared read guard as the Point arm: it excludes only edits
             match engine.run(&QueryRequest::virtual_path(doc, spec, path)) {
                 Ok(out) => Response::Count(out.nodes.map_or(0, |n| n.len() as u64)),
                 Err(e) => Response::Error {
@@ -421,8 +425,10 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
             }
         }
         RequestBody::Flwr { query } => {
-            let engine = tenant.engine();
-            // vet: allow(hold-across-blocking) — same per-tenant serialisation contract as the Point arm
+            let waited = Instant::now();
+            let engine = tenant.read();
+            shared.metrics.lock_wait_since(waited);
+            // vet: allow(hold-across-blocking) — the same shared read guard as the Point arm: it excludes only edits
             match engine.run(&QueryRequest::flwr(query.as_str())) {
                 Ok(out) => Response::Text(out.to_string_compact()),
                 Err(e) => Response::Error {
@@ -450,8 +456,10 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
                     ),
                 };
             }
+            let waited = Instant::now();
             let mut engine = tenant.engine();
-            // vet: allow(hold-across-blocking) — edits must serialise against queries on the same tenant; the WAL append inside apply() is the tenant's own durability, not shared I/O
+            shared.metrics.lock_wait_since(waited);
+            // vet: allow(hold-across-blocking) — the exclusive guard: an edit must not overlap the tenant's queries or other edits; the WAL append inside apply() is the tenant's own durability, not shared I/O
             match engine.apply(edit) {
                 Ok(receipt) => Response::Seq(receipt.seq),
                 Err(e) => Response::Error {
@@ -461,7 +469,9 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
             }
         }
         RequestBody::Snapshot => {
-            let engine = tenant.engine();
+            let waited = Instant::now();
+            let engine = tenant.read();
+            shared.metrics.lock_wait_since(waited);
             Response::Text(snapshot_json(&engine))
         }
         RequestBody::Metrics => Response::Text(shared.metrics.render()),

@@ -295,5 +295,14 @@ fn eight_clients_of_mixed_traffic_see_zero_drops_and_zero_sheds() {
     assert_eq!(m.dropped_connections_total.load(Ordering::Relaxed), 0);
     assert_eq!(m.admitted_total.load(Ordering::Relaxed), 200);
     assert_eq!(m.in_flight.load(Ordering::Relaxed), 0);
+    // Every executed request waited for its engine guard exactly once,
+    // and the scrape (which executes nothing) renders that stage.
+    assert_eq!(m.exec_ns.count(), 200);
+    assert_eq!(m.lock_wait_ns.count(), m.exec_ns.count());
+    let scraped = http_metrics(addr).expect("HTTP scrape");
+    assert!(
+        scraped.contains("vh_serve_stage_ns_count{stage=\"lock_wait\"} 200"),
+        "{scraped}"
+    );
     handle.shutdown();
 }

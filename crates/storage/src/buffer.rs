@@ -12,8 +12,8 @@
 //! store **quarantines** it: the frame is dropped, counted, and the page
 //! refetched from the device.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Aggregate buffer-pool counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,11 +56,12 @@ struct Frame {
     data: Vec<u8>,
 }
 
-/// A fixed-capacity LRU pool of page frames.
+/// A fixed-capacity LRU pool of page frames. Shareable across threads:
+/// every operation takes a short internal lock.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    inner: RefCell<Inner>,
+    inner: Mutex<Inner>,
 }
 
 #[derive(Debug, Default)]
@@ -91,7 +92,7 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
-            inner: RefCell::new(Inner::default()),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -100,10 +101,16 @@ impl BufferPool {
         self.capacity
     }
 
+    /// The pool state (poison-tolerant: every operation leaves `Inner`
+    /// consistent, so a panicked holder leaves nothing half-done).
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `page`. A resident frame counts a hit (and is touched for
     /// LRU); absence counts a miss. Returns a copy of the frame's data.
     pub fn lookup(&self, page: usize) -> Option<Vec<u8>> {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.frames.get_mut(&page) {
@@ -124,7 +131,7 @@ impl BufferPool {
     /// the pool is full. Does not count a hit or a miss (the preceding
     /// [`BufferPool::lookup`] did).
     pub fn insert(&self, page: usize, data: Vec<u8>) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.evict_if_full(self.capacity, page);
         inner.tick += 1;
         let tick = inner.tick;
@@ -134,7 +141,7 @@ impl BufferPool {
     /// Drops the frame for `page` because its content failed verification.
     /// Counts a quarantine when a frame was actually resident.
     pub fn quarantine(&self, page: usize) -> bool {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         let dropped = inner.frames.remove(&page).is_some();
         if dropped {
             inner.stats.quarantines += 1;
@@ -146,7 +153,7 @@ impl BufferPool {
     /// frame for `page`, simulating in-memory corruption of a cached page.
     /// Returns false when the page is not resident (nothing corrupted).
     pub fn poison_frame(&self, page: usize, byte: usize, mask: u8) -> bool {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         match inner.frames.get_mut(&page) {
             Some(frame) if byte < frame.data.len() => {
                 frame.data[byte] ^= mask;
@@ -175,22 +182,22 @@ impl BufferPool {
 
     /// Number of resident frames.
     pub fn resident(&self) -> usize {
-        self.inner.borrow().frames.len()
+        self.inner().frames.len()
     }
 
     /// Counters since the last [`BufferPool::reset`].
     pub fn stats(&self) -> BufferStats {
-        self.inner.borrow().stats
+        self.inner().stats
     }
 
     /// Clears counters (resident frames stay — a warm reset).
     pub fn reset(&self) {
-        self.inner.borrow_mut().stats = BufferStats::default();
+        self.inner().stats = BufferStats::default();
     }
 
     /// Drops every frame and clears counters (a cold reset).
     pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.frames.clear();
         inner.stats = BufferStats::default();
     }

@@ -13,8 +13,8 @@
 
 use crate::error::PageFault;
 use crate::io::PageIo;
-use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 /// Fault rates and seed for a [`FaultyPageIo`].
 #[derive(Clone, Debug)]
@@ -101,8 +101,9 @@ fn chance(state: &mut u64, p: f64) -> bool {
 pub struct FaultyPageIo<I> {
     inner: I,
     config: FaultConfig,
-    /// Read-stream RNG state (interior mutability: reads take `&self`).
-    rng: Cell<u64>,
+    /// Read-stream RNG state (interior mutability: reads take `&self`,
+    /// possibly from several threads).
+    rng: Mutex<u64>,
     /// Pages whose tail half is persistently lost.
     torn: BTreeSet<usize>,
 }
@@ -119,7 +120,7 @@ impl<I: PageIo> FaultyPageIo<I> {
                 torn.insert(page);
             }
         }
-        let rng = Cell::new(config.seed ^ 0xA076_1D64_78BD_642F);
+        let rng = Mutex::new(config.seed ^ 0xA076_1D64_78BD_642F);
         FaultyPageIo {
             inner,
             config,
@@ -134,10 +135,7 @@ impl<I: PageIo> FaultyPageIo<I> {
     }
 
     fn with_rng<T>(&self, f: impl FnOnce(&mut u64) -> T) -> T {
-        let mut state = self.rng.get();
-        let out = f(&mut state);
-        self.rng.set(state);
-        out
+        f(&mut self.rng.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

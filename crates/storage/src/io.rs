@@ -10,10 +10,10 @@ use crate::error::PageFault;
 
 /// A device serving fixed-size pages.
 ///
-/// `Send` is a supertrait so stores (and the engines holding them) can
-/// move between threads — the concurrent reader/writer workload hands a
-/// whole engine to a scoped-thread scope behind a mutex.
-pub trait PageIo: std::fmt::Debug + Send {
+/// `Send + Sync` are supertraits so stores (and the engines holding
+/// them) can move between threads and serve concurrent readers — a
+/// served tenant runs its queries under a shared `RwLock` read guard.
+pub trait PageIo: std::fmt::Debug + Send + Sync {
     /// The device's page size in bytes.
     fn page_size(&self) -> usize;
 

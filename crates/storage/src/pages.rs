@@ -19,7 +19,7 @@ use crate::error::{PageFault, StorageError};
 use crate::faults::{FaultConfig, FaultyPageIo};
 use crate::io::{MemPageIo, PageIo};
 use crate::retry::RetryPolicy;
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default page size (a common DBMS block size).
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -35,11 +35,13 @@ pub struct PageStore {
     checksums: Vec<u32>,
     page_size: usize,
     retry: RetryPolicy,
-    pages_read: Cell<u64>,
-    bytes_read: Cell<u64>,
-    read_retries: Cell<u64>,
-    transient_faults: Cell<u64>,
-    checksum_failures: Cell<u64>,
+    // Relaxed atomics: concurrent readers of one engine share the
+    // store, and the counters order nothing.
+    pages_read: AtomicU64,
+    bytes_read: AtomicU64,
+    read_retries: AtomicU64,
+    transient_faults: AtomicU64,
+    checksum_failures: AtomicU64,
 }
 
 impl PageStore {
@@ -82,11 +84,11 @@ impl PageStore {
             checksums,
             page_size,
             retry: RetryPolicy::default(),
-            pages_read: Cell::new(0),
-            bytes_read: Cell::new(0),
-            read_retries: Cell::new(0),
-            transient_faults: Cell::new(0),
-            checksum_failures: Cell::new(0),
+            pages_read: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
+            read_retries: AtomicU64::new(0),
+            transient_faults: AtomicU64::new(0),
+            checksum_failures: AtomicU64::new(0),
         }
     }
 
@@ -172,7 +174,7 @@ impl PageStore {
             out.extend_from_slice(&bytes[lo..hi]);
         }
         self.bytes_read
-            .set(self.bytes_read.get() + (end - start) as u64);
+            .fetch_add((end - start) as u64, Ordering::Relaxed);
         // Every page was CRC-verified against the pristine string, so the
         // assembled bytes are valid UTF-8; treat a mismatch as corruption
         // rather than panicking.
@@ -197,7 +199,7 @@ impl PageStore {
             }
             // Resident frame no longer verifies: quarantine it and go back
             // to the device for a clean copy.
-            self.checksum_failures.set(self.checksum_failures.get() + 1);
+            self.checksum_failures.fetch_add(1, Ordering::Relaxed);
             pool.quarantine(page);
         }
         let bytes = self.fetch_page(page)?;
@@ -222,15 +224,15 @@ impl PageStore {
             // final cause.
             let last_failure_was_checksum = match self.io.read_page(page, &mut buf) {
                 Ok(()) => {
-                    self.pages_read.set(self.pages_read.get() + 1);
+                    self.pages_read.fetch_add(1, Ordering::Relaxed);
                     if crc32(&buf) == expected {
                         return Ok(std::mem::take(&mut buf));
                     }
-                    self.checksum_failures.set(self.checksum_failures.get() + 1);
+                    self.checksum_failures.fetch_add(1, Ordering::Relaxed);
                     true
                 }
                 Err(PageFault::Transient) => {
-                    self.transient_faults.set(self.transient_faults.get() + 1);
+                    self.transient_faults.fetch_add(1, Ordering::Relaxed);
                     false
                 }
                 Err(PageFault::OutOfBounds) => {
@@ -251,7 +253,7 @@ impl PageStore {
                     }
                 });
             }
-            self.read_retries.set(self.read_retries.get() + 1);
+            self.read_retries.fetch_add(1, Ordering::Relaxed);
             self.retry.wait_after(attempt);
         }
     }
@@ -268,40 +270,40 @@ impl PageStore {
     /// retries and quarantines; excludes buffer-pool hits).
     #[inline]
     pub fn pages_read(&self) -> u64 {
-        self.pages_read.get()
+        self.pages_read.load(Ordering::Relaxed)
     }
 
     /// Logical bytes served to callers so far (pool hits included).
     #[inline]
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
+        self.bytes_read.load(Ordering::Relaxed)
     }
 
     /// Retry attempts performed after a failed page read.
     #[inline]
     pub fn read_retries(&self) -> u64 {
-        self.read_retries.get()
+        self.read_retries.load(Ordering::Relaxed)
     }
 
     /// Transient device faults observed (whether or not a retry healed them).
     #[inline]
     pub fn transient_faults(&self) -> u64 {
-        self.transient_faults.get()
+        self.transient_faults.load(Ordering::Relaxed)
     }
 
     /// Pages delivered whose CRC32 did not match the build-time checksum.
     #[inline]
     pub fn checksum_failures(&self) -> u64 {
-        self.checksum_failures.get()
+        self.checksum_failures.load(Ordering::Relaxed)
     }
 
     /// Resets the access and fault counters.
     pub fn reset_counters(&self) {
-        self.pages_read.set(0);
-        self.bytes_read.set(0);
-        self.read_retries.set(0);
-        self.transient_faults.set(0);
-        self.checksum_failures.set(0);
+        self.pages_read.store(0, Ordering::Relaxed);
+        self.bytes_read.store(0, Ordering::Relaxed);
+        self.read_retries.store(0, Ordering::Relaxed);
+        self.transient_faults.store(0, Ordering::Relaxed);
+        self.checksum_failures.store(0, Ordering::Relaxed);
     }
 }
 

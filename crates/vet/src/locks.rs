@@ -212,7 +212,7 @@ impl LockFacts {
         edges.dedup_by(|a, b| {
             a.file == b.file && a.line == b.line && a.held == b.held && a.acquired == b.acquired
         });
-        holds.sort_by(|a, b| (a.file, a.line).cmp(&(b.file, b.line)));
+        holds.sort_by_key(|h| (h.file, h.line));
         holds.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.what == b.what);
 
         LockFacts {

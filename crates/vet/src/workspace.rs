@@ -325,7 +325,7 @@ fn suppress_test_mod_files(files: &mut [SourceFile]) {
         }
         let mut changed = false;
         for f in files.iter_mut() {
-            if targets.iter().any(|t| *t == f.rel) && !f.fully_suppressed() {
+            if targets.contains(&f.rel) && !f.fully_suppressed() {
                 for s in &mut f.suppressed {
                     *s = true;
                 }

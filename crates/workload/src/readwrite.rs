@@ -17,7 +17,7 @@
 //! which is exactly the correctness claim maintained views must uphold.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{PoisonError, RwLock};
 
 use vh_query::{Edit, Engine, MaintenancePolicy, QueryRequest};
 
@@ -122,11 +122,11 @@ pub fn run_readwrite(cfg: &ReadWriteConfig) -> ReadWriteReport {
         ));
     }
 
-    // `Engine` is `Send` but not `Sync` (storage counters are `Cell`s),
-    // so cross-thread sharing goes through a mutex: readers and the
-    // writer interleave rather than overlap. Readers drop the lock
-    // between queries, so every batch commit slots into the stream.
-    let shared = Mutex::new(engine);
+    // The serving model: readers share the engine and overlap each
+    // other, the writer takes it exclusively. Readers drop the guard
+    // between queries, and std's `RwLock` lets a waiting writer in
+    // ahead of new readers, so every batch commit slots into the stream.
+    let shared = RwLock::new(engine);
     let done = AtomicBool::new(false);
     let queries = AtomicU64::new(0);
     let result_nodes = AtomicU64::new(0);
@@ -140,8 +140,8 @@ pub fn run_readwrite(cfg: &ReadWriteConfig) -> ReadWriteReport {
                 while !done.load(Ordering::Acquire) {
                     let path = READWRITE_PATHS[i % READWRITE_PATHS.len()];
                     i += 1;
-                    let engine = shared.lock().unwrap_or_else(PoisonError::into_inner);
-                    // vet: allow(hold-across-blocking) — the scenario measures reader/writer interleaving on one shared engine; the lock spanning run() is the workload
+                    let engine = shared.read().unwrap_or_else(PoisonError::into_inner);
+                    // vet: allow(hold-across-blocking) — a shared read guard: readers overlap each other and exclude only the writer's batch, which is the interleaving the scenario measures
                     if let Ok(out) = engine.run(&QueryRequest::virtual_path(
                         READWRITE_URI,
                         READWRITE_SPEC,
@@ -163,14 +163,14 @@ pub fn run_readwrite(cfg: &ReadWriteConfig) -> ReadWriteReport {
                     xml: fresh_book(b, i),
                 })
                 .collect();
-            let mut engine = shared.lock().unwrap_or_else(PoisonError::into_inner);
-            // vet: allow(hold-across-blocking) — the writer batch holds the engine for the whole burst by design: the scenario exists to stress exactly this contention
+            let mut engine = shared.write().unwrap_or_else(PoisonError::into_inner);
+            // vet: allow(hold-across-blocking) — the writer batch holds the exclusive guard for the whole burst by design: the scenario exists to stress exactly this contention
             let _ = engine.apply_all(edits);
         }
         done.store(true, Ordering::Release);
     });
 
-    let engine = Mutex::into_inner(shared).unwrap_or_else(PoisonError::into_inner);
+    let engine = RwLock::into_inner(shared).unwrap_or_else(PoisonError::into_inner);
     let cache = engine.snapshot().cache;
     ReadWriteReport {
         queries: queries.load(Ordering::Relaxed),
