@@ -189,10 +189,6 @@ if [ "$RUN_GATE" = 1 ]; then
   echo "==> vh-obs builds without default features (no-std-clock consumers)"
   cargo build -p vh-obs --no-default-features --quiet
 
-  echo "==> the frozen v1 API builds both ways (legacy-api off is the default)"
-  cargo build -p vh-query --no-default-features --quiet
-  cargo test -p vh-query --features legacy-api -q
-
   echo "==> cargo test"
   cargo test --workspace -q
 

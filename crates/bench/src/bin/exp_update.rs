@@ -95,9 +95,9 @@ const MAINTAIN_EDITS: usize = 1_000;
 
 /// Corpus size for the maintenance leg, fixed across profiles. Large
 /// enough that (a) the 1k-edit stream is a realistic fraction of the
-/// document rather than a wholesale rewrite, and (b) index rebuilds
-/// cost more than splices, so the cost model keeps the maintenance
-/// path — the crossover EXPERIMENTS.md documents.
+/// document rather than a wholesale rewrite, and (b) each batch touches
+/// far fewer nodes than the document keeps, so the size rule in
+/// `ExecCache::route_delta` keeps the maintenance path.
 const MAINTAIN_BOOKS: usize = 2_000;
 
 /// Corpus sizes of the apply-scaling rows, fixed across profiles.

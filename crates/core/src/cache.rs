@@ -32,11 +32,11 @@
 //! guide-shaped artifacts are pure functions of `(spec, guide)` and
 //! survive untouched whenever the delta provably cannot change their
 //! recompile ([`VDataGuide::unaffected_by`]); the per-node [`TypeIndex`]
-//! is spliced in place. A [`MaintenancePolicy`] cost model (delta size
-//! vs. entry size vs. the observed rebuild time fed back by the engine)
-//! falls back to eviction when maintenance would be slower, and an
-//! overflowed journal or an explicit `Engine::compact()` falls back to
-//! full eviction — both counted as `fallback_evictions`. Maintained
+//! is spliced in place while the delta touches no more nodes than the
+//! document keeps — a rebuild scans every live node, so past that a
+//! splice cannot win — and is otherwise evicted. An overflowed journal
+//! or an explicit `Engine::compact()` falls back to full eviction; both
+//! kinds of drop count as `fallback_evictions`. Maintained
 //! entries are re-keyed to the post-edit guide fingerprint and stamped
 //! ([`Stamped`]) with the document generation, so a stale entry can
 //! never satisfy a lookup even when an edit leaves the fingerprint
@@ -311,9 +311,9 @@ pub struct CacheStats {
     pub maintained: u64,
     /// Entries a delta invalidated (recomputed on their next open).
     pub recomputed: u64,
-    /// Entries dropped by the maintenance fallback: the cost model chose
-    /// recomputation, the journal overflowed, or an explicit compaction
-    /// rewrote the arena.
+    /// Entries dropped by the maintenance fallback: the delta touched
+    /// more nodes than the document keeps, the journal overflowed, or an
+    /// explicit compaction rewrote the arena.
     pub fallback_evictions: u64,
 }
 
@@ -468,69 +468,6 @@ pub trait MaintainView: Sized {
     fn maintain(&self, delta: &ViewDelta, ctx: &MaintainCtx<'_>) -> Maintained<Self>;
 }
 
-/// The cost model deciding whether splicing a delta into a per-node
-/// artifact beats recomputing it. Estimated maintenance cost is a clone
-/// of the entry plus a binary-search insert per journal op; estimated
-/// rebuild cost is the engine-observed rebuild time for the artifact
-/// family when available (EWMA, fed by [`ExecCache::note_rebuild`]), or
-/// a per-node constant until one is observed.
-#[derive(Clone, Copy, Debug)]
-pub struct MaintenancePolicy {
-    /// Estimated cost of cloning one indexed node during a splice (ns).
-    pub clone_node_ns: u64,
-    /// Estimated cost of one journal-op splice (ns).
-    pub splice_op_ns: u64,
-    /// Assumed per-node rebuild cost before any observation (ns).
-    pub rebuild_node_ns: u64,
-}
-
-impl Default for MaintenancePolicy {
-    fn default() -> Self {
-        MaintenancePolicy {
-            clone_node_ns: 2,
-            splice_op_ns: 200,
-            rebuild_node_ns: 20,
-        }
-    }
-}
-
-impl MaintenancePolicy {
-    /// True when maintaining an entry of `entry_nodes` nodes under a
-    /// delta of `delta_ops` journal ops is estimated cheaper than the
-    /// rebuild (`observed_rebuild_ns` = 0 means "never observed").
-    pub fn should_maintain(
-        &self,
-        delta_ops: usize,
-        entry_nodes: usize,
-        observed_rebuild_ns: u64,
-    ) -> bool {
-        if delta_ops == 0 {
-            return true;
-        }
-        let maintain =
-            entry_nodes as u64 * self.clone_node_ns + delta_ops as u64 * self.splice_op_ns;
-        let rebuild = if observed_rebuild_ns > 0 {
-            observed_rebuild_ns
-        } else {
-            entry_nodes as u64 * self.rebuild_node_ns
-        };
-        maintain <= rebuild
-    }
-}
-
-/// The four artifact families of the cache, for rebuild-time feedback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Artifact {
-    /// vDataGuide expansions.
-    Expansions,
-    /// Level maps.
-    Levels,
-    /// Prefix tables.
-    Tables,
-    /// Per-type node indexes.
-    Indexes,
-}
-
 /// What routing one [`ViewDelta`] did to its URI's cached entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteOutcome {
@@ -538,7 +475,7 @@ pub struct RouteOutcome {
     pub maintained: u64,
     /// Entries the delta invalidated; recomputed on their next open.
     pub recomputed: u64,
-    /// Entries dropped by the cost model or an overflowed journal even
+    /// Entries dropped by the size rule or an overflowed journal even
     /// though the delta was routable.
     pub fallback_evictions: u64,
 }
@@ -559,11 +496,6 @@ pub struct ExecCache {
     /// [`ExecCache::invalidate_uri`] on re-register keeps a re-registered
     /// same-shaped document from serving a stale index.
     pub indexes: ShardedLru<ViewKey, Stamped<Arc<TypeIndex>>>,
-    /// Maintain-vs-recompute cost model for the per-node index.
-    policy: MaintenancePolicy,
-    /// EWMA observed rebuild nanoseconds per artifact family
-    /// (expansions, levels, tables, indexes).
-    rebuild_ns: [AtomicU64; 4],
     maintained: AtomicU64,
     recomputed: AtomicU64,
     fallback_evictions: AtomicU64,
@@ -596,13 +528,6 @@ impl ExecCache {
             levels: ShardedLru::new(capacity),
             tables: ShardedLru::new(capacity),
             indexes: ShardedLru::new(capacity),
-            policy: MaintenancePolicy::default(),
-            rebuild_ns: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
             maintained: AtomicU64::new(0),
             recomputed: AtomicU64::new(0),
             fallback_evictions: AtomicU64::new(0),
@@ -653,37 +578,13 @@ impl ExecCache {
         dropped
     }
 
-    /// Feeds one observed from-scratch rebuild time (ns) into the cost
-    /// model's per-family EWMA.
-    pub fn note_rebuild(&self, artifact: Artifact, ns: u64) {
-        let cell = &self.rebuild_ns[artifact as usize];
-        let old = cell.load(Ordering::Relaxed);
-        let next = if old == 0 { ns } else { (3 * old + ns) / 4 };
-        cell.store(next, Ordering::Relaxed);
-    }
-
-    /// The EWMA observed rebuild time of one artifact family (0 until
-    /// observed).
-    pub fn observed_rebuild_ns(&self, artifact: Artifact) -> u64 {
-        self.rebuild_ns[artifact as usize].load(Ordering::Relaxed)
-    }
-
-    /// The maintain-vs-recompute cost model in force.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
-    }
-
-    /// Replaces the maintain-vs-recompute cost model.
-    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
-        self.policy = policy;
-    }
-
     /// Routes one edit-batch delta to every cached entry of its URI:
     /// maintainable entries are updated (and re-keyed to the post-edit
     /// fingerprint, restamped with the new generation), entries the delta
-    /// invalidates are dropped for recomputation, and entries whose
-    /// maintenance the cost model rejects are dropped as fallback
-    /// evictions. `td` is the document *after* the batch (drained).
+    /// invalidates are dropped for recomputation, and a per-node index
+    /// whose delta touched more nodes than `td` keeps is dropped as a
+    /// fallback eviction. `td` is the document *after* the batch
+    /// (drained).
     pub fn route_delta(&self, delta: &ViewDelta, td: &TypedDocument) -> RouteOutcome {
         let _epoch = self.begin_maintenance();
         let mut out = RouteOutcome::default();
@@ -726,19 +627,12 @@ impl ExecCache {
             route_one(&self.expansions, &key, &new_key, delta, &ctx, &mut out);
             route_one(&self.levels, &key, &new_key, delta, &ctx, &mut out);
             route_one(&self.tables, &key, &new_key, delta, &ctx, &mut out);
-            // The per-node index additionally passes the cost model.
-            if let Some(idx) = self.indexes.peek(&key) {
-                let affordable = self.policy.should_maintain(
-                    delta.touched.len(),
-                    idx.value.total_nodes(),
-                    self.observed_rebuild_ns(Artifact::Indexes),
-                );
-                if affordable {
-                    route_one(&self.indexes, &key, &new_key, delta, &ctx, &mut out);
-                } else {
-                    self.indexes.remove(&key);
-                    out.fallback_evictions += 1;
-                }
+            // The per-node index is spliced only while the delta is no
+            // larger than a rebuild's scan of the document's live nodes.
+            if delta.touched.len() <= td.pbn().len() {
+                route_one(&self.indexes, &key, &new_key, delta, &ctx, &mut out);
+            } else if self.indexes.remove(&key).is_some() {
+                out.fallback_evictions += 1;
             }
         }
         self.maintained.fetch_add(out.maintained, Ordering::Relaxed);

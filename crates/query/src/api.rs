@@ -8,9 +8,7 @@
 //! symmetric constructor pair, [`Engine::run`] with a [`QueryRequest`]
 //! (built from a typed [`QueryKind`], directly or via
 //! [`QueryRequest::builder`]) is the one evaluation entry point, and
-//! [`query_document`] is the single-document convenience. The pre-v1
-//! `eval*` wrappers compile only under the off-by-default `legacy-api`
-//! cargo feature.
+//! [`query_document`] is the single-document convenience.
 //!
 //! ```
 //! use vh_query::api::{Engine, QueryRequest};

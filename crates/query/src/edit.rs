@@ -14,7 +14,10 @@
 //! Every `match` over [`Edit`] in this crate is exhaustive by policy — no
 //! `_ =>` arms — so adding a variant fails compilation at each encode,
 //! replay and trace-emission site instead of silently corrupting logs.
-//! The `vh-vet` `edit-exhaustive` lint pins this.
+//! Clippy pins this: `wildcard_enum_match_arm` (a catch-all over two or
+//! more variants) and `match_wildcard_for_single_variants` (over exactly
+//! one) are denied on the `impl Edit` blocks and on
+//! `Engine::apply_inner`.
 
 use vh_dataguide::EditError;
 use vh_obs::QueryTrace;
@@ -70,6 +73,10 @@ pub enum Edit {
     },
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl Edit {
     /// The document this edit targets.
     pub fn uri(&self) -> &str {
@@ -181,6 +188,10 @@ impl<'a> Reader<'a> {
     }
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl Edit {
     /// Serializes the edit into its WAL record payload: a tag byte, then
     /// length-prefixed UTF-8 strings and `u64` little-endian positions in

@@ -23,10 +23,8 @@
 //! range selections (type-index and arena slot brackets) and operator
 //! counts. [`Engine::explain`] forces tracing on and wraps the result in
 //! an [`Explain`] with text/JSON renderings; [`Engine::snapshot`] and
-//! [`Engine::metrics_text`] expose the cumulative counters. The legacy
-//! `eval*` wrappers over `run` compile only under the off-by-default
-//! `legacy-api` cargo feature — v1 of the API is [`QueryRequest`] in,
-//! [`QueryOutcome`] out.
+//! [`Engine::metrics_text`] expose the cumulative counters. The API is
+//! [`QueryRequest`] in, [`QueryOutcome`] out.
 
 use crate::doc::{PhysicalDoc, QueryDoc, VirtualDoc};
 use crate::edit::{Edit, EditReceipt, EditRecovery, ReplayFailure};
@@ -40,10 +38,7 @@ use crate::xpath::parse::parse_xpath;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use vh_core::cache::{
-    guide_fingerprint, Artifact, CacheStats, MaintenancePolicy, ShardedLru, Stamped, ViewDelta,
-    ViewKey,
-};
+use vh_core::cache::{guide_fingerprint, CacheStats, ShardedLru, Stamped, ViewDelta, ViewKey};
 use vh_core::levels::LevelMap;
 use vh_core::range::PrefixTables;
 use vh_core::{ExecCache, ExecOptions, TypeIndex, VDataGuide, VirtualDocument};
@@ -663,15 +658,6 @@ impl Engine {
         merged
     }
 
-    /// Replaces the cache's maintain-vs-recompute cost model (a tuning
-    /// and testing hook). No-op while the cache is shared with another
-    /// engine or an in-flight reader.
-    pub fn set_maintenance_policy(&mut self, policy: MaintenancePolicy) {
-        if let Some(c) = Arc::get_mut(&mut self.cache) {
-            c.set_policy(policy);
-        }
-    }
-
     /// Replaces the mid-batch compaction threshold (clamped to ≥ 1).
     pub fn set_compact_threshold(&mut self, threshold: usize) {
         self.compact_threshold = threshold.max(1);
@@ -700,6 +686,10 @@ impl Engine {
     /// as a [`ViewDelta`] once the batch commits
     /// ([`Engine::route_uri_delta`]). Returns the number of nodes touched.
     /// Does **not** log or compact.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn apply_inner(&mut self, edit: &Edit, trace: &mut TraceBuilder) -> Result<u64, FlwrError> {
         let uri = edit.uri();
         let td = self
@@ -857,8 +847,8 @@ impl Engine {
 
     // ------------------------------------------------------------- run ---
 
-    /// Evaluates one [`QueryRequest`] end to end. This is the blessed
-    /// entry point; every legacy `eval*` method wraps it.
+    /// Evaluates one [`QueryRequest`] end to end. This is the single
+    /// query entry point.
     pub fn run(&self, req: &QueryRequest) -> Result<QueryOutcome, FlwrError> {
         let mut trace = if req.trace {
             TraceBuilder::enabled("query")
@@ -1096,53 +1086,33 @@ impl Engine {
             let gen = self.gen_of(uri);
             let key = ViewKey::new(uri, fp, spec);
             trace.begin("guide-expansion");
-            let (vdg, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.expansions,
-                &key,
-                gen,
-                Artifact::Expansions,
-                || VDataGuide::compile(spec, td.guide()).map(Arc::new),
-            )?;
+            let (vdg, outcome) = cached_artifact(&self.cache.expansions, &key, gen, || {
+                VDataGuide::compile(spec, td.guide()).map(Arc::new)
+            })?;
             prov.expansion = outcome;
             trace.meta("cache", prov.expansion.label());
             trace.end();
 
             trace.begin("level-map");
-            let (levels, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.levels,
-                &key,
-                gen,
-                Artifact::Levels,
-                || Ok::<_, FlwrError>(Arc::new(LevelMap::build(&vdg, td.guide()))),
-            )?;
+            let (levels, outcome) = cached_artifact(&self.cache.levels, &key, gen, || {
+                Ok::<_, FlwrError>(Arc::new(LevelMap::build(&vdg, td.guide())))
+            })?;
             prov.levels = outcome;
             trace.meta("cache", prov.levels.label());
             trace.end();
 
             trace.begin("prefix-tables");
-            let (tables, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.tables,
-                &key,
-                gen,
-                Artifact::Tables,
-                || Ok::<_, FlwrError>(Arc::new(PrefixTables::build(&vdg, &levels, td.guide()))),
-            )?;
+            let (tables, outcome) = cached_artifact(&self.cache.tables, &key, gen, || {
+                Ok::<_, FlwrError>(Arc::new(PrefixTables::build(&vdg, &levels, td.guide())))
+            })?;
             prov.tables = outcome;
             trace.meta("cache", prov.tables.label());
             trace.end();
 
             trace.begin("type-index");
-            let (index, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.indexes,
-                &key,
-                gen,
-                Artifact::Indexes,
-                || Ok::<_, FlwrError>(Arc::new(TypeIndex::build(td, &vdg))),
-            )?;
+            let (index, outcome) = cached_artifact(&self.cache.indexes, &key, gen, || {
+                Ok::<_, FlwrError>(Arc::new(TypeIndex::build(td, &vdg)))
+            })?;
             prov.indexes = outcome;
             trace.meta("cache", prov.indexes.label());
             trace.end();
@@ -1327,7 +1297,7 @@ impl Engine {
         w.counter(
             "vh_cache_fallback_evictions_total",
             "Cache entries dropped by the maintenance hard fallback (overflowed journal, \
-             explicit compaction, or the cost model).",
+             explicit compaction, or a delta larger than the document).",
         );
         w.sample(
             "vh_cache_fallback_evictions_total",
@@ -1370,90 +1340,6 @@ impl Engine {
         w.sample("vpbn_buffer_misses_total", &[], snap.buffers.misses);
         w.finish()
     }
-
-    /// Hit/miss/eviction counters of the compiled-view cache.
-    ///
-    /// Deprecated: prefer [`Engine::snapshot`], which reports these
-    /// alongside storage, buffer and query counters. Compiled only with
-    /// the off-by-default `legacy-api` feature.
-    #[cfg(feature = "legacy-api")]
-    #[doc(hidden)]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Number of compiled views currently cached (expansion entries).
-    ///
-    /// Deprecated: prefer [`Engine::snapshot`]
-    /// (`snapshot().cache.expansions.entries`). Compiled only with the
-    /// off-by-default `legacy-api` feature.
-    #[cfg(feature = "legacy-api")]
-    #[doc(hidden)]
-    pub fn cached_views(&self) -> usize {
-        self.cache.expansions.len()
-    }
-
-    // ------------------------------------------------ legacy wrappers ---
-    // The pre-v1 entry points, kept only behind the off-by-default
-    // `legacy-api` cargo feature. New code goes through `Engine::run`.
-
-    /// Evaluates a FLWR query, returning the result document (rooted at
-    /// `<results>`).
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::flwr`],
-    /// which also returns per-query statistics.
-    #[cfg(feature = "legacy-api")]
-    pub fn eval(&self, query: &str) -> Result<Document, FlwrError> {
-        Ok(self.run(&QueryRequest::flwr(query))?.document)
-    }
-
-    /// Evaluates an already-parsed FLWR query. Queries may draw from any
-    /// number of registered documents and virtual views; the first
-    /// `doc()`/`virtualDoc()` origin is the primary document for
-    /// variable-free expressions.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::parsed`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_parsed(&self, q: &FlwrQuery) -> Result<Document, FlwrError> {
-        Ok(self.run(&QueryRequest::parsed(q.clone()))?.document)
-    }
-
-    /// Evaluates an XPath over the physical document registered at `uri`.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::path`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_path(&self, uri: &str, path: &str) -> Result<Vec<NodeId>, FlwrError> {
-        Ok(self
-            .run(&QueryRequest::path(uri, path))?
-            .nodes
-            .unwrap_or_default())
-    }
-
-    /// Evaluates an XPath over a virtual view of the document at `uri`.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with
-    /// [`QueryRequest::virtual_path`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_virtual_path(
-        &self,
-        uri: &str,
-        spec: &str,
-        path: &str,
-    ) -> Result<Vec<NodeId>, FlwrError> {
-        Ok(self
-            .run(&QueryRequest::virtual_path(uri, spec, path))?
-            .nodes
-            .unwrap_or_default())
-    }
-
-    /// Convenience: the result of `eval` serialized compactly.
-    ///
-    /// Deprecated: prefer [`Engine::run`] +
-    /// [`QueryOutcome::to_string_compact`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_to_string(&self, query: &str) -> Result<String, FlwrError> {
-        Ok(self.run(&QueryRequest::flwr(query))?.to_string_compact())
-    }
 }
 
 /// Distinct `doc()`/`virtualDoc()` origins of a FLWR query, in clause
@@ -1487,14 +1373,11 @@ fn flwr_origins(q: &FlwrQuery) -> Result<Vec<(String, Option<String>)>, FlwrErro
 /// current generation — the second staleness guard behind the fingerprint
 /// in the key — and reports whether delta maintenance (vs. a fresh
 /// compute) last produced it. A miss (or a stale entry, dropped) computes
-/// via `build`, feeding the observed rebuild time into the cache's
-/// maintain-vs-recompute cost model.
+/// via `build`.
 fn cached_artifact<T, E>(
-    cache: &ExecCache,
     map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
     key: &ViewKey,
     gen: u64,
-    artifact: Artifact,
     build: impl FnOnce() -> Result<Arc<T>, E>,
 ) -> Result<(Arc<T>, CacheOutcome), E> {
     match map.get(key) {
@@ -1512,9 +1395,7 @@ fn cached_artifact<T, E>(
         }
         None => {}
     }
-    let t0 = Instant::now();
     let value = build()?;
-    cache.note_rebuild(artifact, elapsed_ns(t0));
     map.insert(key.clone(), Stamped::fresh(gen, value.clone()));
     Ok((value, CacheOutcome::Computed))
 }
@@ -1544,12 +1425,7 @@ mod tests {
         e
     }
 
-    /// `run()`-backed spellings of the retired `eval*` wrappers: the
-    /// tests keep their shorthand while exercising only the v1
-    /// `QueryRequest` surface, so they compile with `legacy-api` on or
-    /// off. (With the feature on, the inherent wrappers shadow these —
-    /// both roads reach `Engine::run`.)
-    #[cfg_attr(feature = "legacy-api", allow(dead_code))]
+    /// Shorthand for the `QueryRequest` spellings the tests use most.
     trait RunExt {
         fn eval(&self, query: &str) -> Result<Document, FlwrError>;
         fn eval_to_string(&self, query: &str) -> Result<String, FlwrError>;
@@ -1563,7 +1439,6 @@ mod tests {
         fn cached_views(&self) -> usize;
     }
 
-    #[cfg_attr(feature = "legacy-api", allow(dead_code))]
     impl RunExt for Engine {
         fn eval(&self, query: &str) -> Result<Document, FlwrError> {
             Ok(self.run(&QueryRequest::flwr(query))?.document)
@@ -2032,24 +1907,9 @@ mod tests {
         assert!(after.contains("<title>W</title>"), "{after}");
     }
 
-    /// A policy under which splicing is estimated free, so acceptance is
-    /// deterministic: the default policy's verdict on a two-book document
-    /// hinges on the observed rebuild time, which machine noise can push
-    /// either side of the splice estimate. The rejection side is pinned
-    /// by `cost_model_rejection_counts_a_fallback_eviction`; the real
-    /// crossover is priced by `exp_update` (UPD-d).
-    fn free_splice() -> vh_core::cache::MaintenancePolicy {
-        vh_core::cache::MaintenancePolicy {
-            clone_node_ns: 0,
-            splice_op_ns: 0,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn edit_deltas_maintain_cached_views() {
         let mut e = engine();
-        e.set_maintenance_policy(free_splice());
         // Warm every artifact, then insert a book whose types are all
         // already interned: the whole view must survive via maintenance.
         e.eval_to_string(RHONDA).must();
@@ -2116,7 +1976,6 @@ mod tests {
     #[test]
     fn apply_all_routes_one_merged_delta_per_uri() {
         let mut e = engine();
-        e.set_maintenance_policy(free_splice());
         e.eval_to_string(RHONDA).must();
         // Three edits, one batch: the cache sees ONE merged delta (4
         // artifacts maintained once), not one route per edit — the former
@@ -2134,23 +1993,33 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_rejection_counts_a_fallback_eviction() {
+    fn oversized_deltas_evict_the_index_as_a_fallback() {
         let mut e = engine();
-        // A policy that makes every splice look infinitely expensive: the
-        // per-node index must fall back to eviction instead.
-        e.set_maintenance_policy(vh_core::cache::MaintenancePolicy {
-            splice_op_ns: u64::MAX / 1024,
-            ..vh_core::cache::MaintenancePolicy::default()
-        });
         e.eval_to_string(RHONDA).must();
-        e.apply(insert_book("W", 0)).must();
+        // Replacing both books by one new book touches more nodes than
+        // the document keeps, so rebuilding the per-node index beats
+        // splicing it: the index is evicted while the guide-pure
+        // artifacts survive.
+        let delete = |target: &str| Edit::DeleteSubtree {
+            uri: "book.xml".into(),
+            target: target.into(),
+        };
+        e.apply_all(vec![delete("1.2"), delete("1.1"), insert_book("N", 0)])
+            .must();
         let snap = e.snapshot();
         assert_eq!(snap.cache.fallback_evictions, 1, "{snap:?}");
         assert_eq!(snap.cache.maintained, 3, "guide-pure artifacts kept");
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
         assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
-        assert_eq!(warm.to_string_compact().matches("<result>").count(), 3);
+        assert_eq!(warm.to_string_compact().matches("<result>").count(), 1);
+        let mut cold = Engine::new();
+        cold.register(Document::parse("book.xml", &doc_text(&e, "book.xml")).must());
+        assert_eq!(
+            warm.to_string_compact(),
+            cold.eval_to_string(RHONDA).must(),
+            "the rebuilt index answers like a cold engine"
+        );
     }
 
     #[test]
@@ -2297,61 +2166,6 @@ mod tests {
             "vh_cache_maintained_total",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-    }
-
-    /// The retired wrappers, exercised only when the `legacy-api`
-    /// feature resurrects them: each must agree with its `Engine::run`
-    /// replacement (the contract the deprecated-wrapper vet lint pins
-    /// structurally).
-    #[cfg(feature = "legacy-api")]
-    mod legacy_api {
-        use super::*;
-
-        #[test]
-        fn wrappers_agree_with_run() {
-            let e = engine();
-            assert_eq!(
-                Engine::eval_to_string(&e, RHONDA).must(),
-                e.run(&QueryRequest::flwr(RHONDA))
-                    .must()
-                    .to_string_compact()
-            );
-            assert_eq!(
-                Engine::eval_path(&e, "book.xml", "//book").must(),
-                e.run(&QueryRequest::path("book.xml", "//book"))
-                    .must()
-                    .nodes
-                    .must()
-            );
-            assert_eq!(
-                Engine::eval_virtual_path(&e, "book.xml", "title { author { name } }", "//title")
-                    .must(),
-                e.run(&QueryRequest::virtual_path(
-                    "book.xml",
-                    "title { author { name } }",
-                    "//title"
-                ))
-                .must()
-                .nodes
-                .must()
-            );
-            let parsed = parse_flwr(RHONDA).must();
-            assert_eq!(
-                vh_xml::serialize(
-                    &Engine::eval_parsed(&e, &parsed).must(),
-                    vh_xml::SerializeOptions::compact()
-                ),
-                Engine::eval_to_string(&e, RHONDA).must()
-            );
-            assert_eq!(
-                Engine::cache_stats(&e).total_hits(),
-                e.snapshot().cache.total_hits()
-            );
-            assert_eq!(
-                Engine::cached_views(&e),
-                e.snapshot().cache.expansions.entries
-            );
         }
     }
 }

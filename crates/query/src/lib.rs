@@ -48,7 +48,6 @@ pub use engine::{
     Engine, EngineSnapshot, Explain, QueryKind, QueryOutcome, QueryRequest, QueryRequestBuilder,
 };
 pub use error::{FlwrError, Limits, QueryError, ResourceKind};
-pub use vh_core::cache::MaintenancePolicy;
 pub use xpath::{parse_xpath, XPath};
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Findings: what a lint reports, and the text/JSON renderings.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The lints `vh-vet` knows, in reporting order.
 ///
@@ -16,9 +16,6 @@ pub enum Lint {
     /// A span name used in `vh-query` that is missing from `vh-obs`'s
     /// stable span vocabulary.
     SpanVocab,
-    /// A `match` over the `Edit` mutation enum with a catch-all arm or
-    /// a missing variant (WAL encode/replay/tracing must be total).
-    EditExhaustive,
     /// A `VhError` variant missing from `code()`/`exit_code()`, or an
     /// exit code missing its README table row.
     ErrorExit,
@@ -30,9 +27,6 @@ pub enum Lint {
     /// A Prometheus metric name that is not namespaced snake_case, or a
     /// sample emitted before its family's `# HELP`/`# TYPE` opener.
     PromName,
-    /// A legacy `Engine` wrapper that does not forward to `Engine::run`
-    /// or lacks deprecation docs.
-    DeprecatedWrapper,
     /// A `*_swar`/`*_branchless` kernel — or a bodied cache `maintain`
     /// impl — without an `// oracle:` comment naming a twin defined in
     /// the same file.
@@ -58,11 +52,9 @@ pub const ALL_LINTS: &[Lint] = &[
     Lint::NoPanic,
     Lint::SafetyComment,
     Lint::SpanVocab,
-    Lint::EditExhaustive,
     Lint::ErrorExit,
     Lint::ApiSurface,
     Lint::PromName,
-    Lint::DeprecatedWrapper,
     Lint::OracleTwin,
     Lint::LockOrder,
     Lint::HoldAcrossBlocking,
@@ -79,11 +71,9 @@ impl Lint {
             Lint::NoPanic => "no-panic",
             Lint::SafetyComment => "safety-comment",
             Lint::SpanVocab => "span-vocab",
-            Lint::EditExhaustive => "edit-exhaustive",
             Lint::ErrorExit => "error-exit",
             Lint::ApiSurface => "api-surface",
             Lint::PromName => "prom-name",
-            Lint::DeprecatedWrapper => "deprecated-wrapper",
             Lint::OracleTwin => "oracle-twin",
             Lint::LockOrder => "lock-order",
             Lint::HoldAcrossBlocking => "hold-across-blocking",
@@ -112,9 +102,6 @@ impl Lint {
             Lint::SpanVocab => {
                 "every span name used in vh-query appears in vh-obs's STABLE_SPAN_NAMES"
             }
-            Lint::EditExhaustive => {
-                "every match over the Edit mutation enum names each variant (no catch-all arms)"
-            }
             Lint::ErrorExit => {
                 "every VhError variant has code()/exit_code() arms and a README exit-table row"
             }
@@ -123,9 +110,6 @@ impl Lint {
             }
             Lint::PromName => {
                 "Prometheus metric names are vpbn_/vh_-prefixed snake_case with families opened before samples"
-            }
-            Lint::DeprecatedWrapper => {
-                "legacy Engine wrappers forward to Engine::run and carry deprecation docs"
             }
             Lint::OracleTwin => {
                 "every *_swar/*_branchless kernel and cache maintain impl has an // oracle: comment naming a twin defined in the same file"
@@ -205,8 +189,9 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape_into(out: &mut String, s: &str) {
+/// Minimal JSON string escaping (quotes, backslash, control chars),
+/// shared by the JSON and SARIF reports.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -215,13 +200,8 @@ fn escape_into(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let b = c as u32;
-                for shift in [4u32, 0] {
-                    let d = (b >> shift) & 0xf;
-                    let d = u8::try_from(d).unwrap_or(0);
-                    out.push(char::from_digit(u32::from(d), 16).unwrap_or('0'));
-                }
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -9,8 +9,7 @@
 //! crate — panic-freedom in libraries, `SAFETY:` justifications, the
 //! stable span vocabulary shared by `vh-query` and `vh-obs`, the
 //! `VhError` ↔ exit-code ↔ README synchronisation, Prometheus family
-//! discipline, the deprecated `Engine` wrapper contract — and each was
-//! policed only by convention. `vh-vet` checks them at lint time, in the
+//! discipline — and each was policed only by convention. `vh-vet` checks them at lint time, in the
 //! spirit of catching the invariant break before it ships rather than
 //! under load.
 //!

@@ -1,17 +1,14 @@
 //! The lint set and its driver.
 //!
 //! Per-file lints ([`panics`], [`safety`], [`prom`], [`oracle`]) run over every
-//! walked file in their scope; cross-file lints ([`spans`], [`edits`],
-//! [`errors`], [`deprecated`], [`api`]) additionally read the workspace
-//! files that define the invariant they enforce (the `vh-obs` span
-//! vocabulary, the `Edit` mutation enum, the `VhError` facade, the
-//! deprecated `Engine` wrapper set, the VHRPC wire tables). The driver wires scopes
+//! walked file in their scope; cross-file lints ([`spans`], [`errors`],
+//! [`api`]) additionally read the workspace files that define the
+//! invariant they enforce (the `vh-obs` span vocabulary, the `VhError`
+//! facade, the VHRPC wire tables). The driver wires scopes
 //! to [`FileClass`](crate::workspace::FileClass) and returns findings
 //! sorted by path, line and lint id.
 
 pub mod api;
-pub mod deprecated;
-pub mod edits;
 pub mod errors;
 pub mod hold_blocking;
 pub mod hot_path;
@@ -216,10 +213,8 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         oracle::check(file, &mut out);
     }
     spans::check(ws, &mut out);
-    edits::check(ws, &mut out);
     errors::check(ws, &mut out);
     api::check(ws, &mut out);
-    deprecated::check(ws, &mut out);
     // The semantic families share one model, call graph and lock walk.
     let model = Model::build(ws);
     let graph = CallGraph::build(&model);

@@ -5,7 +5,7 @@
 //! GitHub code scanning groups findings by lint id and shows the lint's
 //! one-line description next to each alert.
 
-use crate::findings::{Finding, ALL_LINTS};
+use crate::findings::{escape_into, Finding, ALL_LINTS};
 
 /// The SARIF 2.1.0 schema URI GitHub code scanning expects.
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -57,23 +57,6 @@ pub fn to_sarif(findings: &[Finding]) -> String {
     out
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +92,7 @@ mod tests {
         assert!(doc.contains("cycle \\\"a\\\" -> b"));
         assert!(doc.contains("\"startLine\":7"));
         // stale-allow is warning level; lock-order is an error.
-        assert!(doc.contains("\"ruleId\":\"stale-allow\",\"ruleIndex\":13,\"level\":\"warning\""));
+        assert!(doc.contains("\"ruleId\":\"stale-allow\",\"ruleIndex\":11,\"level\":\"warning\""));
         assert!(doc.contains("\"level\":\"error\""));
     }
 

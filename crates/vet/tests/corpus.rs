@@ -35,12 +35,7 @@ const SEEDED: &[(&str, u32, &str)] = &[
     ("crates/demo/src/kernels.rs", 6, "oracle-twin"),
     ("crates/demo/src/kernels.rs", 11, "oracle-twin"),
     ("crates/demo/src/lib.rs", 12, "safety-comment"),
-    ("crates/query/src/edit.rs", 21, "edit-exhaustive"),
-    ("crates/query/src/edit.rs", 29, "edit-exhaustive"),
     ("crates/query/src/engine.rs", 12, "span-vocab"),
-    ("crates/query/src/engine.rs", 19, "deprecated-wrapper"),
-    ("crates/query/src/engine.rs", 25, "deprecated-wrapper"),
-    ("crates/query/src/engine.rs", 32, "deprecated-wrapper"),
     ("crates/query/src/metrics.rs", 11, "prom-name"),
     ("crates/query/src/metrics.rs", 12, "prom-name"),
     ("crates/query/src/metrics.rs", 13, "prom-name"),
@@ -121,11 +116,9 @@ fn json_report_matches_the_text_findings() {
         "no-panic",
         "safety-comment",
         "span-vocab",
-        "edit-exhaustive",
         "error-exit",
         "api-surface",
         "prom-name",
-        "deprecated-wrapper",
         "oracle-twin",
         "lock-order",
         "hold-across-blocking",
@@ -242,11 +235,9 @@ fn list_names_every_lint() {
         "no-panic",
         "safety-comment",
         "span-vocab",
-        "edit-exhaustive",
         "error-exit",
         "api-surface",
         "prom-name",
-        "deprecated-wrapper",
         "oracle-twin",
         "lock-order",
         "hold-across-blocking",

@@ -1,8 +1,8 @@
-//! Fixture engine seeding `span-vocab` and `deprecated-wrapper`.
+//! Fixture engine seeding `span-vocab`.
 //!
-//! Seeded findings: one off-vocabulary span name, an `eval*` wrapper
-//! without deprecation docs, one that does not forward to `run`, and a
-//! `#[doc(hidden)]` getter without deprecation docs.
+//! Seeded finding: one off-vocabulary span name (`rogue-stage`, line
+//! 12). The stable stage names around it must stay silent, and so must
+//! the root span opened by `TraceBuilder::enabled`.
 
 impl Engine {
     /// The current entry point (no constraints apply to it).
@@ -12,24 +12,5 @@ impl Engine {
         trace.begin("rogue-stage");
         trace.begin("exec");
         self.pipeline(q, trace)
-    }
-
-    /// Evaluates a query the old way — forwards correctly but the doc
-    /// comment never marks it as legacy: one finding.
-    pub fn eval(&self, q: &str) -> Outcome {
-        self.run(q)
-    }
-
-    /// Deprecated: prefer [`Engine::run`] — but the body re-implements
-    /// evaluation instead of forwarding: one finding.
-    pub fn eval_fast(&self, q: &str) -> Outcome {
-        self.pipeline(q, TraceBuilder::disabled())
-    }
-
-    /// Cache counters, hidden from docs without a replacement pointer:
-    /// one finding.
-    #[doc(hidden)]
-    pub fn old_counters(&self) -> u64 {
-        self.counters
     }
 }

@@ -19,21 +19,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
-use vh_query::{Edit, Engine, MaintenancePolicy, QueryRequest};
+use vh_query::{Edit, Engine, QueryRequest};
 
 use crate::books::{generate_books, BooksConfig};
-
-/// Pins an always-splice maintenance policy on `engine`: the scenario
-/// exists to exercise the splice path under concurrency, and the default
-/// cost model's verdict on a small corpus depends on observed rebuild
-/// timings. The crossover itself is priced by `exp_update` (UPD-d).
-fn pin_splice_policy(engine: &mut Engine) {
-    engine.set_maintenance_policy(MaintenancePolicy {
-        clone_node_ns: 0,
-        splice_op_ns: 0,
-        ..MaintenancePolicy::default()
-    });
-}
 
 /// The URI the scenario registers its corpus under.
 pub const READWRITE_URI: &str = "books.xml";
@@ -85,7 +73,8 @@ pub struct ReadWriteReport {
     pub maintained: u64,
     /// Cache entries a delta invalidated for recomputation.
     pub recomputed: u64,
-    /// Maintenance fallback evictions (cost model, overflow, compaction).
+    /// Maintenance fallback evictions (oversized delta, overflow,
+    /// compaction).
     pub fallback_evictions: u64,
 }
 
@@ -104,7 +93,6 @@ fn fresh_book(batch: usize, i: usize) -> String {
 /// `cfg.batches` batches of front-position inserts.
 pub fn run_readwrite(cfg: &ReadWriteConfig) -> ReadWriteReport {
     let mut engine = Engine::new();
-    pin_splice_policy(&mut engine);
     engine.register(generate_books(
         READWRITE_URI,
         &BooksConfig {
@@ -191,7 +179,6 @@ mod tests {
     /// final serialized document plus the engine that produced it.
     fn writer_only(cfg: &ReadWriteConfig) -> (Engine, String) {
         let mut engine = Engine::new();
-        pin_splice_policy(&mut engine);
         engine.register(generate_books(
             READWRITE_URI,
             &BooksConfig {
@@ -244,7 +231,7 @@ mod tests {
         );
         assert_eq!(
             report.fallback_evictions, 0,
-            "nothing should trip the cost-model fallback: {report:?}"
+            "nothing should trip the maintenance fallback: {report:?}"
         );
 
         // The interleaving cannot change the final document: a fresh
