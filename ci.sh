@@ -4,8 +4,8 @@
 # Usage:
 #   ./ci.sh [FLAGS]        flags combine freely, e.g. `./ci.sh --bench --vet`
 #
-# Without flags, the default gate runs: fmt, clippy, vh-vet, the vh-obs
-# no-default-features build, tests (debug + release) and rustdoc.
+# Without flags, the default gate runs: fmt, clippy, vh-vet, tests
+# (debug + release) and rustdoc.
 # Flags are additive on top of the gate:
 #   --bench         run the quick bench profile and compare against
 #                   crates/bench/baselines/
@@ -185,9 +185,6 @@ if [ "$RUN_GATE" = 1 ]; then
   cargo clippy --workspace --all-targets -- -D warnings -D clippy::dbg_macro
 
   run_vet
-
-  echo "==> vh-obs builds without default features (no-std-clock consumers)"
-  cargo build -p vh-obs --no-default-features --quiet
 
   echo "==> cargo test"
   cargo test --workspace -q

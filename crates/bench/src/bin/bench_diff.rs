@@ -35,7 +35,8 @@ use vh_bench::gate::{
     compare_reports, machine_factor, Finding, DEFAULT_GATE_PREFIXES, DEFAULT_THRESHOLD,
     NOISE_FLOOR_NS,
 };
-use vh_bench::json::{BenchReport, Json};
+use vh_bench::json::BenchReport;
+use vh_obs::Json;
 
 fn main() -> ExitCode {
     match run() {

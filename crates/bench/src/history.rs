@@ -29,9 +29,10 @@
 //! everything else is reported informationally.
 
 use crate::gate::NOISE_FLOOR_NS;
-use crate::json::{BenchReport, Json, CALIBRATION_ROW};
+use crate::json::{BenchReport, CALIBRATION_ROW};
 use crate::report::Table;
 use std::path::Path;
+use vh_obs::Json;
 
 /// Default trend window: drift is measured across the last N records.
 pub const DEFAULT_WINDOW: usize = 10;

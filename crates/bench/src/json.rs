@@ -2,10 +2,9 @@
 //!
 //! The experiment binaries print human tables *and* — when `--json <dir>`
 //! is given — write one JSON report per experiment so the CI bench gate
-//! (`bench_diff`) can compare runs numerically. The format is hand-rolled
-//! (the workspace deliberately carries no serde): a tiny recursive-descent
-//! parser plus a pretty renderer, both total over the JSON value space we
-//! emit.
+//! (`bench_diff`) can compare runs numerically. This module holds only the
+//! report types; the JSON value, parser and renderers are vh-obs's
+//! [`vh_obs::Json`], the workspace's one codec.
 //!
 //! Report shape:
 //!
@@ -26,322 +25,8 @@
 //! id prefix (e.g. `axes/axis/`), so informational rows (cache demos,
 //! scaling sweeps at >1 threads) use prefixes the gate ignores.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// A JSON value — just enough for benchmark reports.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (we only emit finite f64).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order is preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object; `None` for non-objects/missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Renders with two-space indentation and a trailing newline (stable
-    /// diffs for committed baselines).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    /// Renders on a single line with no trailing newline — the JSONL form
-    /// used by the bench-history trajectory file, one record per line.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.render_compact_into(&mut out);
-        out
-    }
-
-    fn render_compact_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_num(out, *n),
-            Json::Str(s) => render_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_compact_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(out, k);
-                    out.push(':');
-                    v.render_compact_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => render_num(out, *n),
-            Json::Str(s) => render_str(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    render_str(out, k);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document (must consume all non-whitespace input).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn render_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        out.push_str("null"); // JSON has no NaN/Inf; absent beats invalid.
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn render_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_str(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
-        Some(c) => Err(format!("unexpected byte '{}' at {pos}", *c as char)),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{lit}' at byte {pos}"))
-    }
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string())
-            }
-            b'\\' => {
-                let esc = bytes.get(*pos).copied().ok_or("dangling escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        let c = char::from_u32(code).ok_or("\\u escape is not a scalar value")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", other as char)),
-                }
-            }
-            b => out.push(b),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(&b) = bytes.get(*pos) {
-        if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
+use vh_obs::Json;
 
 /// Row id under which every experiment stores the machine-speed
 /// reference measurement (`vh_bench::timing::calibration_ns`). The gate
@@ -529,54 +214,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn value_round_trips_through_render_and_parse() {
-        let v = Json::Obj(vec![
-            ("s".into(), Json::Str("a \"quoted\"\nline\t\u{1}".into())),
-            (
-                "nums".into(),
-                Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5), Json::Num(1e15)]),
-            ),
-            ("flag".into(), Json::Bool(true)),
-            ("nothing".into(), Json::Null),
-            ("empty_arr".into(), Json::Arr(vec![])),
-            ("empty_obj".into(), Json::Obj(vec![])),
-        ]);
-        let text = v.render();
-        assert_eq!(Json::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn compact_render_is_one_line_and_round_trips() {
-        let v = Json::Obj(vec![
-            ("s".into(), Json::Str("a\nb".into())),
-            (
-                "nums".into(),
-                Json::Arr(vec![Json::Num(1.0), Json::Num(2.5)]),
-            ),
-            ("empty".into(), Json::Obj(vec![])),
-        ]);
-        let line = v.render_compact();
-        assert!(!line.contains('\n'), "JSONL records must be one line");
-        assert_eq!(Json::parse(&line).unwrap(), v);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn unicode_escapes_parse() {
-        let v = Json::parse(r#""éA""#).unwrap();
-        assert_eq!(v, Json::Str("éA".into()));
-    }
-
-    #[test]
     fn report_round_trips() {
         let mut r = BenchReport::new("axes");
         r.config("books", 150);
@@ -595,6 +232,26 @@ mod tests {
         let row = BenchRow::new("x", 100.0);
         assert!((row.ops_per_s - 1e7).abs() < 1e-6);
         assert_eq!(BenchRow::new("x", 0.0).ops_per_s, 0.0);
+    }
+
+    #[test]
+    fn committed_baselines_re_render_byte_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let value = Json::parse(&text).unwrap();
+            assert_eq!(value.render(), text, "{name}: Json re-render");
+            let report = BenchReport::from_json(&value).unwrap();
+            assert_eq!(report.to_json().render(), text, "{name}: report re-render");
+            seen += 1;
+        }
+        assert_eq!(seen, 7, "every committed baseline is checked");
     }
 
     #[test]

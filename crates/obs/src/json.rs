@@ -1,39 +1,221 @@
-//! Hand-rolled JSON codec for [`QueryTrace`] — no external dependencies.
+//! The workspace's JSON codec — no external dependencies.
 //!
-//! The schema is fixed: every span serializes as
+//! [`Json`] is one value model with a recursive-descent parser, a pretty
+//! renderer (two-space indent, used for the committed `BENCH_*.json`
+//! baselines) and a compact one-line renderer (traces, bench-history
+//! JSONL records, engine snapshots, recovery reports). Non-negative
+//! integer literals parse as exact [`Json::UInt`], so `u64` span
+//! durations and counters round-trip even at `u64::MAX`, where the
+//! span clock saturates; every other number is a [`Json::Num`].
+//!
+//! [`QueryTrace`] maps onto a fixed schema: every span serializes as
 //! `{"name": s, "start_ns": n, "duration_ns": n, "meta": {…},
 //! "counters": {…}, "children": […]}` with all six keys always present,
-//! which keeps the recursive-descent parser small and the output
-//! deterministic for golden tests. `meta`/`counters` objects preserve
-//! insertion order in both directions.
+//! which keeps the output deterministic for golden tests. `meta`/`counters`
+//! objects preserve insertion order in both directions.
 
 use crate::span::{QueryTrace, Span};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON parse failure: what was expected and the byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description of the mismatch.
     pub message: String,
-    /// Byte offset into the input where parsing stopped.
+    /// Byte offset into the input where parsing stopped; 0 when the
+    /// document is well-formed JSON but not the expected schema.
     pub offset: usize,
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace JSON error at byte {}: {}",
-            self.offset, self.message
-        )
+        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
     }
 }
 
 impl std::error::Error for JsonError {}
 
-// ----- writer -----------------------------------------------------------
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A non-negative integer, kept exact. The parser reads every
+    /// non-negative integer literal that fits a `u64` as this.
+    UInt(u64),
+    /// Any other number; renders as `null` when not finite.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; insertion order is preserved.
+    Obj(Vec<(String, Json)>),
+}
 
-fn push_escaped(out: &mut String, s: &str) {
+impl Json {
+    /// Looks up a key in an object; `None` for non-objects/missing keys.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as an `f64`, if this is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            Json::UInt(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact payload, if this is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The array payload, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The object fields in insertion order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
+    /// Renders with two-space indentation and a trailing newline (stable
+    /// diffs for committed baselines).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Renders on a single line with no whitespace and no trailing
+    /// newline — the form of traces and JSONL records.
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is the pretty nesting level, `None`
+    /// for compact output.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                write_seq(
+                    out,
+                    indent,
+                    ['[', ']'],
+                    items.iter().map(|item| (None, item)),
+                );
+            }
+            Json::Obj(fields) => write_seq(
+                out,
+                indent,
+                ['{', '}'],
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+
+    /// Parses a JSON document (must consume all non-whitespace input).
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let value = p.value()?;
+        if p.peek().is_some() {
+            return Err(p.err("trailing content"));
+        }
+        Ok(value)
+    }
+}
+
+/// Writes an array (`key` always `None`) or an object between
+/// `brackets`. Pretty output puts each item on its own line one level
+/// deeper; empty containers stay `[]`/`{}` either way.
+fn write_seq<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let inner = indent.map(|level| level + 1);
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(level) = inner {
+            push_line(out, level);
+        }
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(if inner.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if let (Some(level), false) = (indent, empty) {
+        push_line(out, level);
+    }
+    out.push(brackets[1]);
+}
+
+fn push_line(out: &mut String, level: usize) {
+    out.push('\n');
+    for _ in 0..level {
+        out.push_str("  ");
+    }
+}
+
+fn write_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null"); // JSON has no NaN/Inf; absent beats invalid.
+    } else if n == n.trunc() && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// The one JSON string escaper: quotes, backslashes and control
+/// characters; everything else is written verbatim.
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -43,7 +225,7 @@ fn push_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -51,47 +233,12 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_span(out: &mut String, s: &Span) {
-    out.push_str("{\"name\":");
-    push_escaped(out, &s.name);
-    out.push_str(&format!(
-        ",\"start_ns\":{},\"duration_ns\":{},\"meta\":{{",
-        s.start_ns, s.duration_ns
-    ));
-    for (i, (k, v)) in s.meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_escaped(out, k);
-        out.push(':');
-        push_escaped(out, v);
-    }
-    out.push_str("},\"counters\":{");
-    for (i, (k, v)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_escaped(out, k);
-        out.push_str(&format!(":{v}"));
-    }
-    out.push_str("},\"children\":[");
-    for (i, c) in s.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_span(out, c);
-    }
-    out.push_str("]}");
-}
-
-// ----- parser -----------------------------------------------------------
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             message: message.into(),
@@ -99,195 +246,220 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    /// The next non-whitespace byte, without consuming it.
+    fn peek(&mut self) -> Option<u8> {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
         self.bytes.get(self.pos).copied()
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Traces never emit surrogate pairs (the writer
-                            // only \u-escapes control characters), so a lone
-                            // surrogate is simply rejected.
-                            out.push(
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 scalar (input is a &str, so
-                    // slicing on char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+    /// Consumes `b` if it is the next non-whitespace byte.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        if hit {
+            self.pos += 1;
+        }
+        hit
+    }
+
+    fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                self.seq(b']', Self::value).map(Json::Arr)
             }
+            Some(b'{') => {
+                self.pos += 1;
+                self.seq(b'}', |p| {
+                    let key = p.string()?;
+                    if !p.eat(b':') {
+                        return Err(p.err("expected ':'"));
+                    }
+                    Ok((key, p.value()?))
+                })
+                .map(Json::Obj)
+            }
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(self.err(format!("unexpected byte '{}'", c as char))),
         }
     }
 
-    fn number(&mut self) -> Result<u64, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err("expected a number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("number out of range"))
-    }
-
-    /// Parses `{"k": v, …}` with `v` produced by `value`.
-    fn pairs<T>(
+    /// Comma-separated items up to `close`; the opening bracket is
+    /// already consumed.
+    fn seq<T>(
         &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, JsonError>,
-    ) -> Result<Vec<(String, T)>, JsonError> {
-        self.expect(b'{')?;
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
         let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(close) {
             return Ok(out);
         }
         loop {
-            let k = self.string()?;
-            self.expect(b':')?;
-            out.push((k, value(self)?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+            out.push(item(self)?);
+            if self.eat(close) {
+                return Ok(out);
+            }
+            if !self.eat(b',') {
+                return Err(self.err(format!("expected ',' or '{}'", close as char)));
             }
         }
     }
 
-    fn key(&mut self, expected: &str) -> Result<(), JsonError> {
-        let k = self.string()?;
-        if k != expected {
-            return Err(self.err(format!("expected key \"{expected}\", got \"{k}\"")));
-        }
-        self.expect(b':')
-    }
-
-    fn span(&mut self) -> Result<Span, JsonError> {
-        self.expect(b'{')?;
-        self.key("name")?;
-        let name = self.string()?;
-        self.expect(b',')?;
-        self.key("start_ns")?;
-        let start_ns = self.number()?;
-        self.expect(b',')?;
-        self.key("duration_ns")?;
-        let duration_ns = self.number()?;
-        self.expect(b',')?;
-        self.key("meta")?;
-        let meta = self.pairs(Self::string)?;
-        self.expect(b',')?;
-        self.key("counters")?;
-        let counters = self.pairs(Self::number)?;
-        self.expect(b',')?;
-        self.key("children")?;
-        self.expect(b'[')?;
-        let mut children = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
         } else {
-            loop {
-                children.push(self.span()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
+            Err(self.err(format!("expected '{lit}'")))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        if !self.eat(b'"') {
+            return Err(self.err("expected string"));
+        }
+        let mut out = Vec::new();
+        while let Some(&b) = self.bytes.get(self.pos) {
+            self.pos += 1;
+            match b {
+                b'"' => {
+                    return String::from_utf8(out).map_err(|_| self.err("invalid UTF-8 in string"))
                 }
+                b'\\' => {
+                    let esc = self.bytes.get(self.pos).copied();
+                    self.pos += 1;
+                    match esc {
+                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(c),
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b'r') => out.push(b'\r'),
+                        Some(b't') => out.push(b'\t'),
+                        Some(b'u') => {
+                            let c = self.unicode_escape()?;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        _ => return Err(self.err("bad escape")),
+                    }
+                }
+                b => out.push(b),
             }
         }
-        self.expect(b'}')?;
-        Ok(Span {
-            name,
-            start_ns,
-            duration_ns,
-            meta,
-            counters,
-            children,
+        Err(self.err("unterminated string"))
+    }
+
+    /// The four hex digits after `\u`. The renderer only `\u`-escapes
+    /// control characters, so a surrogate (half of a pair) is rejected.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape digits"))?;
+        let c = char::from_u32(code).ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+        self.pos += 4;
+        Ok(c)
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        while matches!(
+            self.bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        // The scanned bytes are ASCII, so this never fails.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::UInt(n));
+        }
+        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+            message: "invalid number".into(),
+            offset: start,
         })
     }
+}
+
+// ----- QueryTrace <-> Json -----------------------------------------------
+
+fn span_to_json(s: &Span) -> Json {
+    let meta = s
+        .meta
+        .iter()
+        .map(|(k, v)| (k.clone(), Json::Str(v.clone())));
+    let counters = s.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v)));
+    Json::Obj(vec![
+        ("name".into(), Json::Str(s.name.clone())),
+        ("start_ns".into(), Json::UInt(s.start_ns)),
+        ("duration_ns".into(), Json::UInt(s.duration_ns)),
+        ("meta".into(), Json::Obj(meta.collect())),
+        ("counters".into(), Json::Obj(counters.collect())),
+        (
+            "children".into(),
+            Json::Arr(s.children.iter().map(span_to_json).collect()),
+        ),
+    ])
+}
+
+/// A schema mismatch in an otherwise well-formed document.
+fn schema_err(message: String) -> JsonError {
+    JsonError { message, offset: 0 }
+}
+
+/// The span field `key`, converted by `as_kind` (a `Json::as_*`).
+fn field<'a, T>(
+    span: &'a Json,
+    key: &str,
+    as_kind: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, JsonError> {
+    span.get(key)
+        .and_then(as_kind)
+        .ok_or_else(|| schema_err(format!("span key \"{key}\" is missing or mistyped")))
+}
+
+/// An object's values, each converted by `as_kind`, keys kept in order.
+fn pairs<'a, T>(
+    span: &'a Json,
+    key: &str,
+    as_kind: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Vec<(String, T)>, JsonError> {
+    field(span, key, Json::as_obj)?
+        .iter()
+        .map(|(k, v)| as_kind(v).map(|v| (k.clone(), v)))
+        .collect::<Option<_>>()
+        .ok_or_else(|| schema_err(format!("span key \"{key}\" holds a mistyped value")))
+}
+
+fn span_from_json(value: &Json) -> Result<Span, JsonError> {
+    Ok(Span {
+        name: field(value, "name", Json::as_str)?.to_string(),
+        start_ns: field(value, "start_ns", Json::as_u64)?,
+        duration_ns: field(value, "duration_ns", Json::as_u64)?,
+        meta: pairs(value, "meta", |v| v.as_str().map(str::to_string))?,
+        counters: pairs(value, "counters", Json::as_u64)?,
+        children: field(value, "children", Json::as_arr)?
+            .iter()
+            .map(span_from_json)
+            .collect::<Result<_, _>>()?,
+    })
 }
 
 impl QueryTrace {
     /// Serializes the trace as a single-line JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        write_span(&mut out, &self.root);
-        out
+        span_to_json(&self.root).render_compact()
     }
 
     /// Parses a trace produced by [`Self::to_json`].
     pub fn from_json(input: &str) -> Result<QueryTrace, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        let root = p.span()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing content after trace"));
-        }
+        let root = span_from_json(&Json::parse(input)?)?;
         Ok(QueryTrace { root })
     }
 }
@@ -324,12 +496,18 @@ mod tests {
 
     #[test]
     fn round_trips_exactly() {
-        let t = sample();
-        let json = t.to_json();
-        let back = QueryTrace::from_json(&json).unwrap();
-        assert_eq!(back, t);
-        // And the serialization is a fixed point.
-        assert_eq!(back.to_json(), json);
+        let mut saturated = sample();
+        let mut plan = Span::named("plan");
+        plan.duration_ns = u64::MAX;
+        plan.counters = vec![("result.nodes".into(), u64::MAX)];
+        saturated.root.children.push(plan);
+        for t in [sample(), saturated] {
+            let json = t.to_json();
+            let back = QueryTrace::from_json(&json).unwrap();
+            assert_eq!(back, t);
+            // And the serialization is a fixed point.
+            assert_eq!(back.to_json(), json);
+        }
     }
 
     #[test]
@@ -358,13 +536,59 @@ mod tests {
         root.meta = vec![("k".into(), "line1\nline2 \u{1}".into())];
         let t = QueryTrace { root };
         assert_eq!(QueryTrace::from_json(&t.to_json()).unwrap(), t);
+        // Raw UTF-8 and `\u` escapes decode to the same string.
+        for text in [r#""éA""#, r#""\u00e9\u0041""#] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Str("éA".into()));
+        }
+    }
+
+    #[test]
+    fn value_round_trips_through_render_and_parse() {
+        let v = Json::Obj(vec![
+            ("s".into(), Json::Str("a \"quoted\"\nline\t\u{1}".into())),
+            (
+                "nums".into(),
+                Json::Arr(vec![
+                    Json::UInt(1),
+                    Json::Num(-2.5),
+                    Json::Num(-3.0),
+                    Json::UInt(u64::MAX),
+                ]),
+            ),
+            ("flag".into(), Json::Bool(true)),
+            ("nothing".into(), Json::Null),
+            ("empty_arr".into(), Json::Arr(vec![])),
+            ("empty_obj".into(), Json::Obj(vec![])),
+        ]);
+        let text = v.render();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        assert!(text.contains("18446744073709551615"), "{text}");
+    }
+
+    #[test]
+    fn compact_render_is_one_line_and_round_trips() {
+        let v = Json::Obj(vec![
+            ("s".into(), Json::Str("a\nb".into())),
+            (
+                "nums".into(),
+                Json::Arr(vec![Json::UInt(1), Json::Num(2.5)]),
+            ),
+            ("empty".into(), Json::Obj(vec![])),
+        ]);
+        let line = v.render_compact();
+        assert!(!line.contains('\n'), "JSONL records must be one line");
+        assert_eq!(Json::parse(&line).unwrap(), v);
     }
 
     #[test]
     fn rejects_malformed_input() {
+        // Not JSON: the parser itself refuses.
+        for bad in ["", "{", "[1,]", "{} trailing", "\"unterminated", "nul"] {
+            assert!(Json::parse(bad).is_err(), "parsed {bad:?}");
+        }
+        // JSON, but not a trace: a missing key, a misnamed key, a
+        // negative number.
         for bad in [
-            "",
-            "{",
             "{\"name\":\"q\"}",
             "{\"nome\":\"q\",\"start_ns\":0,\"duration_ns\":0,\"meta\":{},\"counters\":{},\"children\":[]}",
             "{\"name\":\"q\",\"start_ns\":-1,\"duration_ns\":0,\"meta\":{},\"counters\":{},\"children\":[]}",

@@ -17,23 +17,19 @@
 //!   into plain structs for reporting;
 //! - [`QueryStats`] — the per-query roll-up returned in every
 //!   `QueryOutcome`, cheap enough to fill even with tracing off;
-//! - exporters: a human-readable tree ([`QueryTrace::render_text`]), a
-//!   hand-rolled JSON codec ([`QueryTrace::to_json`] /
-//!   [`QueryTrace::from_json`] — no external deps), and a
-//!   Prometheus-text writer ([`PromWriter`]) for cumulative engine
-//!   counters.
-//!
-//! # Zero cost when disabled
+//! - exporters: a human-readable tree ([`QueryTrace::render_text`]),
+//!   the trace JSON document ([`QueryTrace::to_json`] /
+//!   [`QueryTrace::from_json`]), and a Prometheus-text writer
+//!   ([`PromWriter`]) for cumulative engine counters;
+//! - [`Json`] — the workspace's one JSON codec (parser, pretty and
+//!   compact renderers, no external deps), shared by the trace export,
+//!   the bench reports and the engine's snapshot and recovery documents.
 //!
 //! Every [`TraceBuilder`] method is a single branch on an enabled flag
 //! decided once per query; with tracing off no span is allocated and no
 //! clock is read beyond the handful of stage timestamps that feed
 //! [`QueryStats`]. The `obs/` bench rows gate the disabled-mode overhead
 //! at ≤ 2%.
-//!
-//! The `timing` feature (default on) selects the monotonic clock; without
-//! it durations are all zero but span structure, counters and exporters
-//! behave identically, so `--no-default-features` builds stay meaningful.
 
 #![warn(missing_docs)]
 
@@ -47,6 +43,6 @@ pub use counters::{
     AxisCounters, AxisStats, CacheOutcome, QueryCounterCells, QueryCounters, QueryStats,
     RangeChoice, SjoinCounters, SjoinStats, TwigCounters, TwigStats, ViewProvenance,
 };
-pub use json::JsonError;
+pub use json::{Json, JsonError};
 pub use prom::PromWriter;
 pub use span::{is_stable_span_name, QueryTrace, Span, TraceBuilder, STABLE_SPAN_NAMES};

@@ -11,7 +11,7 @@ pub struct Span {
     pub name: String,
     /// Offset of the stage start from the trace origin, in nanoseconds.
     pub start_ns: u64,
-    /// Stage duration in nanoseconds (zero without the `timing` feature).
+    /// Stage duration in nanoseconds.
     pub duration_ns: u64,
     /// Labelled facts (`cache=hit`, `arena=[5,9)`), in insertion order.
     pub meta: Vec<(String, String)>,
@@ -97,33 +97,23 @@ pub struct QueryTrace {
     pub root: Span,
 }
 
-/// The monotonic clock behind span durations. With the `timing` feature
-/// off it always reads zero, keeping traces deterministic.
+/// The monotonic clock behind span durations.
 #[derive(Clone, Copy, Debug)]
 struct Clock {
-    #[cfg(feature = "timing")]
     origin: std::time::Instant,
 }
 
 impl Clock {
     fn start() -> Self {
         Clock {
-            #[cfg(feature = "timing")]
             origin: std::time::Instant::now(),
         }
     }
 
     fn now_ns(&self) -> u64 {
-        #[cfg(feature = "timing")]
-        {
-            // Saturate instead of truncating: u64 nanoseconds cover ~584
-            // years, far past any query, but the cast must not wrap.
-            u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            0
-        }
+        // Saturate instead of truncating: u64 nanoseconds cover ~584
+        // years, far past any query, but the cast must not wrap.
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

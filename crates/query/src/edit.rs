@@ -20,7 +20,7 @@
 //! `Engine::apply_inner`.
 
 use vh_dataguide::EditError;
-use vh_obs::QueryTrace;
+use vh_obs::{Json, QueryTrace};
 use vh_storage::RecoveryReport;
 
 // ------------------------------------------------------------- model ---
@@ -339,45 +339,38 @@ impl EditRecovery {
 
     /// A JSON rendering for CI artifacts and `vpbn recover --dump`.
     pub fn to_json(&self) -> String {
-        let failed: Vec<String> = self
-            .failed
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"seq\":{},\"reason\":{}}}",
-                    f.seq,
-                    json_string(&f.reason)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"wal\":{},\"replayed\":{},\"skipped\":{},\"compacted\":{},\"failed\":[{}]}}",
-            self.wal.to_json(),
-            self.replayed,
-            self.skipped,
-            self.compacted,
-            failed.join(",")
-        )
+        let uint = |n: usize| Json::UInt(n as u64);
+        let wal = &self.wal;
+        let failed = self.failed.iter().map(|f| {
+            Json::Obj(vec![
+                ("seq".into(), Json::UInt(f.seq)),
+                ("reason".into(), Json::Str(f.reason.clone())),
+            ])
+        });
+        Json::Obj(vec![
+            (
+                "wal".into(),
+                Json::Obj(vec![
+                    ("records".into(), uint(wal.records)),
+                    ("last_seq".into(), Json::UInt(wal.last_seq)),
+                    ("quarantined_bytes".into(), uint(wal.quarantined_bytes)),
+                    (
+                        "first_bad_offset".into(),
+                        wal.first_bad_offset.map_or(Json::Null, uint),
+                    ),
+                    (
+                        "reason".into(),
+                        wal.reason.clone().map_or(Json::Null, Json::Str),
+                    ),
+                ]),
+            ),
+            ("replayed".into(), Json::UInt(self.replayed)),
+            ("skipped".into(), Json::UInt(self.skipped)),
+            ("compacted".into(), uint(self.compacted)),
+            ("failed".into(), Json::Arr(failed.collect())),
+        ])
+        .render_compact()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Lifts a document-level edit rejection into the query error taxonomy —
@@ -477,17 +470,39 @@ mod tests {
     #[test]
     fn recovery_report_renders_json() {
         let rec = EditRecovery {
+            wal: RecoveryReport {
+                records: 4,
+                last_seq: 4,
+                quarantined_bytes: 9,
+                first_bad_offset: Some(120),
+                reason: Some("crc mismatch".into()),
+            },
             replayed: 3,
             skipped: 1,
             failed: vec![ReplayFailure {
                 seq: 5,
-                reason: "bad \"path\"".into(),
+                reason: "bad \"path\"\n\u{1}".into(),
             }],
             ..EditRecovery::default()
         };
-        let json = rec.to_json();
-        assert!(json.contains("\"replayed\":3"), "{json}");
-        assert!(json.contains("\\\"path\\\""), "{json}");
+        let json = Json::parse(&rec.to_json()).unwrap();
+        let wal = json.get("wal").unwrap();
+        assert_eq!(
+            wal.get("reason").and_then(Json::as_str),
+            Some("crc mismatch")
+        );
+        assert_eq!(
+            wal.get("first_bad_offset").and_then(Json::as_u64),
+            Some(120)
+        );
+        assert_eq!(wal.get("quarantined_bytes").and_then(Json::as_u64), Some(9));
+        assert_eq!(json.get("replayed").and_then(Json::as_u64), Some(3));
+        let failed = json.get("failed").and_then(Json::as_arr).unwrap();
+        assert_eq!(failed[0].get("seq").and_then(Json::as_u64), Some(5));
+        assert_eq!(
+            failed[0].get("reason").and_then(Json::as_str),
+            Some("bad \"path\"\n\u{1}")
+        );
         assert!(!rec.is_clean());
     }
 }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use vh_obs::Json;
 use vh_query::{Edit, Engine, QueryError, QueryRequest};
 
 use crate::metrics::ServeMetrics;
@@ -479,7 +480,7 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
 }
 
 /// Renders the engine's composite snapshot as a small flat JSON object
-/// (hand-rolled: the workspace carries no serde).
+/// of counters, in a fixed key order.
 pub fn snapshot_json(engine: &Engine) -> String {
     let snap = engine.snapshot();
     let fields: [(&str, u64); 12] = [
@@ -496,13 +497,11 @@ pub fn snapshot_json(engine: &Engine) -> String {
         ("buffer_hits", snap.buffers.hits),
         ("buffer_misses", snap.buffers.misses),
     ];
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{k}\":{v}"));
-    }
-    out.push('}');
-    out
+    Json::Obj(
+        fields
+            .iter()
+            .map(|&(k, v)| (k.to_string(), Json::UInt(v)))
+            .collect(),
+    )
+    .render_compact()
 }

@@ -10,6 +10,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use vh_obs::Json;
 use vh_query::{Edit, Engine, Limits};
 use vh_serve::wire::{frame, Address, Request, RequestBody, WireStatus};
 use vh_serve::{http_metrics, Client, Registry, Server, ServerConfig, ServerHandle, TenantQuota};
@@ -105,8 +106,39 @@ fn the_full_verb_set_round_trips() {
 
     // Snapshot reflects the traffic this client just generated.
     let snap = client.snapshot(DOC).expect("snapshot");
-    assert!(snap.contains("\"queries\":"), "{snap}");
-    assert!(snap.contains("\"edits\":1"), "{snap}");
+    let parsed = Json::parse(&snap).expect("snapshot is valid JSON");
+    let keys: Vec<&str> = parsed
+        .as_obj()
+        .expect("snapshot is an object")
+        .iter()
+        .map(|(k, v)| {
+            assert!(v.as_u64().is_some(), "{k} is a counter: {snap}");
+            k.as_str()
+        })
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "queries",
+            "failures",
+            "edits",
+            "edit_failures",
+            "result_nodes",
+            "cache_hits",
+            "cache_misses",
+            "maintained",
+            "recomputed",
+            "fallback_evictions",
+            "buffer_hits",
+            "buffer_misses",
+        ],
+        "{snap}"
+    );
+    assert_eq!(
+        parsed.get("edits").and_then(Json::as_u64),
+        Some(1),
+        "{snap}"
+    );
 
     // Metrics verb and HTTP scrape agree on the families.
     let wire_metrics = client.metrics().expect("metrics verb");

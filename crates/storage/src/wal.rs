@@ -75,21 +75,6 @@ impl RecoveryReport {
     pub fn is_clean(&self) -> bool {
         self.quarantined_bytes == 0
     }
-
-    /// A JSON rendering for CI artifacts and `vpbn recover --dump`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"records\":{},\"last_seq\":{},\"quarantined_bytes\":{},\"first_bad_offset\":{},\"reason\":{}}}",
-            self.records,
-            self.last_seq,
-            self.quarantined_bytes,
-            self.first_bad_offset
-                .map_or("null".to_string(), |o| o.to_string()),
-            self.reason
-                .as_ref()
-                .map_or("null".to_string(), |r| format!("{r:?}")),
-        )
-    }
 }
 
 /// An append-only edit log over an in-memory byte image, modelling the
