@@ -28,15 +28,19 @@
 //! keeps warm entries warm: the engine derives a [`ViewDelta`] from each
 //! committed edit batch (the dataguide edit journal plus the guide's
 //! new-type tail) and [`ExecCache::route_delta`] walks the URI's entries,
-//! asking each artifact to [`MaintainView::maintain`] itself. The three
-//! guide-shaped artifacts are pure functions of `(spec, guide)` and
-//! survive untouched whenever the delta provably cannot change their
-//! recompile ([`VDataGuide::unaffected_by`]); the per-node [`TypeIndex`]
-//! is spliced in place while the delta touches no more nodes than the
-//! document keeps — a rebuild scans every live node, so past that a
-//! splice cannot win — and is otherwise evicted. An overflowed journal
-//! or an explicit `Engine::compact()` falls back to full eviction; both
-//! kinds of drop count as `fallback_evictions`. Maintained
+//! asking one question per view: can the delta change the view's
+//! recompile ([`VDataGuide::unaffected_by`])? If it can, all four
+//! entries are dropped for recompute. If not, the three guide-shaped
+//! artifacts (pure functions of `(spec, guide)`) survive untouched and
+//! the per-node [`TypeIndex`] is spliced in place
+//! ([`TypeIndex::maintain`]) while the delta touches no more nodes than
+//! the document keeps — a rebuild scans every live node, so past that a
+//! splice cannot win — and is otherwise evicted. The splice goes through
+//! `Arc::make_mut`: it edits the cached lists themselves while the cache
+//! holds the only reference, and copies them first only when a caller
+//! still holds the `Arc`, so a held snapshot never changes. An overflowed
+//! journal or an explicit `Engine::compact()` falls back to full
+//! eviction; both kinds of drop count as `fallback_evictions`. Maintained
 //! entries are re-keyed to the post-edit guide fingerprint and stamped
 //! ([`Stamped`]) with the document generation, so a stale entry can
 //! never satisfy a lookup even when an edit leaves the fingerprint
@@ -378,8 +382,8 @@ pub fn guide_fingerprint(guide: &DataGuide) -> u64 {
 
 /// A compact description of what one committed edit batch changed in a
 /// document, derived by the engine from the dataguide edit journal and
-/// the arena delta segment, and routed to the URI's cached entries by
-/// [`ExecCache::route_delta`] instead of evicting them.
+/// routed to the URI's cached entries by [`ExecCache::route_delta`]
+/// instead of evicting them.
 #[derive(Clone, Debug, Default)]
 pub struct ViewDelta {
     /// The edited document's URI.
@@ -397,12 +401,6 @@ pub struct ViewDelta {
     pub new_types: Vec<TypeId>,
     /// Node-level touches in chronological order.
     pub touched: Vec<TouchedNode>,
-    /// Encoded byte-key bounds spanning every touched node's number at
-    /// touch time (`None` for value-only batches).
-    pub key_range: Option<(Vec<u8>, Vec<u8>)>,
-    /// Post-drain arena slot bracket of the touched nodes still alive
-    /// (`None` when none survive).
-    pub slot_range: Option<(usize, usize)>,
     /// The edit journal overflowed: `touched` is incomplete and every
     /// entry for the URI must fall back to eviction.
     pub overflowed: bool,
@@ -419,7 +417,7 @@ pub struct Stamped<V> {
     /// Document generation this value is valid for.
     pub gen: u64,
     /// True when the value last survived an edit via
-    /// [`MaintainView::maintain`] rather than a fresh compute.
+    /// [`ExecCache::route_delta`] rather than a fresh compute.
     pub maintained: bool,
     /// The artifact itself.
     pub value: V,
@@ -436,36 +434,16 @@ impl<V> Stamped<V> {
     }
 }
 
-/// Verdict of one maintenance attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Maintained<T> {
-    /// The delta cannot change the artifact; keep the cached value.
+/// Verdict of one [`TypeIndex::maintain`] splice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Maintained {
+    /// The delta touched no node of a visible type; nothing was written.
     Unchanged,
-    /// The artifact was spliced into an updated value.
-    Replaced(T),
-    /// The delta invalidates the artifact; recompute on the next open.
+    /// The touched nodes were spliced into the lists in place.
+    Spliced,
+    /// The index does not hold the pre-batch state the journal describes;
+    /// it was left as it was and must be rebuilt.
     MustRecompute,
-}
-
-/// Context handed to [`MaintainView::maintain`]: the document *after* the
-/// batch (mutated and drained) and the entry's own compiled expansion.
-pub struct MaintainCtx<'a> {
-    /// The edited, already-compacted document.
-    pub td: &'a TypedDocument,
-    /// The compiled expansion of the entry's view.
-    pub vdg: &'a VDataGuide,
-}
-
-/// Delta maintenance for one cached artifact family: given what an edit
-/// batch changed, produce the artifact's post-edit value — or declare
-/// that only a recompute can. Every implementation must keep a
-/// recompute-oracle test twin in its own file (`// oracle: <name>`,
-/// enforced by the vh-vet `oracle-twin` lint): the twin rebuilds the
-/// artifact from scratch and proves the maintained value identical.
-pub trait MaintainView: Sized {
-    /// Maintains `self` under `delta`, or returns
-    /// [`Maintained::MustRecompute`].
-    fn maintain(&self, delta: &ViewDelta, ctx: &MaintainCtx<'_>) -> Maintained<Self>;
 }
 
 /// What routing one [`ViewDelta`] did to its URI's cached entries.
@@ -578,13 +556,14 @@ impl ExecCache {
         dropped
     }
 
-    /// Routes one edit-batch delta to every cached entry of its URI:
-    /// maintainable entries are updated (and re-keyed to the post-edit
-    /// fingerprint, restamped with the new generation), entries the delta
-    /// invalidates are dropped for recomputation, and a per-node index
-    /// whose delta touched more nodes than `td` keeps is dropped as a
-    /// fallback eviction. `td` is the document *after* the batch
-    /// (drained).
+    /// Routes one edit-batch delta to every cached entry of its URI. One
+    /// verdict per view decides: a delta that can change the view's
+    /// expansion drops all four entries for recomputation; otherwise the
+    /// three guide-shaped entries are re-keyed to the post-edit
+    /// fingerprint and restamped with the new generation, and the
+    /// per-node index is spliced the same way — unless the delta touched
+    /// more nodes than `td` keeps, which drops it as a fallback eviction.
+    /// `td` is the document *after* the batch (drained).
     pub fn route_delta(&self, delta: &ViewDelta, td: &TypedDocument) -> RouteOutcome {
         let _epoch = self.begin_maintenance();
         let mut out = RouteOutcome::default();
@@ -613,26 +592,38 @@ impl ExecCache {
                 self.drop_key(&key);
                 continue;
             }
-            let Some(exp) = self.expansions.peek(&key) else {
-                // The expansion fell out of the LRU; its dependents cannot
-                // be re-validated without it.
-                out.recomputed += self.drop_key(&key) as u64;
-                continue;
-            };
-            let ctx = MaintainCtx {
-                td,
-                vdg: &exp.value,
+            let vdg = match self.expansions.peek(&key) {
+                Some(exp) if exp.value.unaffected_by(&delta.new_types, td.guide()) => exp.value,
+                // The delta can change the expansion, or the expansion
+                // fell out of the LRU and its dependents cannot be
+                // re-validated without it.
+                _ => {
+                    out.recomputed += self.drop_key(&key) as u64;
+                    continue;
+                }
             };
             let new_key = ViewKey::new(key.uri.clone(), delta.new_fp, key.spec.clone());
-            route_one(&self.expansions, &key, &new_key, delta, &ctx, &mut out);
-            route_one(&self.levels, &key, &new_key, delta, &ctx, &mut out);
-            route_one(&self.tables, &key, &new_key, delta, &ctx, &mut out);
+            for kept in [
+                route_one(&self.expansions, &key, &new_key, delta.gen, |_| true),
+                route_one(&self.levels, &key, &new_key, delta.gen, |_| true),
+                route_one(&self.tables, &key, &new_key, delta.gen, |_| true),
+            ] {
+                out.maintained += u64::from(kept.is_some());
+            }
             // The per-node index is spliced only while the delta is no
             // larger than a rebuild's scan of the document's live nodes.
-            if delta.touched.len() <= td.pbn().len() {
-                route_one(&self.indexes, &key, &new_key, delta, &ctx, &mut out);
-            } else if self.indexes.remove(&key).is_some() {
-                out.fallback_evictions += 1;
+            if delta.touched.len() > td.pbn().len() {
+                out.fallback_evictions += u64::from(self.indexes.remove(&key).is_some());
+                continue;
+            }
+            // Copy-on-write: in place while the cache holds the only
+            // reference, on a copy while a caller still holds the `Arc`.
+            match route_one(&self.indexes, &key, &new_key, delta.gen, |index| {
+                Arc::make_mut(index).maintain(delta, td, &vdg) != Maintained::MustRecompute
+            }) {
+                Some(true) => out.maintained += 1,
+                Some(false) => out.recomputed += 1,
+                None => {}
             }
         }
         self.maintained.fetch_add(out.maintained, Ordering::Relaxed);
@@ -686,44 +677,32 @@ impl ExecCache {
     }
 }
 
-/// Routes one delta through one artifact map entry: maintained values are
-/// re-keyed to `new_key` and restamped, invalidated ones dropped.
-fn route_one<T: MaintainView>(
-    map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
+/// Takes `key`'s entry out of `map` and lets `keep` update its value in
+/// place: a kept value is re-keyed to `new_key` and restamped as
+/// maintained for `gen`, a refused one is dropped as an invalidation.
+/// Returns whether the entry was kept, or `None` when `key` is absent.
+/// Out of the map, an `Arc` the map held alone stays unshared for `keep`.
+fn route_one<V: Clone>(
+    map: &ShardedLru<ViewKey, Stamped<V>>,
     key: &ViewKey,
     new_key: &ViewKey,
-    delta: &ViewDelta,
-    ctx: &MaintainCtx<'_>,
-    out: &mut RouteOutcome,
-) {
-    let Some(entry) = map.peek(key) else {
-        return;
-    };
-    let kept = match entry.value.maintain(delta, ctx) {
-        Maintained::Unchanged => Some(entry.value),
-        Maintained::Replaced(v) => Some(Arc::new(v)),
-        Maintained::MustRecompute => None,
-    };
-    match kept {
-        Some(value) => {
-            if new_key != key {
-                map.take(key);
-            }
-            map.insert(
-                new_key.clone(),
-                Stamped {
-                    gen: delta.gen,
-                    maintained: true,
-                    value,
-                },
-            );
-            out.maintained += 1;
-        }
-        None => {
-            map.remove(key);
-            out.recomputed += 1;
-        }
+    gen: u64,
+    keep: impl FnOnce(&mut V) -> bool,
+) -> Option<bool> {
+    let mut entry = map.take(key)?;
+    if !keep(&mut entry.value) {
+        map.invalidations.fetch_add(1, Ordering::Relaxed);
+        return Some(false);
     }
+    map.insert(
+        new_key.clone(),
+        Stamped {
+            gen,
+            maintained: true,
+            value: entry.value,
+        },
+    );
+    Some(true)
 }
 
 impl Default for ExecCache {

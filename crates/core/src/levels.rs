@@ -225,25 +225,6 @@ impl LevelMap {
     }
 }
 
-// oracle: rebuild_levels_oracle
-impl crate::cache::MaintainView for LevelMap {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        // A level map is a pure function of (vdg, original guide restricted
-        // to the types the vdg mentions); an edit can only change it by
-        // changing the expansion itself, so the verdict delegates to the
-        // expansion's soundness check.
-        if ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            crate::cache::Maintained::Unchanged
-        } else {
-            crate::cache::Maintained::MustRecompute
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,15 +341,15 @@ mod tests {
         }
     }
 
-    /// Recompute oracle for [`LevelMap::maintain`]: a from-scratch rebuild
-    /// over the current guide, which an `Unchanged` verdict must match.
+    /// Recompute oracle for a cached level map: a from-scratch rebuild over
+    /// the current guide, which a map kept on an `unaffected_by` verdict
+    /// must match.
     fn rebuild_levels_oracle(vdg: &VDataGuide, original: &DataGuide) -> LevelMap {
         LevelMap::build(vdg, original)
     }
 
     #[test]
     fn maintained_level_maps_match_the_rebuild_oracle() {
-        use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
         use vh_dataguide::TypedDocument;
 
         let mut td = TypedDocument::analyze(paper_figure2());
@@ -385,29 +366,18 @@ mod tests {
         td.insert_fragment(p, 0, "<note>x</note>").unwrap();
         let delta = td.take_delta();
         assert!(!delta.new_types.is_empty());
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        match m.maintain(&vd, &ctx) {
-            Maintained::Unchanged => {
-                assert_eq!(m, rebuild_levels_oracle(&v, td.guide()));
-            }
-            _ => panic!("invisible-parent insert must keep the level map"),
-        }
+        assert!(
+            v.unaffected_by(&delta.new_types, td.guide()),
+            "invisible-parent insert must keep the level map"
+        );
+        assert_eq!(m, rebuild_levels_oracle(&v, td.guide()));
 
         // New type under the visible title: conservative recompute.
         let title = td.guide().lookup_path(&["data", "book", "title"]).unwrap();
         let t = td.nodes_of_type(title)[0];
         td.insert_fragment(t, 0, "<subtitle>s</subtitle>").unwrap();
         let delta = td.take_delta();
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        assert!(matches!(m.maintain(&vd, &ctx), Maintained::MustRecompute));
+        assert!(!v.unaffected_by(&delta.new_types, td.guide()));
     }
 
     #[test]

@@ -196,24 +196,6 @@ impl PrefixTables {
     }
 }
 
-// oracle: rebuild_tables_oracle
-impl crate::cache::MaintainView for PrefixTables {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        // Prefix tables depend only on (vdg, levels, original guide); both
-        // inputs are unchanged exactly when the expansion itself is, so the
-        // verdict delegates to the expansion's soundness check.
-        if ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            crate::cache::Maintained::Unchanged
-        } else {
-            crate::cache::Maintained::MustRecompute
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,9 +311,9 @@ mod tests {
         assert!(r.contains(&pbn![42, 7]));
     }
 
-    /// Recompute oracle for [`PrefixTables::maintain`]: a from-scratch
-    /// rebuild over the current guide, which an `Unchanged` verdict must
-    /// match.
+    /// Recompute oracle for cached prefix tables: a from-scratch rebuild
+    /// over the current guide, which tables kept on an `unaffected_by`
+    /// verdict must match.
     fn rebuild_tables_oracle(
         vdg: &VDataGuide,
         levels: &LevelMap,
@@ -342,7 +324,6 @@ mod tests {
 
     #[test]
     fn maintained_prefix_tables_match_the_rebuild_oracle() {
-        use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
         use vh_dataguide::TypedDocument;
 
         let mut td = TypedDocument::analyze(paper_figure2());
@@ -360,31 +341,17 @@ mod tests {
         td.insert_fragment(p, 0, "<note>x</note>").unwrap();
         let delta = td.take_delta();
         assert!(!delta.new_types.is_empty());
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        match tables.maintain(&vd, &ctx) {
-            Maintained::Unchanged => {
-                assert_eq!(tables, rebuild_tables_oracle(&v, &m, td.guide()));
-            }
-            _ => panic!("invisible-parent insert must keep the prefix tables"),
-        }
+        assert!(
+            v.unaffected_by(&delta.new_types, td.guide()),
+            "invisible-parent insert must keep the prefix tables"
+        );
+        assert_eq!(tables, rebuild_tables_oracle(&v, &m, td.guide()));
 
         // New type whose name collides with a spec label tail: recompute.
         let t = td.nodes_of_type(publisher)[0];
         td.insert_fragment(t, 0, "<name>dup</name>").unwrap();
         let delta = td.take_delta();
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        assert!(matches!(
-            tables.maintain(&vd, &ctx),
-            Maintained::MustRecompute
-        ));
+        assert!(!v.unaffected_by(&delta.new_types, td.guide()));
     }
 
     #[test]

@@ -164,25 +164,6 @@ impl VDataGuide {
     }
 }
 
-/// An expansion is a pure function of `(spec, original guide)`: it stays
-/// valid under an edit batch exactly when the batch's new types cannot
-/// change a recompile ([`VDataGuide::unaffected_by`]); any other delta
-/// content (node touches) is irrelevant to it.
-// oracle: recompile_expansion_oracle
-impl crate::cache::MaintainView for VDataGuide {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        if self.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            crate::cache::Maintained::Unchanged
-        } else {
-            crate::cache::Maintained::MustRecompute
-        }
-    }
-}
-
 impl VdgSpec {
     /// Expands this specification against `original`, binding labels and
     /// materializing `*` / `**` / identity regions.
@@ -566,8 +547,9 @@ mod tests {
         assert_eq!(g.path_string(v.original_type(author)), "data.book.author");
     }
 
-    /// Recompute-oracle twin for `MaintainView for VDataGuide`: what the
-    /// cache would rebuild from scratch against the grown guide.
+    /// Recompute oracle for a cached expansion that survives an edit on an
+    /// `unaffected_by` verdict: what the cache would rebuild from scratch
+    /// against the grown guide.
     fn recompile_expansion_oracle(spec: &str, original: &DataGuide) -> VDataGuide {
         VDataGuide::compile(spec, original).must()
     }

@@ -10,6 +10,7 @@
 //! [`crate::range`].
 
 use crate::axes;
+use crate::cache::{Maintained, ViewDelta};
 use crate::exec::{self, ExecOptions};
 use crate::levels::{LevelArray, LevelMap};
 use crate::order::v_cmp;
@@ -77,34 +78,32 @@ impl TypeIndex {
             .sum::<usize>()
             + self.by_vtype.len() * std::mem::size_of::<Vec<NodeId>>()
     }
-}
 
-/// Splice maintenance for the per-type index. Pre-batch entries of
-/// touched nodes are located by binary search under their pre-batch
-/// numbers: a node whose first touch in the batch is a removal was listed
-/// under that touch's journaled number and type, and untouched nodes keep
-/// their current numbers. Once those entries are out, every list holds
-/// untouched nodes only, so each live touched node is inserted at the
-/// position of its *final* number — moved nodes make the journaled
-/// numbers non-monotone, so positions are never replayed chronologically.
-// oracle: rebuild_index_oracle
-impl crate::cache::MaintainView for TypeIndex {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        use crate::cache::Maintained;
-        if !ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            return Maintained::MustRecompute;
-        }
+    /// Splices one edit batch into the lists in place. Pre-batch entries
+    /// of touched nodes are located by binary search under their
+    /// pre-batch numbers: a node whose first touch in the batch is a
+    /// removal was listed under that touch's journaled number and type,
+    /// and untouched nodes keep their current numbers. Every removal is
+    /// located before the first list changes, so a
+    /// [`Maintained::MustRecompute`] leaves `self` as it was. Once those
+    /// entries are out, every list holds untouched nodes only, so each
+    /// live touched node is inserted at the position of its *final*
+    /// number — moved nodes make the journaled numbers non-monotone, so
+    /// positions are never replayed chronologically.
+    ///
+    /// `td` is the document after the batch, and the caller has
+    /// established that the batch leaves `vdg` valid
+    /// ([`VDataGuide::unaffected_by`]).
+    // oracle: rebuild_index_oracle
+    pub fn maintain(
+        &mut self,
+        delta: &ViewDelta,
+        td: &TypedDocument,
+        vdg: &VDataGuide,
+    ) -> Maintained {
         // Only a touched node of a visible type can change a list: every
         // type a touched node ever had in this batch maps to at most one.
-        if !delta
-            .touched
-            .iter()
-            .any(|t| ctx.vdg.vtype_of(t.ty).is_some())
-        {
+        if !delta.touched.iter().any(|t| vdg.vtype_of(t.ty).is_some()) {
             return Maintained::Unchanged;
         }
         // One entry per touched node, its first touch of the batch (the
@@ -112,38 +111,43 @@ impl crate::cache::MaintainView for TypeIndex {
         let mut first: Vec<&TouchedNode> = delta.touched.iter().collect();
         first.sort_by_key(|t| t.id);
         first.dedup_by_key(|t| t.id);
-        let pbn = ctx.td.pbn();
+        let pbn = td.pbn();
         let before = |id: NodeId| match first.binary_search_by_key(&id, |t| t.id) {
             Ok(i) => &first[i].pbn,
             Err(_) => pbn.pbn_of(id),
         };
-        let mut by_vtype = self.by_vtype.clone();
+        let mut removals: Vec<(usize, usize)> = Vec::new();
         for t in first.iter().filter(|t| t.touch == Touch::Removed) {
-            let Some(vt) = ctx.vdg.vtype_of(t.ty) else {
+            let Some(vt) = vdg.vtype_of(t.ty) else {
                 continue;
             };
-            let list = &mut by_vtype[vt.index()];
+            let list = &self.by_vtype[vt.index()];
             let pos = list.partition_point(|&x| before(x) < &t.pbn);
             if list.get(pos) != Some(&t.id) {
                 // The index does not hold the pre-batch state the journal
                 // describes; only a rebuild is safe.
                 return Maintained::MustRecompute;
             }
-            list.remove(pos);
+            removals.push((vt.index(), pos));
+        }
+        // Back to front, so no removal shifts a position still to come.
+        removals.sort_unstable_by(|a, b| b.cmp(a));
+        for (vt, pos) in removals {
+            self.by_vtype[vt].remove(pos);
         }
         for t in &first {
             // Dead or detached nodes keep the empty number and stay out.
             let Some(num) = pbn.by_node_checked(t.id).filter(|p| !p.is_empty()) else {
                 continue;
             };
-            let Some(vt) = ctx.vdg.vtype_of(ctx.td.type_of(t.id)) else {
+            let Some(vt) = vdg.vtype_of(td.type_of(t.id)) else {
                 continue;
             };
-            let list = &mut by_vtype[vt.index()];
+            let list = &mut self.by_vtype[vt.index()];
             let pos = list.partition_point(|&x| pbn.pbn_of(x) < num);
             list.insert(pos, t.id);
         }
-        Maintained::Replaced(TypeIndex { by_vtype })
+        Maintained::Spliced
     }
 }
 
@@ -798,23 +802,25 @@ mod tests {
         TypeIndex::build(td, vdg)
     }
 
-    /// Drains the document's delta, routes it through `maintain`, and
-    /// asserts the survivor equals the rebuild oracle. Returns the next
-    /// index plus whether the splice path (not a recompute) was taken.
+    /// Drains the document's delta and routes it as
+    /// `ExecCache::route_delta` does — the guide verdict first, then the
+    /// splice, here on a clone — and asserts the survivor equals the
+    /// rebuild oracle. Returns the next index plus whether the splice
+    /// path (not a recompute) was taken.
     fn reconcile(idx: &TypeIndex, td: &mut TypedDocument, vdg: &VDataGuide) -> (TypeIndex, bool) {
-        use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
+        use crate::cache::ViewDelta;
         let d = td.take_delta();
         let vd = ViewDelta {
             new_types: d.new_types,
             touched: d.touched,
             ..ViewDelta::default()
         };
-        let ctx = MaintainCtx { td, vdg };
-        let (next, spliced) = match idx.maintain(&vd, &ctx) {
-            Maintained::Unchanged => (idx.clone(), true),
-            Maintained::Replaced(n) => (n, true),
-            Maintained::MustRecompute => (TypeIndex::build(td, vdg), false),
-        };
+        let mut next = idx.clone();
+        let spliced = vdg.unaffected_by(&vd.new_types, td.guide())
+            && next.maintain(&vd, td, vdg) != Maintained::MustRecompute;
+        if !spliced {
+            next = TypeIndex::build(td, vdg);
+        }
         assert_eq!(next, rebuild_index_oracle(td, vdg));
         (next, spliced)
     }
@@ -895,21 +901,31 @@ mod tests {
 
         // A journaled removal the index does not hold where its number
         // says it should (here: a node id the document never had, claimed
-        // at an existing title's number) must refuse to splice.
+        // at an existing title's number) must refuse to splice — also when
+        // a removal the index does hold sorts ahead of it, which a splice
+        // that mutated while it searched would already have taken out.
         {
-            use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
-            let title = of(&td, &["data", "book", "title"])[0];
-            let bogus = ViewDelta {
-                touched: vec![TouchedNode {
-                    id: NodeId::from_index(td.doc().len() + 5),
-                    ty: td.type_of(title),
-                    pbn: td.pbn().pbn_of(title).clone(),
-                    touch: Touch::Removed,
-                }],
-                ..ViewDelta::default()
+            use crate::cache::ViewDelta;
+            let titles = of(&td, &["data", "book", "title"]);
+            let removed = |id: NodeId, at: NodeId| TouchedNode {
+                id,
+                ty: td.type_of(at),
+                pbn: td.pbn().pbn_of(at).clone(),
+                touch: Touch::Removed,
             };
-            let ctx = MaintainCtx { td: &td, vdg: &vdg };
-            assert_eq!(idx.maintain(&bogus, &ctx), Maintained::MustRecompute);
+            let bogus = removed(NodeId::from_index(td.doc().len() + 5), titles[0]);
+            for touched in [
+                vec![bogus.clone()],
+                vec![removed(titles[1], titles[1]), bogus],
+            ] {
+                let delta = ViewDelta {
+                    touched,
+                    ..ViewDelta::default()
+                };
+                let mut held = idx.clone();
+                assert_eq!(held.maintain(&delta, &td, &vdg), Maintained::MustRecompute);
+                assert_eq!(held, idx, "a refused splice left the index changed");
+            }
         }
 
         // A new type under a visible parent forces the recompute path.

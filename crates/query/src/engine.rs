@@ -47,7 +47,6 @@ use vh_obs::{
     AxisCounters, CacheOutcome, PromWriter, QueryCounterCells, QueryCounters, QueryStats,
     QueryTrace, Span, TraceBuilder, ViewProvenance,
 };
-use vh_pbn::EncodedPbn;
 use vh_storage::buffer::BufferStats;
 use vh_storage::stats::StorageStats;
 use vh_storage::store::StoredDocument;
@@ -811,23 +810,6 @@ impl Engine {
             *g
         };
         let td = &self.docs[uri];
-        // Byte-key bounds over every touch's number at touch time, and the
-        // post-drain arena slot bracket of the touches still alive.
-        let mut key_range: Option<(Vec<u8>, Vec<u8>)> = None;
-        let mut slot_range: Option<(usize, usize)> = None;
-        for t in &d.touched {
-            let key = EncodedPbn::encode(&t.pbn).as_bytes().to_vec();
-            key_range = Some(match key_range.take() {
-                None => (key.clone(), key),
-                Some((lo, hi)) => (lo.min(key.clone()), hi.max(key)),
-            });
-            if let Some(slot) = td.pbn().arena().slot_of(t.id) {
-                slot_range = Some(match slot_range.take() {
-                    None => (slot, slot),
-                    Some((lo, hi)) => (lo.min(slot), hi.max(slot)),
-                });
-            }
-        }
         let delta = ViewDelta {
             uri: uri.to_owned(),
             old_fp,
@@ -835,8 +817,6 @@ impl Engine {
             gen,
             new_types: d.new_types,
             touched: d.touched,
-            key_range,
-            slot_range,
             overflowed: d.overflowed,
         };
         let out = self.cache.route_delta(&delta, td);
@@ -1907,13 +1887,39 @@ mod tests {
         assert!(after.contains("<title>W</title>"), "{after}");
     }
 
+    /// Sam's view, the one `RHONDA` queries.
+    const SAM: &str = "title { author { name } }";
+
+    /// Opens Sam's view through the engine cache, as a query would.
+    fn open_sam(e: &Engine) -> VirtualDocument<'_> {
+        e.open_view(
+            "book.xml",
+            SAM,
+            ExecOptions::default(),
+            &mut TraceBuilder::disabled(),
+            &mut Vec::new(),
+        )
+        .must()
+    }
+
+    /// The address of the cached type index of Sam's view, read without
+    /// keeping a reference that would make the next splice copy.
+    fn cached_index_addr(e: &Engine) -> *const TypeIndex {
+        let key = ViewKey::new("book.xml", e.fingerprint_of("book.xml"), SAM);
+        Arc::as_ptr(&e.cache.indexes.peek(&key).must().value)
+    }
+
     #[test]
     fn edit_deltas_maintain_cached_views() {
         let mut e = engine();
         // Warm every artifact, then insert a book whose types are all
         // already interned: the whole view must survive via maintenance.
         e.eval_to_string(RHONDA).must();
+        let warm_index = cached_index_addr(&e);
         e.apply(insert_book("W", 0)).must();
+        // Nobody else held the index, so the splice edited the cached
+        // lists themselves instead of a copy.
+        assert_eq!(cached_index_addr(&e), warm_index, "index was copied");
         let snap = e.snapshot();
         assert_eq!(
             snap.cache.maintained, 4,
@@ -1932,6 +1938,66 @@ mod tests {
             3,
             "maintained index must serve the inserted book"
         );
+
+        // A caller holding the index across an edit keeps its snapshot:
+        // the splice copies instead of writing under it.
+        let (held, pre_edit) = {
+            let vd = open_sam(&e);
+            (
+                vd.type_index().clone(),
+                TypeIndex::build(vd.typed(), vd.vdg()),
+            )
+        };
+        e.apply(insert_book("X", 1)).must();
+        assert_eq!(*held, pre_edit, "a held index changed under its holder");
+        assert_eq!(e.snapshot().cache.maintained, 8, "the copy still counts");
+        let vd = open_sam(&e);
+        assert!(!Arc::ptr_eq(vd.type_index(), &held));
+        // `TypeIndex::build` is the rebuild oracle.
+        assert_eq!(
+            **vd.type_index(),
+            TypeIndex::build(vd.typed(), vd.vdg()),
+            "the copied splice must equal a rebuild of the edited document"
+        );
+    }
+
+    #[test]
+    fn refused_index_splices_leave_no_entry_behind() {
+        use vh_dataguide::{Touch, TouchedNode};
+        let e = engine();
+        e.eval_to_string(RHONDA).must();
+        // A journaled removal of a node id the document never had,
+        // claimed at an existing title's number: the index cannot hold
+        // the pre-batch state the delta describes, so the splice refuses.
+        let td = e.document("book.xml").must();
+        let title = td.nodes_of_type(td.guide().lookup_path(&["data", "book", "title"]).must())[0];
+        let fp = e.fingerprint_of("book.xml");
+        let bogus = ViewDelta {
+            uri: "book.xml".into(),
+            old_fp: fp,
+            new_fp: fp,
+            gen: e.gen_of("book.xml"),
+            touched: vec![TouchedNode {
+                id: NodeId::from_index(td.doc().len() + 5),
+                ty: td.type_of(title),
+                pbn: td.pbn().pbn_of(title).clone(),
+                touch: Touch::Removed,
+            }],
+            ..ViewDelta::default()
+        };
+        let out = e.cache.route_delta(&bogus, td);
+        assert_eq!(
+            (out.maintained, out.recomputed, out.fallback_evictions),
+            (3, 1, 0),
+            "guide-only artifacts kept, the index dropped for recompute"
+        );
+        assert!(e.cache.indexes.is_empty(), "a refused splice left an entry");
+        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
+        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
+        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
+        let mut cold = Engine::new();
+        cold.register(paper_figure2());
+        assert_eq!(warm.to_string_compact(), cold.eval_to_string(RHONDA).must());
     }
 
     #[test]

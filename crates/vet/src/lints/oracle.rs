@@ -12,11 +12,11 @@
 //! its ground truth.
 //!
 //! The same contract covers cache delta maintenance: a function named
-//! `maintain` **with a body** (an implementation of the core crate's
-//! `MaintainView` trait) splices edits into a cached artifact, and the
-//! only proof a splice equals a rebuild is the recompute-oracle property
-//! test. Each such impl must carry the `// oracle: <name>` comment and
-//! its named twin in the same file. Bodyless trait *declarations*
+//! `maintain` **with a body** (the core crate's `TypeIndex::maintain`)
+//! splices edits into a cached artifact, and the only proof a splice
+//! equals a rebuild is the recompute-oracle property test. Each such
+//! function must carry the `// oracle: <name>` comment and its named
+//! twin in the same file. Bodyless trait *declarations*
 //! (`fn maintain(...);`) declare the contract rather than implement it
 //! and are exempt.
 //!
