@@ -25,9 +25,9 @@
 #                   run of each BENCHMARK.json workload; a wrong answer or
 #                   a failed durability check exits nonzero and fails
 #   --tsan          run the ThreadSanitizer leg over the partition/merge,
-#                   cache and linearizable-reads tests — needs nightly +
-#                   `rust-src` (std must be rebuilt instrumented); skipped
-#                   with a notice otherwise
+#                   cache, virtual-document and linearizable-reads tests —
+#                   needs nightly + `rust-src` (std must be rebuilt
+#                   instrumented); skipped with a notice otherwise
 #   --vet           run vh-vet (already part of the gate; useful with
 #                   --no-gate for a lint-only run)
 #   --bench-history run the quick bench profile, append this commit's
@@ -149,7 +149,7 @@ run_perfbench() {
 }
 
 run_tsan() {
-  echo "==> tsan leg (partition/merge, cache and tenant reads under ThreadSanitizer)"
+  echo "==> tsan leg (partition/merge, cache, batched axis scans and tenant reads under ThreadSanitizer)"
   if ! nightly_has rust-src; then
     echo "    SKIPPED: nightly 'rust-src' component not installed" >&2
     echo "    (TSan needs std rebuilt with instrumentation via -Zbuild-std;" >&2
@@ -160,7 +160,7 @@ run_tsan() {
   host="$(rustc -vV | sed -n 's/^host: //p')"
   RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
     cargo +nightly test -q -Zbuild-std --target "$host" \
-    -p vh-core --lib -- exec:: cache::
+    -p vh-core --lib -- exec:: cache:: vdoc::
   RUSTFLAGS="-Zsanitizer=thread" CARGO_TARGET_DIR=target/tsan \
     cargo +nightly test -q -Zbuild-std --target "$host" \
     -p vh-core --test stress_interleave

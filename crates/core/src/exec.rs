@@ -255,6 +255,35 @@ pub fn partition_point_branchless<T>(items: &[T], pred: impl Fn(&T) -> bool) -> 
     base + usize::from(len == 1 && pred(&items[base]))
 }
 
+/// Galloping `slice::partition_point`: the same answer as
+/// [`partition_point_branchless`], found by probing `items[0]`,
+/// `items[2]`, `items[6]`, `items[14]`, … (each probe doubling the
+/// distance) until the predicate fails, then bisecting only that last
+/// bracket. An answer at index `k` costs O(log k) probes, so a forward
+/// sweep over sorted search keys pays for how far each search moves, not
+/// for the length of the list.
+///
+/// oracle: partition_point_scalar
+#[inline]
+pub(crate) fn partition_point_gallop<T>(items: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    // Invariant: `pred` holds on all of `items[..lo]`.
+    let mut lo = 0usize;
+    let mut step = 1usize;
+    let hi = loop {
+        let probe = lo + step - 1;
+        match items.get(probe) {
+            Some(x) if pred(x) => {
+                lo = probe + 1;
+                step *= 2;
+            }
+            // `items[probe]` fails (or lies past the end): the answer is
+            // in `lo..=probe`.
+            _ => break probe.min(items.len()),
+        }
+    };
+    lo + partition_point_branchless(&items[lo..hi], pred)
+}
+
 /// Scalar twin of [`partition_point_branchless`]: `std`'s branchy
 /// bisection, the oracle the property suite compares against.
 #[inline]
@@ -294,6 +323,20 @@ mod tests {
             for cut in 0..=len {
                 assert_eq!(
                     partition_point_branchless(&items, |&x| x < cut),
+                    partition_point_scalar(&items, |&x| x < cut),
+                    "len={len} cut={cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn galloping_partition_point_matches_std_on_every_cut() {
+        for len in [0usize, 1, 2, 3, 6, 7, 8, 14, 15, 16, 100] {
+            let items: Vec<usize> = (0..len).collect();
+            for cut in 0..=len {
+                assert_eq!(
+                    partition_point_gallop(&items, |&x| x < cut),
                     partition_point_scalar(&items, |&x| x < cut),
                     "len={len} cut={cut}"
                 );

@@ -333,27 +333,66 @@ impl<'a> VirtualDocument<'a> {
 
     /// The virtual children of `x`, in virtual document order.
     pub fn children(&self, x: NodeId) -> Vec<NodeId> {
-        let Some(xv) = self.vpbn_of(x) else {
-            return Vec::new();
-        };
+        self.children_of_set(std::slice::from_ref(&x), |_| true)
+    }
+
+    /// A set-at-a-time child step: the virtual children of every node in
+    /// `xs` whose virtual type `keep` accepts, merged in virtual document
+    /// order without duplicates. Equal to one call per context, concatenated,
+    /// sorted and deduplicated — but only the accepted child types are
+    /// scanned, and each `(context type, child type)` group is one forward
+    /// pass over that type's index instead of two binary searches per
+    /// context. A single context (as [`Self::children`] passes) takes the
+    /// binary searches only.
+    // oracle: children_of_set_oracle
+    pub fn children_of_set(&self, xs: &[NodeId], keep: impl Fn(VTypeId) -> bool) -> Vec<NodeId> {
         let mut out = Vec::new();
-        for &ct in self.vdg.children(xv.vtype) {
-            self.collect_related(x, &xv, ct, &mut out, |v, cand, ctx| {
-                axes::v_child(v, cand, ctx)
-            });
+        if let &[x] = xs {
+            // One context is already one group per child type, and its
+            // children are distinct: no grouping sort, no dedup.
+            if let Some(xt) = self.vtype_of(x) {
+                for &ct in self.vdg.children(xt).iter().filter(|&&ct| keep(ct)) {
+                    self.collect_related(xs, xt, ct, &mut out, axes::v_child);
+                }
+            }
+            self.sort_virtual(&mut out);
+            return out;
+        }
+        let arena = self.td.pbn().arena();
+        // One work item per (context, accepted child type). Sorting by
+        // (context type, child type, arena slot) makes every group a
+        // contiguous run with its contexts in document order; a node
+        // without a slot holds the empty key, which sorts first.
+        let mut work: Vec<(VTypeId, VTypeId, Option<usize>, NodeId)> = Vec::new();
+        for &x in xs {
+            let Some(xt) = self.vtype_of(x) else {
+                continue;
+            };
+            for &ct in self.vdg.children(xt) {
+                if keep(ct) {
+                    work.push((xt, ct, arena.slot_of(x), x));
+                }
+            }
+        }
+        work.sort_unstable();
+        let mut group: Vec<NodeId> = Vec::new();
+        for run in work.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let &(xt, ct, ..) = &run[0];
+            group.clear();
+            group.extend(run.iter().map(|w| w.3));
+            self.collect_related(&group, xt, ct, &mut out, axes::v_child);
         }
         self.sort_virtual(&mut out);
+        out.dedup();
         out
     }
 
     /// The virtual parent of `x`, if any.
     pub fn parent(&self, x: NodeId) -> Option<NodeId> {
-        let xv = self.vpbn_of(x)?;
-        let pt = self.vdg.guide().ty(xv.vtype).parent()?;
+        let xt = self.vtype_of(x)?;
+        let pt = self.vdg.guide().ty(xt).parent()?;
         let mut out = Vec::new();
-        self.collect_related(x, &xv, pt, &mut out, |v, cand, ctx| {
-            axes::v_parent(v, cand, ctx)
-        });
+        self.collect_related(std::slice::from_ref(&x), xt, pt, &mut out, axes::v_parent);
         // The virtual tree gives every node at most one parent per parent
         // instance match; joins can produce several (a node appearing under
         // multiple parents) — return the first in document order.
@@ -364,13 +403,12 @@ impl<'a> VirtualDocument<'a> {
     /// The virtual descendants of `x` with virtual type `vt`, in virtual
     /// document order. Uses the type index with a derived scan range.
     pub fn descendants_of_type(&self, x: NodeId, vt: VTypeId) -> Vec<NodeId> {
-        let Some(xv) = self.vpbn_of(x) else {
+        let Some(xt) = self.vtype_of(x) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        self.collect_related(x, &xv, vt, &mut out, |v, cand, ctx| {
-            axes::v_descendant(v, cand, ctx)
-        });
+        let xs = std::slice::from_ref(&x);
+        self.collect_related(xs, xt, vt, &mut out, axes::v_descendant);
         self.sort_virtual(&mut out);
         out
     }
@@ -393,15 +431,14 @@ impl<'a> VirtualDocument<'a> {
 
     /// All virtual descendants of `x` (any type), in virtual document order.
     pub fn descendants(&self, x: NodeId) -> Vec<NodeId> {
-        let Some(xv) = self.vpbn_of(x) else {
+        let Some(xt) = self.vtype_of(x) else {
             return Vec::new();
         };
         let mut out = Vec::new();
+        let xs = std::slice::from_ref(&x);
         for vt in (0..self.vdg.len()).map(VTypeId::from_index) {
-            if vh_dataguide::axes::descendant(self.vdg.guide(), vt, xv.vtype) {
-                self.collect_related(x, &xv, vt, &mut out, |v, cand, ctx| {
-                    axes::v_descendant(v, cand, ctx)
-                });
+            if vh_dataguide::axes::descendant(self.vdg.guide(), vt, xt) {
+                self.collect_related(xs, xt, vt, &mut out, axes::v_descendant);
             }
         }
         self.sort_virtual(&mut out);
@@ -457,15 +494,24 @@ impl<'a> VirtualDocument<'a> {
 
     // ----- internals ----------------------------------------------------
 
-    /// Collects nodes of type `vt` related to the context node `x` (whose
-    /// vPBN is `xv`) under `pred(candidate, context)`, scanning only the
-    /// byte range of the type index pinned by the compatibility prefix:
-    /// with `m` pinned components, a candidate's encoded key must extend
-    /// the first `m` components of the context's key, so the candidates
-    /// form one contiguous slice of the PBN-sorted index, found by two
-    /// binary searches on borrowed keys — no numbers are decoded and no
-    /// bound numbers allocated (`memcmp` is document order, `starts_with`
-    /// is the prefix test).
+    /// Collects nodes of type `vt` related to each context in `xs` under
+    /// `pred(candidate, context)`, appending every context's matches in
+    /// index (PBN) order, context after context. Every context must have
+    /// virtual type `xt`, and `xs` must be in document order (sorted by
+    /// arena slot); duplicates are scanned once per occurrence.
+    ///
+    /// Each context scans only the byte range of the type index pinned by
+    /// the compatibility prefix: with `m` pinned components, a
+    /// candidate's encoded key must extend the first `m` components of the
+    /// context's key, so the candidates form one contiguous slice of the
+    /// PBN-sorted index — no numbers are decoded and no bound numbers
+    /// allocated (`memcmp` is document order, `starts_with` is the prefix
+    /// test). The first context finds its slice by two binary searches.
+    /// `m` depends only on the `(xt, vt)` pair, and truncating sorted keys
+    /// to their first `m` components keeps them sorted, so each later
+    /// context's slice starts no earlier than the previous one's: both of
+    /// its bounds are found by galloping forward from there, which makes a
+    /// whole sorted context set one forward pass over the index.
     ///
     /// When the prefix subsumes every compatibility constraint (`exact`),
     /// the §5 predicate is a *constant* over the slice: every in-range
@@ -478,40 +524,52 @@ impl<'a> VirtualDocument<'a> {
     /// is identical to the sequential scan either way.
     fn collect_related<F>(
         &self,
-        x: NodeId,
-        xv: &VPbnRef<'_>,
+        xs: &[NodeId],
+        xt: VTypeId,
         vt: VTypeId,
         out: &mut Vec<NodeId>,
         pred: F,
     ) where
         F: Fn(&VDataGuide, &VPbnRef<'_>, &VPbnRef<'_>) -> bool + Sync,
     {
+        let pbn = self.td.pbn();
+        let xa = self.levels.levels_of(xt);
         let ta = self.levels.levels_of(vt);
-        let (m, exact) = match &self.tables {
-            Some(t) => t.prefix(xv.vtype, vt),
-            None => related_prefix(xv, ta),
-        };
-        let xkey = self.td.pbn().key_of(x);
-        let prefix = &xkey[..keys::component_boundary(xkey, m)];
         let list = self.index.nodes(vt);
-        let (start, end) = self.index_range(list, prefix);
-        let candidates = &list[start..end];
-        if let Some(obs) = &self.obs {
-            self.record_scan(obs, xv.vtype, vt, prefix, m, exact, start, end);
-        }
-        if exact {
-            if let Some(&first) = candidates.first() {
-                let cv = VPbnRef::from_slices(self.td.pbn().pbn_of(first).components(), ta, vt);
-                if pred(&self.vdg, &cv, xv) {
-                    out.extend_from_slice(candidates);
-                }
+        // Start of the previous context's slice: where the next gallops from.
+        let mut from: Option<usize> = None;
+        for &x in xs {
+            let xv = VPbnRef::from_slices(pbn.pbn_of(x).components(), xa, xt);
+            let (m, exact) = match &self.tables {
+                Some(t) => t.prefix(xt, vt),
+                None => related_prefix(&xv, ta),
+            };
+            let xkey = pbn.key_of(x);
+            let prefix = &xkey[..keys::component_boundary(xkey, m)];
+            let (start, end) = self.index_range(list, from, prefix);
+            debug_assert!(
+                from.is_none_or(|f| f <= start),
+                "contexts in document order"
+            );
+            from = Some(start);
+            let candidates = &list[start..end];
+            if let Some(obs) = &self.obs {
+                self.record_scan(obs, xt, vt, prefix, m, exact, start, end);
             }
-            return;
+            if exact {
+                if let Some(&first) = candidates.first() {
+                    let cv = VPbnRef::from_slices(pbn.pbn_of(first).components(), ta, vt);
+                    if pred(&self.vdg, &cv, &xv) {
+                        out.extend_from_slice(candidates);
+                    }
+                }
+                continue;
+            }
+            out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
+                let cv = VPbnRef::from_slices(pbn.pbn_of(cand).components(), ta, vt);
+                pred(&self.vdg, &cv, &xv)
+            }));
         }
-        out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
-            let cv = VPbnRef::from_slices(self.td.pbn().pbn_of(cand).components(), ta, vt);
-            pred(&self.vdg, &cv, xv)
-        }));
     }
 
     /// Publishes one `collect_related` range selection to the attached
@@ -552,18 +610,30 @@ impl<'a> VirtualDocument<'a> {
         }
     }
 
-    /// Binary-searches a PBN-sorted node list for the sub-range of nodes
-    /// whose encoded keys extend `prefix`: keys sort in document order
-    /// under `memcmp`, so the extensions of a prefix are exactly the
-    /// interval `[prefix, prefix_succ(prefix))`. The empty prefix selects
-    /// the whole list.
-    fn index_range(&self, list: &[NodeId], prefix: &[u8]) -> (usize, usize) {
+    /// Finds the sub-range of a PBN-sorted node list whose encoded keys
+    /// extend `prefix`: keys sort in document order under `memcmp`, so the
+    /// extensions of a prefix are exactly the interval
+    /// `[prefix, prefix_succ(prefix))`. The empty prefix selects the whole
+    /// list. Without a hint both bounds are binary-searched; with `from`
+    /// (a position no later than the range start) the start gallops
+    /// forward from `from` and the end from the start.
+    fn index_range(&self, list: &[NodeId], from: Option<usize>, prefix: &[u8]) -> (usize, usize) {
         let pbn = self.td.pbn();
-        let start = exec::partition_point_branchless(list, |&id| pbn.key_of(id) < prefix);
-        let end = exec::partition_point_branchless(list, |&id| {
-            keys::before_subtree_end(prefix, pbn.key_of(id))
-        });
-        (start, end)
+        let before = |&id: &NodeId| pbn.key_of(id) < prefix;
+        let inside = |&id: &NodeId| keys::before_subtree_end(prefix, pbn.key_of(id));
+        match from {
+            None => (
+                exec::partition_point_branchless(list, before),
+                exec::partition_point_branchless(list, inside),
+            ),
+            Some(from) => {
+                let start = from + exec::partition_point_gallop(&list[from..], before);
+                (
+                    start,
+                    start + exec::partition_point_gallop(&list[start..], inside),
+                )
+            }
+        }
     }
 
     /// Sorts node ids into virtual document order. Safe to parallelize:
@@ -793,6 +863,144 @@ mod tests {
         assert!(vd.check(crate::axes::v_child, author1, title1));
         assert!(vd.check(crate::axes::v_parent, title1, author1));
         assert!(!vd.check(crate::axes::v_child, title1, author1));
+    }
+
+    /// Per-context oracle for [`VirtualDocument::children_of_set`]: each
+    /// context's [`VirtualDocument::children`] (a one-context call, which
+    /// binary-searches and never gallops), kept by virtual type,
+    /// concatenated, then sorted into virtual document order and
+    /// deduplicated.
+    fn children_of_set_oracle(
+        vd: &VirtualDocument<'_>,
+        xs: &[NodeId],
+        keep: impl Fn(VTypeId) -> bool,
+    ) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = xs
+            .iter()
+            .flat_map(|&x| vd.children(x))
+            .filter(|&c| vd.vtype_of(c).is_some_and(&keep))
+            .collect();
+        vd.sort_virtual(&mut out);
+        out.dedup();
+        out
+    }
+
+    /// Scan totals without the detail records.
+    fn totals(obs: &AxisCounters) -> [u64; 4] {
+        let s = obs.snapshot();
+        [
+            s.range_scans,
+            s.slots_scanned,
+            s.exact_regions,
+            s.filter_checks,
+        ]
+    }
+
+    #[test]
+    fn batched_child_steps_match_the_per_context_oracle() {
+        // Figure 2, Figure 2 after edits that mint keys, and a document
+        // with join multiplicity (two titles share two authors), a book
+        // without a title and one without an author.
+        let mut edited = sam();
+        let data = edited.doc().root().unwrap();
+        for k in 0..6 {
+            edited
+                .insert_fragment(
+                    data,
+                    0,
+                    &format!(
+                        "<book><title>T{k}</title><author><name>N{k}</name></author>\
+                         <author><name>M{k}</name></author></book>"
+                    ),
+                )
+                .unwrap();
+        }
+        let path = |td: &TypedDocument, p: &[&str]| td.guide().lookup_path(p).unwrap();
+        let books = edited.nodes_of_type(path(&edited, &["data", "book"]));
+        let authors = edited.nodes_of_type(path(&edited, &["data", "book", "author"]));
+        edited.move_subtree(authors[3], books[0], 0).unwrap();
+        edited.delete_subtree(books[2]).unwrap();
+        edited.take_delta();
+        // The flag marks documents without join multiplicity.
+        let docs = [
+            (sam(), true),
+            (edited, false),
+            (
+                TypedDocument::parse(
+                    "j",
+                    "<data><book><title>A</title><title>B</title>\
+                 <author><name>C</name></author><author><name>D</name></author></book>\
+                 <book><author><name>E</name></author></book>\
+                 <book><title>F</title><publisher><location>L</location></publisher></book>\
+                 </data>",
+                )
+                .unwrap(),
+                false,
+            ),
+        ];
+        let specs = [
+            "data { ** }",
+            "title { author { name } }",
+            "title { name { author } }",
+            "name { author { title } }",
+            "location { title author { name } }",
+        ];
+        for (td, single_parents) in &docs {
+            for spec in specs {
+                let base = VirtualDocument::open(td, spec).unwrap();
+                let all = base.preorder();
+                // Every visible node, then the same set reversed with
+                // duplicates: the routine may assume no input order.
+                let mut shuffled: Vec<NodeId> = all.iter().rev().copied().collect();
+                shuffled.extend(all.iter().step_by(2).copied());
+                let guide = base.vdg().guide();
+                let mut tests: Vec<Box<dyn Fn(VTypeId) -> bool + '_>> =
+                    vec![Box::new(|vt| guide.ty(vt).is_text())];
+                if *single_parents {
+                    // Every child type at once mixes types, and with join
+                    // multiplicity `v_cmp` can be cyclic on the mix.
+                    tests.push(Box::new(|_| true));
+                }
+                for vt in guide.type_ids() {
+                    let name = guide.name(vt).to_owned();
+                    tests.push(Box::new(move |t| guide.name(t) == name));
+                }
+                for (threads, tables) in [(1, false), (1, true), (2, true), (8, false)] {
+                    let mut batched = VirtualDocument::open(td, spec).unwrap();
+                    let mut single = VirtualDocument::open(td, spec).unwrap();
+                    for vd in [&mut batched, &mut single] {
+                        vd.set_exec(ExecOptions {
+                            threads,
+                            cache: true,
+                            par_threshold: 1,
+                        });
+                        if tables {
+                            vd.build_prefix_tables();
+                        }
+                    }
+                    let (bo, so) = (Arc::new(AxisCounters::new()), Arc::new(AxisCounters::new()));
+                    batched.set_obs(Arc::clone(&bo));
+                    single.set_obs(Arc::clone(&so));
+                    for xs in [&all, &shuffled] {
+                        for keep in &tests {
+                            let got = batched.children_of_set(xs, keep);
+                            assert_eq!(
+                                got,
+                                children_of_set_oracle(&base, xs, keep),
+                                "{spec} threads={threads} tables={tables}"
+                            );
+                            // One-context calls take the binary-search
+                            // path; the galloping pass must scan exactly
+                            // the same slots.
+                            for &x in xs.iter() {
+                                single.children_of_set(&[x], keep);
+                            }
+                            assert_eq!(totals(&bo), totals(&so), "{spec} threads={threads}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Recompute oracle for [`TypeIndex::maintain`]: a from-scratch

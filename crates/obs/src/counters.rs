@@ -86,7 +86,7 @@ pub struct RangeChoice {
 /// Plain snapshot of [`AxisCounters`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AxisStats {
-    /// `collect_related` invocations (one per context node per step).
+    /// Range scans: one per context node and target type of a step.
     pub range_scans: u64,
     /// Candidate slots inside all chosen brackets.
     pub slots_scanned: u64,

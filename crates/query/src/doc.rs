@@ -8,7 +8,9 @@
 //! `data { ** }` (identity) versus the physical document is one of the
 //! system-level invariants the integration tests pin down.
 
+use crate::xpath::NodeTest;
 use std::cmp::Ordering;
+use vh_core::vdg::VTypeId;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
 use vh_xml::{NodeId, NodeKind};
@@ -53,6 +55,17 @@ pub trait QueryDoc {
         None
     }
 
+    /// Set-at-a-time child step: the children of every node in `ctxs`
+    /// that pass `test` (a name test or `text()`), merged in document
+    /// order without duplicates. Returns `None` when the document has no
+    /// batched child scan — the evaluator then walks each context's
+    /// children. This is how a PBN-based system answers a path step: one
+    /// ordered range scan of the type index per step, not one probe per
+    /// context node.
+    fn children_matching(&self, _ctxs: &[NodeId], _test: &NodeTest) -> Option<Vec<NodeId>> {
+        None
+    }
+
     /// Descendants of `n` in document order (excluding `n`).
     fn descendants(&self, n: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -80,35 +93,36 @@ pub trait QueryDoc {
 
     /// Siblings after `n`, in document order.
     fn following_siblings(&self, n: NodeId) -> Vec<NodeId> {
-        match self.parent(n) {
-            Some(p) => {
-                let sibs = self.children(p);
-                let pos = sibs.iter().position(|&s| s == n).unwrap_or(sibs.len());
-                sibs[pos + 1..].to_vec()
-            }
-            None => {
-                let roots = self.roots();
-                let pos = roots.iter().position(|&s| s == n).unwrap_or(roots.len());
-                roots[pos + 1..].to_vec()
-            }
+        match sibling_split(self, n) {
+            Some((sibs, pos)) => sibs[pos + 1..].to_vec(),
+            None => Vec::new(),
         }
     }
 
     /// Siblings before `n`, in document order.
     fn preceding_siblings(&self, n: NodeId) -> Vec<NodeId> {
-        match self.parent(n) {
-            Some(p) => {
-                let sibs = self.children(p);
-                let pos = sibs.iter().position(|&s| s == n).unwrap_or(0);
-                sibs[..pos].to_vec()
+        match sibling_split(self, n) {
+            Some((mut sibs, pos)) => {
+                sibs.truncate(pos);
+                sibs
             }
-            None => {
-                let roots = self.roots();
-                let pos = roots.iter().position(|&s| s == n).unwrap_or(0);
-                roots[..pos].to_vec()
-            }
+            None => Vec::new(),
         }
     }
+}
+
+/// The sibling list `n` belongs to (its parent's children, or the roots)
+/// and its position there; `None` when `n` is not in that list. That
+/// happens to a visible node with no virtual parent that is not a root
+/// either (under `title { author }`, the author of a book without a
+/// title): it has no siblings.
+fn sibling_split<D: QueryDoc + ?Sized>(doc: &D, n: NodeId) -> Option<(Vec<NodeId>, usize)> {
+    let sibs = match doc.parent(n) {
+        Some(p) => doc.children(p),
+        None => doc.roots(),
+    };
+    let pos = sibs.iter().position(|&s| s == n)?;
+    Some((sibs, pos))
 }
 
 /// Physical navigation over a [`TypedDocument`] (plain PBN semantics),
@@ -308,6 +322,18 @@ impl<'a> QueryDoc for VirtualDoc<'a> {
         out.dedup();
         Some(out)
     }
+
+    fn children_matching(&self, ctxs: &[NodeId], test: &NodeTest) -> Option<Vec<NodeId>> {
+        // A child's name and kind are those of its virtual type, so the
+        // test picks the child types to scan instead of filtering nodes.
+        let guide = self.vd.vdg().guide();
+        let keep: &dyn Fn(VTypeId) -> bool = match test {
+            NodeTest::Name(name) => &move |vt| guide.name(vt) == name,
+            NodeTest::Text => &|vt| guide.ty(vt).is_text(),
+            NodeTest::AnyElement | NodeTest::AnyNode | NodeTest::Comment => return None,
+        };
+        Some(self.vd.children_of_set(ctxs, keep))
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +372,43 @@ mod tests {
         // Sibling navigation among virtual roots.
         assert_eq!(d.following_siblings(roots[0]), vec![roots[1]]);
         assert_eq!(d.preceding_siblings(roots[1]), vec![roots[0]]);
+    }
+
+    #[test]
+    fn sibling_axes_of_a_node_outside_every_sibling_list_are_empty() {
+        // The second book has no title, so under `title { author { name } }`
+        // its author is visible but has no virtual parent and is no root.
+        let mut engine = crate::Engine::new();
+        engine
+            .register_xml(
+                "u",
+                "<data><book><title>X</title><author><name>C</name></author></book>\
+                 <book><author><name>D</name></author></book></data>",
+            )
+            .must();
+        let view = "title { author { name } }";
+        for path in [
+            "//author/following-sibling::*",
+            "//author/preceding-sibling::*",
+        ] {
+            let req = crate::QueryRequest::virtual_path("u", view, path);
+            assert!(engine.run(&req).is_ok(), "{path}");
+        }
+        let vd = engine.virtual_doc("u", view).must();
+        let d = VirtualDoc::new(&vd);
+        let orphan = author_named(&vd, "D");
+        assert_eq!(d.parent(orphan), None);
+        assert!(!d.roots().contains(&orphan));
+        assert!(d.following_siblings(orphan).is_empty());
+        assert!(d.preceding_siblings(orphan).is_empty());
+    }
+
+    /// The author element whose name reads `name`.
+    fn author_named(vd: &VirtualDocument<'_>, name: &str) -> NodeId {
+        let doc = vd.typed().doc();
+        doc.preorder()
+            .find(|&n| doc.name(n) == Some("author") && doc.string_value(n) == name)
+            .must()
     }
 
     #[test]

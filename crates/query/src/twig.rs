@@ -552,8 +552,11 @@ struct TwigStack<'s> {
     cursor: Vec<usize>,
     /// Per pattern node: stack of (doc node, parent-stack height at push).
     stacks: Vec<Vec<(NodeId, usize)>>,
-    /// Leaf index in pattern → position in output.
-    leaf_pos: HashMap<usize, usize>,
+    /// Per pattern node: its position among the leaves (the output slot);
+    /// meaningful for leaves only.
+    leaf_pos: Vec<usize>,
+    /// Per leaf position: the root-to-leaf chain of pattern nodes.
+    chains: Vec<Vec<usize>>,
     out: Vec<Vec<Vec<NodeId>>>,
     /// Operator counters for traced runs (`None` on the plain paths).
     counters: Option<&'s TwigCounters>,
@@ -578,8 +581,10 @@ impl<'s> TwigStack<'s> {
     ) -> Self {
         debug_assert_eq!(streams.len(), pattern.len());
         let leaves = pattern.leaves();
-        let leaf_pos: HashMap<usize, usize> =
-            leaves.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+        let mut leaf_pos = vec![0; pattern.len()];
+        for (i, &l) in leaves.iter().enumerate() {
+            leaf_pos[l] = i;
+        }
         TwigStack {
             source,
             pattern,
@@ -588,6 +593,7 @@ impl<'s> TwigStack<'s> {
             streams,
             out: vec![Vec::new(); leaves.len()],
             leaf_pos,
+            chains: leaves.iter().map(|&l| pattern.path_to(l)).collect(),
             counters: None,
         }
     }
@@ -611,13 +617,16 @@ impl<'s> TwigStack<'s> {
     /// skipped rather than halting the pass, because other branches can
     /// still emit path solutions that merge with the finished branch's.
     fn get_next(&mut self, q: usize) -> Option<usize> {
-        let children = self.pattern.nodes()[q].children.clone();
+        // Borrowed through the pattern reference, not through `self`, so
+        // the recursion below may take `&mut self`.
+        let pattern = self.pattern;
+        let children = &pattern.nodes()[q].children;
         if children.is_empty() {
             return if self.exhausted(q) { None } else { Some(q) };
         }
         let mut max_child_head: Option<NodeId> = None;
         let mut min_child: Option<(usize, NodeId)> = None;
-        for &c in &children {
+        for &c in children {
             match self.get_next(c) {
                 None => continue, // inert branch
                 Some(r) if r != c => return Some(r),
@@ -712,7 +721,8 @@ impl<'s> TwigStack<'s> {
     /// leaf `q` (its own top entry combined with all compatible ancestor
     /// stack prefixes).
     fn emit_paths(&mut self, leaf: usize) {
-        let chain = self.pattern.path_to(leaf);
+        let pos = self.leaf_pos[leaf];
+        let chain = &self.chains[pos];
         let mut paths: Vec<Vec<NodeId>> = Vec::new();
         // Walk from the leaf upward: each entry limits how much of the
         // parent stack is visible (the height recorded at push time).
@@ -749,7 +759,6 @@ impl<'s> TwigStack<'s> {
             paths = next_paths;
             visible = next_visible.max(1);
         }
-        let pos = self.leaf_pos[&leaf];
         for mut p in paths {
             p.reverse(); // root-first, matching path_to order
                          // Exactness guard: each consecutive pair must nest.

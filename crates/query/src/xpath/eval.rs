@@ -232,12 +232,31 @@ pub fn eval_expr_from(doc: &dyn QueryDoc, expr: &Expr, ctx: NodeId) -> Result<XV
 }
 
 /// True when a predicate's value cannot depend on the context position —
-/// the condition under which the `//name` index fast path may reorder
-/// position bookkeeping. A bare number predicate is a position test; any
-/// `position()`/`last()` call (also inside nested path predicates) makes
-/// the predicate positional.
+/// the condition under which the `//name` index fast path and the batched
+/// child step may reorder position bookkeeping. A predicate that yields a
+/// number is a position test (`[2]`, `[1+0]`, `[count(name)]`), so only
+/// predicates that cannot yield one qualify; any `position()`/`last()`
+/// call (also inside nested path predicates) makes the predicate
+/// positional.
 fn predicate_is_position_free(e: &Expr) -> bool {
-    if matches!(e, Expr::Number(_)) {
+    let numeric = match e {
+        Expr::Number(_) | Expr::Arith(..) | Expr::Neg(_) => true,
+        Expr::Call(name, _) => !matches!(
+            name.as_str(),
+            "not"
+                | "true"
+                | "false"
+                | "contains"
+                | "starts-with"
+                | "string"
+                | "name"
+                | "concat"
+                | "normalize-space"
+                | "substring"
+        ),
+        _ => false,
+    };
+    if numeric {
         return false;
     }
     fn scan(e: &Expr) -> bool {
@@ -395,7 +414,10 @@ impl<'d> Evaluator<'d> {
                     }
                 }
             }
-            current = self.apply_step(&current, step)?;
+            current = match self.batched_children(&current, step) {
+                Some(found) => self.apply_predicates(found, &step.predicates)?,
+                None => self.apply_step(&current, step)?,
+            };
             self.check_cardinality(current.len())?;
             i += 1;
         }
@@ -425,6 +447,32 @@ impl<'d> Evaluator<'d> {
         }
         self.sort_dedup(&mut merged);
         Some(merged)
+    }
+
+    /// Set-at-a-time child step: a `child::name` or `child::text()` step
+    /// with position-free predicates, answered by one batched scan over
+    /// the whole context set when the document provides one. The
+    /// predicates then run once per distinct child, which equals running
+    /// them per context because they cannot see the position. `None`
+    /// when the step does not qualify, the set holds the document node,
+    /// or the document has no batched scan.
+    // oracle: apply_step
+    fn batched_children(&self, input: &[Ctx], step: &Step) -> Option<Vec<Ctx>> {
+        if step.axis != Axis::Child
+            || !matches!(step.test, NodeTest::Name(_) | NodeTest::Text)
+            || !step.predicates.iter().all(predicate_is_position_free)
+        {
+            return None;
+        }
+        let nodes = input
+            .iter()
+            .map(|&c| match c {
+                Ctx::Node(n) => Some(n),
+                Ctx::Super => None,
+            })
+            .collect::<Option<Vec<NodeId>>>()?;
+        let found = self.doc.children_matching(&nodes, &step.test)?;
+        Some(found.into_iter().map(Ctx::Node).collect())
     }
 
     /// Applies one step to a context set: per context, walk the axis,
@@ -1124,6 +1172,37 @@ mod tests {
         // And the virtual hierarchy answers //title/author/name.
         let names = eval(&v, "//title/author/name");
         assert_eq!(values(&v, &names), vec!["C", "D"]);
+    }
+
+    #[test]
+    fn number_valued_predicates_stay_position_tests_over_virtual_steps() {
+        // A predicate that yields a number is a position test among each
+        // context's own children, also on the `//name` and batched child
+        // fast paths.
+        use crate::doc::VirtualDoc;
+        use vh_core::VirtualDocument;
+        let td = TypedDocument::parse(
+            "u",
+            "<data><book><title>X</title><author><name>A</name></author>\
+             <author><name>B</name></author></book>\
+             <book><title>Y</title><author><name>C</name></author>\
+             <author><name>D</name></author></book></data>",
+        )
+        .must();
+        let vd = VirtualDocument::open(&td, "data { ** }").must();
+        let v = VirtualDoc::new(&vd);
+        let firsts = eval(&v, "//book/author[1]");
+        assert_eq!(values(&v, &firsts), vec!["A", "C"]);
+        for q in [
+            "//book/author[1+0]",
+            "//book/author[-(-1)]",
+            "//book/author[count(name)]",
+            "//book/author[string-length(name)]",
+            "/data/book/author[floor(1.5)]",
+        ] {
+            assert_eq!(eval(&v, q), firsts, "query {q}");
+        }
+        assert_eq!(values(&v, &eval(&v, "//author[1+0]")), vec!["A", "C"]);
     }
 
     #[test]

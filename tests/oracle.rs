@@ -12,6 +12,9 @@ use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::{axes, VDataGuide, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::pbn::axes as phys_axes;
+use vpbn_suite::query::doc::{PhysicalDoc, VirtualDoc};
+use vpbn_suite::query::xpath::{eval_xpath, parse_xpath};
+use vpbn_suite::workload::queries::book_queries;
 use vpbn_suite::workload::{
     book_scenarios, generate_books, generate_xmark, xmark_scenarios, BooksConfig, Scenario,
     XmarkConfig,
@@ -277,6 +280,71 @@ fn sibling_ordinals_match_materialized_positions() {
                     vd.sibling_ordinal(src),
                     Some(mat.doc.sibling_ordinal(m)),
                     "ordinal of {src:?} in scenario {}",
+                    s.name
+                );
+            }
+        }
+    }
+}
+
+/// XPath over the virtual document == the same XPath over the
+/// materialized instance. Besides each scenario's benchmark queries, every
+/// parent/child pair of the view's guide contributes child steps with a
+/// name test, a `text()` test and position-free predicates — the steps
+/// the evaluator answers with one batched scan. Results are compared as
+/// sets of source nodes, mapped back through the source map: join
+/// multiplicity places one source node under several parents, so the
+/// materialized answer can hold several copies of it. Only nodes the view
+/// places below a virtual root are compared: materialization drops a node
+/// with no matching parent instance, while the virtual `//name` index
+/// path still returns it (and the child steps then reach its children).
+#[test]
+fn virtual_xpath_matches_xpath_over_the_materialized_instance() {
+    for (td, scenarios) in corpora() {
+        for s in scenarios {
+            let vd = VirtualDocument::open(&td, s.spec).unwrap();
+            let vdg = VDataGuide::compile(s.spec, td.guide()).unwrap();
+            let mat = materialize(&td, &vdg);
+            let mat_td = TypedDocument::analyze(mat.doc.clone());
+            let (virt, phys) = (VirtualDoc::new(&vd), PhysicalDoc::new(&mat_td));
+            let placed: std::collections::HashSet<NodeId> = vd.preorder().into_iter().collect();
+            let guide = vd.vdg().guide();
+            let mut paths: Vec<String> = book_queries(&s)
+                .iter()
+                .map(|q| q.xpath.to_string())
+                .collect();
+            for c in guide.type_ids() {
+                let Some(p) = guide.ty(c).parent() else {
+                    continue;
+                };
+                let (np, nc) = (guide.name(p), guide.name(c));
+                if guide.ty(c).is_text() {
+                    paths.push(format!("//{np}/text()"));
+                    paths.push(format!("//{np}[text() != '']/text()"));
+                } else if !nc.starts_with('#') {
+                    paths.push(format!("//{np}/{nc}"));
+                    paths.push(format!("//{np}[{nc}]/{nc}/text()"));
+                    paths.push(format!("//{np}/{nc}[not(text())]"));
+                }
+            }
+            for path in &paths {
+                let parsed = parse_xpath(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+                let mut v = eval_xpath(&virt, &parsed).unwrap();
+                v.retain(|n| placed.contains(n));
+                v.sort();
+                v.dedup();
+                let mut m: Vec<NodeId> = eval_xpath(&phys, &parsed)
+                    .unwrap()
+                    .into_iter()
+                    .map(|n| mat.source_of[n.index()].expect("copied node has a source"))
+                    .collect();
+                m.sort();
+                m.dedup();
+                assert_eq!(
+                    v,
+                    m,
+                    "corpus {} scenario {}: {path}",
+                    td.doc().uri(),
                     s.name
                 );
             }
