@@ -10,6 +10,10 @@
 //!   vs the encoded key arena (variable-length keys plus the `u32` offset
 //!   table) — including the worst single-key blow-up, checked against the
 //!   paper's "at worst doubling" bound;
+//! * bytes per node the whole numbering keeps resident
+//!   (`PbnAssignment::heap_bytes`: the per-node numbers with their heap,
+//!   the arena and the delta segment), checked against
+//!   [`NUMBER_BYTES_PER_NODE_BOUND`];
 //! * per-*type* level-array bytes (what the system stores) vs the
 //!   hypothetical per-*node* cost (the A2 ablation strawman), per
 //!   scenario.
@@ -24,6 +28,10 @@ use vh_bench::report::Table;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
 use vh_workload::{book_scenarios, generate_books, BooksConfig};
+
+/// Ceiling on the resident numbering, in bytes per node: ~131 measured on
+/// the books corpus, ~253 with a second full number table beside it.
+const NUMBER_BYTES_PER_NODE_BOUND: f64 = 160.0;
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -49,6 +57,7 @@ fn main() {
             "u32_B/node",
             "key_B/node",
             "arena_B/node",
+            "number_B/node",
             "key_vs_u32",
             "max_key_x",
         ],
@@ -73,24 +82,25 @@ fn main() {
         // The flat component form every number-at-a-time code path pays:
         // 4 bytes per u32 component (Vec headers not counted — this is
         // the strawman's best case).
-        let u32_bytes: usize = td
-            .pbn()
+        let pbn = td.pbn();
+        let u32_bytes: usize = pbn
             .in_document_order()
             .iter()
-            .map(|(p, _)| p.components().len() * 4)
+            .map(|&id| pbn.pbn_of(id).components().len() * 4)
             .sum();
         let key_bytes = arena.total_key_bytes();
         let offsets_bytes = arena.offsets().len() * 4;
         let arena_bytes = key_bytes + offsets_bytes;
+        let number_bytes = pbn.heap_bytes();
 
         // The paper's bound is per number: no encoded key may exceed
         // twice its 4-bytes-per-component form.
-        let max_key_ratio = td
-            .pbn()
+        let max_key_ratio = pbn
             .in_document_order()
             .iter()
-            .filter(|(p, _)| !p.components().is_empty())
-            .map(|(p, id)| arena.key_of(*id).len() as f64 / (p.components().len() * 4) as f64)
+            .map(|&id| (pbn.pbn_of(id).components().len(), arena.key_of(id).len()))
+            .filter(|&(comps, _)| comps > 0)
+            .map(|(comps, key)| key as f64 / (comps * 4) as f64)
             .fold(0.0_f64, f64::max);
         assert!(
             max_key_ratio <= 2.0,
@@ -98,6 +108,11 @@ fn main() {
         );
 
         let per_node = |b: usize| b as f64 / nodes.max(1) as f64;
+        assert!(
+            per_node(number_bytes) <= NUMBER_BYTES_PER_NODE_BOUND,
+            "the numbering keeps {:.1} B/node resident, over the {NUMBER_BYTES_PER_NODE_BOUND} bound",
+            per_node(number_bytes)
+        );
         let key_vs_u32 = key_bytes as f64 / u32_bytes.max(1) as f64;
         numbers.row(&[
             n.to_string(),
@@ -108,6 +123,7 @@ fn main() {
             format!("{:.2}", per_node(u32_bytes)),
             format!("{:.2}", per_node(key_bytes)),
             format!("{:.2}", per_node(arena_bytes)),
+            format!("{:.2}", per_node(number_bytes)),
             format!("{key_vs_u32:.3}"),
             format!("{max_key_ratio:.2}"),
         ]);
@@ -128,6 +144,10 @@ fn main() {
         report.push(BenchRow::new(
             format!("space/books={n}/arena_bytes_per_node"),
             per_node(arena_bytes),
+        ));
+        report.push(BenchRow::new(
+            format!("space/books={n}/number_bytes_per_node"),
+            per_node(number_bytes),
         ));
         report.push(BenchRow::new(
             format!("space/books={n}/key_vs_u32_ratio"),

@@ -364,6 +364,7 @@ mod tests {
             .unwrap();
         let p = td.nodes_of_type(publisher)[0];
         td.insert_fragment(p, 0, "<note>x</note>").unwrap();
+        td.compact();
         let delta = td.take_delta();
         assert!(!delta.new_types.is_empty());
         assert!(
@@ -376,6 +377,7 @@ mod tests {
         let title = td.guide().lookup_path(&["data", "book", "title"]).unwrap();
         let t = td.nodes_of_type(title)[0];
         td.insert_fragment(t, 0, "<subtitle>s</subtitle>").unwrap();
+        td.compact();
         let delta = td.take_delta();
         assert!(!v.unaffected_by(&delta.new_types, td.guide()));
     }

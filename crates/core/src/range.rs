@@ -339,6 +339,7 @@ mod tests {
             .unwrap();
         let p = td.nodes_of_type(publisher)[0];
         td.insert_fragment(p, 0, "<note>x</note>").unwrap();
+        td.compact();
         let delta = td.take_delta();
         assert!(!delta.new_types.is_empty());
         assert!(
@@ -350,6 +351,7 @@ mod tests {
         // New type whose name collides with a spec label tail: recompute.
         let t = td.nodes_of_type(publisher)[0];
         td.insert_fragment(t, 0, "<name>dup</name>").unwrap();
+        td.compact();
         let delta = td.take_delta();
         assert!(!v.unaffected_by(&delta.new_types, td.guide()));
     }

@@ -44,9 +44,9 @@ pub fn materialize(td: &TypedDocument, vdg: &VDataGuide) -> Materialized {
 
     // Per-virtual-type instance lists, PBN-sorted (document order).
     let mut instances: Vec<Vec<NodeId>> = vec![Vec::new(); vdg.len()];
-    for (_, id) in td.pbn().in_document_order() {
-        if let Some(vt) = vdg.vtype_of(td.type_of(*id)) {
-            instances[vt.index()].push(*id);
+    for &id in td.pbn().in_document_order() {
+        if let Some(vt) = vdg.vtype_of(td.type_of(id)) {
+            instances[vt.index()].push(id);
         }
     }
 

@@ -41,9 +41,9 @@ impl TypeIndex {
     /// for free.
     pub fn build(td: &TypedDocument, vdg: &VDataGuide) -> Self {
         let mut by_vtype: Vec<Vec<NodeId>> = vec![Vec::new(); vdg.len()];
-        for (_, id) in td.pbn().in_document_order() {
-            if let Some(vt) = vdg.vtype_of(td.type_of(*id)) {
-                by_vtype[vt.index()].push(*id);
+        for &id in td.pbn().in_document_order() {
+            if let Some(vt) = vdg.vtype_of(td.type_of(id)) {
+                by_vtype[vt.index()].push(id);
             }
         }
         TypeIndex { by_vtype }
@@ -137,7 +137,7 @@ impl TypeIndex {
         }
         for t in &first {
             // Dead or detached nodes keep the empty number and stay out.
-            let Some(num) = pbn.by_node_checked(t.id).filter(|p| !p.is_empty()) else {
+            let Some(num) = pbn.pbn_of_checked(t.id) else {
                 continue;
             };
             let Some(vt) = vdg.vtype_of(td.type_of(t.id)) else {
@@ -915,11 +915,13 @@ mod tests {
                 )
                 .unwrap();
         }
+        edited.compact();
         let path = |td: &TypedDocument, p: &[&str]| td.guide().lookup_path(p).unwrap();
         let books = edited.nodes_of_type(path(&edited, &["data", "book"]));
         let authors = edited.nodes_of_type(path(&edited, &["data", "book", "author"]));
         edited.move_subtree(authors[3], books[0], 0).unwrap();
         edited.delete_subtree(books[2]).unwrap();
+        edited.compact();
         edited.take_delta();
         // The flag marks documents without join multiplicity.
         let docs = [
@@ -1017,6 +1019,7 @@ mod tests {
     /// path (not a recompute) was taken.
     fn reconcile(idx: &TypeIndex, td: &mut TypedDocument, vdg: &VDataGuide) -> (TypeIndex, bool) {
         use crate::cache::ViewDelta;
+        td.compact();
         let d = td.take_delta();
         let vd = ViewDelta {
             new_types: d.new_types,
@@ -1074,10 +1077,10 @@ mod tests {
 
         // Insert a book, then move that same book to the front, in one
         // batch: its first touch is an add, so nothing is searched out.
-        td.insert_fragment(data, 2, "<book><title>I</title></book>")
+        let book = td
+            .insert_fragment(data, 2, "<book><title>I</title></book>")
             .unwrap();
-        let books = of(&td, &["data", "book"]);
-        td.move_subtree(books[2], data, 0).unwrap();
+        td.move_subtree(book, data, 0).unwrap();
         let (next, spliced) = reconcile(&idx, &mut td, &vdg);
         assert!(spliced, "insert-then-move must splice");
         idx = next;

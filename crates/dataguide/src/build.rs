@@ -128,7 +128,7 @@ impl TypedDocument {
         self.pbn
             .in_document_order()
             .iter()
-            .map(|(_, id)| *id)
+            .copied()
             .filter(|&id| self.type_of(id) == ty)
             .collect()
     }

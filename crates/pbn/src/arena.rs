@@ -53,93 +53,92 @@ impl PbnArena {
     /// into the columnar form. `id_space` is the size of the document's
     /// node-id space (ids not present keep the empty key).
     pub fn build(sorted: &[(Pbn, NodeId)], id_space: usize) -> Self {
-        let mut bytes = Vec::with_capacity(sorted.len() * 3);
-        let mut offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut node_of_slot = Vec::with_capacity(sorted.len());
-        let mut slot_of_node = vec![NO_SLOT; id_space];
-        offsets.push(0);
-        for (slot, (pbn, id)) in sorted.iter().enumerate() {
-            bytes.extend_from_slice(EncodedPbn::encode(pbn).as_bytes());
-            offsets.push(bytes.len() as u32);
-            node_of_slot.push(*id);
-            slot_of_node[id.index()] = slot as u32;
+        let mut arena = PbnArena {
+            bytes: Vec::with_capacity(sorted.len() * 3),
+            offsets: vec![0],
+            node_of_slot: Vec::with_capacity(sorted.len()),
+            slot_of_node: vec![NO_SLOT; id_space],
+        };
+        for (pbn, id) in sorted {
+            arena.push(pbn, *id);
         }
-        PbnArena {
-            bytes,
-            offsets,
-            node_of_slot,
-            slot_of_node,
-        }
+        arena
+    }
+
+    /// Appends the key of node `id`'s number at the next slot, inverse map
+    /// included. Numbers must arrive in strictly increasing document
+    /// order and `id` must lie in the id space.
+    pub(crate) fn push(&mut self, pbn: &Pbn, id: NodeId) {
+        self.slot_of_node[id.index()] = self.len() as u32;
+        self.push_key(EncodedPbn::encode(pbn).as_bytes(), id);
     }
 
     /// Absorbs a delta segment: turns this arena, built over an earlier
-    /// numbering, into the arena of the current numbering `sorted`
-    /// (`by_node` its per-node form, whose length is the id space).
-    /// `dirty` lists, sorted and deduplicated, every node whose number
-    /// was inserted or removed since this arena was built; every other
-    /// node keeps its key. Surviving runs of slots are copied as
+    /// numbering, into the arena of the current numbering `by_node`
+    /// (whose length is the id space). `dirty` lists, sorted and
+    /// deduplicated, every node whose number was inserted or removed
+    /// since this arena was built; every other node keeps its key. The
+    /// encoding is order-preserving, so a fresh key merges at its lower
+    /// bound in this (old) arena. Surviving runs of slots are copied as
     /// contiguous blocks and only dirty nodes that still hold a number
-    /// are encoded, so the result equals `build(sorted, by_node.len())`
-    /// at the cost of a copy plus O(dirty) encodes.
+    /// are encoded, so the result equals [`Self::build`] over the
+    /// numbered entries of `by_node`, sorted, at the cost of a copy plus
+    /// O(dirty) encodes and binary searches.
     ///
     /// oracle: build
-    pub(crate) fn splice(&mut self, sorted: &[(Pbn, NodeId)], by_node: &[Pbn], dirty: &[NodeId]) {
-        // New-table positions of the dirty nodes still numbered, and the
-        // old slots of the dirty nodes this arena keyed (now stale).
-        let mut fresh: Vec<(usize, NodeId)> = Vec::with_capacity(dirty.len());
-        let mut stale: Vec<usize> = Vec::with_capacity(dirty.len());
-        for &id in dirty {
-            if let Some(pbn) = by_node.get(id.index()).filter(|p| !p.is_empty()) {
-                if let Ok(pos) = sorted.binary_search_by(|(p, _)| p.cmp(pbn)) {
-                    fresh.push((pos, id));
-                }
-            }
-            if let Some(slot) = self.slot_of(id) {
-                stale.push(slot);
-            }
-        }
-        fresh.sort_unstable();
-        stale.sort_unstable();
-        let fresh_keys: Vec<EncodedPbn> = fresh
+    pub(crate) fn splice(&mut self, by_node: &[Pbn], dirty: &[NodeId]) {
+        // The dirty nodes still numbered, with their keys and merge slots
+        // in key order, and the old slots of the dirty nodes this arena
+        // keyed (now stale).
+        let mut fresh: Vec<(usize, EncodedPbn, NodeId)> = dirty
             .iter()
-            .map(|&(pos, _)| EncodedPbn::encode(&sorted[pos].0))
+            .filter_map(|&id| {
+                let pbn = by_node.get(id.index()).filter(|p| !p.is_empty())?;
+                let key = EncodedPbn::encode(pbn);
+                Some((self.lower_bound(key.as_bytes()), key, id))
+            })
             .collect();
+        fresh.sort_unstable_by(|a, b| a.1.as_bytes().cmp(b.1.as_bytes()));
+        let mut stale: Vec<usize> = dirty.iter().filter_map(|&id| self.slot_of(id)).collect();
+        stale.sort_unstable();
         let stale_bytes: usize = stale.iter().map(|&s| self.key_at_slot(s).len()).sum();
-        let fresh_bytes: usize = fresh_keys.iter().map(|k| k.as_bytes().len()).sum();
+        let fresh_bytes: usize = fresh.iter().map(|(_, k, _)| k.size()).sum();
+        let slots = self.len() - stale.len() + fresh.len();
 
         let mut out = PbnArena {
             bytes: Vec::with_capacity(self.bytes.len() - stale_bytes + fresh_bytes),
-            offsets: Vec::with_capacity(sorted.len() + 1),
-            node_of_slot: Vec::with_capacity(sorted.len()),
+            offsets: Vec::with_capacity(slots + 1),
+            node_of_slot: Vec::with_capacity(slots),
             slot_of_node: std::mem::take(&mut self.slot_of_node),
         };
         out.offsets.push(0);
         // Survivors are the old slots minus the stale ones, taken in
-        // order; each call copies them until `out` holds `upto` slots, one
+        // order; each call copies the survivors below old slot `upto`, one
         // block per run between stale slots.
         let mut next_old = 0usize;
         let mut stale_iter = stale.iter().copied().peekable();
         let mut copy_survivors = |out: &mut PbnArena, upto: usize| {
-            while out.len() < upto {
-                while stale_iter.next_if_eq(&next_old).is_some() {
+            while next_old < upto {
+                if stale_iter.next_if_eq(&next_old).is_some() {
                     next_old += 1;
+                    continue;
                 }
-                let end = stale_iter
-                    .peek()
-                    .map_or(self.len(), |&s| s)
-                    .min(next_old + (upto - out.len()));
-                if end == next_old {
-                    break; // old slots exhausted: `sorted` disagrees with `dirty`
-                }
+                let end = stale_iter.peek().map_or(upto, |&s| s.min(upto));
                 out.append_run(self, next_old..end);
                 next_old = end;
             }
         };
-        for (&(pos, id), key) in fresh.iter().zip(&fresh_keys) {
-            copy_survivors(&mut out, pos);
-            out.push_key(key.as_bytes(), id);
+        for (at, key, id) in &fresh {
+            debug_assert!(
+                self.node_of_slot.get(*at).is_none()
+                    || self.key_at_slot(*at) != key.as_bytes()
+                    || stale.binary_search(at).is_ok(),
+                "fresh key collides with a live slot"
+            );
+            copy_survivors(&mut out, *at);
+            out.push_key(key.as_bytes(), *id);
         }
-        copy_survivors(&mut out, sorted.len());
+        copy_survivors(&mut out, self.len());
 
         // The inverse map changes only from the first stale or fresh slot
         // on: slots before it keep their numbering.
@@ -318,8 +317,7 @@ impl PbnArena {
     }
 
     /// The nodes of the subtree rooted at encoded key `p`, in document
-    /// order — the arena form of `PbnAssignment::range` over
-    /// `subtree_range(p)`.
+    /// order — the nodes whose numbers fall in `subtree_range(p)`.
     #[inline]
     pub fn subtree_nodes(&self, p: &[u8]) -> &[NodeId] {
         &self.node_of_slot[self.subtree_slots(p)]
@@ -453,7 +451,11 @@ mod tests {
         let slots = a.arena().subtree_slots(key.as_bytes());
         let via_range: Vec<NodeId> = {
             let (lo, hi) = crate::order::subtree_range(&p);
-            a.range(&lo, &hi).iter().map(|(_, id)| *id).collect()
+            a.in_document_order()
+                .iter()
+                .copied()
+                .filter(|&id| (&lo..&hi).contains(&a.pbn_of(id)))
+                .collect()
         };
         let via_arena: Vec<NodeId> = a.arena().subtree_nodes(key.as_bytes()).to_vec();
         assert_eq!(via_arena, via_range);

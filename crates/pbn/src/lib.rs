@@ -12,7 +12,7 @@
 //! Modules:
 //! * [`number`] — the [`Pbn`] type and prefix arithmetic.
 //! * [`axes`] — the ten XPath location relationships on raw numbers.
-//! * [`order`] — document-order comparison (lexicographic on components).
+//! * [`order`] — the document-order interval of a subtree.
 //! * [`encode`] — a compact, prefix-free, order-preserving byte encoding
 //!   ("strategies for packing PBN numbers into as few bits as possible",
 //!   §4.2's reference \[11\]).

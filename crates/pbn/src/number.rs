@@ -270,6 +270,13 @@ impl Pbn {
         self.components.is_empty()
     }
 
+    /// Heap bytes this number owns: its component vector plus any minted
+    /// fractions (space accounting).
+    pub fn heap_bytes(&self) -> usize {
+        self.components.capacity() * std::mem::size_of::<Comp>()
+            + self.components.iter().map(|c| c.frac.len()).sum::<usize>()
+    }
+
     /// The number of this node's `k`-th child.
     pub fn child(&self, k: u32) -> Pbn {
         assert!(k > 0, "sibling ordinals are 1-based");

@@ -1,41 +1,19 @@
 //! Document-order utilities.
 //!
 //! [`Pbn`]'s derived `Ord` already *is* document order (component-wise
-//! lexicographic, prefix-first). This module adds named helpers and range
-//! construction used by index scans: the subtree of `x` is exactly the
+//! lexicographic, prefix-first). This module adds the range construction
+//! used by index scans: the subtree of `x` is exactly the
 //! half-open document-order interval `[x, x.subtree_bound())` — the tight
 //! bound that, unlike `x.sibling_successor()`, excludes siblings minted
 //! into `x`'s gap (see [`crate::mint`]).
 
 use crate::number::Pbn;
-use std::cmp::Ordering;
-
-/// Compares two numbers in document order. An ancestor sorts before all of
-/// its descendants; siblings sort by ordinal.
-#[inline]
-pub fn cmp_document_order(x: &Pbn, y: &Pbn) -> Ordering {
-    x.cmp(y)
-}
 
 /// The half-open PBN interval covering the subtree rooted at `x`
 /// (descendant-or-self). Every number `d` with `x.is_prefix_of(d)` satisfies
 /// `range.0 <= d && d < range.1`, and no other number does.
 pub fn subtree_range(x: &Pbn) -> (Pbn, Pbn) {
     (x.clone(), x.subtree_bound())
-}
-
-/// Binary-searches a **document-order sorted** slice for the sub-slice of
-/// numbers falling inside `[lo, hi)`. Returns the index range.
-pub fn range_in_sorted(sorted: &[Pbn], lo: &Pbn, hi: &Pbn) -> (usize, usize) {
-    let start = sorted.partition_point(|p| p < lo);
-    let end = sorted.partition_point(|p| p < hi);
-    (start, end)
-}
-
-/// Sorts numbers into document order (convenience for tests and index
-/// construction).
-pub fn sort_document_order(numbers: &mut [Pbn]) {
-    numbers.sort();
 }
 
 #[cfg(test)]
@@ -60,30 +38,9 @@ mod tests {
     }
 
     #[test]
-    fn range_in_sorted_finds_subtrees() {
-        let mut v = vec![
-            pbn![1],
-            pbn![1, 1],
-            pbn![1, 1, 1],
-            pbn![1, 2],
-            pbn![1, 2, 1],
-            pbn![1, 2, 2],
-            pbn![1, 3],
-        ];
-        sort_document_order(&mut v);
-        let (lo, hi) = subtree_range(&pbn![1, 2]);
-        let (s, e) = range_in_sorted(&v, &lo, &hi);
-        assert_eq!(&v[s..e], &[pbn![1, 2], pbn![1, 2, 1], pbn![1, 2, 2]]);
-    }
-
-    #[test]
     fn sort_is_preorder() {
         let mut v = vec![pbn![1, 10], pbn![1, 2, 5], pbn![1], pbn![1, 2]];
-        sort_document_order(&mut v);
+        v.sort();
         assert_eq!(v, vec![pbn![1], pbn![1, 2], pbn![1, 2, 5], pbn![1, 10]]);
-        assert_eq!(
-            cmp_document_order(&pbn![1, 2], &pbn![1, 10]),
-            std::cmp::Ordering::Less
-        );
     }
 }

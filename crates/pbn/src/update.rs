@@ -43,28 +43,15 @@ pub fn incremental_renumber(
 ) -> RenumberReport {
     let assignment = PbnAssignment::assign(doc);
     let mut changed = 0;
-    for (num, id) in assignment.in_document_order() {
-        let old: Option<&Pbn> = previous.pbn_of_checked(*id);
-        if old != Some(num) {
+    for &id in assignment.in_document_order() {
+        let old: Option<&Pbn> = previous.pbn_of_checked(id);
+        if old != Some(assignment.pbn_of(id)) {
             changed += 1;
         }
     }
     RenumberReport {
         assignment,
         changed,
-    }
-}
-
-impl PbnAssignment {
-    /// The number of a node, or `None` when the node postdates this
-    /// assignment (it was inserted after numbering) or was never reachable.
-    pub fn pbn_of_checked(&self, id: NodeId) -> Option<&Pbn> {
-        let p = self.by_node_checked(id)?;
-        if p.is_empty() {
-            None
-        } else {
-            Some(p)
-        }
     }
 }
 

@@ -262,9 +262,9 @@ impl<'a> PhysicalTwigSource<'a> {
         let in_order = td.pbn().in_document_order();
         let partials = exec::par_chunk_map(opts, in_order, |chunk| {
             let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
-            for (_, id) in chunk {
-                if let Some(name) = td.doc().name(*id) {
-                    by_name.entry(name.to_owned()).or_default().push(*id);
+            for &id in chunk {
+                if let Some(name) = td.doc().name(id) {
+                    by_name.entry(name.to_owned()).or_default().push(id);
                 }
             }
             by_name

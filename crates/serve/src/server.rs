@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -371,8 +372,14 @@ fn handle_payload(payload: &[u8], shared: &Shared, t_decode: Instant) -> Respons
         .fetch_add(1, Ordering::Relaxed);
     shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
     let t_exec = Instant::now();
+    // A request that panics is answered in band as a query error: the
+    // worker, its connection and the counters below all survive it.
     // vet: allow(hold-across-blocking) — the admission guard *is* the in-flight count: it must span the engine call so shedding sees true concurrency, and it excludes no other request (per-tenant cap)
-    let response = execute(&request, tenant, shared);
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(&request, tenant, shared)));
+    let response = outcome.unwrap_or_else(|_| Response::Error {
+        status: WireStatus::QueryError,
+        message: "internal error: the request panicked".to_owned(),
+    });
     shared
         .metrics
         .exec_ns

@@ -231,6 +231,39 @@ fn query_errors_keep_the_connection_alive() {
 }
 
 #[test]
+fn a_panicking_request_is_answered_and_the_server_keeps_serving() {
+    // Under this view `//node()/text()` hits a non-total virtual order
+    // whose sort can panic. One such request per worker must not take
+    // the pool down; their status is not asserted, only that each is
+    // answered and a plain query still is afterwards.
+    let mut registry = Registry::new();
+    registry
+        .add_tenant("acme", books_engine(14, 5), TenantQuota::default())
+        .expect("registers");
+    let handle = Server::bind("127.0.0.1:0", registry, config(2))
+        .expect("binds")
+        .start()
+        .expect("starts");
+    let addr = handle.local_addr();
+    for _ in 0..2 {
+        let mut client = Client::connect(addr, "acme").expect("connects");
+        let answer = client.twig(DOC, "name { author { title } }", "//node()/text()");
+        assert!(
+            answer
+                .as_ref()
+                .map_or_else(|e| e.status().is_some(), |_| true),
+            "answered in band: {answer:?}"
+        );
+    }
+    let mut client = Client::connect(addr, "acme").expect("connects");
+    assert_eq!(client.point(DOC, "//book").expect("still serves"), 14);
+    let metrics = handle.metrics();
+    assert_eq!(metrics.in_flight.load(Ordering::Relaxed), 0);
+    assert_eq!(metrics.dropped_connections_total.load(Ordering::Relaxed), 0);
+    handle.shutdown();
+}
+
+#[test]
 fn a_client_crash_mid_frame_leaves_the_server_serviceable() {
     let handle = two_tenant_server();
     let addr = handle.local_addr();

@@ -18,9 +18,9 @@ impl NameIndex {
     /// Builds the index over all element nodes.
     pub fn build(td: &TypedDocument) -> Self {
         let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for (_, id) in td.pbn().in_document_order() {
-            if let Some(name) = td.doc().name(*id) {
-                by_name.entry(name.to_owned()).or_default().push(*id);
+        for &id in td.pbn().in_document_order() {
+            if let Some(name) = td.doc().name(id) {
+                by_name.entry(name.to_owned()).or_default().push(id);
             }
         }
         NameIndex { by_name }

@@ -7,7 +7,6 @@
 //! and the vPBN scan ranges (`vh_core::range`) use.
 
 use vh_dataguide::{TypeId, TypedDocument};
-use vh_pbn::Pbn;
 use vh_xml::NodeId;
 
 /// Per-type node lists, PBN-sorted.
@@ -21,8 +20,8 @@ impl TypeIndex {
     pub fn build(td: &TypedDocument) -> Self {
         let mut by_type: Vec<Vec<NodeId>> = vec![Vec::new(); td.guide().len()];
         // Document order = PBN order, so each list is born sorted.
-        for (_, id) in td.pbn().in_document_order() {
-            by_type[td.type_of(*id).index()].push(*id);
+        for &id in td.pbn().in_document_order() {
+            by_type[td.type_of(id).index()].push(id);
         }
         TypeIndex { by_type }
     }
@@ -31,24 +30,6 @@ impl TypeIndex {
     #[inline]
     pub fn nodes(&self, ty: TypeId) -> &[NodeId] {
         &self.by_type[ty.index()]
-    }
-
-    /// The nodes of `ty` whose numbers fall in `[lo, hi)`; `hi = None`
-    /// means unbounded. Binary search on the sorted list.
-    pub fn range<'a>(
-        &'a self,
-        td: &TypedDocument,
-        ty: TypeId,
-        lo: &Pbn,
-        hi: Option<&Pbn>,
-    ) -> &'a [NodeId] {
-        let list = self.nodes(ty);
-        let start = list.partition_point(|&id| td.pbn().pbn_of(id) < lo);
-        let end = match hi {
-            Some(hi) => list.partition_point(|&id| td.pbn().pbn_of(id) < hi),
-            None => list.len(),
-        };
-        &list[start..end]
     }
 
     /// Number of types covered.
@@ -95,20 +76,5 @@ mod tests {
         assert_eq!(td.pbn().pbn_of(titles[0]), &pbn![1, 1, 1]);
         assert_eq!(td.pbn().pbn_of(titles[1]), &pbn![1, 2, 1]);
         assert_eq!(idx.entries(), td.doc().len());
-    }
-
-    #[test]
-    fn range_scan_isolates_a_subtree() {
-        let td = TypedDocument::analyze(paper_figure2());
-        let idx = TypeIndex::build(&td);
-        let title = td.guide().lookup_path(&["data", "book", "title"]).must();
-        // Titles within book 1's subtree [1.1, 1.2).
-        let r = idx.range(&td, title, &pbn![1, 1], Some(&pbn![1, 2]));
-        assert_eq!(r.len(), 1);
-        assert_eq!(td.pbn().pbn_of(r[0]), &pbn![1, 1, 1]);
-        // Unbounded scan from 1.2.
-        let r = idx.range(&td, title, &pbn![1, 2], None);
-        assert_eq!(r.len(), 1);
-        assert_eq!(td.pbn().pbn_of(r[0]), &pbn![1, 2, 1]);
     }
 }

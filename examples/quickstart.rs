@@ -24,8 +24,9 @@ fn main() {
     // ----- analysis: PBN numbers + DataGuide (Figures 7a, 8) -------------
     let td = TypedDocument::analyze(doc);
     println!("\nPBN numbers (Figure 8):");
-    for (pbn, id) in td.pbn().in_document_order() {
-        let label = match td.doc().kind(*id) {
+    for &id in td.pbn().in_document_order() {
+        let pbn = td.pbn().pbn_of(id);
+        let label = match td.doc().kind(id) {
             vpbn_suite::xml::NodeKind::Element { name, .. } => name.clone(),
             vpbn_suite::xml::NodeKind::Text(t) => format!("{t:?}"),
             other => format!("{other:?}"),

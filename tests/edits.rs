@@ -11,9 +11,9 @@ use proptest::prelude::*;
 
 mod common;
 use common::{concretize, URI};
-use vpbn_suite::pbn::PbnArena;
+use vpbn_suite::pbn::{Pbn, PbnArena};
 use vpbn_suite::query::api::{Engine, ExecOptions, QueryRequest};
-use vpbn_suite::xml::{serialize, SerializeOptions};
+use vpbn_suite::xml::{serialize, NodeId, SerializeOptions};
 
 /// The query suite both engines answer; results are compared as
 /// serialized node text so differing `NodeId` spaces (the edited arena
@@ -60,10 +60,16 @@ fn answers(engine: &Engine) -> Vec<Vec<String>> {
 }
 
 /// The arena oracle: the edited engine's spliced byte arena equals a
-/// from-scratch build over its own sorted numbering, byte for byte.
+/// from-scratch build over its own numbering — the numbered entries of
+/// the per-node map, sorted — byte for byte.
 fn arena_matches_build(engine: &Engine) -> bool {
     let pbn = engine.document(URI).expect("registered").pbn();
-    pbn.arena() == &PbnArena::build(pbn.in_document_order(), pbn.id_space())
+    let mut numbered: Vec<(Pbn, NodeId)> = (0..pbn.id_space())
+        .map(NodeId::from_index)
+        .filter_map(|id| pbn.pbn_of_checked(id).map(|p| (p.clone(), id)))
+        .collect();
+    numbered.sort_by(|a, b| a.0.cmp(&b.0));
+    pbn.arena() == &PbnArena::build(&numbered, pbn.id_space())
 }
 
 proptest! {
