@@ -9,10 +9,18 @@
 # Flags are additive on top of the gate:
 #   --bench         run the quick bench profile and compare against
 #                   crates/bench/baselines/
+#   --bench-against <rev>
+#                   back-to-back bench gate on this machine: build <rev> in
+#                   a git worktree under target/bench-against/, run the
+#                   quick profile of both sides alternately (one
+#                   experiment at a time, order flipping each time), then
+#                   gate with `bench_diff <rev-dir> <head-dir>` — for hosts
+#                   whose speed drifts too far from the committed baselines
+#                   for `--bench` to tell a regression
 #   --miri          run the Miri leg (vh-core exec/cache + the interleaving
-#                   stress test + vh-pbn arena + the vh-storage WAL frame
-#                   codec) — needs the nightly `miri` component; skipped
-#                   with a notice when it is missing
+#                   stress test + vh-pbn arena and key walkers + the
+#                   vh-storage WAL frame codec) — needs the nightly `miri`
+#                   component; skipped with a notice when it is missing
 #   --recovery      run the fault-injected recovery matrix (crash-point
 #                   truncations + bit flips) over the widened CI seed set
 #   --serve         run the query-server leg: the vh-serve protocol fuzz
@@ -51,9 +59,19 @@ RUN_RECOVERY=0
 RUN_HISTORY=0
 RUN_SERVE=0
 RUN_PERFBENCH=0
+BENCH_AGAINST=""
 
-for arg in "$@"; do
+while [ $# -gt 0 ]; do
+  arg="$1"
   case "$arg" in
+    --bench-against)
+      if [ $# -lt 2 ]; then
+        echo "ci.sh: --bench-against needs a revision (see --help)" >&2
+        exit 2
+      fi
+      BENCH_AGAINST="$2"
+      shift ;;
+    --bench-against=*) BENCH_AGAINST="${arg#*=}" ;;
     --bench)        RUN_BENCH=1 ;;
     --bench-history) RUN_HISTORY=1 ;;
     --miri)         RUN_MIRI=1 ;;
@@ -67,6 +85,7 @@ for arg in "$@"; do
     -h|--help)      grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "ci.sh: unknown flag '$arg' (see --help)" >&2; exit 2 ;;
   esac
+  shift
 done
 
 # Quick profile, sequential, JSON into a scratch dir — exactly what the
@@ -81,12 +100,56 @@ done
 BENCH_FLAGS=(--quick --threads 1)
 BASELINE_DIR=crates/bench/baselines
 
+BENCH_EXPS=(exp_axes exp_twig exp_sjoin exp_space exp_obs exp_update exp_serve)
+
 run_bench() {
   local out="$1"
   cargo build --release -p vh-bench --bins
-  for exp in exp_axes exp_twig exp_sjoin exp_space exp_obs exp_update exp_serve; do
+  for exp in "${BENCH_EXPS[@]}"; do
     "./target/release/$exp" "${BENCH_FLAGS[@]}" --json "$out" >/dev/null
   done
+}
+
+# Back-to-back gate against another revision's own binaries, built from a
+# detached worktree into a target dir of its own (kept, so a rerun is
+# incremental). The experiments alternate sides one at a time, flipping
+# which side goes first, so host-speed drift lands on both. A head-side
+# experiment that fails its own acceptance bound fails the run, as in
+# `--bench`; a base-side one only warns — its JSON is still written.
+run_bench_against() {
+  local rev="$1"
+  local root=target/bench-against
+  local wt="$root/worktree"
+  local base_out="$root/base" head_out="$root/head"
+  echo "==> back-to-back bench gate: $rev vs the working tree"
+  git worktree remove --force "$wt" 2>/dev/null || rm -rf "$wt"
+  git worktree prune
+  git worktree add --detach --quiet "$wt" "$rev"
+  (cd "$wt" && CARGO_TARGET_DIR="$PWD/../target" cargo build --release -p vh-bench --bins)
+  cargo build --release -p vh-bench --bins
+  rm -rf "$base_out" "$head_out"
+  mkdir -p "$base_out" "$head_out"
+  local i=0 exp
+  for exp in "${BENCH_EXPS[@]}"; do
+    local base_bin="$root/target/release/$exp"
+    if [ ! -x "$base_bin" ]; then
+      echo "    $exp: not built at $rev, skipped" >&2
+      continue
+    fi
+    local sides=(base head)
+    [ $((i % 2)) = 1 ] && sides=(head base)
+    for side in "${sides[@]}"; do
+      if [ "$side" = base ]; then
+        "$base_bin" "${BENCH_FLAGS[@]}" --json "$base_out" >/dev/null \
+          || echo "    $exp at $rev failed its own bound (rows kept)" >&2
+      else
+        "./target/release/$exp" "${BENCH_FLAGS[@]}" --json "$head_out" >/dev/null
+      fi
+    done
+    i=$((i + 1))
+  done
+  git worktree remove --force "$wt"
+  ./target/release/bench_diff "$base_out" "$head_out"
 }
 
 run_vet() {
@@ -104,7 +167,7 @@ nightly_has() {
 }
 
 run_miri() {
-  echo "==> miri leg (vh-core exec/cache, interleaving stress, vh-pbn arena, WAL codec)"
+  echo "==> miri leg (vh-core exec/cache, interleaving stress, vh-pbn arena + key walkers, WAL codec)"
   if ! nightly_has miri; then
     echo "    SKIPPED: nightly 'miri' component not installed" >&2
     echo "    (rustup component add --toolchain nightly miri)" >&2
@@ -113,6 +176,7 @@ run_miri() {
   cargo +nightly miri test -q -p vh-core --lib -- exec:: cache::
   cargo +nightly miri test -q -p vh-core --test stress_interleave
   cargo +nightly miri test -q -p vh-pbn --lib -- arena::
+  cargo +nightly miri test -q -p vh-pbn --lib -- keys::
   cargo +nightly miri test -q -p vh-storage --lib -- wal::
 }
 
@@ -216,6 +280,10 @@ fi
 
 if [ "$RUN_PERFBENCH" = 1 ]; then
   run_perfbench
+fi
+
+if [ -n "$BENCH_AGAINST" ]; then
+  run_bench_against "$BENCH_AGAINST"
 fi
 
 if [ "$RUN_BENCH" = 1 ] || [ "$RUN_HISTORY" = 1 ]; then

@@ -23,9 +23,9 @@ fn bench_axes(c: &mut Criterion) {
     let n0 = names[0];
     let n_far = *names.last().unwrap();
     let (pt0, pn0, pnf) = (
-        td.pbn().pbn_of(t0),
-        td.pbn().pbn_of(n0),
-        td.pbn().pbn_of(n_far),
+        &td.pbn().pbn_of(t0),
+        &td.pbn().pbn_of(n0),
+        &td.pbn().pbn_of(n_far),
     );
     let (vt0, vn0, vnf) = (
         vd.vpbn_of(t0).unwrap(),

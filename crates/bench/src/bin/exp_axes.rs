@@ -73,7 +73,9 @@ fn main() {
     let stride = total.div_ceil(PAIR_CAP).max(1);
     let pbn = td.pbn();
     let vdr = &vd;
-    let phys_pairs: Vec<(&Pbn, &Pbn)> = (0..total)
+    // Physical numbers are decoded once up front: the PBN rows measure the
+    // component-form predicates, not the decode.
+    let phys_pairs: Vec<(Pbn, Pbn)> = (0..total)
         .step_by(stride)
         .map(|k| {
             (

@@ -16,6 +16,8 @@
 //! §5, which the unit tests below verify verbatim.)
 
 use crate::vdg::VDataGuide;
+#[cfg(test)]
+use crate::vpbn::decoded;
 use crate::vpbn::VPbnRef;
 use vh_dataguide::axes as ty;
 
@@ -31,7 +33,7 @@ fn compatible(x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
 /// slices (one `memcmp`), so almost every non-self pair is rejected before
 /// the component-wise number comparison runs.
 pub fn v_self(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
-    x.a == y.a && x.n == y.n && ty::self_type(v.guide(), x.vtype, y.vtype)
+    x.a == y.a && x.key == y.key && ty::self_type(v.guide(), x.vtype, y.vtype)
 }
 
 /// vAncestor(x, y) — x is a virtual ancestor of y.
@@ -101,20 +103,29 @@ pub fn v_following(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
 
 /// Number-level virtual siblinghood: same virtual level, and all positions
 /// belonging to proper-ancestor levels agree (§5's "∀i ≤ max(xa)−1"
-/// condition read positionally).
+/// condition read positionally). One walk over both keys' components.
+///
+/// oracle: v_sibling_numbers_decoded
 #[inline]
 fn v_sibling_numbers(x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
     if x.level() != y.level() {
         return false;
     }
     let own = x.level();
-    let m = x.comparable_len(y);
-    for i in 0..m {
-        if x.a[i] == y.a[i] && x.a[i] < own && x.n[i] != y.n[i] {
-            return false;
-        }
+    x.components_agree(y, |la, lb| la == lb && la < own)
+}
+
+/// Decode-then-compare twin of [`v_sibling_numbers`]: the positional loop
+/// over decoded numbers.
+#[cfg(test)]
+fn v_sibling_numbers_decoded(x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
+    if x.level() != y.level() {
+        return false;
     }
-    true
+    let own = x.level();
+    let (xn, yn) = (decoded(x.key), decoded(y.key));
+    let m = x.comparable_len_decoded(y);
+    (0..m).all(|i| x.a[i] != y.a[i] || x.a[i] >= own || xn.components()[i] == yn.components()[i])
 }
 
 /// vPreceding-sibling(x, y) — x is a virtual preceding sibling of y.
@@ -303,6 +314,7 @@ mod tests {
         // physical PBN axes for every pair of nodes in Figure 2.
         use vh_dataguide::TypedDocument;
         use vh_pbn::axes as phys;
+        use vh_pbn::EncodedPbn;
         let td = TypedDocument::analyze(paper_figure2());
         let v = VDataGuide::compile("data { ** }", td.guide()).unwrap();
         let m = LevelMap::build(&v, td.guide());
@@ -311,13 +323,14 @@ mod tests {
             .preorder()
             .map(|id| {
                 let vt = v.vtype_of(td.type_of(id)).unwrap();
-                (td.pbn().pbn_of(id).clone(), m.array(vt), vt)
+                (td.pbn().pbn_of(id), m.array(vt), vt)
             })
             .collect();
         for (xn, xa, xt) in &nodes {
             for (yn, ya, yt) in &nodes {
-                let x = VPbnRef::new(xn, xa, *xt);
-                let y = VPbnRef::new(yn, ya, *yt);
+                let (xk, yk) = (EncodedPbn::encode(xn), EncodedPbn::encode(yn));
+                let x = VPbnRef::new(xk.as_bytes(), xa, *xt);
+                let y = VPbnRef::new(yk.as_bytes(), ya, *yt);
                 assert_eq!(v_self(&v, &x, &y), phys::is_self(xn, yn), "self {xn} {yn}");
                 assert_eq!(
                     v_ancestor(&v, &x, &y),
@@ -358,6 +371,47 @@ mod tests {
                     v_following_sibling(&v, &x, &y),
                     phys::is_following_sibling(xn, yn),
                     "following-sibling {xn} {yn}"
+                );
+            }
+        }
+    }
+
+    /// Every byte-walk predicate against its decode-then-compare twin, on
+    /// every ordered pair of a random corpus whose keys include minted
+    /// front-gap and between-sibling fractions, evaluated at 1, 2 and 8
+    /// threads.
+    #[test]
+    fn byte_walks_match_their_decoded_twins() {
+        use crate::exec::{par_filter, ExecOptions};
+        use crate::order::{v_cmp, v_cmp_oracle};
+        use crate::range::{related_prefix, related_prefix_decoded};
+        let w = World::new("title { author { name } }");
+        for seed in [1u64, 7, 0x5eed] {
+            let nodes = crate::vpbn::arbitrary_vpbns(seed, 120, w.v.len());
+            let pairs: Vec<(usize, usize)> = (0..nodes.len())
+                .flat_map(|i| (0..nodes.len()).map(move |j| (i, j)))
+                .collect();
+            let disagrees = |&(i, j): &(usize, usize)| {
+                let (x, y) = (nodes[i].as_ref(), nodes[j].as_ref());
+                x.compatible_with(&y) != x.compatible_with_decoded(&y)
+                    || x.comparable_len(&y) != x.comparable_len_decoded(&y)
+                    || v_sibling_numbers(&x, &y) != v_sibling_numbers_decoded(&x, &y)
+                    || v_cmp(&w.v, &x, &y) != v_cmp_oracle(&w.v, &x, &y)
+                    || related_prefix(&x, y.a) != related_prefix_decoded(&x, y.a)
+            };
+            for threads in [1, 2, 8] {
+                let opts = ExecOptions {
+                    par_threshold: 1,
+                    ..ExecOptions::with_threads(threads)
+                };
+                let bad = par_filter(&opts, &pairs, disagrees);
+                assert!(
+                    bad.is_empty(),
+                    "seed {seed}, {threads} threads: {:?}",
+                    bad.iter()
+                        .take(3)
+                        .map(|&(i, j)| (&nodes[i], &nodes[j]))
+                        .collect::<Vec<_>>()
                 );
             }
         }

@@ -7,8 +7,9 @@
 
 use crate::axes::v_ancestor;
 use crate::vdg::VDataGuide;
-use crate::vpbn::VPbnRef;
+use crate::vpbn::{decoded, VPbnRef};
 use std::cmp::Ordering;
+use vh_pbn::keys;
 
 /// Total virtual document order over vPBN numbers.
 ///
@@ -16,17 +17,39 @@ use std::cmp::Ordering;
 ///   cannot be reduced to a prefix test: under inversions an ancestor's
 ///   number may *extend* or even *diverge from* its descendant's, so the
 ///   full [`v_ancestor`] predicate (compatibility + levels + type check)
-///   decides.
+///   decides. `v_ancestor(x, y)` needs `level(y) > level(x)`, so only the
+///   node on the smaller level can be the ancestor, and nodes on one
+///   level (siblings, runs of one type) skip the test.
 /// * Otherwise the nodes sit in disjoint subtrees and the first divergent
 ///   component orders them (the paper's "prefix at level 1 of C is 1.1
-///   which is less than 1.2" comparison).
+///   which is less than 1.2" comparison) — one `memcmp` of the keys,
+///   since byte order is document order.
 /// * When one number is a component-prefix of the other and the nodes are
 ///   *not* vertically related (an inverted node versus the text of its new
 ///   parent), the numbers alone cannot order the pair; the canonical
-///   tie-break is shorter-number-first, then virtual type id. The
-///   materialization oracle pins this choice.
+///   tie-break is shorter-number-first — which the `memcmp` already gives,
+///   a prefix sorting first — then virtual type id. The materialization
+///   oracle pins this choice.
+///
+/// oracle: v_cmp_oracle
 pub fn v_cmp(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> Ordering {
-    if x.n == y.n && x.vtype == y.vtype {
+    if x.key == y.key && x.vtype == y.vtype {
+        return Ordering::Equal;
+    }
+    match x.level().cmp(&y.level()) {
+        Ordering::Less if v_ancestor(v, x, y) => return Ordering::Less,
+        Ordering::Greater if v_ancestor(v, y, x) => return Ordering::Greater,
+        _ => {}
+    }
+    keys::cmp(x.key, y.key).then(x.vtype.cmp(&y.vtype))
+}
+
+/// The oracle twin of [`v_cmp`]: both ancestor directions tested
+/// unconditionally, then the component walk over the decoded numbers
+/// with the shorter-number-first tie-break spelled out.
+pub fn v_cmp_oracle(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> Ordering {
+    let (xn, yn) = (decoded(x.key), decoded(y.key));
+    if xn == yn && x.vtype == y.vtype {
         return Ordering::Equal;
     }
     if v_ancestor(v, x, y) {
@@ -35,17 +58,14 @@ pub fn v_cmp(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> Ordering {
     if v_ancestor(v, y, x) {
         return Ordering::Greater;
     }
-    let m = x.n.len().min(y.n.len());
-    for i in 0..m {
-        match x.n[i].cmp(&y.n[i]) {
+    let (xc, yc) = (xn.components(), yn.components());
+    for (a, b) in xc.iter().zip(yc) {
+        match a.cmp(b) {
             Ordering::Equal => {}
             other => return other,
         }
     }
-    match x.n.len().cmp(&y.n.len()) {
-        Ordering::Equal => x.vtype.cmp(&y.vtype),
-        other => other,
-    }
+    xc.len().cmp(&yc.len()).then(x.vtype.cmp(&y.vtype))
 }
 
 /// True if `x` comes strictly before `y` in virtual document order.

@@ -16,9 +16,9 @@
 
 use crate::levels::LevelMap;
 use crate::vdg::{VDataGuide, VTypeId};
-use crate::vpbn::VPbnRef;
+use crate::vpbn::{decoded, VPbnRef};
 use vh_dataguide::DataGuide;
-use vh_pbn::Pbn;
+use vh_pbn::{keys, Pbn};
 
 /// A document-order scan interval over a type index.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,27 +56,47 @@ impl ScanRange {
 /// and what byte-key range scans consume directly (the pinned prefix of
 /// the context's *encoded* key bounds the candidates without ever decoding
 /// a number).
+///
+/// oracle: related_prefix_decoded
 pub fn related_prefix(x: &VPbnRef<'_>, ta: &[u32]) -> (usize, bool) {
     // Positions that constrain a candidate's number: i < |xn| (the context
     // must have a component there), i < |xa| and i < |ta| (both arrays must
-    // cover it), with matching levels.
-    let bound = x.n.len().min(x.a.len()).min(ta.len());
-    // Longest contiguous constrained prefix.
-    let mut m = 0;
-    while m < bound && ta[m] == x.a[m] {
-        m += 1;
-    }
-    // Any constrained position beyond the prefix?
-    let exact = (m..bound).all(|i| ta[i] != x.a[i]);
+    // cover it), with matching levels. The arrays are compared first; the
+    // key is walked only as far as the shorter array.
+    let arrays = x.a.len().min(ta.len());
+    let bound = keys::components(x.key).take(arrays).count();
+    prefix_cell(&x.a[..bound], &ta[..bound])
+}
+
+/// Decode-then-compare twin of [`related_prefix`]: the number length
+/// read from the decoded number.
+pub fn related_prefix_decoded(x: &VPbnRef<'_>, ta: &[u32]) -> (usize, bool) {
+    let bound = decoded(x.key).len().min(x.a.len()).min(ta.len());
+    prefix_cell(&x.a[..bound], &ta[..bound])
+}
+
+/// The `(prefix length, exactness)` cell over the constrained positions
+/// (`xa` and `ta` cut to the same bound): the longest run of matching
+/// levels, and whether no level matches beyond it.
+fn prefix_cell(xa: &[u32], ta: &[u32]) -> (usize, bool) {
+    let m = xa.iter().zip(ta).take_while(|(a, b)| a == b).count();
+    let exact = xa[m..].iter().zip(&ta[m..]).all(|(a, b)| a != b);
     (m, exact)
 }
 
 /// Computes the scan range over the index of a virtual type with level
 /// array `ta`, for candidates related to the context node `x` by any
 /// vertical virtual axis (ancestor/descendant/parent/child — they share the
-/// compatibility core).
+/// compatibility core). The range is spelled in decoded numbers: it is
+/// the reference form the byte-key scans of
+/// [`crate::vdoc::VirtualDocument`] are tested against, not a query path.
 pub fn related_scan_range(x: &VPbnRef<'_>, ta: &[u32]) -> ScanRange {
     let (m, exact) = related_prefix(x, ta);
+    scan_range(x, m, exact)
+}
+
+/// The scan range pinning the first `m` components of `x`'s number.
+fn scan_range(x: &VPbnRef<'_>, m: usize, exact: bool) -> ScanRange {
     if m == 0 {
         return ScanRange {
             lo: Pbn::empty(),
@@ -84,7 +104,7 @@ pub fn related_scan_range(x: &VPbnRef<'_>, ta: &[u32]) -> ScanRange {
             exact,
         };
     }
-    let lo = Pbn::from_comps(x.n[..m].to_vec());
+    let lo = decoded(x.key).prefix(m);
     let hi = lo.subtree_bound();
     ScanRange {
         lo,
@@ -135,11 +155,7 @@ impl PrefixTables {
             for ti in 0..n {
                 let t = levels.levels_of(VTypeId::from_index(ti));
                 let bound = num_len.min(xa.len()).min(t.len());
-                let mut m = 0;
-                while m < bound && t[m] == xa[m] {
-                    m += 1;
-                }
-                let exact = (m..bound).all(|i| t[i] != xa[i]);
+                let (m, exact) = prefix_cell(&xa[..bound], &t[..bound]);
                 entries.push(PrefixEntry { m: m as u32, exact });
             }
         }
@@ -151,23 +167,8 @@ impl PrefixTables {
     /// O(m + array comparisons), with the comparisons amortized at build
     /// time.
     pub fn range(&self, x: &VPbnRef<'_>, target: VTypeId) -> ScanRange {
-        let e = self.entries[x.vtype.index() * self.n + target.index()];
-        let m = e.m as usize;
-        debug_assert!(m <= x.n.len(), "prefix never exceeds the context number");
-        if m == 0 {
-            return ScanRange {
-                lo: Pbn::empty(),
-                hi: None,
-                exact: e.exact,
-            };
-        }
-        let lo = Pbn::from_comps(x.n[..m].to_vec());
-        let hi = lo.subtree_bound();
-        ScanRange {
-            lo,
-            hi: Some(hi),
-            exact: e.exact,
-        }
+        let (m, exact) = self.prefix(x.vtype, target);
+        scan_range(x, m, exact)
     }
 
     /// The raw `(prefix length, exactness)` cell for a type pair — the
@@ -379,7 +380,7 @@ mod tests {
                 let ctx = crate::vdg::VTypeId::from_index(ci);
                 for node in typed.nodes_of_type(v.original_type(ctx)) {
                     let num = typed.pbn().pbn_of(node);
-                    let x = VPbn::new(num.clone(), m.array(ctx), ctx);
+                    let x = VPbn::new(num, m.array(ctx), ctx);
                     for ti in 0..v.len() {
                         let tgt = crate::vdg::VTypeId::from_index(ti);
                         let direct = related_scan_range(&x.as_ref(), m.levels_of(tgt));

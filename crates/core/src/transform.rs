@@ -16,6 +16,7 @@
 
 use crate::vdg::{VDataGuide, VTypeId};
 use vh_dataguide::TypedDocument;
+use vh_pbn::keys;
 
 use vh_xml::{Document, NodeId, NodeKind};
 
@@ -55,7 +56,7 @@ pub fn materialize(td: &TypedDocument, vdg: &VDataGuide) -> Materialized {
     for &rt in vdg.roots() {
         top.extend(instances[rt.index()].iter().map(|&n| (n, rt)));
     }
-    top.sort_by(|a, b| td.pbn().pbn_of(a.0).cmp(td.pbn().pbn_of(b.0)));
+    top.sort_by(|a, b| td.pbn().key_of(a.0).cmp(td.pbn().key_of(b.0)));
     for (src, vt) in top {
         place(td, vdg, &instances, src, vt, root, &mut out, &mut source_of);
     }
@@ -98,31 +99,32 @@ fn place(
     // Gather matching instances of every child virtual type, then place
     // them in original document order with ancestors-first on prefix ties
     // (matching `vh_core::order::v_cmp`).
-    let xn = td.pbn().pbn_of(src);
+    let pbn = td.pbn();
+    let xk = pbn.key_of(src);
     let mut kids: Vec<(NodeId, VTypeId)> = Vec::new();
     for &ct in vdg.children(vt) {
         let k = lca_len(td, vdg, vt, ct);
-        let prefix = xn.prefix(k.min(xn.len()));
+        let prefix = &xk[..keys::component_boundary(xk, k)];
         // Candidates sharing the prefix form a contiguous run of the
         // PBN-sorted instance list: binary-search instead of scanning.
         let list = &instances[ct.index()];
         let (start, end) = if prefix.is_empty() {
             (0, list.len())
         } else {
-            let hi = prefix.sibling_successor();
             (
-                crate::exec::partition_point_branchless(list, |&c| td.pbn().pbn_of(c) < &prefix),
-                crate::exec::partition_point_branchless(list, |&c| td.pbn().pbn_of(c) < &hi),
+                crate::exec::partition_point_branchless(list, |&c| pbn.key_of(c) < prefix),
+                crate::exec::partition_point_branchless(list, |&c| {
+                    keys::before_subtree_end(prefix, pbn.key_of(c))
+                }),
             )
         };
         for &cand in &list[start..end] {
-            debug_assert!(prefix.is_prefix_of(td.pbn().pbn_of(cand)));
+            debug_assert!(keys::is_prefix(prefix, pbn.key_of(cand)));
             kids.push((cand, ct));
         }
     }
     kids.sort_by(|a, b| {
-        let (pa, pb) = (td.pbn().pbn_of(a.0), td.pbn().pbn_of(b.0));
-        pa.cmp(pb).then_with(|| {
+        pbn.key_of(a.0).cmp(pbn.key_of(b.0)).then_with(|| {
             // Prefix ties: the higher virtual node (smaller level) first.
             vdg.level(a.1).cmp(&vdg.level(b.1))
         })

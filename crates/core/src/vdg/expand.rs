@@ -38,6 +38,9 @@ use vh_dataguide::{DataGuide, TypeId, TEXT_TYPE_NAME};
 /// type ids.
 pub type VTypeId = TypeId;
 
+/// The dense `vtype_of` sentinel of an original type with no virtual type.
+const INVISIBLE: u32 = u32::MAX;
+
 /// A fully expanded virtual DataGuide.
 #[derive(Clone, Debug)]
 pub struct VDataGuide {
@@ -45,9 +48,11 @@ pub struct VDataGuide {
     vguide: DataGuide,
     /// `orig[vt.index()]` is the original type bound at virtual type `vt`.
     orig: Vec<TypeId>,
-    /// Original type → virtual type. Types absent here are invisible in the
-    /// virtual hierarchy.
-    vtype_of: HashMap<TypeId, VTypeId>,
+    /// Original type → virtual type, dense over the original type ids:
+    /// `vtype_of[t.index()]` is the virtual type's index, or
+    /// [`INVISIBLE`] for types invisible in the virtual hierarchy (types
+    /// interned after compilation lie past the end and are invisible too).
+    vtype_of: Vec<u32>,
     /// Virtual types that head an *identity region*: their whole original
     /// subtree is carried over unreshaped (used by §6 value stitching).
     identity_below: Vec<bool>,
@@ -97,7 +102,10 @@ impl VDataGuide {
     /// virtual hierarchy.
     #[inline]
     pub fn vtype_of(&self, original: TypeId) -> Option<VTypeId> {
-        self.vtype_of.get(&original).copied()
+        match self.vtype_of.get(original.index()) {
+            Some(&vt) if vt != INVISIBLE => Some(VTypeId::from_index(vt as usize)),
+            _ => None,
+        }
     }
 
     /// True if `vt` heads an identity region: every descendant of a node of
@@ -183,10 +191,14 @@ impl VdgSpec {
             out.record(vt, ty)?;
             out.expand_children(vt, ty, &root.children, 1)?;
         }
+        let mut vtype_of = vec![INVISIBLE; original.len()];
+        for (ty, vt) in out.vtype_of {
+            vtype_of[ty.index()] = vt.index() as u32;
+        }
         Ok(VDataGuide {
             vguide: out.vguide,
             orig: out.orig,
-            vtype_of: out.vtype_of,
+            vtype_of,
             identity_below: out.identity_below,
             spec: self.clone(),
         })

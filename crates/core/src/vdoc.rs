@@ -81,14 +81,14 @@ impl TypeIndex {
 
     /// Splices one edit batch into the lists in place. Pre-batch entries
     /// of touched nodes are located by binary search under their
-    /// pre-batch numbers: a node whose first touch in the batch is a
-    /// removal was listed under that touch's journaled number and type,
-    /// and untouched nodes keep their current numbers. Every removal is
+    /// pre-batch keys: a node whose first touch in the batch is a
+    /// removal was listed under that touch's journaled key and type,
+    /// and untouched nodes keep their current keys. Every removal is
     /// located before the first list changes, so a
     /// [`Maintained::MustRecompute`] leaves `self` as it was. Once those
     /// entries are out, every list holds untouched nodes only, so each
     /// live touched node is inserted at the position of its *final*
-    /// number — moved nodes make the journaled numbers non-monotone, so
+    /// key — moved nodes make the journaled keys non-monotone, so
     /// positions are never replayed chronologically.
     ///
     /// `td` is the document after the batch, and the caller has
@@ -113,8 +113,8 @@ impl TypeIndex {
         first.dedup_by_key(|t| t.id);
         let pbn = td.pbn();
         let before = |id: NodeId| match first.binary_search_by_key(&id, |t| t.id) {
-            Ok(i) => &first[i].pbn,
-            Err(_) => pbn.pbn_of(id),
+            Ok(i) => first[i].key.as_slice(),
+            Err(_) => pbn.key_of(id),
         };
         let mut removals: Vec<(usize, usize)> = Vec::new();
         for t in first.iter().filter(|t| t.touch == Touch::Removed) {
@@ -122,7 +122,7 @@ impl TypeIndex {
                 continue;
             };
             let list = &self.by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| before(x) < &t.pbn);
+            let pos = list.partition_point(|&x| before(x) < t.key.as_slice());
             if list.get(pos) != Some(&t.id) {
                 // The index does not hold the pre-batch state the journal
                 // describes; only a rebuild is safe.
@@ -136,15 +136,16 @@ impl TypeIndex {
             self.by_vtype[vt].remove(pos);
         }
         for t in &first {
-            // Dead or detached nodes keep the empty number and stay out.
-            let Some(num) = pbn.pbn_of_checked(t.id) else {
+            // Dead or detached nodes hold the empty key and stay out.
+            let key = pbn.key_of(t.id);
+            if key.is_empty() {
                 continue;
-            };
+            }
             let Some(vt) = vdg.vtype_of(td.type_of(t.id)) else {
                 continue;
             };
             let list = &mut self.by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| pbn.pbn_of(x) < num);
+            let pos = list.partition_point(|&x| pbn.key_of(x) < key);
             list.insert(pos, t.id);
         }
         Maintained::Spliced
@@ -274,12 +275,12 @@ impl<'a> VirtualDocument<'a> {
     }
 
     /// The vPBN number of a node (physical number + type level array).
-    /// Both sides are borrowed from columns: components from the PBN
-    /// assignment, levels from the flat level column.
+    /// Both sides are borrowed from columns: the encoded key from the PBN
+    /// arena, levels from the flat level column.
     pub fn vpbn_of(&self, id: NodeId) -> Option<VPbnRef<'_>> {
         let vt = self.vtype_of(id)?;
         Some(VPbnRef::from_slices(
-            self.td.pbn().pbn_of(id).components(),
+            self.td.pbn().key_of(id),
             self.levels.levels_of(vt),
             vt,
         ))
@@ -422,7 +423,7 @@ impl<'a> VirtualDocument<'a> {
         };
         let ta = self.levels.levels_of(vt);
         let mut out = exec::par_filter(&self.exec, self.index.nodes(vt), |&cand| {
-            let cv = VPbnRef::from_slices(self.td.pbn().pbn_of(cand).components(), ta, vt);
+            let cv = VPbnRef::from_slices(self.td.pbn().key_of(cand), ta, vt);
             axes::v_descendant(&self.vdg, &cv, &xv)
         });
         self.sort_virtual(&mut out);
@@ -539,12 +540,12 @@ impl<'a> VirtualDocument<'a> {
         // Start of the previous context's slice: where the next gallops from.
         let mut from: Option<usize> = None;
         for &x in xs {
-            let xv = VPbnRef::from_slices(pbn.pbn_of(x).components(), xa, xt);
+            let xkey = pbn.key_of(x);
+            let xv = VPbnRef::from_slices(xkey, xa, xt);
             let (m, exact) = match &self.tables {
                 Some(t) => t.prefix(xt, vt),
                 None => related_prefix(&xv, ta),
             };
-            let xkey = pbn.key_of(x);
             let prefix = &xkey[..keys::component_boundary(xkey, m)];
             let (start, end) = self.index_range(list, from, prefix);
             debug_assert!(
@@ -558,7 +559,7 @@ impl<'a> VirtualDocument<'a> {
             }
             if exact {
                 if let Some(&first) = candidates.first() {
-                    let cv = VPbnRef::from_slices(pbn.pbn_of(first).components(), ta, vt);
+                    let cv = VPbnRef::from_slices(pbn.key_of(first), ta, vt);
                     if pred(&self.vdg, &cv, &xv) {
                         out.extend_from_slice(candidates);
                     }
@@ -566,7 +567,7 @@ impl<'a> VirtualDocument<'a> {
                 continue;
             }
             out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
-                let cv = VPbnRef::from_slices(pbn.pbn_of(cand).components(), ta, vt);
+                let cv = VPbnRef::from_slices(pbn.key_of(cand), ta, vt);
                 pred(&self.vdg, &cv, &xv)
             }));
         }
@@ -1121,7 +1122,7 @@ mod tests {
             let removed = |id: NodeId, at: NodeId| TouchedNode {
                 id,
                 ty: td.type_of(at),
-                pbn: td.pbn().pbn_of(at).clone(),
+                key: td.pbn().key_of(at).to_vec(),
                 touch: Touch::Removed,
             };
             let bogus = removed(NodeId::from_index(td.doc().len() + 5), titles[0]);

@@ -171,8 +171,8 @@ mod tests {
         let authors = td.nodes_of_type(author_ty);
         assert_eq!(authors.len(), 2);
         use vh_pbn::pbn;
-        assert_eq!(td.pbn().pbn_of(authors[0]), &pbn![1, 1, 2]);
-        assert_eq!(td.pbn().pbn_of(authors[1]), &pbn![1, 2, 2]);
+        assert_eq!(td.pbn().pbn_of(authors[0]), pbn![1, 1, 2]);
+        assert_eq!(td.pbn().pbn_of(authors[1]), pbn![1, 2, 2]);
     }
 
     #[test]

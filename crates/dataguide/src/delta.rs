@@ -14,7 +14,6 @@
 //! as "recompute everything for this document".
 
 use crate::types::TypeId;
-use vh_pbn::Pbn;
 use vh_xml::NodeId;
 
 /// Journal entries retained before the journal declares overflow and
@@ -32,8 +31,8 @@ pub enum Touch {
     Removed,
 }
 
-/// One node-level touch: which node, the guide type and PBN number it had
-/// *at touch time* (a removed node loses both afterwards), and the
+/// One node-level touch: which node, the guide type and encoded PBN key it
+/// had *at touch time* (a removed node loses both afterwards), and the
 /// direction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TouchedNode {
@@ -41,9 +40,9 @@ pub struct TouchedNode {
     pub id: NodeId,
     /// Its guide type at touch time.
     pub ty: TypeId,
-    /// Its PBN number at touch time (minted for adds, retiring for
-    /// removes).
-    pub pbn: Pbn,
+    /// Its number's order-preserving byte key at touch time (minted for
+    /// adds, retiring for removes).
+    pub key: Vec<u8>,
     /// Add or remove.
     pub touch: Touch,
 }
@@ -132,13 +131,12 @@ impl DeltaJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vh_pbn::pbn;
 
     fn touch(i: usize, t: Touch) -> TouchedNode {
         TouchedNode {
             id: NodeId::from_index(i),
             ty: TypeId::from_index(0),
-            pbn: pbn![1, 1],
+            key: vec![1, 1],
             touch: t,
         }
     }

@@ -19,7 +19,7 @@ use crate::build::TypedDocument;
 use crate::delta::{Touch, TouchedNode};
 use crate::types::TEXT_TYPE_NAME;
 use std::fmt;
-use vh_pbn::{KeyGen, Pbn};
+use vh_pbn::{encode_ordinal_value, EncodedPbn, KeyGen};
 use vh_xml::{Document, NodeId, NodeKind};
 
 /// Why an edit could not be applied. The document is unchanged when any
@@ -262,15 +262,18 @@ impl TypedDocument {
     fn renumber_inserted(&mut self, parent: NodeId, pos: usize, root_id: NodeId) {
         let siblings = self.doc.children(parent);
         debug_assert_eq!(siblings.get(pos), Some(&root_id));
-        let neighbour = |id: Option<&NodeId>| id.and_then(|&n| self.pbn.pbn_of_checked(n)).cloned();
+        // Minting is the one place numbers are decoded: `KeyGen` works on
+        // components.
+        let neighbour = |id: Option<&NodeId>| id.and_then(|&n| self.pbn.pbn_of_checked(n));
         let left = neighbour(pos.checked_sub(1).and_then(|i| siblings.get(i)));
         let right = neighbour(siblings.get(pos + 1));
         // Invariant: `require_attached_element(parent)` ensured the parent
         // is numbered.
-        let Some(parent_pbn) = self.pbn.pbn_of_checked(parent).cloned() else {
+        let Some(parent_pbn) = self.pbn.pbn_of_checked(parent) else {
             unreachable!("parent validated before renumbering");
         };
         let root_pbn = KeyGen::between(&parent_pbn, left.as_ref(), right.as_ref());
+        let root_key = EncodedPbn::encode(&root_pbn).as_bytes().to_vec();
 
         if self.type_of.len() < self.doc.len() {
             self.type_of
@@ -278,11 +281,12 @@ impl TypedDocument {
         }
         let parent_ty = self.type_of[parent.index()];
         // Preorder with dense child numbers is document order, so the
-        // subtree's numbers come out as one sorted run.
-        let mut run: Vec<(Pbn, NodeId)> = Vec::new();
-        let mut stack: Vec<(NodeId, Pbn, crate::types::TypeId)> =
-            vec![(root_id, root_pbn, parent_ty)];
-        while let Some((id, num, ptype)) = stack.pop() {
+        // subtree's keys come out as one sorted run; a child's key is its
+        // parent's plus one encoded ordinal.
+        let mut run: Vec<(Vec<u8>, NodeId)> = Vec::new();
+        let mut stack: Vec<(NodeId, Vec<u8>, crate::types::TypeId)> =
+            vec![(root_id, root_key, parent_ty)];
+        while let Some((id, key, ptype)) = stack.pop() {
             let name = match self.doc.kind(id) {
                 NodeKind::Element { name, .. } => name.as_str(),
                 NodeKind::Text(_) => TEXT_TYPE_NAME,
@@ -294,13 +298,16 @@ impl TypedDocument {
             self.journal.record(TouchedNode {
                 id,
                 ty,
-                pbn: num.clone(),
+                key: key.clone(),
                 touch: Touch::Added,
             });
             for (i, &c) in self.doc.children(id).iter().enumerate().rev() {
-                stack.push((c, num.child(i as u32 + 1), ty));
+                let mut child = key.clone();
+                // Ordinals are 1-based and never zero, so this cannot fail.
+                let _ = encode_ordinal_value(i as u32 + 1, &mut child);
+                stack.push((c, child, ty));
             }
-            run.push((num, id));
+            run.push((key, id));
         }
         let inserted = self.pbn.insert_run(run);
         debug_assert!(inserted, "minted numbers are unique by construction");
@@ -315,11 +322,11 @@ impl TypedDocument {
             .remove_subtree(self.doc.descendants_or_self(target));
         debug_assert_eq!(run.len(), self.doc.descendants_or_self(target).count());
         let retired = run.len();
-        for (pbn, id) in run {
+        for (key, id) in run {
             self.journal.record(TouchedNode {
                 id,
                 ty: self.type_of[id.index()],
-                pbn,
+                key,
                 touch: Touch::Removed,
             });
         }
@@ -390,21 +397,21 @@ mod tests {
     fn insert_between_books_mints_without_renumbering() {
         let mut t = td();
         let root = t.doc().root().unwrap();
-        let before: Vec<Pbn> = t
+        let before: Vec<vh_pbn::Pbn> = t
             .pbn()
             .in_document_order()
             .iter()
-            .map(|&id| t.pbn().pbn_of(id).clone())
+            .map(|&id| t.pbn().pbn_of(id))
             .collect();
         let id = t
             .insert_fragment(root, 1, "<book><title>New</title></book>")
             .unwrap();
         // The minted root sits between the books, its children below it.
-        let minted = t.pbn().pbn_of(id).clone();
+        let minted = t.pbn().pbn_of(id);
         assert!(pbn![1, 1] < minted && minted < pbn![1, 2]);
         assert_eq!(t.doc().children(root).len(), 3);
         let title = t.doc().children(id)[0];
-        assert_eq!(t.pbn().pbn_of(title), &minted.child(1));
+        assert_eq!(t.pbn().pbn_of(title), minted.child(1));
         // Types intern onto the existing book path.
         assert_eq!(t.guide().path_string(t.type_of(id)), "data.book");
         assert_eq!(t.guide().path_string(t.type_of(title)), "data.book.title");
@@ -412,11 +419,11 @@ mod tests {
         t.compact();
         assert_eq!(t.delta_len(), 0);
         // Existing numbers are all untouched.
-        let after: Vec<Pbn> = t
+        let after: Vec<vh_pbn::Pbn> = t
             .pbn()
             .in_document_order()
             .iter()
-            .map(|&id| t.pbn().pbn_of(id).clone())
+            .map(|&id| t.pbn().pbn_of(id))
             .collect();
         for p in &before {
             assert!(after.contains(p), "{p} was renumbered");
@@ -464,12 +471,12 @@ mod tests {
         let title1 = t.doc().children(book1)[0];
         t.move_subtree(title1, book2, 0).unwrap();
         assert_eq!(t.doc().children(book2)[0], title1);
-        let p = t.pbn().pbn_of(title1).clone();
+        let p = t.pbn().pbn_of(title1);
         assert!(pbn![1, 2].is_strict_prefix_of(&p));
         assert!(p < pbn![1, 2, 1], "front insert mints before child 1");
         // Its text child is numbered below the minted number.
         let text = t.doc().children(title1)[0];
-        assert_eq!(t.pbn().pbn_of(text), &p.child(1));
+        assert_eq!(t.pbn().pbn_of(text), p.child(1));
         // Cycle and root guards.
         assert_eq!(t.move_subtree(root, book2, 0), Err(EditError::RootTarget));
         assert_eq!(t.move_subtree(book2, title1, 0), Err(EditError::CyclicMove));
@@ -491,7 +498,7 @@ mod tests {
         t.set_value(id, "12345").unwrap();
         assert_eq!(t.doc().string_value(id), "12345");
         let text = t.doc().children(id)[0];
-        assert_eq!(t.pbn().pbn_of(text), &t.pbn().pbn_of(id).child(1));
+        assert_eq!(t.pbn().pbn_of(text), t.pbn().pbn_of(id).child(1));
         assert_matches_rebuild(&mut t);
     }
 }

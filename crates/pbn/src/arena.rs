@@ -19,6 +19,7 @@
 use crate::encode::EncodedPbn;
 use crate::keys;
 use crate::number::Pbn;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use vh_xml::NodeId;
 
@@ -68,41 +69,53 @@ impl PbnArena {
     /// Appends the key of node `id`'s number at the next slot, inverse map
     /// included. Numbers must arrive in strictly increasing document
     /// order and `id` must lie in the id space.
-    pub(crate) fn push(&mut self, pbn: &Pbn, id: NodeId) {
+    fn push(&mut self, pbn: &Pbn, id: NodeId) {
         self.slot_of_node[id.index()] = self.len() as u32;
         self.push_key(EncodedPbn::encode(pbn).as_bytes(), id);
     }
 
+    /// Appends node `id` at the next slot as the `ord`-th child of the
+    /// node at `parent_slot` (the root when `None`): its key is the
+    /// parent's key plus one encoded ordinal, copied within the buffer, so
+    /// a preorder walk numbers a document without building a single
+    /// [`Pbn`]. The same ordering and id-space contract as [`Self::build`].
+    pub(crate) fn push_child(&mut self, parent_slot: Option<usize>, ord: u32, id: NodeId) {
+        if let Some(p) = parent_slot {
+            let (from, to) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
+            self.bytes.extend_from_within(from..to);
+        }
+        crate::encode::encode_ordinal(ord, &mut self.bytes);
+        self.slot_of_node[id.index()] = self.len() as u32;
+        self.offsets.push(self.bytes.len() as u32);
+        self.node_of_slot.push(id);
+    }
+
     /// Absorbs a delta segment: turns this arena, built over an earlier
-    /// numbering, into the arena of the current numbering `by_node`
-    /// (whose length is the id space). `dirty` lists, sorted and
-    /// deduplicated, every node whose number was inserted or removed
-    /// since this arena was built; every other node keeps its key. The
+    /// numbering, into the arena of the current one. `pending` maps every
+    /// node whose number was inserted or removed since this arena was
+    /// built to its current key (empty once retired); every other node
+    /// keeps its key, and `id_space` is the current id space. The
     /// encoding is order-preserving, so a fresh key merges at its lower
     /// bound in this (old) arena. Surviving runs of slots are copied as
-    /// contiguous blocks and only dirty nodes that still hold a number
-    /// are encoded, so the result equals [`Self::build`] over the
-    /// numbered entries of `by_node`, sorted, at the cost of a copy plus
-    /// O(dirty) encodes and binary searches.
+    /// contiguous blocks and the fresh keys are copied in as they are, so
+    /// the result equals [`Self::build`] over the current numbering at the
+    /// cost of a copy plus O(pending) binary searches.
     ///
     /// oracle: build
-    pub(crate) fn splice(&mut self, by_node: &[Pbn], dirty: &[NodeId]) {
-        // The dirty nodes still numbered, with their keys and merge slots
-        // in key order, and the old slots of the dirty nodes this arena
-        // keyed (now stale).
-        let mut fresh: Vec<(usize, EncodedPbn, NodeId)> = dirty
+    pub(crate) fn splice(&mut self, pending: &BTreeMap<NodeId, Vec<u8>>, id_space: usize) {
+        // The pending nodes still numbered, with their merge slots in key
+        // order, and the old slots of the pending nodes this arena keyed
+        // (now stale).
+        let mut fresh: Vec<(usize, &[u8], NodeId)> = pending
             .iter()
-            .filter_map(|&id| {
-                let pbn = by_node.get(id.index()).filter(|p| !p.is_empty())?;
-                let key = EncodedPbn::encode(pbn);
-                Some((self.lower_bound(key.as_bytes()), key, id))
-            })
+            .filter(|(_, key)| !key.is_empty())
+            .map(|(&id, key)| (self.lower_bound(key), key.as_slice(), id))
             .collect();
-        fresh.sort_unstable_by(|a, b| a.1.as_bytes().cmp(b.1.as_bytes()));
-        let mut stale: Vec<usize> = dirty.iter().filter_map(|&id| self.slot_of(id)).collect();
+        fresh.sort_unstable_by(|a, b| a.1.cmp(b.1));
+        let mut stale: Vec<usize> = pending.keys().filter_map(|&id| self.slot_of(id)).collect();
         stale.sort_unstable();
         let stale_bytes: usize = stale.iter().map(|&s| self.key_at_slot(s).len()).sum();
-        let fresh_bytes: usize = fresh.iter().map(|(_, k, _)| k.size()).sum();
+        let fresh_bytes: usize = fresh.iter().map(|(_, k, _)| k.len()).sum();
         let slots = self.len() - stale.len() + fresh.len();
 
         let mut out = PbnArena {
@@ -128,22 +141,23 @@ impl PbnArena {
                 next_old = end;
             }
         };
-        for (at, key, id) in &fresh {
+        for &(at, key, id) in &fresh {
             debug_assert!(
-                self.node_of_slot.get(*at).is_none()
-                    || self.key_at_slot(*at) != key.as_bytes()
-                    || stale.binary_search(at).is_ok(),
+                self.node_of_slot.get(at).is_none()
+                    || self.key_at_slot(at) != key
+                    || stale.binary_search(&at).is_ok(),
                 "fresh key collides with a live slot"
             );
-            copy_survivors(&mut out, *at);
-            out.push_key(key.as_bytes(), *id);
+            copy_survivors(&mut out, at);
+            out.push_key(key, id);
         }
         copy_survivors(&mut out, self.len());
 
         // The inverse map changes only from the first stale or fresh slot
         // on: slots before it keep their numbering.
-        out.slot_of_node.resize(by_node.len(), NO_SLOT);
-        for &id in dirty {
+        out.slot_of_node
+            .resize(id_space.max(out.slot_of_node.len()), NO_SLOT);
+        for id in pending.keys() {
             if let Some(cell) = out.slot_of_node.get_mut(id.index()) {
                 *cell = NO_SLOT;
             }
@@ -158,6 +172,13 @@ impl PbnArena {
             out.slot_of_node[id.index()] = slot as u32;
         }
         *self = out;
+    }
+
+    /// Widens the inverse map to cover `id_space` ids (never narrows it).
+    pub(crate) fn widen(&mut self, id_space: usize) {
+        if self.slot_of_node.len() < id_space {
+            self.slot_of_node.resize(id_space, NO_SLOT);
+        }
     }
 
     /// Appends the slots `run` of `src` as one block of key bytes,
@@ -424,7 +445,7 @@ mod tests {
         for id in doc.preorder() {
             assert_eq!(
                 a.arena().key_of(id),
-                EncodedPbn::encode(a.pbn_of(id)).as_bytes(),
+                EncodedPbn::encode(&a.pbn_of(id)).as_bytes(),
                 "node {id:?}"
             );
         }
@@ -454,7 +475,7 @@ mod tests {
             a.in_document_order()
                 .iter()
                 .copied()
-                .filter(|&id| (&lo..&hi).contains(&a.pbn_of(id)))
+                .filter(|&id| (lo.clone()..hi.clone()).contains(&a.pbn_of(id)))
                 .collect()
         };
         let via_arena: Vec<NodeId> = a.arena().subtree_nodes(key.as_bytes()).to_vec();

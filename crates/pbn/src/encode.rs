@@ -169,14 +169,7 @@ impl EncodedPbn {
     /// Decodes back to component form, reporting malformed input instead
     /// of panicking.
     pub fn try_decode(&self) -> Result<Pbn, PbnCodecError> {
-        let mut components = Vec::new();
-        let mut i = 0;
-        while i < self.bytes.len() {
-            let (comp, used) = decode_component_checked(&self.bytes[i..], i)?;
-            components.push(comp);
-            i += used;
-        }
-        Ok(Pbn::from_comps(components))
+        decode_key(&self.bytes)
     }
 
     /// The encoded bytes.
@@ -205,6 +198,19 @@ impl std::fmt::Debug for EncodedPbn {
     }
 }
 
+/// Decodes a borrowed key (typically an arena slot) into an owned number,
+/// reporting malformed input instead of panicking.
+pub fn decode_key(key: &[u8]) -> Result<Pbn, PbnCodecError> {
+    let mut components = Vec::new();
+    let mut i = 0;
+    while i < key.len() {
+        let (comp, used) = decode_component_checked(&key[i..], i)?;
+        components.push(comp);
+        i += used;
+    }
+    Ok(Pbn::from_comps(components))
+}
+
 /// Encodes a single component into `out`.
 fn encode_component(c: &Comp, out: &mut Vec<u8>) {
     if c.ord() >= 1 {
@@ -220,7 +226,7 @@ fn encode_component(c: &Comp, out: &mut Vec<u8>) {
 }
 
 /// Encodes a 1-based ordinal into `out`.
-fn encode_ordinal(c: u32, out: &mut Vec<u8>) {
+pub(crate) fn encode_ordinal(c: u32, out: &mut Vec<u8>) {
     debug_assert!(c >= 1);
     let v = u64::from(c); // 1-based direct: byte 0x00 is never produced
     if v < T1 {
@@ -363,6 +369,7 @@ pub fn decode_ordinal_value(bytes: &[u8]) -> Result<(u32, usize), PbnCodecError>
 }
 
 /// Byte length of an ordinal encoding, from its first byte's leading bits.
+#[inline]
 pub(crate) fn ordinal_len(b0: u8) -> usize {
     if b0 & 0b1000_0000 == 0 {
         1

@@ -187,6 +187,7 @@ pub fn is_strict_prefix(p: &[u8], y: &[u8]) -> bool {
 /// ordinal **and** its gap fraction are one component. Saturates at the
 /// end of the key for truncated input (the codec, not this walker, is
 /// responsible for rejecting it).
+#[inline]
 pub fn component_len(key: &[u8]) -> usize {
     let Some(&b0) = key.first() else {
         return 0;
@@ -235,6 +236,64 @@ pub fn component_count(key: &[u8]) -> usize {
         n += 1;
     }
     n
+}
+
+/// The component slices of `key`, front to back — the walk the §5
+/// predicates run instead of decoding a [`crate::Pbn`]. Two components
+/// are equal exactly when their slices are ([`component_eq`]): the
+/// encoding of one component is unique.
+#[inline]
+pub fn components(key: &[u8]) -> Components<'_> {
+    Components { rest: key }
+}
+
+/// Byte offset where the component starting at `at` ends (`at` itself at
+/// or past the end of the key): [`component_len`], with the one-byte
+/// plain ordinal — nearly every component of an undisturbed document —
+/// decided inline from two bytes.
+#[inline]
+fn component_end(key: &[u8], at: usize) -> usize {
+    match key.get(at) {
+        None => at,
+        // 0x01..=0x7F is a whole one-byte ordinal unless a gap fraction
+        // follows it.
+        Some(&b) if b.wrapping_sub(1) < 0x7F && key.get(at + 1) != Some(&GAP_MARK) => at + 1,
+        Some(_) => at + component_len(&key[at..]),
+    }
+}
+
+/// Iterator over the component slices of an encoded key (see
+/// [`components`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Components<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Components<'a> {
+    type Item = &'a [u8];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        // `component_end` saturates at the end of the key, so the split
+        // never panics.
+        let (comp, rest) = self.rest.split_at(component_end(self.rest, 0));
+        self.rest = rest;
+        Some(comp)
+    }
+}
+
+/// Equality of two component slices, with the one-byte plain ordinal —
+/// nearly every component of an undisturbed document — decided by one
+/// byte compare instead of a `memcmp` call.
+#[inline]
+pub fn component_eq(a: &[u8], b: &[u8]) -> bool {
+    match (a, b) {
+        ([x], [y]) => x == y,
+        _ => a == b,
+    }
 }
 
 /// The exclusive upper bound of the subtree rooted at the node with key
@@ -390,6 +449,31 @@ mod tests {
     }
 
     #[test]
+    fn component_slices_are_the_decoded_components() {
+        // The walk the §5 predicates run: slice `i` is the encoding of
+        // component `i`, and slice equality is component equality —
+        // minted fractions included.
+        let u = universe();
+        for (p, k) in &u {
+            let slices: Vec<&[u8]> = components(k).collect();
+            assert_eq!(slices.len(), p.len(), "{p}");
+            for (slice, comp) in slices.iter().zip(p.components()) {
+                let alone = enc(&Pbn::from_comps(vec![comp.clone()]));
+                assert_eq!(*slice, alone.as_slice(), "{p}");
+            }
+            for (q, kq) in &u {
+                for (i, (a, b)) in components(k).zip(components(kq)).enumerate() {
+                    assert_eq!(
+                        component_eq(a, b),
+                        p.components()[i] == q.components()[i],
+                        "{p} vs {q} at {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn prefix_succ_drops_ff_tails_and_increments() {
         assert_eq!(prefix_succ(&[1, 2]), Some(vec![1, 3]));
         assert_eq!(prefix_succ(&[1, 0xFF, 0xFF]), Some(vec![2]));
@@ -531,7 +615,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..4000 {
+        // The interpreter pays ~1000x per instruction: a short pass there.
+        for _ in 0..if cfg!(miri) { 200 } else { 4000 } {
             let la = (next() % 24) as usize;
             let lb = (next() % 24) as usize;
             let shared = (next() as usize) % (la.min(lb) + 1);

@@ -14,7 +14,6 @@
 //! affected numbers after an insertion and reports how many changed.
 
 use crate::assign::PbnAssignment;
-use crate::number::Pbn;
 use vh_xml::{Document, NodeId};
 
 /// Outcome of an incremental renumbering pass.
@@ -44,8 +43,7 @@ pub fn incremental_renumber(
     let assignment = PbnAssignment::assign(doc);
     let mut changed = 0;
     for &id in assignment.in_document_order() {
-        let old: Option<&Pbn> = previous.pbn_of_checked(id);
-        if old != Some(assignment.pbn_of(id)) {
+        if previous.key_of(id) != assignment.key_of(id) {
             changed += 1;
         }
     }
@@ -96,7 +94,7 @@ mod tests {
         // The fresh assignment is consistent with the updated tree.
         for id in doc.preorder() {
             assert_eq!(
-                report.assignment.node_of(report.assignment.pbn_of(id)),
+                report.assignment.node_of(&report.assignment.pbn_of(id)),
                 Some(id)
             );
         }

@@ -13,6 +13,7 @@ use std::cmp::Ordering;
 use vh_core::vdg::VTypeId;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
+use vh_pbn::keys;
 use vh_xml::{NodeId, NodeKind};
 
 /// Navigation interface required by the XPath evaluator.
@@ -179,7 +180,7 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
     }
 
     fn cmp_order(&self, a: NodeId, b: NodeId) -> Ordering {
-        self.td.pbn().pbn_of(a).cmp(self.td.pbn().pbn_of(b))
+        keys::cmp(self.td.pbn().key_of(a), self.td.pbn().key_of(b))
     }
 
     fn string_value(&self, n: NodeId) -> String {
@@ -207,11 +208,14 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
             Some(x) => {
                 // Elements named `name` inside x's subtree occupy a
                 // contiguous run of the PBN-sorted name list.
+                // On the encoded keys that run is `[key(x), subtree end)`.
                 let pbn = self.td.pbn();
-                let (lo, hi) = vh_pbn::order::subtree_range(pbn.pbn_of(x));
+                let xk = pbn.key_of(x);
                 let start =
-                    vh_core::exec::partition_point_branchless(list, |&c| pbn.pbn_of(c) < &lo);
-                let end = vh_core::exec::partition_point_branchless(list, |&c| pbn.pbn_of(c) < &hi);
+                    vh_core::exec::partition_point_branchless(list, |&c| pbn.key_of(c) < xk);
+                let end = vh_core::exec::partition_point_branchless(list, |&c| {
+                    keys::before_subtree_end(xk, pbn.key_of(c))
+                });
                 // Exclude x itself (descendant, not self).
                 Some(
                     list[start..end]

@@ -1980,7 +1980,7 @@ mod tests {
             touched: vec![TouchedNode {
                 id: NodeId::from_index(td.doc().len() + 5),
                 ty: td.type_of(title),
-                pbn: td.pbn().pbn_of(title).clone(),
+                key: td.pbn().key_of(title).to_vec(),
                 touch: Touch::Removed,
             }],
             ..ViewDelta::default()

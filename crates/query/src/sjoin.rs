@@ -339,7 +339,7 @@ mod tests {
     use vh_xml::builder::paper_figure2;
 
     fn sorted_by_pbn(td: &TypedDocument, mut v: Vec<NodeId>) -> Vec<NodeId> {
-        v.sort_by(|&a, &b| td.pbn().pbn_of(a).cmp(td.pbn().pbn_of(b)));
+        v.sort_by_key(|&a| td.pbn().pbn_of(a));
         v
     }
 
@@ -360,7 +360,7 @@ mod tests {
         );
         let fast = physical_structural_join(&td, &books, &names);
         let slow = nested_loop_join(&books, &names, &|a, d| {
-            td.pbn().pbn_of(a).is_strict_prefix_of(td.pbn().pbn_of(d))
+            td.pbn().pbn_of(a).is_strict_prefix_of(&td.pbn().pbn_of(d))
         });
         assert_eq!(fast.len(), 2);
         let mut slow_sorted = slow;
@@ -501,8 +501,8 @@ mod tests {
             ),
         );
         let by_key = physical_structural_join(&td, &anc, &desc);
-        let by_number = stack_tree_join(&anc, &desc, &|a, b| pbn(a).cmp(pbn(b)), &|a, d| {
-            pbn(a).is_strict_prefix_of(pbn(d))
+        let by_number = stack_tree_join(&anc, &desc, &|a, b| pbn(a).cmp(&pbn(b)), &|a, d| {
+            pbn(a).is_strict_prefix_of(&pbn(d))
         });
         assert_eq!(by_key, by_number);
     }

@@ -69,7 +69,8 @@ impl HeaderTable {
             headers.push(NodeHeader {
                 kind: HeaderKind::from(doc.kind(id)),
                 type_id: td.type_of(id),
-                pbn: EncodedPbn::encode(td.pbn().pbn_of(id)),
+                // Arena keys are codec output, so they always validate.
+                pbn: EncodedPbn::from_bytes(td.pbn().key_of(id).to_vec()).unwrap_or_default(),
             });
         }
         HeaderTable { headers }
@@ -121,7 +122,7 @@ mod tests {
             .must();
         let h = t.get(text);
         assert_eq!(h.kind, HeaderKind::Text);
-        assert_eq!(&h.pbn.decode(), td.pbn().pbn_of(text));
+        assert_eq!(h.pbn.decode(), td.pbn().pbn_of(text));
         assert_eq!(h.type_id, td.type_of(text));
     }
 

@@ -73,8 +73,8 @@ mod tests {
         let title = td.guide().lookup_path(&["data", "book", "title"]).must();
         let titles = idx.nodes(title);
         assert_eq!(titles.len(), 2);
-        assert_eq!(td.pbn().pbn_of(titles[0]), &pbn![1, 1, 1]);
-        assert_eq!(td.pbn().pbn_of(titles[1]), &pbn![1, 2, 1]);
+        assert_eq!(td.pbn().pbn_of(titles[0]), pbn![1, 1, 1]);
+        assert_eq!(td.pbn().pbn_of(titles[1]), pbn![1, 2, 1]);
         assert_eq!(idx.entries(), td.doc().len());
     }
 }

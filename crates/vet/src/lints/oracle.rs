@@ -20,6 +20,11 @@
 //! (`fn maintain(...);`) declare the contract rather than implement it
 //! and are exempt.
 //!
+//! Any other lib function may opt in: an `// oracle: <name>` comment on
+//! it (the §5 predicates that walk encoded key bytes name their
+//! decode-then-compare twins this way) is held to the same rule — the
+//! named twin must be defined in the same file.
+//!
 //! Test regions are exempt (a helper named `*_swar` inside `mod tests` is
 //! not a kernel), as are bench/bin/example/vendor files — ablation
 //! drivers compare kernels without defining them.
@@ -86,18 +91,19 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
         // A trait's `fn maintain(...);` declares the contract; only a
         // definition with a body performs a splice needing a twin.
         let is_maintain = MAINTAIN_NAMES.contains(&name) && has_body(file, at);
-        if !is_kernel && !is_maintain {
-            continue;
-        }
-        let what = if is_kernel {
-            "branch-free kernel"
-        } else {
-            "cache-maintenance impl"
-        };
-        let twin_kind = if is_kernel { "scalar" } else { "recompute" };
         let oracle = oracles
             .iter()
             .rfind(|(c, _)| *c <= line && c + ORACLE_WINDOW >= line);
+        if !is_kernel && !is_maintain && oracle.is_none() {
+            continue;
+        }
+        let (what, twin_kind) = if is_kernel {
+            ("branch-free kernel", "scalar")
+        } else if is_maintain {
+            ("cache-maintenance impl", "recompute")
+        } else {
+            ("function", "oracle")
+        };
         match oracle {
             None => file.report(
                 out,
@@ -150,6 +156,23 @@ fn has_body(file: &SourceFile, at: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_opted_in_function_needs_its_named_twin() {
+        let missing =
+            findings("/// oracle: walk_decoded\npub fn walk(k: &[u8]) -> bool { k.is_empty() }\n");
+        assert_eq!(missing.len(), 1);
+        assert!(missing[0]
+            .message
+            .contains("`walk_decoded` named by function `walk`"));
+        let present = findings(
+            "/// oracle: walk_decoded\npub fn walk(k: &[u8]) -> bool { k.is_empty() }\n\
+             pub fn walk_decoded(k: &[u8]) -> bool { k.len() == 0 }\n",
+        );
+        assert!(present.is_empty());
+        let plain = findings("pub fn walk(k: &[u8]) -> bool { k.is_empty() }\n");
+        assert!(plain.is_empty());
+    }
 
     fn findings(src: &str) -> Vec<Finding> {
         let f = SourceFile::from_source("crates/x/src/lib.rs", src);

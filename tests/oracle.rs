@@ -177,7 +177,7 @@ fn virtual_predicates_match_physical_predicates_on_materialized() {
                 to_mat[&x].iter().any(|&mx| {
                     to_mat[&y]
                         .iter()
-                        .any(|&my| pred(mat_td.pbn().pbn_of(mx), mat_td.pbn().pbn_of(my)))
+                        .any(|&my| pred(&mat_td.pbn().pbn_of(mx), &mat_td.pbn().pbn_of(my)))
                 })
             };
             for &x in &sources {
@@ -206,8 +206,8 @@ fn virtual_predicates_match_physical_predicates_on_materialized() {
                     );
                     if to_mat[&x].len() == 1 && to_mat[&y].len() == 1 {
                         let (mx, my) = (
-                            mat_td.pbn().pbn_of(to_mat[&x][0]),
-                            mat_td.pbn().pbn_of(to_mat[&y][0]),
+                            &mat_td.pbn().pbn_of(to_mat[&x][0]),
+                            &mat_td.pbn().pbn_of(to_mat[&y][0]),
                         );
                         assert_eq!(
                             axes::v_self(vd.vdg(), &vx, &vy),
@@ -444,4 +444,44 @@ fn mutating_a_document_evicts_stale_view_artifacts() {
         "other.xml still served from cache"
     );
     assert!(!other_pre.is_empty());
+}
+
+/// `v_cmp` tests at most one ancestor direction and compares keys as
+/// bytes; its oracle twin tests both directions and walks decoded
+/// components. They must agree on every ordered pair of visible nodes (a
+/// strided sample per view) of every book and XMark scenario, at 1, 2
+/// and 8 threads.
+#[test]
+fn v_cmp_matches_its_two_way_oracle() {
+    use vpbn_suite::core::exec::{par_filter, ExecOptions};
+    use vpbn_suite::core::order::{v_cmp, v_cmp_oracle};
+    for (td, scenarios) in corpora() {
+        for s in scenarios {
+            let vd = VirtualDocument::open(&td, s.spec).unwrap();
+            let visible = vd.preorder();
+            let stride = visible.len().div_ceil(150).max(1);
+            let sample: Vec<NodeId> = visible.into_iter().step_by(stride).collect();
+            let pairs: Vec<(NodeId, NodeId)> = sample
+                .iter()
+                .flat_map(|&x| sample.iter().map(move |&y| (x, y)))
+                .collect();
+            for threads in [1, 2, 8] {
+                let opts = ExecOptions {
+                    par_threshold: 1,
+                    ..ExecOptions::with_threads(threads)
+                };
+                let bad = par_filter(&opts, &pairs, |&(x, y)| {
+                    let (xv, yv) = (vd.vpbn_of(x).unwrap(), vd.vpbn_of(y).unwrap());
+                    v_cmp(vd.vdg(), &xv, &yv) != v_cmp_oracle(vd.vdg(), &xv, &yv)
+                });
+                assert!(
+                    bad.is_empty(),
+                    "corpus {} scenario {} at {threads} threads: {:?}",
+                    td.doc().uri(),
+                    s.name,
+                    &bad[..bad.len().min(3)]
+                );
+            }
+        }
+    }
 }

@@ -126,7 +126,7 @@ proptest! {
         let nodes: Vec<NodeId> = doc.preorder().collect();
         for &a in nodes.iter().take(20) {
             for &b in nodes.iter().take(20) {
-                let (pa, pb) = (assignment.pbn_of(a), assignment.pbn_of(b));
+                let (pa, pb) = (&assignment.pbn_of(a), &assignment.pbn_of(b));
                 prop_assert_eq!(
                     axes::is_ancestor(pa, pb),
                     tree_says_ancestor(&doc, a, b)
