@@ -200,7 +200,7 @@ run_serve() {
 # durability oracles make every workload's exit status a correctness
 # check, so a short run of each gates the change without timing it.
 run_perfbench() {
-  echo "==> perfbench leg (generator tests + 3 s smoke of every workload)"
+  echo "==> perfbench leg (generator tests + 3 s smoke of every workload, traced view-query)"
   local manifest=perfbench/Cargo.toml
   cargo build --release --offline --manifest-path "$manifest" --bin perfbench
   cargo test --release --offline --manifest-path "$manifest" -q
@@ -210,6 +210,12 @@ run_perfbench() {
       --bin perfbench -- --workload "$workload" --seed 7 --seconds 3 \
       --trace 0 >/dev/null
   done
+  # The traced ledger re-runs each physical twin on a PhysicalDoc and
+  # derives query.virt_phys_x; only --trace 1 reaches that code.
+  echo "    smoke: view-query --trace 1"
+  cargo run --release --quiet --offline --manifest-path "$manifest" \
+    --bin perfbench -- --workload view-query --seed 7 --seconds 3 \
+    --trace 1 >/dev/null
 }
 
 run_tsan() {

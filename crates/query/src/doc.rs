@@ -2,7 +2,8 @@
 //! virtual documents.
 //!
 //! The XPath evaluator is written once against this trait. The physical
-//! implementation navigates with plain PBN numbers and the stored indexes;
+//! implementation navigates with plain PBN numbers: its path steps and
+//! document order read the numbering's arena (or a store's name index);
 //! the virtual implementation delegates to [`vh_core::VirtualDocument`],
 //! whose every operation is a vPBN comparison. Identical query results over
 //! `data { ** }` (identity) versus the physical document is one of the
@@ -13,7 +14,7 @@ use std::cmp::Ordering;
 use vh_core::vdg::VTypeId;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
-use vh_pbn::keys;
+use vh_pbn::{keys, PbnArena};
 use vh_xml::{NodeId, NodeKind};
 
 /// Navigation interface required by the XPath evaluator.
@@ -48,10 +49,12 @@ pub trait QueryDoc {
     }
 
     /// Indexed lookup: all elements named `name` below `scope` (the whole
-    /// document when `scope` is `None`), in document order. Returns `None`
-    /// when no index is available — the evaluator then falls back to a
-    /// tree walk. This is the access path `//name` steps take in a
-    /// PBN-based system (§4.3's type index).
+    /// document when `scope` is `None`), in document order. This is the
+    /// access path `//name` steps take in a PBN-based system (§4.3's type
+    /// index). A virtual document always answers; a physical one answers
+    /// from its store's name index or its numbering's arena, and returns
+    /// `None` only while the numbering holds edits its arena has not
+    /// absorbed — the evaluator then falls back to a tree walk.
     fn descendants_named(&self, _scope: Option<NodeId>, _name: &str) -> Option<Vec<NodeId>> {
         None
     }
@@ -69,16 +72,7 @@ pub trait QueryDoc {
 
     /// Descendants of `n` in document order (excluding `n`).
     fn descendants(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = self.children(n);
-        stack.reverse();
-        while let Some(c) = stack.pop() {
-            out.push(c);
-            let mut kids = self.children(c);
-            kids.reverse();
-            stack.extend(kids);
-        }
-        out
+        descendants_walk(self, n)
     }
 
     /// Ancestors of `n`, nearest first.
@@ -112,6 +106,27 @@ pub trait QueryDoc {
     }
 }
 
+/// Descendants of `n` in document order (excluding `n`), by a preorder
+/// walk of [`QueryDoc::children`].
+fn descendants_walk<D: QueryDoc + ?Sized>(doc: &D, n: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack = doc.children(n);
+    stack.reverse();
+    while let Some(c) = stack.pop() {
+        out.push(c);
+        let mut kids = doc.children(c);
+        kids.reverse();
+        stack.extend(kids);
+    }
+    out
+}
+
+/// Document order of two physical nodes by their encoded PBN keys (a node
+/// that holds no number has the empty key and sorts first).
+fn key_order(td: &TypedDocument, a: NodeId, b: NodeId) -> Ordering {
+    keys::cmp(td.pbn().key_of(a), td.pbn().key_of(b))
+}
+
 /// The sibling list `n` belongs to (its parent's children, or the roots)
 /// and its position there; `None` when `n` is not in that list. That
 /// happens to a visible node with no virtual parent that is not a root
@@ -126,15 +141,21 @@ fn sibling_split<D: QueryDoc + ?Sized>(doc: &D, n: NodeId) -> Option<(Vec<NodeId
     Some((sibs, pos))
 }
 
-/// Physical navigation over a [`TypedDocument`] (plain PBN semantics),
-/// optionally index-accelerated by a [`vh_storage::StoredDocument`].
+/// Physical navigation over a [`TypedDocument`] (plain PBN semantics).
+///
+/// While the numbering is drained, document order, descendants, `//name`
+/// and `child::name` / `child::text()` steps read its arena: the node
+/// column is the document order, and a subtree is one contiguous slice
+/// of it. Mid-batch (an undrained delta segment) they fall back to the
+/// tree walk and the byte-key compare. A [`vh_storage::StoredDocument`]
+/// answers `//name` from its name index instead.
 pub struct PhysicalDoc<'a> {
     td: &'a TypedDocument,
     store: Option<&'a vh_storage::StoredDocument>,
 }
 
 impl<'a> PhysicalDoc<'a> {
-    /// Wraps a typed document (no indexes; `//x` steps walk the tree).
+    /// Wraps a typed document; `//x` steps scan its numbering's arena.
     pub fn new(td: &'a TypedDocument) -> Self {
         PhysicalDoc { td, store: None }
     }
@@ -160,6 +181,44 @@ impl<'a> PhysicalDoc<'a> {
     pub fn typed(&self) -> &'a TypedDocument {
         self.td
     }
+
+    /// The numbering's arena, when it is current: `None` while the delta
+    /// segment holds edits the arena has not absorbed.
+    fn arena(&self) -> Option<&'a PbnArena> {
+        let pbn = self.td.pbn();
+        (pbn.delta_len() == 0).then(|| pbn.arena())
+    }
+
+    /// The descendants of `n` in document order: the slots after `n`'s to
+    /// the end of its subtree's slot range. `None` mid-batch or when `n`
+    /// holds no number.
+    fn descendant_slice(&self, n: NodeId) -> Option<&'a [NodeId]> {
+        let arena = self.arena()?;
+        let slot = arena.slot_of(n)?;
+        arena.subtree_nodes(arena.key_at_slot(slot)).get(1..)
+    }
+
+    /// `//name` from the arena: one pass over its node column (the whole
+    /// document, or the scope's descendant slice), keeping the nodes whose
+    /// type carries the name. An element's type is named after it; text,
+    /// comment and PI types carry `#` pseudo-names no name test spells.
+    ///
+    /// oracle: descendants_named_walk
+    fn arena_descendants_named(&self, scope: Option<NodeId>, name: &str) -> Option<Vec<NodeId>> {
+        let nodes = match scope {
+            None => self.arena()?.nodes_in_order(),
+            Some(x) => self.descendant_slice(x)?,
+        };
+        let guide = self.td.guide();
+        let named: Vec<bool> = guide.type_ids().map(|t| guide.name(t) == name).collect();
+        Some(
+            nodes
+                .iter()
+                .copied()
+                .filter(|&n| named.get(self.td.type_of(n).index()) == Some(&true))
+                .collect(),
+        )
+    }
 }
 
 impl<'a> QueryDoc for PhysicalDoc<'a> {
@@ -179,8 +238,15 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
         self.td.doc().kind(n)
     }
 
+    // oracle: key_order
     fn cmp_order(&self, a: NodeId, b: NodeId) -> Ordering {
-        keys::cmp(self.td.pbn().key_of(a), self.td.pbn().key_of(b))
+        let slots = self
+            .arena()
+            .and_then(|arena| Some((arena.slot_of(a)?, arena.slot_of(b)?)));
+        match slots {
+            Some((x, y)) => x.cmp(&y),
+            None => key_order(self.td, a, b),
+        }
     }
 
     fn string_value(&self, n: NodeId) -> String {
@@ -200,8 +266,18 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
             .collect()
     }
 
+    // oracle: descendants_walk
+    fn descendants(&self, n: NodeId) -> Vec<NodeId> {
+        match self.descendant_slice(n) {
+            Some(nodes) => nodes.to_vec(),
+            None => descendants_walk(self, n),
+        }
+    }
+
     fn descendants_named(&self, scope: Option<NodeId>, name: &str) -> Option<Vec<NodeId>> {
-        let store = self.store?;
+        let Some(store) = self.store else {
+            return self.arena_descendants_named(scope, name);
+        };
         let list = store.names().nodes(name);
         match scope {
             None => Some(list.to_vec()),
@@ -226,6 +302,40 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
                 )
             }
         }
+    }
+
+    // oracle: children_matching_walk
+    fn children_matching(&self, ctxs: &[NodeId], test: &NodeTest) -> Option<Vec<NodeId>> {
+        if !matches!(test, NodeTest::Name(_) | NodeTest::Text) {
+            return None;
+        }
+        let arena = self.arena()?;
+        let doc = self.td.doc();
+        let keep = |c: NodeId| match test {
+            NodeTest::Name(name) => doc.name(c) == Some(name.as_str()),
+            _ => doc.kind(c).is_text(),
+        };
+        // Each context's matching children are in document order; the
+        // concatenation is too unless contexts nest, repeat or come out
+        // of order (a FLWR variable's binding), which one slot sort fixes.
+        let mut out = Vec::new();
+        let mut last: Option<usize> = None;
+        let mut sorted = true;
+        for &n in ctxs {
+            for &c in doc.children(n) {
+                if keep(c) {
+                    let slot = arena.slot_of(c)?;
+                    sorted &= last.is_none_or(|l| l < slot);
+                    last = Some(slot);
+                    out.push(c);
+                }
+            }
+        }
+        if !sorted {
+            out.sort_unstable_by_key(|&c| arena.slot_of(c));
+            out.dedup();
+        }
+        Some(out)
     }
 }
 
@@ -344,7 +454,175 @@ impl<'a> QueryDoc for VirtualDoc<'a> {
 mod tests {
     use super::*;
     use crate::testutil::Must;
+    use crate::xpath::{eval_xpath, parse_xpath};
     use vh_xml::builder::paper_figure2;
+
+    /// The tree walk a `//name` step takes below `scope` (the whole
+    /// document when `None`): every descendant, filtered by name.
+    fn descendants_named_walk(
+        d: &PhysicalDoc<'_>,
+        scope: Option<NodeId>,
+        name: &str,
+    ) -> Vec<NodeId> {
+        let nodes = match scope {
+            Some(x) => descendants_walk(d, x),
+            None => d
+                .roots()
+                .into_iter()
+                .flat_map(|r| std::iter::once(r).chain(descendants_walk(d, r)))
+                .collect(),
+        };
+        nodes
+            .into_iter()
+            .filter(|&n| d.name(n) == Some(name))
+            .collect()
+    }
+
+    /// The per-context child step: each context's children filtered by the
+    /// test, then sorted by key and deduplicated.
+    fn children_matching_walk(
+        d: &PhysicalDoc<'_>,
+        ctxs: &[NodeId],
+        test: &NodeTest,
+    ) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = ctxs
+            .iter()
+            .flat_map(|&n| d.children(n))
+            .filter(|&c| match test {
+                NodeTest::Name(name) => d.name(c) == Some(name.as_str()),
+                _ => d.kind(c).is_text(),
+            })
+            .collect();
+        out.sort_by(|&a, &b| key_order(d.typed(), a, b));
+        out.dedup();
+        out
+    }
+
+    /// The first node named `name` in document order.
+    fn first_named(td: &TypedDocument, name: &str) -> NodeId {
+        td.doc()
+            .preorder()
+            .find(|&n| td.doc().name(n) == Some(name))
+            .must()
+    }
+
+    #[test]
+    fn scoped_descendants_named_reads_the_subtree_slice() {
+        let td = TypedDocument::parse(
+            "nest.xml",
+            "<data><a><b>t</b><a><a/><b/></a></a><a/><b>u</b></data>",
+        )
+        .must();
+        let d = PhysicalDoc::new(&td);
+        let doc = td.doc();
+        let outer = first_named(&td, "a");
+        let leaf = doc
+            .preorder()
+            .filter(|&n| doc.name(n) == Some("a"))
+            .nth(2)
+            .must();
+        let text = doc.preorder().find(|&n| doc.kind(n).is_text()).must();
+        let cases = [
+            (Some(outer), "a"),
+            (Some(outer), "b"),
+            (Some(leaf), "a"),
+            (Some(text), "b"),
+            (None, "a"),
+            (None, "data"),
+        ];
+        for (scope, name) in cases {
+            assert_eq!(
+                d.descendants_named(scope, name).must(),
+                descendants_named_walk(&d, scope, name),
+                "{scope:?} {name}"
+            );
+        }
+        // The scope is not its own descendant, even when its name matches.
+        assert_eq!(d.descendants_named(Some(outer), "a").must().len(), 2);
+        assert!(d.descendants_named(Some(leaf), "a").must().is_empty());
+        assert!(d.descendants_named(Some(text), "b").must().is_empty());
+        for n in doc.preorder() {
+            assert_eq!(d.descendants(n), descendants_walk(&d, n));
+        }
+    }
+
+    #[test]
+    fn nested_contexts_merge_into_document_order() {
+        let td = TypedDocument::parse(
+            "nest.xml",
+            "<data><book><author><name>A</name>x</author><name>B</name>y\
+             <author><name>C</name></author></book></data>",
+        )
+        .must();
+        let d = PhysicalDoc::new(&td);
+        let book = first_named(&td, "book");
+        let author = first_named(&td, "author");
+        // A book and its own author, in both orders and repeated.
+        for ctxs in [vec![book, author], vec![author, book, author, book]] {
+            for test in [
+                NodeTest::Name("name".into()),
+                NodeTest::Text,
+                NodeTest::Name("author".into()),
+            ] {
+                assert_eq!(
+                    d.children_matching(&ctxs, &test).must(),
+                    children_matching_walk(&d, &ctxs, &test),
+                    "{ctxs:?} {test:?}"
+                );
+            }
+        }
+        let names = d
+            .children_matching(&[book, author], &NodeTest::Name("name".into()))
+            .must();
+        let values: Vec<String> = names.iter().map(|&n| d.string_value(n)).collect();
+        assert_eq!(values, ["A", "B"]);
+        assert!(d
+            .children_matching(&[book], &NodeTest::AnyElement)
+            .is_none());
+    }
+
+    #[test]
+    fn an_undrained_delta_takes_the_tree_walk() {
+        let mut td = TypedDocument::analyze(paper_figure2());
+        let root = td.doc().root().must();
+        let book = first_named(&td, "book");
+        td.insert_fragment(
+            root,
+            0,
+            "<book><title>Z</title><author><name>E</name></author></book>",
+        )
+        .must();
+        td.insert_fragment(book, 1, "<author><name>F</name></author>")
+            .must();
+        assert!(td.delta_len() > 0);
+        let mut drained = td.clone();
+        drained.compact();
+        let (mid, after) = (PhysicalDoc::new(&td), PhysicalDoc::new(&drained));
+        assert!(mid.descendants_named(None, "book").is_none());
+        assert!(mid
+            .children_matching(&[root], &NodeTest::Name("book".into()))
+            .is_none());
+        let all: Vec<NodeId> = td.doc().preorder().collect();
+        for &a in &all {
+            assert_eq!(mid.descendants(a), descendants_walk(&mid, a));
+            assert_eq!(mid.descendants(a), after.descendants(a));
+            for &b in &all {
+                assert_eq!(mid.cmp_order(a, b), key_order(&td, a, b));
+                assert_eq!(mid.cmp_order(a, b), after.cmp_order(a, b));
+            }
+        }
+        for path in [
+            "//book",
+            "//author/name",
+            "//book/author/name/text()",
+            "//name/preceding::title",
+        ] {
+            let x = parse_xpath(path).must();
+            let (m, a) = (eval_xpath(&mid, &x).must(), eval_xpath(&after, &x).must());
+            assert!(!m.is_empty(), "{path}");
+            assert_eq!(m, a, "{path}");
+        }
+    }
 
     #[test]
     fn physical_navigation_matches_the_tree() {

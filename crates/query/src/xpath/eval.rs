@@ -434,7 +434,7 @@ impl<'d> Evaluator<'d> {
     }
 
     /// Indexed `//name` lookup across a context set; `None` when the
-    /// document has no index (fall back to the tree walk).
+    /// document cannot answer from an index (fall back to the tree walk).
     fn indexed_descendants(&self, input: &[Ctx], name: &str) -> Option<Vec<Ctx>> {
         let mut merged: Vec<Ctx> = Vec::new();
         for &ctx in input {

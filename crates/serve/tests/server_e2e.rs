@@ -195,7 +195,7 @@ fn overload_sheds_with_the_distinct_status_and_counts_it() {
 fn engine_limits_surface_as_resource_exhausted_not_shed() {
     let mut engine = books_engine(40, 11);
     engine.set_limits(Limits {
-        max_steps: 50, // any real query trips this
+        max_steps: 50, // a step over every author trips this
         ..Limits::default()
     });
     let mut registry = Registry::new();
@@ -208,7 +208,12 @@ fn engine_limits_surface_as_resource_exhausted_not_shed() {
         .expect("starts");
     let mut client = Client::connect(handle.local_addr(), "acme").expect("connects");
 
-    let err = client.point(DOC, "//book//name").expect_err("limit trips");
+    // `//book//name` would not: both `//` steps are answered from the
+    // arena and charge one step per context (1 + 40), while each child
+    // step charges its whole context set (1 + 40 books + their authors).
+    let err = client
+        .point(DOC, "//book/author/name")
+        .expect_err("limit trips");
     assert_eq!(err.status(), Some(WireStatus::ResourceExhausted));
     assert_eq!(handle.metrics().shed_total(), 0, "limits are not sheds");
     handle.shutdown();

@@ -65,10 +65,12 @@ const SURNAMES: [&str; 12] = [
     "Vianu",
 ];
 
-/// Generates the corpus under the given URI.
+/// Generates the corpus under the given URI. Each book is attached to the
+/// document as soon as it is built, so only one book is ever held twice.
 pub fn generate_books(uri: &str, cfg: &BooksConfig) -> Document {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut data = ElementBuilder::new("data");
+    let mut doc = Document::new(uri);
+    let root = doc.create_root("data");
     for i in 0..cfg.books {
         let rare = rng.gen_bool(cfg.rare_fraction.clamp(0.0, 1.0));
         let title = if rare {
@@ -91,14 +93,70 @@ pub fn generate_books(uri: &str, cfg: &BooksConfig) -> Document {
         book = book.child(
             ElementBuilder::new("publisher").child(ElementBuilder::new("location").text(loc)),
         );
-        data = data.child(book);
+        book.attach_to(&mut doc, root);
     }
-    data.into_document(uri)
+    doc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The corpus built as one builder tree and converted at the end: the
+    /// same draws, two copies of the corpus at the peak.
+    fn generate_books_whole_tree(uri: &str, cfg: &BooksConfig) -> Document {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut data = ElementBuilder::new("data");
+        for i in 0..cfg.books {
+            let rare = rng.gen_bool(cfg.rare_fraction.clamp(0.0, 1.0));
+            let title = if rare {
+                format!("RARE Title {i}")
+            } else {
+                format!("Title {i}")
+            };
+            let mut book = ElementBuilder::new("book")
+                .attr("id", format!("b{i}"))
+                .child(ElementBuilder::new("title").text(title));
+            for a in 0..rng.gen_range(1..=cfg.max_authors.max(1)) {
+                let surname = SURNAMES[rng.gen_range(0..SURNAMES.len())];
+                book = book.child(
+                    ElementBuilder::new("author")
+                        .child(ElementBuilder::new("name").text(format!("{surname} {a}"))),
+                );
+            }
+            let loc = LOCATIONS[rng.gen_range(0..LOCATIONS.len())];
+            book = book.child(
+                ElementBuilder::new("publisher").child(ElementBuilder::new("location").text(loc)),
+            );
+            data = data.child(book);
+        }
+        data.into_document(uri)
+    }
+
+    #[test]
+    fn attaching_book_by_book_matches_the_whole_tree_build() {
+        for seed in [5, 7, 11] {
+            let cfg = BooksConfig {
+                books: 60,
+                max_authors: 4,
+                rare_fraction: 0.2,
+                seed,
+            };
+            let (new, old) = (
+                generate_books("u", &cfg),
+                generate_books_whole_tree("u", &cfg),
+            );
+            let compact = vh_xml::SerializeOptions::compact();
+            assert_eq!(
+                vh_xml::serialize(&new, compact),
+                vh_xml::serialize(&old, compact),
+                "seed {seed}"
+            );
+            assert_eq!(new.len(), old.len(), "seed {seed}");
+            let ids = |d: &Document| d.preorder().collect::<Vec<_>>();
+            assert_eq!(ids(&new), ids(&old), "seed {seed}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

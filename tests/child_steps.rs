@@ -1,4 +1,4 @@
-//! The set-at-a-time virtual child step against its per-context oracle.
+//! The set-at-a-time child steps against their per-context oracles.
 //!
 //! A `child::name` or `child::text()` step with position-free predicates
 //! over a virtual document is answered by one batched scan of the type
@@ -8,11 +8,17 @@
 //! predicates applied per context, then sorted and deduplicated. It is
 //! reached through a wrapper that offers no batched scan, so the same
 //! evaluator runs both sides.
+//!
+//! The physical document answers `//name`, child steps, descendants and
+//! document order from its numbering's arena. Its oracle is a wrapper
+//! with none of those hooks: tree-walk descendants, no indexed `//name`
+//! or batched child scan, and the byte-key order compare.
 
 use vpbn_suite::core::{ExecOptions, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
+use vpbn_suite::pbn::keys;
 use vpbn_suite::query::api::{Edit, Engine};
-use vpbn_suite::query::doc::{QueryDoc, VirtualDoc};
+use vpbn_suite::query::doc::{PhysicalDoc, QueryDoc, VirtualDoc};
 use vpbn_suite::query::xpath::eval::eval_xpath_with_vars;
 use vpbn_suite::query::xpath::{eval_xpath, parse_xpath, XValue};
 use vpbn_suite::workload::queries::book_queries;
@@ -193,10 +199,9 @@ fn batched_child_steps_match_the_per_context_oracle_on_figure2() {
     check_document(&td, "figure2");
 }
 
-/// After edits that mint keys (repeated front inserts), move and delete,
-/// the engine's warm views still answer batched == per-context.
-#[test]
-fn batched_child_steps_match_the_per_context_oracle_after_edits() {
+/// An engine over a small corpus with every scenario's view warm, after
+/// edits that mint keys (repeated front inserts), move and delete.
+fn edited_engine() -> Engine {
     let base = generate_books(
         URI,
         &BooksConfig {
@@ -246,6 +251,14 @@ fn batched_child_steps_match_the_per_context_oracle_after_edits() {
     for e in edits {
         engine.apply(e).expect("edit applies");
     }
+    engine
+}
+
+/// The engine's warm views still answer batched == per-context after the
+/// edits of [`edited_engine`].
+#[test]
+fn batched_child_steps_match_the_per_context_oracle_after_edits() {
+    let mut engine = edited_engine();
     for s in book_scenarios() {
         let paths = paths_for(s.name);
         for (opts, _) in option_sets() {
@@ -255,4 +268,120 @@ fn batched_child_steps_match_the_per_context_oracle_after_edits() {
             check_view(&vd, &paths, &ctx);
         }
     }
+}
+
+/// A physical document with none of the arena hooks: the evaluator walks
+/// the tree for descendants and `//name`, runs child steps per context,
+/// and orders nodes by comparing their encoded keys.
+struct TreeWalk<'a>(&'a TypedDocument);
+
+impl QueryDoc for TreeWalk<'_> {
+    fn roots(&self) -> Vec<NodeId> {
+        self.0.doc().root().into_iter().collect()
+    }
+    fn children(&self, n: NodeId) -> Vec<NodeId> {
+        self.0.doc().children(n).to_vec()
+    }
+    fn parent(&self, n: NodeId) -> Option<NodeId> {
+        self.0.doc().parent(n)
+    }
+    fn kind(&self, n: NodeId) -> &NodeKind {
+        self.0.doc().kind(n)
+    }
+    fn cmp_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
+        keys::cmp(self.0.pbn().key_of(a), self.0.pbn().key_of(b))
+    }
+    fn string_value(&self, n: NodeId) -> String {
+        self.0.doc().string_value(n)
+    }
+    fn attribute(&self, n: NodeId, name: &str) -> Option<String> {
+        self.0.doc().attribute(n, name).map(str::to_owned)
+    }
+    fn attributes(&self, n: NodeId) -> Vec<(String, String)> {
+        let attrs = self.0.doc().attributes(n).iter();
+        attrs.map(|a| (a.name.clone(), a.value.clone())).collect()
+    }
+}
+
+/// Physical paths: the repository benchmark's physical twins of the
+/// scenario queries first, then `text()` and `node()` tests, mixed-type
+/// contexts, positional predicates, scoped `//` steps (a book is never
+/// its own descendant) and the document-order axes.
+const PHYSICAL: &[&str] = &[
+    "//book/title",
+    "//book[contains(title, 'RARE')]/author",
+    "//book/author",
+    "//book[contains(title, 'RARE')]/author/name",
+    "//book/publisher/location",
+    "//book/author/name",
+    "//book/title/text()",
+    "//*/author",
+    "//node()",
+    "//text()",
+    "/data/book[author]/title",
+    "//book/author[1]/name",
+    "//book/author[1+0]",
+    "//name/preceding::title",
+    "//author/following-sibling::*",
+    "//book//name",
+    "//book//book",
+    "/data//title/text()",
+];
+
+/// Asserts arena hooks == tree walk on every physical path, and on child
+/// steps from a variable bound to every node in reverse document order
+/// with duplicates (nested, unsorted, repeated contexts).
+fn check_physical(td: &TypedDocument, ctx: &str) {
+    let fast = PhysicalDoc::new(td);
+    let oracle = TreeWalk(td);
+    assert!(
+        fast.descendants_named(None, "book").is_some(),
+        "{ctx}: the numbering is drained, so the arena answers"
+    );
+    for p in PHYSICAL {
+        let path = parse_xpath(p).unwrap_or_else(|e| panic!("{p}: {e}"));
+        assert_eq!(
+            eval_xpath(&fast, &path).map_err(|e| e.to_string()),
+            eval_xpath(&oracle, &path).map_err(|e| e.to_string()),
+            "{ctx}: {p}"
+        );
+    }
+    let all: Vec<NodeId> = td.doc().preorder().collect();
+    let mut bound: Vec<NodeId> = all.iter().rev().copied().collect();
+    bound.extend(all.iter().step_by(3).copied());
+    let resolver = |_: &str| Some(bound.clone());
+    for p in ["$v/name", "$v/author", "$v/text()", "$v//name"] {
+        let path = parse_xpath(p).unwrap_or_else(|e| panic!("{p}: {e}"));
+        let run = |d: &dyn QueryDoc| match eval_xpath_with_vars(d, &path, None, &resolver) {
+            Ok(XValue::Nodes(ns)) => ns,
+            other => panic!("{ctx}: {p} gave {other:?}"),
+        };
+        assert_eq!(run(&fast), run(&oracle), "{ctx}: {p} over mixed contexts");
+    }
+}
+
+#[test]
+fn physical_arena_steps_match_the_tree_walk_on_books() {
+    let td = TypedDocument::analyze(generate_books(
+        "books.xml",
+        &BooksConfig {
+            books: 14,
+            max_authors: 3,
+            rare_fraction: 0.25,
+            seed: 5,
+        },
+    ));
+    check_physical(&td, "books");
+}
+
+#[test]
+fn physical_arena_steps_match_the_tree_walk_on_figure2() {
+    check_physical(&TypedDocument::analyze(paper_figure2()), "figure2");
+}
+
+#[test]
+fn physical_arena_steps_match_the_tree_walk_after_edits() {
+    let engine = edited_engine();
+    let td = engine.document(URI).expect("corpus registered");
+    check_physical(td, "edited");
 }
