@@ -10,6 +10,12 @@
 //! `--json <dir>` writes `BENCH_sjoin.json`; `sjoin/…` rows are
 //! informational by default (the CI gate fails only on the `axes/axis/…`
 //! and `twig/…` hot paths).
+//!
+//! The virtual join reads the view's cached order column, so its rows
+//! time warm joins; the one-off column build on a fresh view is printed
+//! beside them (`column_us`). The run exits 1 when the virtual join
+//! takes more than [`VIRT_PHYS_BOUND`] times the physical one at any
+//! corpus size or thread count: vPBN's claimed cost over PBN is modest.
 
 use vh_bench::json::{BenchReport, BenchRow, CALIBRATION_ROW};
 use vh_bench::opts::{BenchOpts, Profile};
@@ -18,6 +24,12 @@ use vh_core::{ExecOptions, VirtualDocument};
 use vh_dataguide::TypedDocument;
 use vh_query::sjoin::{nested_loop_join, physical_structural_join_opts, virtual_structural_join};
 use vh_workload::{generate_books, BooksConfig};
+
+/// Sam's view: titles own their authors and names.
+const SPEC: &str = "title { author { name } }";
+
+/// The most a virtual structural join may cost over its physical twin.
+const VIRT_PHYS_BOUND: f64 = 3.0;
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -43,13 +55,26 @@ fn main() {
             "pairs",
             "phys_stack_us",
             "virt_stack_us",
+            "virt_phys_x",
+            "column_us",
             "virt_nested_us",
             "stack_vs_nested_x",
         ],
     );
+    let mut over_bound = Vec::new();
     for &n in &sizes {
         let td = TypedDocument::analyze(generate_books("books.xml", &BooksConfig::sized(n)));
-        let mut vd = VirtualDocument::open(&td, "title { author { name } }").unwrap();
+        let mut vd = VirtualDocument::open(&td, SPEC).unwrap();
+        // The order column's one-off build: a fresh view's open plus its
+        // first column, less the open alone.
+        let (open_us, _) = time_us(3, || {
+            VirtualDocument::open(&td, SPEC).unwrap().visible_nodes()
+        });
+        let (open_column_us, _) = time_us(3, || {
+            let fresh = VirtualDocument::open(&td, SPEC).unwrap();
+            fresh.order_column().map_or(0, |c| c.len())
+        });
+        let column_us = (open_column_us - open_us).max(0.0);
 
         // Physical: book ancestors, name descendants.
         let book_t = td.guide().lookup_path(&["data", "book"]).unwrap();
@@ -101,6 +126,10 @@ fn main() {
             if !nl_us.is_nan() {
                 assert_eq!(nl_pairs, v_pairs);
             }
+            let virt_phys_x = v_us / p_us.max(0.001);
+            if virt_phys_x > VIRT_PHYS_BOUND {
+                over_bound.push(format!("books={n} threads={threads}: {virt_phys_x:.2}x"));
+            }
             t.row(&[
                 n.to_string(),
                 threads.to_string(),
@@ -109,6 +138,8 @@ fn main() {
                 v_pairs.to_string(),
                 format!("{p_us:.1}"),
                 format!("{v_us:.1}"),
+                format!("{virt_phys_x:.2}"),
+                format!("{column_us:.1}"),
                 if nl_us.is_nan() {
                     "-".into()
                 } else {
@@ -162,6 +193,15 @@ fn main() {
             }
         }
     }
+
+    if !over_bound.is_empty() {
+        eprintln!(
+            "error: the virtual join exceeds {VIRT_PHYS_BOUND}x the physical one at {}",
+            over_bound.join(", ")
+        );
+        std::process::exit(1);
+    }
+    println!("acceptance: the virtual join stays within {VIRT_PHYS_BOUND}x the physical one");
 }
 
 /// Times a closure (calibrated median, see

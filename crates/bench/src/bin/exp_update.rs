@@ -43,9 +43,9 @@
 //!   book moves and title rewrites) through `Engine::apply` with Sam's
 //!   view warm, on corpora of [`SCALING_BOOKS`] books
 //!   (`update/apply/books=N`). The 6000/60 ratio is printed for
-//!   information: an edit still pays O(document) work (the key-arena
-//!   copy, the rewrite of the inverse slot map and the sorted number
-//!   table), so it is not yet bounded.
+//!   information: an edit still pays O(document) work (the arena splice
+//!   copies every key and rewrites the inverse slot map from the first
+//!   changed slot on), so it is not yet bounded.
 //!
 //! Medians land in `BENCH_update.json`; the `update/apply/…` and
 //! `update/cache_…` rows are gated against the committed baseline like
@@ -756,8 +756,8 @@ fn main() {
     println!(
         "apply scaling: {} books cost {scaling_x:.2}x the per-edit time of {} books \
          (informational; the O(edit) target of <= 2x is not met while an edit \
-         still pays O(document) work: the key-arena copy, the rewrite of the \
-         inverse slot map and the sorted number table)",
+         still pays O(document) work: the arena splice copies every key, and \
+         rewrites the inverse slot map from the first changed slot on)",
         SCALING_BOOKS[2], SCALING_BOOKS[0]
     );
 

@@ -193,24 +193,33 @@ where
         }
     });
     // K-way merge by repeated two-way merges (k is small: ≤ thread count).
-    let mut runs: Vec<Vec<T>> = bounds
+    let runs: Vec<Vec<T>> = bounds
         .iter()
         .map(|&(lo, hi)| items[lo..hi].to_vec())
         .collect();
+    items.copy_from_slice(&merge_runs(runs, &cmp));
+}
+
+/// Merges runs, each sorted by `cmp`, into one sorted vector by repeated
+/// stable two-way merges: about `n · log2(k)` comparisons for `k` runs
+/// of `n` items in all. Never checks that `cmp` is consistent, so it
+/// cannot panic on one that is not.
+pub(crate) fn merge_runs<T: Copy>(
+    mut runs: Vec<Vec<T>>,
+    cmp: &impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
     while runs.len() > 1 {
         let mut next = Vec::with_capacity(runs.len().div_ceil(2));
         let mut it = runs.into_iter();
         while let Some(a) = it.next() {
             match it.next() {
-                Some(b) => next.push(merge_by(&a, &b, &cmp)),
+                Some(b) => next.push(merge_by(&a, &b, cmp)),
                 None => next.push(a),
             }
         }
         runs = next;
     }
-    if let Some(sorted) = runs.into_iter().next() {
-        items.copy_from_slice(&sorted);
-    }
+    runs.into_iter().next().unwrap_or_default()
 }
 
 /// Stable two-way merge (ties take from `a` first).

@@ -3,13 +3,16 @@
 //! §5.1: vPBN preserves document order but does **not** store sibling
 //! ordinals — "if an ordinal is needed, it must be computed dynamically,
 //! e.g., by queueing the siblings". [`v_cmp`] is the total order; ordinal
-//! computation lives on [`crate::vdoc::VirtualDocument`].
+//! computation lives on [`crate::vdoc::VirtualDocument`]. [`OrderColumn`]
+//! caches that order per view as one rank and one subtree end per node,
+//! for the structural and twig joins.
 
 use crate::axes::v_ancestor;
 use crate::vdg::VDataGuide;
 use crate::vpbn::{decoded, VPbnRef};
 use std::cmp::Ordering;
 use vh_pbn::keys;
+use vh_xml::NodeId;
 
 /// Total virtual document order over vPBN numbers.
 ///
@@ -72,6 +75,114 @@ pub fn v_cmp_oracle(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> Orderin
 #[inline]
 pub fn v_before(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
     v_cmp(v, x, y) == Ordering::Less
+}
+
+/// A view's virtual document order as one comparable value per node: the
+/// node's `rank` (its position in virtual document order) and `end` (the
+/// last rank inside its virtual subtree). Order is a rank compare and
+/// containment is interval nesting, `rank[a] < rank[d] ≤ end[a]` — the
+/// nested-sets encoding, exact wherever every node has one virtual
+/// parent. Built by [`crate::VirtualDocument::order_column`], which
+/// refuses views that place a node twice.
+#[derive(PartialEq, Eq)]
+pub struct OrderColumn {
+    /// `spans[id.index()]`, [`Span::NONE`] for nodes outside the view.
+    spans: Vec<Span>,
+    /// Number of ranked (visible) nodes.
+    ranked: usize,
+}
+
+/// One node's rank and subtree end, side by side so a containment test
+/// loads one entry per node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    rank: u32,
+    end: u32,
+}
+
+impl Span {
+    /// Outside the view: sorts after every ranked node and contains none.
+    const NONE: Span = Span {
+        rank: u32::MAX,
+        end: 0,
+    };
+}
+
+impl OrderColumn {
+    /// Builds the column from the view's visible nodes in virtual
+    /// document order, each with its subtree end, over a document of
+    /// `doc_len` node ids.
+    pub(crate) fn from_order(
+        doc_len: usize,
+        order: impl IntoIterator<Item = (NodeId, u32)>,
+    ) -> Self {
+        let mut spans = vec![Span::NONE; doc_len];
+        let mut ranked = 0;
+        for (id, end) in order {
+            spans[id.index()] = Span {
+                rank: ranked as u32,
+                end,
+            };
+            ranked += 1;
+        }
+        OrderColumn { spans, ranked }
+    }
+
+    #[inline]
+    fn span(&self, id: NodeId) -> Span {
+        self.spans.get(id.index()).copied().unwrap_or(Span::NONE)
+    }
+
+    /// The node's position in virtual document order (`u32::MAX` outside
+    /// the view).
+    #[inline]
+    pub fn rank(&self, id: NodeId) -> u32 {
+        self.span(id).rank
+    }
+
+    /// The last rank inside the node's virtual subtree (its own rank for
+    /// a leaf).
+    #[inline]
+    pub fn end(&self, id: NodeId) -> u32 {
+        self.span(id).end
+    }
+
+    /// Virtual document order: one integer compare.
+    #[inline]
+    pub fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
+        self.rank(a).cmp(&self.rank(b))
+    }
+
+    /// True iff `a` is a proper virtual ancestor of `d`: `d`'s rank falls
+    /// inside `a`'s interval.
+    #[inline]
+    pub fn contains(&self, a: NodeId, d: NodeId) -> bool {
+        let (a, rd) = (self.span(a), self.rank(d));
+        a.rank < rd && rd <= a.end
+    }
+
+    /// Number of ranked (visible) nodes.
+    pub fn len(&self) -> usize {
+        self.ranked
+    }
+
+    /// True for a view with no visible node.
+    pub fn is_empty(&self) -> bool {
+        self.ranked == 0
+    }
+
+    /// Heap bytes of the column.
+    pub fn heap_bytes(&self) -> usize {
+        self.spans.len() * std::mem::size_of::<Span>()
+    }
+}
+
+impl std::fmt::Debug for OrderColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OrderColumn")
+            .field("ranked", &self.ranked)
+            .finish_non_exhaustive()
+    }
 }
 
 #[cfg(test)]

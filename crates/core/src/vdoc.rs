@@ -13,11 +13,11 @@ use crate::axes;
 use crate::cache::{Maintained, ViewDelta};
 use crate::exec::{self, ExecOptions};
 use crate::levels::{LevelArray, LevelMap};
-use crate::order::v_cmp;
+use crate::order::{v_cmp, OrderColumn};
 use crate::range::{related_prefix, PrefixTables};
 use crate::vdg::{VDataGuide, VTypeId, VdgError};
 use crate::vpbn::VPbnRef;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vh_dataguide::{Touch, TouchedNode, TypedDocument};
 use vh_obs::{AxisCounters, RangeChoice};
 use vh_pbn::keys;
@@ -29,11 +29,27 @@ use vh_xml::NodeId;
 /// `(document, vDataGuide)`, so engines cache it per view alongside the
 /// other compiled artifacts instead of re-walking the document on every
 /// query.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The index also carries the view's [`OrderColumn`], built lazily by the
+/// first join over this generation ([`VirtualDocument::order_column`]),
+/// never at open. Cloning shares it, [`TypeIndex::maintain`] drops it, and
+/// equality ignores it.
+#[derive(Clone, Debug)]
 pub struct TypeIndex {
     /// `by_vtype[vt.index()]` = nodes of virtual type `vt`, PBN-sorted.
     by_vtype: Vec<Vec<NodeId>>,
+    /// The order column once a join asked for it; the inner `None`
+    /// records that the view places some node twice and builds none.
+    order: OnceLock<Option<Arc<OrderColumn>>>,
 }
+
+impl PartialEq for TypeIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.by_vtype == other.by_vtype
+    }
+}
+
+impl Eq for TypeIndex {}
 
 impl TypeIndex {
     /// Builds the index in one pass in document order: PBN assignment
@@ -46,7 +62,16 @@ impl TypeIndex {
                 by_vtype[vt.index()].push(id);
             }
         }
-        TypeIndex { by_vtype }
+        TypeIndex {
+            by_vtype,
+            order: OnceLock::new(),
+        }
+    }
+
+    /// True once a join has asked this generation for its order column
+    /// (built, or refused under join multiplicity).
+    pub fn order_checked(&self) -> bool {
+        self.order.get().is_some()
     }
 
     /// The nodes of one virtual type, in PBN order.
@@ -77,19 +102,25 @@ impl TypeIndex {
             .map(|v| v.len() * std::mem::size_of::<NodeId>())
             .sum::<usize>()
             + self.by_vtype.len() * std::mem::size_of::<Vec<NodeId>>()
+            + self
+                .order
+                .get()
+                .and_then(Option::as_deref)
+                .map_or(0, OrderColumn::heap_bytes)
     }
 
-    /// Splices one edit batch into the lists in place. Pre-batch entries
-    /// of touched nodes are located by binary search under their
-    /// pre-batch keys: a node whose first touch in the batch is a
-    /// removal was listed under that touch's journaled key and type,
-    /// and untouched nodes keep their current keys. Every removal is
-    /// located before the first list changes, so a
-    /// [`Maintained::MustRecompute`] leaves `self` as it was. Once those
-    /// entries are out, every list holds untouched nodes only, so each
-    /// live touched node is inserted at the position of its *final*
-    /// key — moved nodes make the journaled keys non-monotone, so
-    /// positions are never replayed chronologically.
+    /// Splices one edit batch into the lists in place, and drops the order
+    /// column without copying it (the next join rebuilds it over the
+    /// post-batch document). Pre-batch entries of touched nodes are
+    /// located by binary search under their pre-batch keys: a node whose
+    /// first touch in the batch is a removal was listed under that
+    /// touch's journaled key and type, and untouched nodes keep their
+    /// current keys. Every removal is located before the first list
+    /// changes, so a [`Maintained::MustRecompute`] leaves the lists as
+    /// they were. Once those entries are out, every list holds untouched
+    /// nodes only, so each live touched node is inserted at the position
+    /// of its *final* key — moved nodes make the journaled keys
+    /// non-monotone, so positions are never replayed chronologically.
     ///
     /// `td` is the document after the batch, and the caller has
     /// established that the batch leaves `vdg` valid
@@ -101,6 +132,9 @@ impl TypeIndex {
         td: &TypedDocument,
         vdg: &VDataGuide,
     ) -> Maintained {
+        // Ranks and subtree ends describe the pre-batch document; the
+        // next join rebuilds them.
+        self.order.take();
         // Only a touched node of a visible type can change a list: every
         // type a touched node ever had in this batch maps to at most one.
         if !delta.touched.iter().any(|t| vdg.vtype_of(t.ty).is_some()) {
@@ -493,7 +527,89 @@ impl<'a> VirtualDocument<'a> {
         out
     }
 
+    /// The view's [`OrderColumn`]: each visible node's rank in virtual
+    /// document order and the last rank inside its virtual subtree, which
+    /// the structural and twig joins compare instead of calling `v_cmp`
+    /// and `v_ancestor`. Built on the first call over this type-index
+    /// generation and cached with the index, so later joins reuse it and
+    /// opening a view never builds it.
+    ///
+    /// `None` when some node does not have exactly one virtual parent:
+    /// under join multiplicity (`name { author { title } }` over books
+    /// with several authors) intervals are not exact and `v_cmp` can
+    /// cycle, so callers keep the closure predicates.
+    pub fn order_column(&self) -> Option<&OrderColumn> {
+        self.index
+            .order
+            .get_or_init(|| self.build_order_column().map(Arc::new))
+            .as_deref()
+    }
+
     // ----- internals ----------------------------------------------------
+
+    /// Builds the order column, or `None` when the view places some node
+    /// other than exactly once.
+    ///
+    /// Placement is checked first, before any sort: per virtual edge, one
+    /// batched `collect_related` pass over every parent instance lists
+    /// each placement of a child, and those must cover the child type's
+    /// nodes once each. Then every visible node is put in `v_cmp` order,
+    /// and one stack pass closes each node's interval at the first later
+    /// node it is no `v_ancestor` of. After each push the stack must be
+    /// exactly as deep as the node's virtual level: then it holds the
+    /// node's whole ancestor chain, so no interval can miss a descendant
+    /// or take in a stranger. Any other depth refuses the column.
+    fn build_order_column(&self) -> Option<OrderColumn> {
+        let guide = self.vdg.guide();
+        let mut placed: Vec<NodeId> = Vec::new();
+        for vt in guide.type_ids() {
+            let Some(pt) = guide.ty(vt).parent() else {
+                continue;
+            };
+            placed.clear();
+            self.collect_related(self.index.nodes(pt), pt, vt, &mut placed, axes::v_child);
+            placed.sort_unstable();
+            if placed.len() != self.index.nodes(vt).len() || placed.windows(2).any(|w| w[0] == w[1])
+            {
+                return None;
+            }
+        }
+        // One type's nodes compare by key alone, so each type's list is
+        // already a run in virtual document order and the sort is a merge
+        // of those runs. Entries carry their type, so a vPBN is two loads.
+        let vpbn = |&(id, vt): &(NodeId, VTypeId)| {
+            VPbnRef::from_slices(self.td.pbn().key_of(id), self.levels.levels_of(vt), vt)
+        };
+        let runs: Vec<Vec<(NodeId, VTypeId)>> = guide
+            .type_ids()
+            .map(|vt| self.index.nodes(vt).iter().map(|&id| (id, vt)).collect())
+            .collect();
+        let order = exec::merge_runs(runs, &|a, b| v_cmp(&self.vdg, &vpbn(a), &vpbn(b)));
+        let mut ends = vec![0u32; order.len()];
+        // Open intervals: (rank, vPBN) of the current node's ancestors.
+        let mut stack: Vec<(usize, VPbnRef<'_>)> = Vec::new();
+        for (r, x) in order.iter().enumerate() {
+            let xv = vpbn(x);
+            while let Some((top, tv)) = stack.last() {
+                if axes::v_ancestor(&self.vdg, tv, &xv) {
+                    break;
+                }
+                // r ≥ 1: something was pushed before this node.
+                ends[*top] = (r - 1) as u32;
+                stack.pop();
+            }
+            stack.push((r, xv));
+            if stack.len() != self.vdg.level(x.1) {
+                return None;
+            }
+        }
+        let last = order.len().saturating_sub(1) as u32;
+        for (top, _) in stack {
+            ends[top] = last;
+        }
+        let ranked = order.iter().map(|&(id, _)| id).zip(ends);
+        Some(OrderColumn::from_order(self.td.doc().len(), ranked))
+    }
 
     /// Collects nodes of type `vt` related to each context in `xs` under
     /// `pred(candidate, context)`, appending every context's matches in

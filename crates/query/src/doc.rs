@@ -49,12 +49,16 @@ pub trait QueryDoc {
     }
 
     /// Indexed lookup: all elements named `name` below `scope` (the whole
-    /// document when `scope` is `None`), in document order. This is the
-    /// access path `//name` steps take in a PBN-based system (§4.3's type
-    /// index). A virtual document always answers; a physical one answers
-    /// from its store's name index or its numbering's arena, and returns
-    /// `None` only while the numbering holds edits its arena has not
-    /// absorbed — the evaluator then falls back to a tree walk.
+    /// document when `scope` is `None`). This is the access path `//name`
+    /// steps take in a PBN-based system (§4.3's type index). A virtual
+    /// document always answers; a physical one answers from its store's
+    /// name index or its numbering's arena, and returns `None` only while
+    /// the numbering holds edits its arena has not absorbed — the
+    /// evaluator then falls back to a tree walk.
+    ///
+    /// Contract: an answer is in document order ([`Self::cmp_order`]) with
+    /// no duplicates. The evaluator returns a single context's answer as
+    /// it is, without sorting it again.
     fn descendants_named(&self, _scope: Option<NodeId>, _name: &str) -> Option<Vec<NodeId>> {
         None
     }
@@ -504,6 +508,64 @@ mod tests {
             .preorder()
             .find(|&n| td.doc().name(n) == Some(name))
             .must()
+    }
+
+    /// Asserts the `descendants_named` contract — document order, no
+    /// duplicates — for every element name below every scope.
+    fn assert_ordered_answers(d: &dyn QueryDoc, scopes: &[NodeId], names: &[&str], ctx: &str) {
+        let scopes = std::iter::once(None).chain(scopes.iter().copied().map(Some));
+        for scope in scopes {
+            for &name in names {
+                let found = d.descendants_named(scope, name).must();
+                assert!(
+                    found
+                        .windows(2)
+                        .all(|w| d.cmp_order(w[0], w[1]) == Ordering::Less),
+                    "{ctx}: //{name} below {scope:?} gave {found:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn descendants_named_answers_in_document_order_without_duplicates() {
+        let nested = TypedDocument::parse(
+            "nest.xml",
+            "<data><a><b>t</b><a><a/><b/></a></a><a/><b>u</b></data>",
+        )
+        .must();
+        let books = TypedDocument::parse(
+            "books.xml",
+            "<data><book><title>A</title><author><name>B</name></author>\
+             <author><name>C</name></author></book>\
+             <book><title>D</title><author><name>E</name></author></book></data>",
+        )
+        .must();
+        let fig2 = TypedDocument::analyze(paper_figure2());
+        for (label, td) in [("nested", &nested), ("books", &books), ("figure2", &fig2)] {
+            let all: Vec<NodeId> = td.doc().preorder().collect();
+            let mut names: Vec<&str> = all.iter().filter_map(|&n| td.doc().name(n)).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_ordered_answers(&PhysicalDoc::new(td), &all, &names, label);
+            let store = vh_storage::StoredDocument::build(td.clone());
+            assert_ordered_answers(&PhysicalDoc::with_store(&store), &all, &names, label);
+        }
+        for (label, td) in [("books", &books), ("figure2", &fig2)] {
+            for spec in [
+                "data { ** }",
+                "title { author { name } }",
+                "title { name { author } }",
+                "name { author { title } }",
+            ] {
+                let vd = VirtualDocument::open(td, spec).must();
+                let visible = vd.preorder();
+                let guide = vd.vdg().guide();
+                let names: Vec<&str> = guide.type_ids().map(|vt| guide.name(vt)).collect();
+                let ctx = format!("{label} {spec}");
+                assert_ordered_answers(&VirtualDoc::new(&vd), &visible, &names, &ctx);
+            }
+        }
     }
 
     #[test]

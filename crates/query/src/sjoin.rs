@@ -7,11 +7,15 @@
 //! that location predicates remain pure number comparisons, so the same
 //! algorithm runs unchanged on virtual hierarchies — only the comparator
 //! and the containment predicate swap. Experiment F6 measures exactly this.
+//! Both virtual predicates come from the view's cached order column: a
+//! rank compare and an interval containment test, so the virtual merge is
+//! the physical one over a different `u32` column.
 
 use std::cmp::Ordering;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
 use vh_core::order::v_cmp;
+use vh_core::vpbn::VPbnRef;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
 use vh_obs::SjoinCounters;
@@ -152,24 +156,26 @@ pub fn stack_tree_join_counted(
 }
 
 /// [`virtual_structural_join`] with operator counters (see
-/// [`stack_tree_join_counted`]).
+/// [`stack_tree_join_counted`]). Reads the view's order column like the
+/// plain join, and the closure predicates where the view has none.
 pub fn virtual_structural_join_counted(
     vd: &VirtualDocument<'_>,
     ancestors: &[NodeId],
     descendants: &[NodeId],
     counters: &SjoinCounters,
 ) -> Vec<(NodeId, NodeId)> {
-    // Invariant: as in `virtual_structural_join`, join inputs are node
-    // lists of virtual types, so every node has a vPBN.
-    let vpbn = |n: NodeId| match vd.vpbn_of(n) {
-        Some(v) => v,
-        None => unreachable!("join input is visible"),
-    };
+    let (col, vpbn) = (vd.order_column(), visible_vpbn(vd));
     stack_tree_join_counted(
         ancestors,
         descendants,
-        &|a, b| v_cmp(vd.vdg(), &vpbn(a), &vpbn(b)),
-        &|a, d| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
+        &|a, b| match col {
+            Some(col) => col.cmp(a, b),
+            None => v_cmp(vd.vdg(), &vpbn(a), &vpbn(b)),
+        },
+        &|a, d| match col {
+            Some(col) => col.contains(a, d),
+            None => v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
+        },
         &vd.exec(),
         counters,
     )
@@ -239,9 +245,9 @@ pub fn physical_structural_join_generic(
 }
 
 /// [`stack_tree_chunk`] monomorphized over u32 slot keys: document order
-/// is one integer compare on a value loaded straight from the arena's
-/// slot column, and both predicates inline — no `dyn` dispatch anywhere
-/// in the merge.
+/// is one integer compare on a value loaded straight from a flat column
+/// (the arena's slots, or a view's virtual ranks), and both predicates
+/// inline — no `dyn` dispatch anywhere in the merge.
 ///
 /// oracle: stack_tree_chunk
 fn stack_tree_chunk_slots(
@@ -293,18 +299,39 @@ fn stack_tree_chunk_slots(
 /// containment is the `vAncestor` predicate. The caller passes the node
 /// lists of two *virtual types* (e.g. from the type index). Runs with the
 /// view's own [`ExecOptions`] (see [`VirtualDocument::set_exec`]).
+///
+/// Fast path: the view's cached order column
+/// ([`VirtualDocument::order_column`]) turns document order into a rank
+/// compare and containment into interval nesting, so the merge is the
+/// same monomorphized `stack_tree_chunk_slots` pass the physical join
+/// runs over arena slots. A view that places some node twice has no
+/// column and runs [`virtual_structural_join_closure`].
+///
+/// oracle: virtual_structural_join_closure
 pub fn virtual_structural_join(
     vd: &VirtualDocument<'_>,
     ancestors: &[NodeId],
     descendants: &[NodeId],
 ) -> Vec<(NodeId, NodeId)> {
-    // Invariant: join inputs are node lists of virtual types (from the
-    // type index), and every node of a virtual type is visible in the
-    // view — so it always has a vPBN.
-    let vpbn = |n: NodeId| match vd.vpbn_of(n) {
-        Some(v) => v,
-        None => unreachable!("join input is visible"),
+    let Some(col) = vd.order_column() else {
+        return virtual_structural_join_closure(vd, ancestors, descendants);
     };
+    let chunks = exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
+        stack_tree_chunk_slots(ancestors, chunk, |n| col.rank(n), |a, d| col.contains(a, d))
+    });
+    exec::concat(chunks)
+}
+
+/// The closure form of [`virtual_structural_join`]: the generic
+/// Stack-Tree join calling `v_cmp` and `v_ancestor` on the nodes' vPBNs
+/// for every comparison. Views under join multiplicity run it, and the
+/// column join must stay byte-identical to it wherever it has a column.
+pub fn virtual_structural_join_closure(
+    vd: &VirtualDocument<'_>,
+    ancestors: &[NodeId],
+    descendants: &[NodeId],
+) -> Vec<(NodeId, NodeId)> {
+    let vpbn = visible_vpbn(vd);
     stack_tree_join_opts(
         ancestors,
         descendants,
@@ -312,6 +339,18 @@ pub fn virtual_structural_join(
         &|a, d| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
         &vd.exec(),
     )
+}
+
+/// The vPBN lookup of the closure joins.
+///
+/// Invariant: join inputs are node lists of virtual types (from the type
+/// index), and every node of a virtual type is visible in the view — so
+/// it always has a vPBN.
+fn visible_vpbn<'v>(vd: &'v VirtualDocument<'_>) -> impl Fn(NodeId) -> VPbnRef<'v> {
+    move |n| match vd.vpbn_of(n) {
+        Some(v) => v,
+        None => unreachable!("join input is visible"),
+    }
 }
 
 /// Baseline for the F6/A1 experiments: the nested-loop join that tests

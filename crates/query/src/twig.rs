@@ -12,7 +12,8 @@
 //! vPBN both are virtual-space comparisons (`v_cmp`, `vAncestor`), so the
 //! identical algorithm evaluates twig patterns **against a virtual
 //! hierarchy** without materializing it — the composition claim of §5 at
-//! the level of a real query operator.
+//! the level of a real query operator. The virtual source reads both from
+//! the view's cached order column (a rank compare and an interval test).
 //!
 //! All pattern edges are descendant edges (`//`), the class for which
 //! TwigStack is optimal; child edges can be post-filtered by the caller.
@@ -23,7 +24,7 @@ use std::fmt;
 use std::sync::Arc;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
-use vh_core::order::v_cmp;
+use vh_core::order::{v_cmp, OrderColumn};
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
 use vh_obs::TwigCounters;
@@ -375,48 +376,38 @@ impl<'a> TwigSource for PhysicalTwigSource<'a> {
 
 /// Virtual source: virtual document order and `vAncestor` containment.
 ///
-/// Construction materializes a **virtual-order rank column**: all visible
-/// nodes sorted once by `v_cmp`, their positions stored in a flat
-/// `u32` column indexed by node id. Every document-order comparison
-/// during the join — including the per-stream sorts, one per pattern
-/// node — is then a single integer compare instead of a component walk
-/// over number and level arrays.
+/// Both come from the view's cached order column
+/// ([`VirtualDocument::order_column`]): `cmp` compares two ranks and
+/// `contains` tests `rank[a] < rank[d] ≤ end[a]`, so no comparison walks
+/// a number, and the column is built once per view generation, not once
+/// per source. A view that places some node twice has no column; its
+/// source calls `v_cmp` and `v_ancestor` per test, as the
+/// [`VirtualTwigSource::with_closures`] twin does on any view.
 pub struct VirtualTwigSource<'a> {
     vd: &'a VirtualDocument<'a>,
-    rank: Vec<u32>,
+    /// The view's order column; `None` runs the closure predicates.
+    column: Option<&'a OrderColumn>,
 }
 
-/// Rank sentinel for nodes outside the virtual hierarchy (never produced
-/// by `stream`, which enumerates visible nodes only).
-const NO_RANK: u32 = u32::MAX;
-
 impl<'a> VirtualTwigSource<'a> {
-    /// Wraps a virtual document, building the rank column with one global
-    /// `v_cmp` sort (amortized over every stream and comparison of the
-    /// join; uses the view's own [`ExecOptions`]).
+    /// Wraps a virtual document, borrowing its order column (built by
+    /// the first join over the view's generation).
+    ///
+    /// oracle: with_closures
     pub fn new(vd: &'a VirtualDocument<'a>) -> Self {
-        let vdg = vd.vdg();
-        let vpbn = |n: NodeId| match vd.vpbn_of(n) {
-            Some(v) => v,
-            None => unreachable!("type-index nodes are visible"),
-        };
-        let mut visible: Vec<NodeId> = vdg
-            .guide()
-            .type_ids()
-            .flat_map(|vt| vd.nodes_of_vtype(vt).iter().copied())
-            .collect();
-        exec::par_sort_by(&vd.exec(), &mut visible, |&a, &b| {
-            v_cmp(vdg, &vpbn(a), &vpbn(b))
-        });
-        let mut rank = vec![NO_RANK; vd.typed().doc().len()];
-        for (r, id) in visible.iter().enumerate() {
-            rank[id.index()] = r as u32;
+        VirtualTwigSource {
+            vd,
+            column: vd.order_column(),
         }
-        VirtualTwigSource { vd, rank }
     }
-}
 
-impl<'a> VirtualTwigSource<'a> {
+    /// The closure twin: `v_cmp` and `v_ancestor` on the nodes' vPBNs for
+    /// every test, whatever the view. Views without an order column run
+    /// this path; on the others the column source must match it.
+    pub fn with_closures(vd: &'a VirtualDocument<'a>) -> Self {
+        VirtualTwigSource { vd, column: None }
+    }
+
     /// Invariant: `cmp`/`contains` are only called on nodes produced by
     /// `stream`, which enumerates nodes of virtual types — all of which
     /// are visible and therefore have a vPBN.
@@ -437,18 +428,24 @@ impl<'a> TwigSource for VirtualTwigSource<'a> {
             .filter(|&vt| vdg.guide().name(vt) == test)
             .flat_map(|vt| self.vd.nodes_of_vtype(vt).iter().copied())
             .collect();
-        // Rank order *is* virtual document order, so this is an integer
-        // sort (and safe to parallelize: ranks never tie).
+        // With a column this is an integer sort (and safe to parallelize:
+        // ranks never tie).
         exec::par_sort_by(&self.vd.exec(), &mut out, |&a, &b| self.cmp(a, b));
         out
     }
 
     fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
-        self.rank[a.index()].cmp(&self.rank[b.index()])
+        match self.column {
+            Some(col) => col.cmp(a, b),
+            None => v_cmp(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b)),
+        }
     }
 
     fn contains(&self, a: NodeId, b: NodeId) -> bool {
-        v_ancestor(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b))
+        match self.column {
+            Some(col) => col.contains(a, b),
+            None => v_ancestor(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b)),
+        }
     }
 }
 
@@ -720,82 +717,98 @@ impl<'s> TwigStack<'s> {
     /// Emits every root-to-leaf solution encoded by the current stacks for
     /// leaf `q` (its own top entry combined with all compatible ancestor
     /// stack prefixes).
+    ///
+    /// Each entry sees its parent stack only as tall as it was when the
+    /// entry was pushed; one level's bound is the tallest such height
+    /// among the entries visible at the level below, and the containment
+    /// test between consecutive nodes keeps the solutions exact. The
+    /// solutions are enumerated depth-first into one reused path buffer,
+    /// nearest level outermost, so they come out in the order of a
+    /// level-by-level expansion.
     fn emit_paths(&mut self, leaf: usize) {
         let pos = self.leaf_pos[leaf];
-        let chain = &self.chains[pos];
-        let mut paths: Vec<Vec<NodeId>> = Vec::new();
-        // Walk from the leaf upward: each entry limits how much of the
-        // parent stack is visible (the height recorded at push time).
         // Invariant: `run` pushes onto stacks[leaf] immediately before
         // calling emit_paths, so the stack is never empty here.
-        let (leaf_node, mut visible) = match self.stacks[leaf].last() {
+        let (leaf_node, leaf_height) = match self.stacks[leaf].last() {
             Some(&top) => top,
             None => unreachable!("leaf just pushed"),
         };
-        paths.push(vec![leaf_node]);
-        for &q in chain.iter().rev().skip(1) {
-            let stack = &self.stacks[q];
-            let mut extended = Vec::new();
-            for path in &paths {
-                for (i, &(node, ph)) in stack.iter().enumerate().take(visible) {
-                    let _ = i;
-                    let mut p = path.clone();
-                    p.push(node);
-                    extended.push((p, ph));
-                }
-            }
-            // All entries share the same next visibility bound per path;
-            // take the maximum parent height among used entries (entries
-            // deeper in the stack recorded smaller heights, which only
-            // matters for the path that used them — track per path).
-            let mut next_paths = Vec::with_capacity(extended.len());
-            let mut next_visible = 0;
-            for (p, ph) in extended {
-                next_visible = next_visible.max(ph);
-                next_paths.push(p);
-            }
-            // Per-path visibility is approximated by the maximum; verify
-            // ancestry explicitly to stay exact.
-            paths = next_paths;
-            visible = next_visible.max(1);
+        let chain = &self.chains[pos];
+        let last = chain.len() - 1;
+        let mut bounds = vec![0; last];
+        let mut visible = leaf_height;
+        for i in (0..last).rev() {
+            bounds[i] = visible;
+            let tallest = self.stacks[chain[i]]
+                .iter()
+                .take(visible)
+                .map(|e| e.1)
+                .max();
+            visible = tallest.unwrap_or(0).max(1);
         }
-        for mut p in paths {
-            p.reverse(); // root-first, matching path_to order
-                         // Exactness guard: each consecutive pair must nest.
-            let ok = p.windows(2).all(|w| self.source.contains(w[0], w[1]));
-            if ok {
-                self.out[pos].push(p);
+        let mut path = vec![leaf_node; chain.len()];
+        let mut out = std::mem::take(&mut self.out[pos]);
+        self.extend_paths(chain, &bounds, last, &mut path, &mut out);
+        self.out[pos] = out;
+    }
+
+    /// Fills `path[..filled]` with every compatible chain of stack entries
+    /// above `path[filled]` and appends each complete path to `out`.
+    fn extend_paths(
+        &self,
+        chain: &[usize],
+        bounds: &[usize],
+        filled: usize,
+        path: &mut [NodeId],
+        out: &mut Vec<Vec<NodeId>>,
+    ) {
+        let Some(i) = filled.checked_sub(1) else {
+            out.push(path.to_vec());
+            return;
+        };
+        for &(node, _) in self.stacks[chain[i]].iter().take(bounds[i]) {
+            // Exactness guard: each consecutive pair must nest.
+            if self.source.contains(node, path[filled]) {
+                path[i] = node;
+                self.extend_paths(chain, bounds, i, path, out);
             }
         }
     }
 }
 
 /// Phase 2: merge per-leaf path solutions into full twig matches by
-/// hash-joining on the shared pattern prefixes.
+/// joining on the shared pattern prefixes. A partial assignment is a
+/// vector indexed by pattern node, `None` until some leaf's chain binds
+/// it.
 pub fn merge_path_solutions(pattern: &TwigPattern, paths: &[Vec<Vec<NodeId>>]) -> Vec<TwigMatch> {
     let leaves = pattern.leaves();
     debug_assert_eq!(leaves.len(), paths.len());
+    let mut partial: Vec<Vec<Option<NodeId>>> = Vec::new();
     // Start with the first leaf's paths as partial assignments.
-    let mut partial: Vec<HashMap<usize, NodeId>> = Vec::new();
     if let Some((&first_leaf, rest)) = leaves.split_first() {
         let chain = pattern.path_to(first_leaf);
         for p in &paths[0] {
-            partial.push(chain.iter().copied().zip(p.iter().copied()).collect());
+            let mut assign = vec![None; pattern.len()];
+            for (&q, &n) in chain.iter().zip(p) {
+                assign[q] = Some(n);
+            }
+            partial.push(assign);
         }
         for (li, &leaf) in rest.iter().enumerate() {
             let chain = pattern.path_to(leaf);
             let mut next = Vec::new();
             for assign in &partial {
                 for p in &paths[li + 1] {
-                    let candidate: HashMap<usize, NodeId> =
-                        chain.iter().copied().zip(p.iter().copied()).collect();
                     // Shared pattern nodes must agree.
-                    let compatible = candidate
+                    let compatible = chain
                         .iter()
-                        .all(|(q, n)| assign.get(q).is_none_or(|m| m == n));
+                        .zip(p)
+                        .all(|(&q, &n)| assign[q].is_none_or(|m| m == n));
                     if compatible {
                         let mut merged = assign.clone();
-                        merged.extend(candidate);
+                        for (&q, &n) in chain.iter().zip(p) {
+                            merged[q] = Some(n);
+                        }
                         next.push(merged);
                     }
                 }
@@ -806,11 +819,12 @@ pub fn merge_path_solutions(pattern: &TwigPattern, paths: &[Vec<Vec<NodeId>>]) -
     partial
         .into_iter()
         .map(|assign| {
-            (0..pattern.len())
+            assign
+                .into_iter()
                 // Invariant: merging path solutions over a connected
                 // pattern assigns every node before we reach here.
-                .map(|q| match assign.get(&q) {
-                    Some(&n) => n,
+                .map(|n| match n {
+                    Some(n) => n,
                     None => unreachable!("assignment covers all pattern nodes"),
                 })
                 .collect()

@@ -436,13 +436,19 @@ impl<'d> Evaluator<'d> {
     /// Indexed `//name` lookup across a context set; `None` when the
     /// document cannot answer from an index (fall back to the tree walk).
     fn indexed_descendants(&self, input: &[Ctx], name: &str) -> Option<Vec<Ctx>> {
+        let scope = |ctx| match ctx {
+            Ctx::Super => None,
+            Ctx::Node(n) => Some(n),
+        };
+        if let &[ctx] = input {
+            // One answer is already in document order without duplicates
+            // (the `descendants_named` contract): nothing to merge.
+            let found = self.doc.descendants_named(scope(ctx), name)?;
+            return Some(found.into_iter().map(Ctx::Node).collect());
+        }
         let mut merged: Vec<Ctx> = Vec::new();
         for &ctx in input {
-            let scope = match ctx {
-                Ctx::Super => None,
-                Ctx::Node(n) => Some(n),
-            };
-            let found = self.doc.descendants_named(scope, name)?;
+            let found = self.doc.descendants_named(scope(ctx), name)?;
             merged.extend(found.into_iter().map(Ctx::Node));
         }
         self.sort_dedup(&mut merged);

@@ -1,0 +1,368 @@
+//! The virtual joins over a view's cached order column against their
+//! oracles.
+//!
+//! `VirtualDocument::order_column` ranks every visible node in virtual
+//! document order and records the last rank inside its virtual subtree;
+//! the structural and twig joins then compare ranks and test containment
+//! as interval nesting. The oracles are the closure twins, which call
+//! `v_cmp` and `v_ancestor` for every test
+//! (`virtual_structural_join_closure`, `VirtualTwigSource::with_closures`),
+//! the nested-loop join and the naive twig enumeration. Views that place
+//! a node other than exactly once build no column and run the closure
+//! twins themselves.
+
+use std::cmp::Ordering;
+use vpbn_suite::core::axes::v_ancestor;
+use vpbn_suite::core::order::{v_cmp, OrderColumn};
+use vpbn_suite::core::vdg::VTypeId;
+use vpbn_suite::core::{ExecOptions, VirtualDocument};
+use vpbn_suite::dataguide::TypedDocument;
+use vpbn_suite::obs::SjoinCounters;
+use vpbn_suite::query::api::{Edit, Engine};
+use vpbn_suite::query::sjoin::{
+    nested_loop_join, virtual_structural_join, virtual_structural_join_closure,
+    virtual_structural_join_counted,
+};
+use vpbn_suite::query::twig::{
+    twig_join, twig_join_naive, twig_join_opts, TwigMatch, TwigPattern, VirtualTwigSource,
+};
+use vpbn_suite::workload::{
+    book_scenarios, generate_books, generate_xmark, xmark_scenarios, BooksConfig, XmarkConfig,
+};
+use vpbn_suite::xml::builder::paper_figure2;
+use vpbn_suite::xml::{serialize, NodeId, SerializeOptions};
+
+/// The document URI of the edited engine.
+const URI: &str = "books.xml";
+
+/// Views that place a title under every author of its book.
+const MULTIPLICITY: [&str; 2] = ["name { author { title } }", "author { title }"];
+
+fn books(books: usize, max_authors: usize, seed: u64) -> TypedDocument {
+    TypedDocument::analyze(generate_books(
+        "books.xml",
+        &BooksConfig {
+            books,
+            max_authors,
+            rare_fraction: 0.25,
+            seed,
+        },
+    ))
+}
+
+fn xmark() -> TypedDocument {
+    TypedDocument::analyze(generate_xmark(
+        "auction.xml",
+        &XmarkConfig {
+            scale: 0.01,
+            seed: 5,
+        },
+    ))
+}
+
+fn threads(threads: usize) -> ExecOptions {
+    ExecOptions {
+        threads,
+        cache: true,
+        par_threshold: 1,
+    }
+}
+
+fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort();
+    v.dedup();
+    v
+}
+
+fn vpbn_cmp(vd: &VirtualDocument<'_>, a: NodeId, b: NodeId) -> Ordering {
+    v_cmp(
+        vd.vdg(),
+        &vd.vpbn_of(a).expect("visible"),
+        &vd.vpbn_of(b).expect("visible"),
+    )
+}
+
+fn vpbn_contains(vd: &VirtualDocument<'_>, a: NodeId, d: NodeId) -> bool {
+    v_ancestor(
+        vd.vdg(),
+        &vd.vpbn_of(a).expect("visible"),
+        &vd.vpbn_of(d).expect("visible"),
+    )
+}
+
+/// The column orders the view exactly like its preorder walk and like
+/// `v_cmp`, and nests exactly like `v_ancestor`, on every pair of visible
+/// nodes (every third node on larger views).
+fn check_column(vd: &VirtualDocument<'_>, col: &OrderColumn, ctx: &str) {
+    let mut visible: Vec<NodeId> = vd
+        .vdg()
+        .guide()
+        .type_ids()
+        .flat_map(|vt| vd.nodes_of_vtype(vt).iter().copied())
+        .collect();
+    assert_eq!(col.len(), visible.len(), "{ctx}: every visible node ranked");
+    visible.sort_by_key(|&n| col.rank(n));
+    assert_eq!(visible, vd.preorder(), "{ctx}: rank order is the preorder");
+    for (r, &n) in visible.iter().enumerate() {
+        assert_eq!(col.rank(n), r as u32, "{ctx}: ranks are dense");
+        assert!(
+            col.end(n) >= col.rank(n),
+            "{ctx}: an interval holds its node"
+        );
+    }
+    let step = if visible.len() > 400 { 3 } else { 1 };
+    let sample: Vec<NodeId> = visible.iter().step_by(step).copied().collect();
+    for &a in &sample {
+        for &b in &sample {
+            assert_eq!(
+                col.cmp(a, b),
+                vpbn_cmp(vd, a, b),
+                "{ctx}: order {a:?} {b:?}"
+            );
+            assert_eq!(
+                col.contains(a, b),
+                vpbn_contains(vd, a, b),
+                "{ctx}: containment {a:?} {b:?}"
+            );
+        }
+    }
+}
+
+/// Every (ancestor type, descendant type) pair of the view's guide.
+fn type_pairs(vd: &VirtualDocument<'_>) -> Vec<(VTypeId, VTypeId)> {
+    let g = vd.vdg().guide();
+    g.type_ids()
+        .flat_map(|a| {
+            g.type_ids()
+                .filter(move |&d| g.is_ancestor(a, d))
+                .map(move |d| (a, d))
+        })
+        .collect()
+}
+
+/// Twig patterns over the view's element types: every parent–child
+/// chain of two and three, and every element with two element children.
+fn patterns(vd: &VirtualDocument<'_>) -> Vec<TwigPattern> {
+    let g = vd.vdg().guide();
+    let elements = |vt: VTypeId| {
+        g.ty(vt)
+            .children()
+            .iter()
+            .copied()
+            .filter(|&c| !g.ty(c).is_text())
+            .collect::<Vec<_>>()
+    };
+    let mut out = Vec::new();
+    for t in g.type_ids().filter(|&t| !g.ty(t).is_text()) {
+        let kids = elements(t);
+        for &c in &kids {
+            out.push(format!("{}({})", g.name(t), g.name(c)));
+            for &gc in &elements(c) {
+                out.push(format!("{}({}({}))", g.name(t), g.name(c), g.name(gc)));
+            }
+        }
+        if let [c1, c2, ..] = kids[..] {
+            out.push(format!("{}({}, {})", g.name(t), g.name(c1), g.name(c2)));
+        }
+    }
+    out.iter()
+        .map(|p| TwigPattern::parse(p).unwrap_or_else(|e| panic!("{p}: {e}")))
+        .collect()
+}
+
+/// Joins over one view at 1/2/8 threads against the oracles. With a
+/// column the fast joins equal the closure twins exactly and the
+/// nested-loop and naive answers as sets; without one they *are* the
+/// twins, and under join multiplicity (where Stack-Tree and TwigStack
+/// can miss pairs) every answer is still a true one.
+fn check_joins(td: &TypedDocument, spec: &str, ctx: &str) -> bool {
+    let base = VirtualDocument::open(td, spec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert!(
+        !base.type_index().order_checked(),
+        "{ctx}: opening builds no column"
+    );
+    let has_column = base.order_column().is_some();
+    assert!(
+        base.type_index().order_checked(),
+        "{ctx}: the first ask caches"
+    );
+    if let Some(col) = base.order_column() {
+        check_column(&base, col, ctx);
+    }
+    let pairs = type_pairs(&base);
+    let patterns = patterns(&base);
+    for t in [1, 2, 8] {
+        let mut vd = VirtualDocument::open(td, spec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        vd.set_exec(threads(t));
+        let ctx = format!("{ctx} threads={t}");
+        for &(at, dt) in &pairs {
+            // One virtual type's list is already in virtual document order.
+            let (anc, desc) = (vd.nodes_of_vtype(at), vd.nodes_of_vtype(dt));
+            let fast = virtual_structural_join(&vd, anc, desc);
+            let twin = virtual_structural_join_closure(&vd, anc, desc);
+            assert_eq!(fast, twin, "{ctx}: sjoin {at:?}//{dt:?} vs closure twin");
+            let counters = SjoinCounters::default();
+            let counted = virtual_structural_join_counted(&vd, anc, desc, &counters);
+            assert_eq!(counted, fast, "{ctx}: counted sjoin {at:?}//{dt:?}");
+            let nested = sorted(nested_loop_join(anc, desc, &|a, d| {
+                vpbn_contains(&vd, a, d)
+            }));
+            let fast = sorted(fast);
+            if has_column {
+                assert_eq!(fast, nested, "{ctx}: sjoin {at:?}//{dt:?} vs nested loop");
+            } else {
+                assert!(
+                    fast.iter().all(|p| nested.binary_search(p).is_ok()),
+                    "{ctx}: sjoin {at:?}//{dt:?} pairs are true pairs"
+                );
+            }
+        }
+        let src = VirtualTwigSource::new(&vd);
+        let twin_src = VirtualTwigSource::with_closures(&vd);
+        for p in &patterns {
+            let fast: Vec<TwigMatch> = twig_join(&src, p);
+            assert_eq!(
+                twig_join_opts(&src, p, &vd.exec()),
+                fast,
+                "{ctx}: parallel twig {p:?}"
+            );
+            let naive = sorted(twig_join_naive(&twin_src, p));
+            let twin = twig_join(&twin_src, p);
+            if has_column {
+                assert_eq!(sorted(fast.clone()), naive, "{ctx}: twig {p:?} vs naive");
+                assert_eq!(sorted(fast), sorted(twin), "{ctx}: twig {p:?} vs twin");
+            } else {
+                assert_eq!(fast, twin, "{ctx}: twig {p:?} runs the twin");
+                assert!(
+                    fast.iter().all(|m| naive.binary_search(m).is_ok()),
+                    "{ctx}: twig {p:?} matches are true matches"
+                );
+            }
+        }
+    }
+    has_column
+}
+
+#[test]
+fn column_joins_match_the_oracles_on_the_book_scenarios() {
+    // One author per book: every scenario, `deep_invert` included,
+    // places each node once and gets a column.
+    let single = books(14, 1, 5);
+    for s in book_scenarios() {
+        let ctx = format!("books(1 author) {}", s.name);
+        assert!(check_joins(&single, s.spec, &ctx), "{ctx}: has a column");
+    }
+    // Several authors: `deep_invert` places a title under each author of
+    // its book and takes the fallback; the other views keep the column.
+    let multi = books(14, 3, 5);
+    for s in book_scenarios() {
+        let ctx = format!("books(3 authors) {}", s.name);
+        assert_eq!(
+            check_joins(&multi, s.spec, &ctx),
+            !MULTIPLICITY.contains(&s.spec),
+            "{ctx}: column iff single placement"
+        );
+    }
+}
+
+#[test]
+fn column_joins_match_the_oracles_on_figure2_and_xmark() {
+    let fig2 = TypedDocument::analyze(paper_figure2());
+    for s in book_scenarios() {
+        let ctx = format!("figure2 {}", s.name);
+        assert!(check_joins(&fig2, s.spec, &ctx), "{ctx}: has a column");
+    }
+    let x = xmark();
+    let mut columns = 0;
+    for s in xmark_scenarios() {
+        columns += usize::from(check_joins(&x, s.spec, &format!("xmark {}", s.name)));
+    }
+    assert!(columns >= 3, "most XMark views place every node once");
+}
+
+#[test]
+fn join_multiplicity_takes_the_closure_fallback_without_panicking() {
+    for seed in [1, 5, 9, 13] {
+        let td = books(14, 3, seed);
+        for spec in MULTIPLICITY {
+            let ctx = format!("seed {seed} {spec}");
+            assert!(!check_joins(&td, spec, &ctx), "{ctx}: no column");
+        }
+    }
+}
+
+/// After key-minting front inserts, an author insert, a move and a
+/// delete, every warm view's column was dropped by the splice, and the
+/// rebuilt one equals a fresh build over the edited document.
+#[test]
+fn cleared_columns_rebuild_to_a_fresh_build_after_edits() {
+    let base = generate_books(
+        URI,
+        &BooksConfig {
+            books: 6,
+            max_authors: 3,
+            rare_fraction: 0.3,
+            seed: 9,
+        },
+    );
+    let mut engine = Engine::new();
+    engine
+        .register_xml(URI, &serialize(&base, SerializeOptions::compact()))
+        .expect("base registers");
+    let specs: Vec<&str> = book_scenarios().iter().map(|s| s.spec).collect();
+    let warm = |engine: &Engine| {
+        for &spec in &specs {
+            let vd = engine.virtual_doc(URI, spec).expect("view opens");
+            vd.order_column();
+            assert!(vd.type_index().order_checked(), "{spec}: column cached");
+        }
+    };
+    warm(&engine);
+    let uri = URI.to_string();
+    let mut edits: Vec<Edit> = (0..8)
+        .map(|k| Edit::InsertSubtree {
+            uri: uri.clone(),
+            parent: "1".into(),
+            pos: 0,
+            xml: format!(
+                "<book><title>T{k}</title><author><name>N{k}</name></author>\
+                 <publisher><location>L{k}</location></publisher></book>"
+            ),
+        })
+        .collect();
+    edits.push(Edit::InsertSubtree {
+        uri: uri.clone(),
+        parent: "1.3".into(),
+        pos: 1,
+        xml: "<author><name>Z</name></author>".into(),
+    });
+    edits.push(Edit::MoveSubtree {
+        uri: uri.clone(),
+        target: "1.10".into(),
+        parent: "1".into(),
+        pos: 0,
+    });
+    edits.push(Edit::DeleteSubtree {
+        uri,
+        target: "1.4".into(),
+    });
+    for (i, edit) in edits.into_iter().enumerate() {
+        engine.apply(edit).expect("edit applies");
+        for &spec in &specs {
+            let ctx = format!("edit {i} {spec}");
+            let vd = engine.virtual_doc(URI, spec).expect("view opens");
+            assert!(
+                !vd.type_index().order_checked(),
+                "{ctx}: the edit dropped the column"
+            );
+            let td = engine.document(URI).expect("corpus registered");
+            let fresh = VirtualDocument::open(td, spec).expect("view opens");
+            assert_eq!(vd.order_column(), fresh.order_column(), "{ctx}");
+        }
+        warm(&engine);
+    }
+    let td = engine.document(URI).expect("corpus registered");
+    for s in book_scenarios() {
+        check_joins(td, s.spec, &format!("edited {}", s.name));
+    }
+}
