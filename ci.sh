@@ -200,7 +200,7 @@ run_serve() {
 # durability oracles make every workload's exit status a correctness
 # check, so a short run of each gates the change without timing it.
 run_perfbench() {
-  echo "==> perfbench leg (generator tests + 3 s smoke of every workload, traced view-query)"
+  echo "==> perfbench leg (generator tests + 3 s smoke of every workload, traced view-query and edit-stream)"
   local manifest=perfbench/Cargo.toml
   cargo build --release --offline --manifest-path "$manifest" --bin perfbench
   cargo test --release --offline --manifest-path "$manifest" -q
@@ -215,6 +215,14 @@ run_perfbench() {
   echo "    smoke: view-query --trace 1"
   cargo run --release --quiet --offline --manifest-path "$manifest" \
     --bin perfbench -- --workload view-query --seed 7 --seconds 3 \
+    --trace 1 >/dev/null
+  # The traced edit stream is the only run that drives
+  # Engine::apply_traced(…, true); its probe suite then runs the plain
+  # and the counted joins on an engine whose edits dropped the view's
+  # order column.
+  echo "    smoke: edit-stream --trace 1"
+  cargo run --release --quiet --offline --manifest-path "$manifest" \
+    --bin perfbench -- --workload edit-stream --seed 7 --seconds 3 \
     --trace 1 >/dev/null
 }
 

@@ -164,10 +164,6 @@ impl AxisCounters {
 pub struct TwigStats {
     /// `seek` calls issued by the twig-join cursor advance.
     pub seeks: u64,
-    /// Exponential-gallop doubling steps inside physical seeks.
-    pub gallop_steps: u64,
-    /// Seeks answered within the linear probe window (no gallop).
-    pub probe_stops: u64,
     /// Stream head advances consumed by the join.
     pub advances: u64,
     /// Root-to-leaf path solutions emitted.
@@ -176,12 +172,10 @@ pub struct TwigStats {
     pub matches: u64,
 }
 
-/// Live counters for the twig-join operator and its seek sources.
+/// Live counters for the twig-join operator.
 #[derive(Debug, Default)]
 pub struct TwigCounters {
     seeks: AtomicU64,
-    gallop_steps: AtomicU64,
-    probe_stops: AtomicU64,
     advances: AtomicU64,
     path_solutions: AtomicU64,
     matches: AtomicU64,
@@ -193,21 +187,11 @@ impl TwigCounters {
         TwigCounters::default()
     }
 
-    /// Adds one issued seek.
-    pub fn add_seek(&self) {
-        self.seeks.fetch_add(1, Relaxed);
-    }
-
-    /// Adds locally-aggregated gallop steps from one seek.
-    pub fn add_gallop_steps(&self, n: u64) {
+    /// Adds locally-aggregated issued seeks.
+    pub fn add_seeks(&self, n: u64) {
         if n != 0 {
-            self.gallop_steps.fetch_add(n, Relaxed);
+            self.seeks.fetch_add(n, Relaxed);
         }
-    }
-
-    /// Counts a seek resolved inside the linear probe window.
-    pub fn add_probe_stop(&self) {
-        self.probe_stops.fetch_add(1, Relaxed);
     }
 
     /// Adds stream head advances.
@@ -235,8 +219,6 @@ impl TwigCounters {
     pub fn snapshot(&self) -> TwigStats {
         TwigStats {
             seeks: self.seeks.load(Relaxed),
-            gallop_steps: self.gallop_steps.load(Relaxed),
-            probe_stops: self.probe_stops.load(Relaxed),
             advances: self.advances.load(Relaxed),
             path_solutions: self.path_solutions.load(Relaxed),
             matches: self.matches.load(Relaxed),
@@ -413,7 +395,7 @@ impl QueryCounterCells {
 }
 
 /// Per-query statistics, filled for every query (traced or not): stage
-/// timings, result size, per-view cache provenance and operator counts.
+/// timings, result size, per-view cache provenance and axis-scan counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// End-to-end query nanoseconds.
@@ -431,10 +413,6 @@ pub struct QueryStats {
     pub views: Vec<ViewProvenance>,
     /// Virtual-axis scan counters (traced queries only; zero otherwise).
     pub axis: AxisStats,
-    /// Twig operator counters (when a twig join participated).
-    pub twig: TwigStats,
-    /// Structural-join counters (when a structural join participated).
-    pub sjoin: SjoinStats,
 }
 
 impl QueryStats {
@@ -472,10 +450,7 @@ mod tests {
     #[test]
     fn twig_and_sjoin_counters_roll_up() {
         let t = TwigCounters::new();
-        t.add_seek();
-        t.add_seek();
-        t.add_gallop_steps(7);
-        t.add_probe_stop();
+        t.add_seeks(2);
         t.add_advances(3);
         t.add_path_solutions(2);
         t.add_matches(1);
@@ -483,8 +458,6 @@ mod tests {
             t.snapshot(),
             TwigStats {
                 seeks: 2,
-                gallop_steps: 7,
-                probe_stops: 1,
                 advances: 3,
                 path_solutions: 2,
                 matches: 1,

@@ -10,7 +10,14 @@
 //! Both virtual predicates come from the view's cached order column: a
 //! rank compare and an interval containment test, so the virtual merge is
 //! the physical one over a different `u32` column.
+//!
+//! Each virtual join has one body, [`virtual_structural_join_counted`]:
+//! every merge chunk tallies its order comparisons and containment tests
+//! in plain integers, and the body publishes them once per chunk. The
+//! plain [`virtual_structural_join`] runs that body with throwaway
+//! counters, so a traced join counts exactly the merge a plain one runs.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
@@ -22,31 +29,50 @@ use vh_obs::SjoinCounters;
 use vh_pbn::keys;
 use vh_xml::NodeId;
 
-/// Generic Stack-Tree structural join (sequential).
+/// The order comparisons and containment tests one merge chunk
+/// evaluated.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    comparisons: u64,
+    containment_tests: u64,
+}
+
+/// One merge chunk's (ancestor, descendant) pairs and its [`Tally`].
+type Chunk = (Vec<(NodeId, NodeId)>, Tally);
+
+/// The pairs of every chunk, concatenated in chunk order.
+fn pairs_of(chunks: Vec<Chunk>) -> Vec<(NodeId, NodeId)> {
+    exec::concat(chunks.into_iter().map(|(pairs, _)| pairs).collect())
+}
+
+/// Pops every stack entry that does not contain `n`, stopping at the
+/// innermost one that does; each containment test is tallied.
+#[inline]
+fn pop_to_container(
+    stack: &mut Vec<NodeId>,
+    n: NodeId,
+    contains: impl Fn(NodeId, NodeId) -> bool,
+    tally: &mut Tally,
+) {
+    while let Some(&top) = stack.last() {
+        tally.containment_tests += 1;
+        if contains(top, n) {
+            break;
+        }
+        stack.pop();
+    }
+}
+
+/// Generic Stack-Tree structural join with an execution knob.
 ///
 /// Inputs must be sorted by `cmp` (a document order in which an ancestor
 /// precedes its descendants). `contains(a, d)` must be true iff `a` is an
 /// ancestor of `d`; nesting on the stack is guaranteed by the order.
 /// Returns all (ancestor, descendant) pairs, grouped by descendant.
-pub fn stack_tree_join(
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-    cmp: &(dyn Fn(NodeId, NodeId) -> Ordering + Sync),
-    contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
-) -> Vec<(NodeId, NodeId)> {
-    stack_tree_join_opts(
-        ancestors,
-        descendants,
-        cmp,
-        contains,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`stack_tree_join`] with an execution knob: the descendant stream is
-/// partitioned into contiguous chunks, each chunk replays the compatible
-/// ancestor prefix to rebuild its starting stack, and per-chunk outputs
-/// are concatenated in chunk order.
+///
+/// The descendant stream is partitioned into contiguous chunks, each
+/// chunk replays the compatible ancestor prefix to rebuild its starting
+/// stack, and per-chunk outputs are concatenated in chunk order.
 ///
 /// This is byte-identical to the sequential join: the stack visible to a
 /// descendant `d` is a pure function of the ancestors preceding `d` — the
@@ -62,10 +88,9 @@ pub fn stack_tree_join_opts(
     contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
     opts: &ExecOptions,
 ) -> Vec<(NodeId, NodeId)> {
-    let chunks = exec::par_chunk_map(opts, descendants, |chunk| {
+    pairs_of(exec::par_chunk_map(opts, descendants, |chunk| {
         stack_tree_chunk(ancestors, chunk, cmp, contains)
-    });
-    exec::concat(chunks)
+    }))
 }
 
 /// Runs the Stack-Tree merge for one contiguous descendant chunk,
@@ -75,110 +100,44 @@ fn stack_tree_chunk(
     chunk: &[NodeId],
     cmp: &(dyn Fn(NodeId, NodeId) -> Ordering + Sync),
     contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
-) -> Vec<(NodeId, NodeId)> {
+) -> Chunk {
     let mut out = Vec::new();
+    let mut tally = Tally::default();
     let Some(&first) = chunk.first() else {
-        return out;
+        return (out, tally);
     };
     let mut stack: Vec<NodeId> = Vec::new();
     // Replay: push-clean every ancestor that starts before the chunk's
     // first descendant. For the first chunk this is a no-op prefix (the
     // main loop below would do the same pushes for `first`).
-    let mut i = ancestors.partition_point(|&a| cmp(a, first) == Ordering::Less);
+    let mut i = ancestors.partition_point(|&a| {
+        tally.comparisons += 1;
+        cmp(a, first) == Ordering::Less
+    });
     for &a in &ancestors[..i] {
-        while let Some(&top) = stack.last() {
-            if contains(top, a) {
-                break;
-            }
-            stack.pop();
-        }
+        pop_to_container(&mut stack, a, contains, &mut tally);
         stack.push(a);
     }
     for &d in chunk {
         // Push every ancestor candidate that starts before d.
-        while i < ancestors.len() && cmp(ancestors[i], d) == Ordering::Less {
-            let a = ancestors[i];
-            while let Some(&top) = stack.last() {
-                if contains(top, a) {
-                    break;
-                }
-                stack.pop();
+        while i < ancestors.len() {
+            tally.comparisons += 1;
+            if cmp(ancestors[i], d) != Ordering::Less {
+                break;
             }
-            stack.push(a);
+            pop_to_container(&mut stack, ancestors[i], contains, &mut tally);
+            stack.push(ancestors[i]);
             i += 1;
         }
         // Pop candidates whose subtree ended before d.
-        while let Some(&top) = stack.last() {
-            if contains(top, d) {
-                break;
-            }
-            stack.pop();
-        }
+        pop_to_container(&mut stack, d, contains, &mut tally);
         // Every remaining stack entry contains d (they are nested).
         for &a in &stack {
             debug_assert!(contains(a, d));
             out.push((a, d));
         }
     }
-    out
-}
-
-/// [`stack_tree_join_opts`] with operator counters: every document-order
-/// comparison and containment test the merge evaluates is recorded, plus
-/// the produced pair count. Only traced queries take this path, so the
-/// per-predicate relaxed adds never burden plain joins; results are
-/// identical to the uncounted join.
-pub fn stack_tree_join_counted(
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-    cmp: &(dyn Fn(NodeId, NodeId) -> Ordering + Sync),
-    contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
-    opts: &ExecOptions,
-    counters: &SjoinCounters,
-) -> Vec<(NodeId, NodeId)> {
-    let counted_cmp = |a, b| {
-        counters.add_comparisons(1);
-        cmp(a, b)
-    };
-    let counted_contains = |a, d| {
-        counters.add_containment_tests(1);
-        contains(a, d)
-    };
-    let out = stack_tree_join_opts(
-        ancestors,
-        descendants,
-        &counted_cmp,
-        &counted_contains,
-        opts,
-    );
-    counters.add_pairs(out.len() as u64);
-    out
-}
-
-/// [`virtual_structural_join`] with operator counters (see
-/// [`stack_tree_join_counted`]). Reads the view's order column like the
-/// plain join, and the closure predicates where the view has none.
-pub fn virtual_structural_join_counted(
-    vd: &VirtualDocument<'_>,
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-    counters: &SjoinCounters,
-) -> Vec<(NodeId, NodeId)> {
-    let (col, vpbn) = (vd.order_column(), visible_vpbn(vd));
-    stack_tree_join_counted(
-        ancestors,
-        descendants,
-        &|a, b| match col {
-            Some(col) => col.cmp(a, b),
-            None => v_cmp(vd.vdg(), &vpbn(a), &vpbn(b)),
-        },
-        &|a, d| match col {
-            Some(col) => col.contains(a, d),
-            None => v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
-        },
-        &vd.exec(),
-        counters,
-    )
+    (out, tally)
 }
 
 /// Physical structural join: inputs sorted by PBN; containment is the
@@ -210,6 +169,8 @@ pub fn physical_structural_join_opts(
     opts: &ExecOptions,
 ) -> Vec<(NodeId, NodeId)> {
     let arena = td.pbn().arena();
+    // The tally is dropped inside each chunk, so the merge compiles
+    // without its increments.
     let chunks = exec::par_chunk_map(opts, descendants, |chunk| {
         stack_tree_chunk_slots(
             ancestors,
@@ -220,6 +181,7 @@ pub fn physical_structural_join_opts(
             },
             |a, d| keys::is_strict_prefix(arena.key_of(a), arena.key_of(d)),
         )
+        .0
     });
     exec::concat(chunks)
 }
@@ -247,7 +209,8 @@ pub fn physical_structural_join_generic(
 /// [`stack_tree_chunk`] monomorphized over u32 slot keys: document order
 /// is one integer compare on a value loaded straight from a flat column
 /// (the arena's slots, or a view's virtual ranks), and both predicates
-/// inline — no `dyn` dispatch anywhere in the merge.
+/// inline — no `dyn` dispatch anywhere in the merge. The tally costs a
+/// register increment per predicate.
 ///
 /// oracle: stack_tree_chunk
 fn stack_tree_chunk_slots(
@@ -255,44 +218,42 @@ fn stack_tree_chunk_slots(
     chunk: &[NodeId],
     slot: impl Fn(NodeId) -> u32,
     contains: impl Fn(NodeId, NodeId) -> bool,
-) -> Vec<(NodeId, NodeId)> {
+) -> Chunk {
     let mut out = Vec::new();
+    let mut tally = Tally::default();
     let Some(&first) = chunk.first() else {
-        return out;
+        return (out, tally);
     };
     let dslot0 = slot(first);
     let mut stack: Vec<NodeId> = Vec::new();
-    let push_clean = |stack: &mut Vec<NodeId>, a: NodeId| {
-        while let Some(&top) = stack.last() {
-            if contains(top, a) {
-                break;
-            }
-            stack.pop();
-        }
-        stack.push(a);
-    };
-    let mut i = exec::partition_point_branchless(ancestors, |&a| slot(a) < dslot0);
+    let probes = Cell::new(0u64);
+    let mut i = exec::partition_point_branchless(ancestors, |&a| {
+        probes.set(probes.get() + 1);
+        slot(a) < dslot0
+    });
+    tally.comparisons = probes.get();
     for &a in &ancestors[..i] {
-        push_clean(&mut stack, a);
+        pop_to_container(&mut stack, a, &contains, &mut tally);
+        stack.push(a);
     }
     for &d in chunk {
         let dslot = slot(d);
-        while i < ancestors.len() && slot(ancestors[i]) < dslot {
-            push_clean(&mut stack, ancestors[i]);
-            i += 1;
-        }
-        while let Some(&top) = stack.last() {
-            if contains(top, d) {
+        while i < ancestors.len() {
+            tally.comparisons += 1;
+            if slot(ancestors[i]) >= dslot {
                 break;
             }
-            stack.pop();
+            pop_to_container(&mut stack, ancestors[i], &contains, &mut tally);
+            stack.push(ancestors[i]);
+            i += 1;
         }
+        pop_to_container(&mut stack, d, &contains, &mut tally);
         for &a in &stack {
             debug_assert!(contains(a, d));
             out.push((a, d));
         }
     }
-    out
+    (out, tally)
 }
 
 /// Virtual structural join: inputs sorted by virtual document order;
@@ -300,26 +261,49 @@ fn stack_tree_chunk_slots(
 /// lists of two *virtual types* (e.g. from the type index). Runs with the
 /// view's own [`ExecOptions`] (see [`VirtualDocument::set_exec`]).
 ///
-/// Fast path: the view's cached order column
-/// ([`VirtualDocument::order_column`]) turns document order into a rank
-/// compare and containment into interval nesting, so the merge is the
-/// same monomorphized `stack_tree_chunk_slots` pass the physical join
-/// runs over arena slots. A view that places some node twice has no
-/// column and runs [`virtual_structural_join_closure`].
-///
-/// oracle: virtual_structural_join_closure
+/// A one-line call to [`virtual_structural_join_counted`] with throwaway
+/// counters: the merge is the same, and publishing the tallies costs one
+/// relaxed add per counter and chunk.
 pub fn virtual_structural_join(
     vd: &VirtualDocument<'_>,
     ancestors: &[NodeId],
     descendants: &[NodeId],
 ) -> Vec<(NodeId, NodeId)> {
-    let Some(col) = vd.order_column() else {
-        return virtual_structural_join_closure(vd, ancestors, descendants);
+    virtual_structural_join_counted(vd, ancestors, descendants, &SjoinCounters::new())
+}
+
+/// The virtual structural join, recording its order comparisons,
+/// containment tests and pairs in `counters`.
+///
+/// Fast path: the view's cached order column
+/// ([`VirtualDocument::order_column`]) turns document order into a rank
+/// compare and containment into interval nesting, so the merge is the
+/// same monomorphized `stack_tree_chunk_slots` pass the physical join
+/// runs over arena slots. A view that places some node twice has no
+/// column and runs the merge of [`virtual_structural_join_closure`].
+/// Either way each chunk tallies its predicates locally and the totals
+/// are published once per chunk.
+///
+/// oracle: virtual_structural_join_closure
+pub fn virtual_structural_join_counted(
+    vd: &VirtualDocument<'_>,
+    ancestors: &[NodeId],
+    descendants: &[NodeId],
+    counters: &SjoinCounters,
+) -> Vec<(NodeId, NodeId)> {
+    let chunks = match vd.order_column() {
+        Some(col) => exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
+            stack_tree_chunk_slots(ancestors, chunk, |n| col.rank(n), |a, d| col.contains(a, d))
+        }),
+        None => closure_chunks(vd, ancestors, descendants),
     };
-    let chunks = exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
-        stack_tree_chunk_slots(ancestors, chunk, |n| col.rank(n), |a, d| col.contains(a, d))
-    });
-    exec::concat(chunks)
+    for (_, tally) in &chunks {
+        counters.add_comparisons(tally.comparisons);
+        counters.add_containment_tests(tally.containment_tests);
+    }
+    let out = pairs_of(chunks);
+    counters.add_pairs(out.len() as u64);
+    out
 }
 
 /// The closure form of [`virtual_structural_join`]: the generic
@@ -331,14 +315,21 @@ pub fn virtual_structural_join_closure(
     ancestors: &[NodeId],
     descendants: &[NodeId],
 ) -> Vec<(NodeId, NodeId)> {
+    pairs_of(closure_chunks(vd, ancestors, descendants))
+}
+
+/// The chunked generic merge over the closure predicates.
+fn closure_chunks(
+    vd: &VirtualDocument<'_>,
+    ancestors: &[NodeId],
+    descendants: &[NodeId],
+) -> Vec<Chunk> {
     let vpbn = visible_vpbn(vd);
-    stack_tree_join_opts(
-        ancestors,
-        descendants,
-        &|a, b| v_cmp(vd.vdg(), &vpbn(a), &vpbn(b)),
-        &|a, d| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
-        &vd.exec(),
-    )
+    let cmp = |a: NodeId, b: NodeId| v_cmp(vd.vdg(), &vpbn(a), &vpbn(b));
+    let contains = |a: NodeId, d: NodeId| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d));
+    exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
+        stack_tree_chunk(ancestors, chunk, &cmp, &contains)
+    })
 }
 
 /// The vPBN lookup of the closure joins.
@@ -459,37 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn counted_physical_join_counts_each_predicate() {
-        let td = TypedDocument::analyze(paper_figure2());
-        let arena = td.pbn().arena();
-        let books = sorted_by_pbn(
-            &td,
-            td.nodes_of_type(td.guide().lookup_path(&["data", "book"]).must()),
-        );
-        let names = sorted_by_pbn(
-            &td,
-            td.nodes_of_type(
-                td.guide()
-                    .lookup_path(&["data", "book", "author", "name"])
-                    .must(),
-            ),
-        );
-        let counters = SjoinCounters::default();
-        let pairs = stack_tree_join_counted(
-            &books,
-            &names,
-            &|a, b| arena.slot_of(a).cmp(&arena.slot_of(b)),
-            &|a, d| keys::is_strict_prefix(arena.key_of(a), arena.key_of(d)),
-            &ExecOptions::default(),
-            &counters,
-        );
-        assert_eq!(pairs, physical_structural_join(&td, &books, &names));
-        let s = counters.snapshot();
-        assert_eq!(s.pairs, 2);
-        assert!(s.comparisons >= books.len() as u64);
-    }
-
-    #[test]
     fn virtual_join_equals_nested_loop_with_vancestor() {
         let td = TypedDocument::analyze(paper_figure2());
         for spec in ["title { author { name } }", "title { name { author } }"] {
@@ -540,9 +500,13 @@ mod tests {
             ),
         );
         let by_key = physical_structural_join(&td, &anc, &desc);
-        let by_number = stack_tree_join(&anc, &desc, &|a, b| pbn(a).cmp(&pbn(b)), &|a, d| {
-            pbn(a).is_strict_prefix_of(&pbn(d))
-        });
+        let by_number = stack_tree_join_opts(
+            &anc,
+            &desc,
+            &|a, b| pbn(a).cmp(&pbn(b)),
+            &|a, d| pbn(a).is_strict_prefix_of(&pbn(d)),
+            &ExecOptions::default(),
+        );
         assert_eq!(by_key, by_number);
     }
 

@@ -17,11 +17,15 @@
 //!
 //! All pattern edges are descendant edges (`//`), the class for which
 //! TwigStack is optimal; child edges can be post-filtered by the caller.
+//!
+//! The join has one body, [`twig_join_counted`]: the TwigStack pass
+//! tallies its seeks and cursor advances in plain integers, published
+//! once per run. [`twig_join_opts`] runs it with throwaway counters and
+//! [`twig_join`] runs that sequentially.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
 use vh_core::order::{v_cmp, OrderColumn};
@@ -244,9 +248,6 @@ pub trait TwigSource {
 pub struct PhysicalTwigSource<'a> {
     td: &'a TypedDocument,
     by_name: HashMap<String, Vec<NodeId>>,
-    /// Seek-shape counters (gallop steps, probe stops) for traced runs;
-    /// `None` keeps the seek hot path untouched.
-    obs: Option<Arc<TwigCounters>>,
 }
 
 impl<'a> PhysicalTwigSource<'a> {
@@ -277,18 +278,7 @@ impl<'a> PhysicalTwigSource<'a> {
                 by_name.entry(name).or_default().append(&mut ids);
             }
         }
-        PhysicalTwigSource {
-            td,
-            by_name,
-            obs: None,
-        }
-    }
-
-    /// Attaches seek-shape counters: subsequent [`TwigSource::seek`]
-    /// calls record whether they stopped in the linear probe window and
-    /// how many gallop doublings they took.
-    pub fn set_obs(&mut self, obs: Arc<TwigCounters>) {
-        self.obs = Some(obs);
+        PhysicalTwigSource { td, by_name }
     }
 }
 
@@ -331,9 +321,6 @@ impl<'a> TwigSource for PhysicalTwigSource<'a> {
             |n: NodeId| arena.slot_of(n) >= tslot || keys::is_strict_prefix(pbn.key_of(n), tkey);
         for (i, &n) in tail.iter().take(PROBES).enumerate() {
             if stops(n) {
-                if let Some(o) = &self.obs {
-                    o.add_probe_stop();
-                }
                 return from + i;
             }
         }
@@ -344,14 +331,9 @@ impl<'a> TwigSource for PhysicalTwigSource<'a> {
         // the bracket for the partition point (first slot ≥ target's).
         let mut hi = PROBES;
         let mut jump = PROBES;
-        let mut gallops = 0u64;
         while hi < tail.len() && arena.slot_of(tail[hi]) < tslot {
             hi += jump;
             jump *= 2;
-            gallops += 1;
-        }
-        if let Some(o) = &self.obs {
-            o.add_gallop_steps(gallops);
         }
         let hi = hi.min(tail.len());
         // Branch-free bisection of the gallop bracket: random probe slots
@@ -457,31 +439,28 @@ pub type TwigMatch = Vec<NodeId>;
 
 /// Evaluates a twig pattern holistically. Returns all matches, each an
 /// assignment of one document node per pattern node, in no particular
-/// order.
-pub fn twig_join(source: &dyn TwigSource, pattern: &TwigPattern) -> Vec<TwigMatch> {
-    let paths = twig_path_solutions(source, pattern);
-    merge_path_solutions(pattern, &paths)
+/// order. Runs [`twig_join_opts`] sequentially.
+pub fn twig_join(source: &(dyn TwigSource + Sync), pattern: &TwigPattern) -> Vec<TwigMatch> {
+    twig_join_opts(source, pattern, &ExecOptions::sequential())
 }
 
 /// [`twig_join`] with an execution knob: the per-pattern-node streams are
 /// built concurrently (one task per pattern node — stream extraction is
 /// the scan-heavy phase), then the synchronized TwigStack pass runs
-/// sequentially, so the result is identical to [`twig_join`].
+/// sequentially, so the result is identical to [`twig_join`]. A one-line
+/// call to [`twig_join_counted`] with throwaway counters.
 pub fn twig_join_opts(
     source: &(dyn TwigSource + Sync),
     pattern: &TwigPattern,
     opts: &ExecOptions,
 ) -> Vec<TwigMatch> {
-    let streams = build_streams(source, pattern, opts);
-    let paths = TwigStack::with_streams(source, pattern, streams).run();
-    merge_path_solutions(pattern, &paths)
+    twig_join_counted(source, pattern, opts, &TwigCounters::new())
 }
 
-/// [`twig_join_opts`] with operator counters: records issued seeks and
-/// cursor advances during the TwigStack pass, plus path-solution and
-/// match totals. Identical results to the uncounted variants. To also
-/// capture seek shape (probe stops, gallop steps), attach the same
-/// counters to the source via [`PhysicalTwigSource::set_obs`].
+/// The twig join, recording its issued seeks, cursor advances,
+/// path solutions and matches in `counters`. The TwigStack pass tallies
+/// seeks and advances in plain integers, and each total is published
+/// once per run.
 pub fn twig_join_counted(
     source: &(dyn TwigSource + Sync),
     pattern: &TwigPattern,
@@ -490,22 +469,14 @@ pub fn twig_join_counted(
 ) -> Vec<TwigMatch> {
     let streams = build_streams(source, pattern, opts);
     let mut stack = TwigStack::with_streams(source, pattern, streams);
-    stack.counters = Some(counters);
-    let paths = stack.run();
+    stack.run();
+    counters.add_seeks(stack.seeks);
+    counters.add_advances(stack.advances);
+    let paths = stack.out;
     counters.add_path_solutions(paths.iter().map(|p| p.len() as u64).sum());
     let matches = merge_path_solutions(pattern, &paths);
     counters.add_matches(matches.len() as u64);
     matches
-}
-
-/// Phase 1 of TwigStack: computes the root-to-leaf *path solutions* for
-/// every leaf of the pattern. `result[leaf_position]` holds node chains in
-/// pattern `path_to(leaf)` order.
-pub fn twig_path_solutions(
-    source: &dyn TwigSource,
-    pattern: &TwigPattern,
-) -> Vec<Vec<Vec<NodeId>>> {
-    TwigStack::new(source, pattern).run()
 }
 
 /// Extracts one stream per pattern node, concurrently when `opts` allows.
@@ -554,21 +525,15 @@ struct TwigStack<'s> {
     leaf_pos: Vec<usize>,
     /// Per leaf position: the root-to-leaf chain of pattern nodes.
     chains: Vec<Vec<usize>>,
+    /// Per leaf position: the path solutions emitted so far.
     out: Vec<Vec<Vec<NodeId>>>,
-    /// Operator counters for traced runs (`None` on the plain paths).
-    counters: Option<&'s TwigCounters>,
+    /// `seek` calls issued.
+    seeks: u64,
+    /// Stream head advances consumed.
+    advances: u64,
 }
 
 impl<'s> TwigStack<'s> {
-    fn new(source: &'s dyn TwigSource, pattern: &'s TwigPattern) -> Self {
-        let streams: Vec<Vec<NodeId>> = pattern
-            .nodes()
-            .iter()
-            .map(|n| source.stream(&n.test))
-            .collect();
-        Self::with_streams(source, pattern, streams)
-    }
-
     /// Builds the evaluator over pre-extracted streams (one per pattern
     /// node, in pattern-node order, each in document order).
     fn with_streams(
@@ -591,7 +556,8 @@ impl<'s> TwigStack<'s> {
             out: vec![Vec::new(); leaves.len()],
             leaf_pos,
             chains: leaves.iter().map(|&l| pattern.path_to(l)).collect(),
-            counters: None,
+            seeks: 0,
+            advances: 0,
         }
     }
 
@@ -650,9 +616,7 @@ impl<'s> TwigStack<'s> {
         // to the stop position in one call (binary-searched on sources
         // with byte-comparable keys).
         let src = self.source;
-        if let Some(c) = self.counters {
-            c.add_seek();
-        }
+        self.seeks += 1;
         self.cursor[q] = src.seek(&self.streams[q], self.cursor[q], q_max);
         // Invariant: q_max is only Some when at least one child was live,
         // and every live child also updated min_child.
@@ -678,11 +642,13 @@ impl<'s> TwigStack<'s> {
         }
     }
 
-    fn run(mut self) -> Vec<Vec<Vec<NodeId>>> {
+    /// Phase 1 of TwigStack: the synchronized pass leaves the root-to-leaf
+    /// *path solutions* of every leaf in `out`; `out[leaf_position]`
+    /// holds node chains in pattern `path_to(leaf)` order.
+    fn run(&mut self) {
         let root = 0;
-        let mut advanced = 0u64;
         while let Some(q) = self.get_next(root) {
-            advanced += 1;
+            self.advances += 1;
             // Invariant: get_next only returns pattern nodes whose streams
             // still have a head (exhausted branches yield None).
             let hq = match self.head(q) {
@@ -708,10 +674,6 @@ impl<'s> TwigStack<'s> {
             }
             self.advance(q);
         }
-        if let Some(c) = self.counters {
-            c.add_advances(advanced);
-        }
-        self.out
     }
 
     /// Emits every root-to-leaf solution encoded by the current stacks for

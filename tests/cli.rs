@@ -197,8 +197,7 @@ fn explain_flag_replaces_results_with_the_plan() {
         "parse (",
         "guide-expansion",
         "arena-range-selection",
-        "twig.seeks=",
-        "sjoin.comparisons=",
+        "axis.range_scans=",
         "cache=",
         "arena=[",
     ] {

@@ -160,8 +160,7 @@ fn explain_names_every_required_stage() {
         "parse (",
         "guide-expansion",
         "arena-range-selection",
-        "twig.seeks=",
-        "sjoin.comparisons=",
+        "axis.range_scans=",
         "cache=computed",
         "index=[",
         "arena=[",

@@ -17,14 +17,15 @@ use vpbn_suite::core::order::{v_cmp, OrderColumn};
 use vpbn_suite::core::vdg::VTypeId;
 use vpbn_suite::core::{ExecOptions, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
-use vpbn_suite::obs::SjoinCounters;
+use vpbn_suite::obs::{SjoinCounters, TwigCounters};
 use vpbn_suite::query::api::{Edit, Engine};
 use vpbn_suite::query::sjoin::{
     nested_loop_join, virtual_structural_join, virtual_structural_join_closure,
     virtual_structural_join_counted,
 };
 use vpbn_suite::query::twig::{
-    twig_join, twig_join_naive, twig_join_opts, TwigMatch, TwigPattern, VirtualTwigSource,
+    twig_join, twig_join_counted, twig_join_naive, twig_join_opts, TwigMatch, TwigPattern,
+    VirtualTwigSource,
 };
 use vpbn_suite::workload::{
     book_scenarios, generate_books, generate_xmark, xmark_scenarios, BooksConfig, XmarkConfig,
@@ -204,6 +205,14 @@ fn check_joins(td: &TypedDocument, spec: &str, ctx: &str) -> bool {
             let counters = SjoinCounters::default();
             let counted = virtual_structural_join_counted(&vd, anc, desc, &counters);
             assert_eq!(counted, fast, "{ctx}: counted sjoin {at:?}//{dt:?}");
+            let c = counters.snapshot();
+            assert_eq!(c.pairs, counted.len() as u64, "{ctx}: {at:?}//{dt:?} pairs");
+            if !anc.is_empty() && !desc.is_empty() {
+                assert!(
+                    c.comparisons > 0 && c.containment_tests > 0,
+                    "{ctx}: counted sjoin {at:?}//{dt:?} tallies its predicates: {c:?}"
+                );
+            }
             let nested = sorted(nested_loop_join(anc, desc, &|a, d| {
                 vpbn_contains(&vd, a, d)
             }));
@@ -226,6 +235,15 @@ fn check_joins(td: &TypedDocument, spec: &str, ctx: &str) -> bool {
                 fast,
                 "{ctx}: parallel twig {p:?}"
             );
+            let counters = TwigCounters::default();
+            let counted = twig_join_counted(&src, p, &vd.exec(), &counters);
+            assert_eq!(counted, fast, "{ctx}: counted twig {p:?}");
+            let c = counters.snapshot();
+            assert_eq!(c.matches, counted.len() as u64, "{ctx}: twig {p:?} matches");
+            let branches = p.nodes().iter().any(|n| !n.children.is_empty());
+            if branches && !counted.is_empty() {
+                assert!(c.seeks > 0, "{ctx}: twig {p:?} counted its seeks: {c:?}");
+            }
             let naive = sorted(twig_join_naive(&twin_src, p));
             let twin = twig_join(&twin_src, p);
             if has_column {
