@@ -16,6 +16,11 @@
 //! beside them (`column_us`). The run exits 1 when the virtual join
 //! takes more than [`VIRT_PHYS_BOUND`] times the physical one at any
 //! corpus size or thread count: vPBN's claimed cost over PBN is modest.
+//!
+//! One informational line follows for a view under join multiplicity,
+//! where a title sits under every author of its book: the same merge
+//! over its placements (names x titles), timed beside the nested loop
+//! it must equal.
 
 use vh_bench::json::{BenchReport, BenchRow, CALIBRATION_ROW};
 use vh_bench::opts::{BenchOpts, Profile};
@@ -27,6 +32,9 @@ use vh_workload::{generate_books, BooksConfig};
 
 /// Sam's view: titles own their authors and names.
 const SPEC: &str = "title { author { name } }";
+
+/// Join multiplicity: a title is placed under each author of its book.
+const MULTIPLICITY_SPEC: &str = "name { author { title } }";
 
 /// The most a virtual structural join may cost over its physical twin.
 const VIRT_PHYS_BOUND: f64 = 3.0;
@@ -72,7 +80,7 @@ fn main() {
         });
         let (open_column_us, _) = time_us(3, || {
             let fresh = VirtualDocument::open(&td, SPEC).unwrap();
-            fresh.order_column().map_or(0, |c| c.len())
+            fresh.order_column().len()
         });
         let column_us = (open_column_us - open_us).max(0.0);
 
@@ -176,6 +184,9 @@ fn main() {
          stay within a small factor of each other; the nested loop blows up\n\
          quadratically (stack_vs_nested_x grows with size)."
     );
+    if let Some(&n) = sizes.iter().filter(|&&n| n <= 10_000).max() {
+        multiplicity_line(n);
+    }
 
     // Machine-speed reference: lets the gate cancel host-contention
     // swings between this run and the committed baseline.
@@ -202,6 +213,33 @@ fn main() {
         std::process::exit(1);
     }
     println!("acceptance: the virtual join stays within {VIRT_PHYS_BOUND}x the physical one");
+}
+
+/// Prints the warm join of names and titles under [`MULTIPLICITY_SPEC`]
+/// over `n` books beside the nested loop, and checks that the two agree.
+fn multiplicity_line(n: usize) {
+    let td = TypedDocument::analyze(generate_books("books.xml", &BooksConfig::sized(n)));
+    let vd = VirtualDocument::open(&td, MULTIPLICITY_SPEC).unwrap();
+    let guide = vd.vdg().guide();
+    let names = vd.nodes_of_vtype(guide.lookup_path(&["name"]).unwrap());
+    let titles = vd.nodes_of_vtype(guide.lookup_path(&["name", "author", "title"]).unwrap());
+    let placements = vd.order_column().len();
+    let (join_us, pairs) = time_us(5, || virtual_structural_join(&vd, names, titles).len());
+    let contains = |a, d| {
+        vh_core::axes::v_ancestor(vd.vdg(), &vd.vpbn_of(a).unwrap(), &vd.vpbn_of(d).unwrap())
+    };
+    let (nested_us, _) = time_us(2, || nested_loop_join(names, titles, &contains).len());
+    let mut got = virtual_structural_join(&vd, names, titles);
+    let mut want = nested_loop_join(names, titles, &contains);
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "the multiplicity join equals the nested loop");
+    println!(
+        "multiplicity ({MULTIPLICITY_SPEC}, books={n}, names x titles, \
+         {placements} placements of {} nodes): pairs={pairs} join_us={join_us:.1} \
+         nested_us={nested_us:.1} nested_loop_check=ok",
+        vd.visible_nodes()
+    );
 }
 
 /// Times a closure (calibrated median, see

@@ -4,12 +4,13 @@
 //! ordinals — "if an ordinal is needed, it must be computed dynamically,
 //! e.g., by queueing the siblings". [`v_cmp`] is the total order; ordinal
 //! computation lives on [`crate::vdoc::VirtualDocument`]. [`OrderColumn`]
-//! caches that order per view as one rank and one subtree end per node,
-//! for the structural and twig joins.
+//! caches that order per view as one rank and one subtree end per
+//! placement, for the structural and twig joins.
 
 use crate::axes::v_ancestor;
 use crate::vdg::VDataGuide;
 use crate::vpbn::{decoded, VPbnRef};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use vh_pbn::keys;
 use vh_xml::NodeId;
@@ -77,23 +78,41 @@ pub fn v_before(v: &VDataGuide, x: &VPbnRef<'_>, y: &VPbnRef<'_>) -> bool {
     v_cmp(v, x, y) == Ordering::Less
 }
 
-/// A view's virtual document order as one comparable value per node: the
-/// node's `rank` (its position in virtual document order) and `end` (the
-/// last rank inside its virtual subtree). Order is a rank compare and
+/// A view's virtual document order as one comparable value per
+/// *placement*: one entry per step of the view's preorder walk
+/// ([`crate::VirtualDocument::preorder`]), which lists a node once under
+/// every parent that places it and never reaches a node that no parent
+/// places. A placement's `rank` is its position in the walk and its
+/// `end` the last rank inside its subtree, so order is a rank compare and
 /// containment is interval nesting, `rank[a] < rank[d] ≤ end[a]` — the
-/// nested-sets encoding, exact wherever every node has one virtual
-/// parent. Built by [`crate::VirtualDocument::order_column`], which
-/// refuses views that place a node twice.
+/// nested-sets encoding, exact by construction on every view. Built by
+/// [`crate::VirtualDocument::order_column`].
+///
+/// Placements are named by [`NodeId`]s, so the joins merge them with the
+/// code that merges nodes: a node's first placement is the node's own id,
+/// and each further one gets an id past the document's last node
+/// ([`Self::node`] maps it back). A node's order is therefore its first
+/// placement's rank, the order `transform::materialize` emits it in. On a
+/// view that places every visible node exactly once
+/// ([`Self::places_each_once`]) the placements are the nodes.
 #[derive(PartialEq, Eq)]
 pub struct OrderColumn {
-    /// `spans[id.index()]`, [`Span::NONE`] for nodes outside the view.
+    /// `spans[p.index()]` for placement `p`: first placements by node
+    /// id ([`Span::NONE`] for nodes the walk never reaches), then the
+    /// further placements.
     spans: Vec<Span>,
-    /// Number of ranked (visible) nodes.
-    ranked: usize,
+    /// The node of each further placement, sorted by node and, within a
+    /// node, by rank: `repeats[i]` places id `first + i`, where `first`
+    /// is `spans.len() - repeats.len()`.
+    repeats: Vec<NodeId>,
+    /// Number of placements (the walk's length).
+    placements: usize,
+    /// True when every visible node has exactly one placement.
+    once: bool,
 }
 
-/// One node's rank and subtree end, side by side so a containment test
-/// loads one entry per node.
+/// One placement's rank and subtree end, side by side so a containment
+/// test loads one entry per placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Span {
     rank: u32,
@@ -101,7 +120,7 @@ struct Span {
 }
 
 impl Span {
-    /// Outside the view: sorts after every ranked node and contains none.
+    /// Not placed: sorts after every placement and contains none.
     const NONE: Span = Span {
         rank: u32::MAX,
         end: 0,
@@ -109,78 +128,128 @@ impl Span {
 }
 
 impl OrderColumn {
-    /// Builds the column from the view's visible nodes in virtual
-    /// document order, each with its subtree end, over a document of
-    /// `doc_len` node ids.
-    pub(crate) fn from_order(
-        doc_len: usize,
-        order: impl IntoIterator<Item = (NodeId, u32)>,
-    ) -> Self {
+    /// Builds the column from the view's placement walk — each step's
+    /// node and the last rank inside its subtree, in preorder — over a
+    /// document of `doc_len` node ids with `visible` nodes in the view.
+    pub(crate) fn from_walk(doc_len: usize, visible: usize, walk: &[(NodeId, u32)]) -> Self {
         let mut spans = vec![Span::NONE; doc_len];
-        let mut ranked = 0;
-        for (id, end) in order {
-            spans[id.index()] = Span {
-                rank: ranked as u32,
+        let mut repeats: Vec<(NodeId, Span)> = Vec::new();
+        for (rank, &(id, end)) in walk.iter().enumerate() {
+            let span = Span {
+                rank: rank as u32,
                 end,
             };
-            ranked += 1;
+            let first = &mut spans[id.index()];
+            if *first == Span::NONE {
+                *first = span;
+            } else {
+                repeats.push((id, span));
+            }
         }
-        OrderColumn { spans, ranked }
+        // Stable: each node's further placements stay in rank order.
+        repeats.sort_by_key(|&(id, _)| id);
+        spans.extend(repeats.iter().map(|&(_, span)| span));
+        OrderColumn {
+            spans,
+            once: repeats.is_empty() && walk.len() == visible,
+            repeats: repeats.into_iter().map(|(id, _)| id).collect(),
+            placements: walk.len(),
+        }
     }
 
     #[inline]
-    fn span(&self, id: NodeId) -> Span {
-        self.spans.get(id.index()).copied().unwrap_or(Span::NONE)
+    fn span(&self, p: NodeId) -> Span {
+        self.spans.get(p.index()).copied().unwrap_or(Span::NONE)
     }
 
-    /// The node's position in virtual document order (`u32::MAX` outside
-    /// the view).
+    /// The placement's position in virtual document order; for a node,
+    /// its first placement's (`u32::MAX` for a node the view never
+    /// places).
     #[inline]
-    pub fn rank(&self, id: NodeId) -> u32 {
-        self.span(id).rank
+    pub fn rank(&self, p: NodeId) -> u32 {
+        self.span(p).rank
     }
 
-    /// The last rank inside the node's virtual subtree (its own rank for
-    /// a leaf).
+    /// The last rank inside the placement's virtual subtree (its own rank
+    /// for a leaf).
     #[inline]
-    pub fn end(&self, id: NodeId) -> u32 {
-        self.span(id).end
+    pub fn end(&self, p: NodeId) -> u32 {
+        self.span(p).end
     }
 
-    /// Virtual document order: one integer compare.
+    /// Virtual document order of two placements: one integer compare.
     #[inline]
     pub fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
         self.rank(a).cmp(&self.rank(b))
     }
 
-    /// True iff `a` is a proper virtual ancestor of `d`: `d`'s rank falls
-    /// inside `a`'s interval.
+    /// True iff placement `a` is a proper virtual ancestor of placement
+    /// `d`: `d`'s rank falls inside `a`'s interval.
     #[inline]
     pub fn contains(&self, a: NodeId, d: NodeId) -> bool {
         let (a, rd) = (self.span(a), self.rank(d));
         a.rank < rd && rd <= a.end
     }
 
-    /// Number of ranked (visible) nodes.
-    pub fn len(&self) -> usize {
-        self.ranked
+    /// The node a placement places.
+    #[inline]
+    pub fn node(&self, p: NodeId) -> NodeId {
+        let further = self.spans.len() - self.repeats.len();
+        p.index()
+            .checked_sub(further)
+            .and_then(|i| self.repeats.get(i))
+            .copied()
+            .unwrap_or(p)
     }
 
-    /// True for a view with no visible node.
+    /// Every placement of `nodes`, dropping nodes the view never places:
+    /// `nodes` itself on a view that places each node once, else a new
+    /// list in rank order. Either way the result is in rank order
+    /// whenever `nodes` is in virtual document order.
+    pub fn placements<'n>(&self, nodes: &'n [NodeId]) -> Cow<'n, [NodeId]> {
+        if self.once {
+            return Cow::Borrowed(nodes);
+        }
+        let further = self.spans.len() - self.repeats.len();
+        let mut out = Vec::with_capacity(nodes.len());
+        for &n in nodes.iter().filter(|&&n| self.span(n) != Span::NONE) {
+            out.push(n);
+            let from = self.repeats.partition_point(|&r| r < n);
+            let to = self.repeats.partition_point(|&r| r <= n);
+            out.extend((from..to).map(|i| NodeId::from_index(further + i)));
+        }
+        out.sort_unstable_by_key(|&p| self.rank(p));
+        Cow::Owned(out)
+    }
+
+    /// True when the view places every visible node exactly once, so
+    /// [`Self::placements`] and [`Self::node`] are the identity.
+    pub fn places_each_once(&self) -> bool {
+        self.once
+    }
+
+    /// Number of placements.
+    pub fn len(&self) -> usize {
+        self.placements
+    }
+
+    /// True for a view with no placement.
     pub fn is_empty(&self) -> bool {
-        self.ranked == 0
+        self.placements == 0
     }
 
     /// Heap bytes of the column.
     pub fn heap_bytes(&self) -> usize {
         self.spans.len() * std::mem::size_of::<Span>()
+            + self.repeats.len() * std::mem::size_of::<NodeId>()
     }
 }
 
 impl std::fmt::Debug for OrderColumn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrderColumn")
-            .field("ranked", &self.ranked)
+            .field("placements", &self.placements)
+            .field("once", &self.once)
             .finish_non_exhaustive()
     }
 }

@@ -38,9 +38,8 @@ use vh_xml::NodeId;
 pub struct TypeIndex {
     /// `by_vtype[vt.index()]` = nodes of virtual type `vt`, PBN-sorted.
     by_vtype: Vec<Vec<NodeId>>,
-    /// The order column once a join asked for it; the inner `None`
-    /// records that the view places some node twice and builds none.
-    order: OnceLock<Option<Arc<OrderColumn>>>,
+    /// The order column once a join asked for it.
+    order: OnceLock<Arc<OrderColumn>>,
 }
 
 impl PartialEq for TypeIndex {
@@ -68,8 +67,8 @@ impl TypeIndex {
         }
     }
 
-    /// True once a join has asked this generation for its order column
-    /// (built, or refused under join multiplicity).
+    /// True once a join has asked this generation for its order column,
+    /// which built it.
     pub fn order_checked(&self) -> bool {
         self.order.get().is_some()
     }
@@ -102,11 +101,7 @@ impl TypeIndex {
             .map(|v| v.len() * std::mem::size_of::<NodeId>())
             .sum::<usize>()
             + self.by_vtype.len() * std::mem::size_of::<Vec<NodeId>>()
-            + self
-                .order
-                .get()
-                .and_then(Option::as_deref)
-                .map_or(0, OrderColumn::heap_bytes)
+            + self.order.get().map_or(0, |col| col.heap_bytes())
     }
 
     /// Splices one edit batch into the lists in place, and drops the order
@@ -513,102 +508,60 @@ impl<'a> VirtualDocument<'a> {
     }
 
     /// Preorder (virtual document order) traversal of the whole virtual
-    /// forest.
+    /// forest. The walk visits placements: a node that several parents
+    /// place (join multiplicity) appears once under each, and a node that
+    /// no parent places does not appear.
     pub fn preorder(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.visible_nodes());
-        let mut stack: Vec<NodeId> = self.roots();
-        stack.reverse();
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            let mut kids = self.children(id);
-            kids.reverse();
-            stack.extend(kids);
-        }
-        out
+        self.placement_walk()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
-    /// The view's [`OrderColumn`]: each visible node's rank in virtual
-    /// document order and the last rank inside its virtual subtree, which
-    /// the structural and twig joins compare instead of calling `v_cmp`
-    /// and `v_ancestor`. Built on the first call over this type-index
+    /// The view's [`OrderColumn`]: the rank of every placement in the
+    /// preorder walk and the last rank inside its subtree, which the
+    /// structural and twig joins compare instead of calling `v_cmp` and
+    /// `v_ancestor`. Built on the first call over this type-index
     /// generation and cached with the index, so later joins reuse it and
     /// opening a view never builds it.
-    ///
-    /// `None` when some node does not have exactly one virtual parent:
-    /// under join multiplicity (`name { author { title } }` over books
-    /// with several authors) intervals are not exact and `v_cmp` can
-    /// cycle, so callers keep the closure predicates.
-    pub fn order_column(&self) -> Option<&OrderColumn> {
-        self.index
-            .order
-            .get_or_init(|| self.build_order_column().map(Arc::new))
-            .as_deref()
+    pub fn order_column(&self) -> &OrderColumn {
+        self.index.order.get_or_init(|| {
+            let walk = self.placement_walk();
+            Arc::new(OrderColumn::from_walk(
+                self.td.doc().len(),
+                self.visible_nodes(),
+                &walk,
+            ))
+        })
     }
 
     // ----- internals ----------------------------------------------------
 
-    /// Builds the order column, or `None` when the view places some node
-    /// other than exactly once.
-    ///
-    /// Placement is checked first, before any sort: per virtual edge, one
-    /// batched `collect_related` pass over every parent instance lists
-    /// each placement of a child, and those must cover the child type's
-    /// nodes once each. Then every visible node is put in `v_cmp` order,
-    /// and one stack pass closes each node's interval at the first later
-    /// node it is no `v_ancestor` of. After each push the stack must be
-    /// exactly as deep as the node's virtual level: then it holds the
-    /// node's whole ancestor chain, so no interval can miss a descendant
-    /// or take in a stranger. Any other depth refuses the column.
-    fn build_order_column(&self) -> Option<OrderColumn> {
-        let guide = self.vdg.guide();
-        let mut placed: Vec<NodeId> = Vec::new();
-        for vt in guide.type_ids() {
-            let Some(pt) = guide.ty(vt).parent() else {
-                continue;
-            };
-            placed.clear();
-            self.collect_related(self.index.nodes(pt), pt, vt, &mut placed, axes::v_child);
-            placed.sort_unstable();
-            if placed.len() != self.index.nodes(vt).len() || placed.windows(2).any(|w| w[0] == w[1])
-            {
-                return None;
-            }
+    /// The preorder walk over the view's placements: each step's node and
+    /// the rank (walk position) of the last step inside its subtree. The
+    /// walk descends through [`Self::children`], which lists a node under
+    /// every parent that places it, so subtree intervals nest by
+    /// construction.
+    fn placement_walk(&self) -> Vec<(NodeId, u32)> {
+        /// A pending step: enter a node, or close the subtree opened at
+        /// a walk position once everything below it is out.
+        enum Step {
+            Enter(NodeId),
+            Close(usize),
         }
-        // One type's nodes compare by key alone, so each type's list is
-        // already a run in virtual document order and the sort is a merge
-        // of those runs. Entries carry their type, so a vPBN is two loads.
-        let vpbn = |&(id, vt): &(NodeId, VTypeId)| {
-            VPbnRef::from_slices(self.td.pbn().key_of(id), self.levels.levels_of(vt), vt)
-        };
-        let runs: Vec<Vec<(NodeId, VTypeId)>> = guide
-            .type_ids()
-            .map(|vt| self.index.nodes(vt).iter().map(|&id| (id, vt)).collect())
-            .collect();
-        let order = exec::merge_runs(runs, &|a, b| v_cmp(&self.vdg, &vpbn(a), &vpbn(b)));
-        let mut ends = vec![0u32; order.len()];
-        // Open intervals: (rank, vPBN) of the current node's ancestors.
-        let mut stack: Vec<(usize, VPbnRef<'_>)> = Vec::new();
-        for (r, x) in order.iter().enumerate() {
-            let xv = vpbn(x);
-            while let Some((top, tv)) = stack.last() {
-                if axes::v_ancestor(&self.vdg, tv, &xv) {
-                    break;
+        let mut out: Vec<(NodeId, u32)> = Vec::with_capacity(self.visible_nodes());
+        let mut stack: Vec<Step> = self.roots().into_iter().rev().map(Step::Enter).collect();
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter(id) => {
+                    stack.push(Step::Close(out.len()));
+                    out.push((id, 0));
+                    stack.extend(self.children(id).into_iter().rev().map(Step::Enter));
                 }
-                // r ≥ 1: something was pushed before this node.
-                ends[*top] = (r - 1) as u32;
-                stack.pop();
-            }
-            stack.push((r, xv));
-            if stack.len() != self.vdg.level(x.1) {
-                return None;
+                Step::Close(at) => out[at].1 = (out.len() - 1) as u32,
             }
         }
-        let last = order.len().saturating_sub(1) as u32;
-        for (top, _) in stack {
-            ends[top] = last;
-        }
-        let ranked = order.iter().map(|&(id, _)| id).zip(ends);
-        Some(OrderColumn::from_order(self.td.doc().len(), ranked))
+        out
     }
 
     /// Collects nodes of type `vt` related to each context in `xs` under

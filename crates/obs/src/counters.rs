@@ -164,10 +164,6 @@ impl AxisCounters {
 pub struct TwigStats {
     /// `seek` calls issued by the twig-join cursor advance.
     pub seeks: u64,
-    /// Stream head advances consumed by the join.
-    pub advances: u64,
-    /// Root-to-leaf path solutions emitted.
-    pub path_solutions: u64,
     /// Merged twig matches returned.
     pub matches: u64,
 }
@@ -176,8 +172,6 @@ pub struct TwigStats {
 #[derive(Debug, Default)]
 pub struct TwigCounters {
     seeks: AtomicU64,
-    advances: AtomicU64,
-    path_solutions: AtomicU64,
     matches: AtomicU64,
 }
 
@@ -194,20 +188,6 @@ impl TwigCounters {
         }
     }
 
-    /// Adds stream head advances.
-    pub fn add_advances(&self, n: u64) {
-        if n != 0 {
-            self.advances.fetch_add(n, Relaxed);
-        }
-    }
-
-    /// Adds emitted path solutions.
-    pub fn add_path_solutions(&self, n: u64) {
-        if n != 0 {
-            self.path_solutions.fetch_add(n, Relaxed);
-        }
-    }
-
     /// Adds merged twig matches.
     pub fn add_matches(&self, n: u64) {
         if n != 0 {
@@ -219,8 +199,6 @@ impl TwigCounters {
     pub fn snapshot(&self) -> TwigStats {
         TwigStats {
             seeks: self.seeks.load(Relaxed),
-            advances: self.advances.load(Relaxed),
-            path_solutions: self.path_solutions.load(Relaxed),
             matches: self.matches.load(Relaxed),
         }
     }
@@ -231,8 +209,6 @@ impl TwigCounters {
 pub struct SjoinStats {
     /// Document-order comparisons evaluated by the join.
     pub comparisons: u64,
-    /// Ancestor-containment tests evaluated by the join.
-    pub containment_tests: u64,
     /// (ancestor, descendant) result pairs produced.
     pub pairs: u64,
 }
@@ -241,7 +217,6 @@ pub struct SjoinStats {
 #[derive(Debug, Default)]
 pub struct SjoinCounters {
     comparisons: AtomicU64,
-    containment_tests: AtomicU64,
     pairs: AtomicU64,
 }
 
@@ -258,13 +233,6 @@ impl SjoinCounters {
         }
     }
 
-    /// Adds locally-aggregated containment tests.
-    pub fn add_containment_tests(&self, n: u64) {
-        if n != 0 {
-            self.containment_tests.fetch_add(n, Relaxed);
-        }
-    }
-
     /// Adds produced result pairs.
     pub fn add_pairs(&self, n: u64) {
         if n != 0 {
@@ -276,7 +244,6 @@ impl SjoinCounters {
     pub fn snapshot(&self) -> SjoinStats {
         SjoinStats {
             comparisons: self.comparisons.load(Relaxed),
-            containment_tests: self.containment_tests.load(Relaxed),
             pairs: self.pairs.load(Relaxed),
         }
     }
@@ -451,27 +418,21 @@ mod tests {
     fn twig_and_sjoin_counters_roll_up() {
         let t = TwigCounters::new();
         t.add_seeks(2);
-        t.add_advances(3);
-        t.add_path_solutions(2);
         t.add_matches(1);
         assert_eq!(
             t.snapshot(),
             TwigStats {
                 seeks: 2,
-                advances: 3,
-                path_solutions: 2,
                 matches: 1,
             }
         );
         let j = SjoinCounters::new();
         j.add_comparisons(11);
-        j.add_containment_tests(4);
         j.add_pairs(2);
         assert_eq!(
             j.snapshot(),
             SjoinStats {
                 comparisons: 11,
-                containment_tests: 4,
                 pairs: 2,
             }
         );

@@ -8,54 +8,33 @@
 //! algorithm runs unchanged on virtual hierarchies — only the comparator
 //! and the containment predicate swap. Experiment F6 measures exactly this.
 //! Both virtual predicates come from the view's cached order column: a
-//! rank compare and an interval containment test, so the virtual merge is
-//! the physical one over a different `u32` column.
+//! rank compare and an interval containment test over the view's
+//! *placements*, so the virtual merge is the physical one over a
+//! different `u32` column. A view that places a node under several
+//! parents merges every placement and projects the pairs back to nodes.
 //!
-//! Each virtual join has one body, [`virtual_structural_join_counted`]:
-//! every merge chunk tallies its order comparisons and containment tests
-//! in plain integers, and the body publishes them once per chunk. The
-//! plain [`virtual_structural_join`] runs that body with throwaway
-//! counters, so a traced join counts exactly the merge a plain one runs.
+//! The virtual join has one body, [`virtual_structural_join_counted`]:
+//! every merge chunk tallies its order comparisons in a plain integer,
+//! and the body publishes them once per chunk. The plain
+//! [`virtual_structural_join`] runs that body with throwaway counters, so
+//! a traced join counts exactly the merge a plain one runs.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
-use vh_core::order::v_cmp;
-use vh_core::vpbn::VPbnRef;
+use vh_core::order::{v_cmp, OrderColumn};
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
 use vh_obs::SjoinCounters;
 use vh_pbn::keys;
 use vh_xml::NodeId;
 
-/// The order comparisons and containment tests one merge chunk
-/// evaluated.
-#[derive(Clone, Copy, Debug, Default)]
-struct Tally {
-    comparisons: u64,
-    containment_tests: u64,
-}
-
-/// One merge chunk's (ancestor, descendant) pairs and its [`Tally`].
-type Chunk = (Vec<(NodeId, NodeId)>, Tally);
-
-/// The pairs of every chunk, concatenated in chunk order.
-fn pairs_of(chunks: Vec<Chunk>) -> Vec<(NodeId, NodeId)> {
-    exec::concat(chunks.into_iter().map(|(pairs, _)| pairs).collect())
-}
-
 /// Pops every stack entry that does not contain `n`, stopping at the
-/// innermost one that does; each containment test is tallied.
+/// innermost one that does.
 #[inline]
-fn pop_to_container(
-    stack: &mut Vec<NodeId>,
-    n: NodeId,
-    contains: impl Fn(NodeId, NodeId) -> bool,
-    tally: &mut Tally,
-) {
+fn pop_to_container(stack: &mut Vec<NodeId>, n: NodeId, contains: impl Fn(NodeId, NodeId) -> bool) {
     while let Some(&top) = stack.last() {
-        tally.containment_tests += 1;
         if contains(top, n) {
             break;
         }
@@ -88,7 +67,7 @@ pub fn stack_tree_join_opts(
     contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
     opts: &ExecOptions,
 ) -> Vec<(NodeId, NodeId)> {
-    pairs_of(exec::par_chunk_map(opts, descendants, |chunk| {
+    exec::concat(exec::par_chunk_map(opts, descendants, |chunk| {
         stack_tree_chunk(ancestors, chunk, cmp, contains)
     }))
 }
@@ -100,44 +79,39 @@ fn stack_tree_chunk(
     chunk: &[NodeId],
     cmp: &(dyn Fn(NodeId, NodeId) -> Ordering + Sync),
     contains: &(dyn Fn(NodeId, NodeId) -> bool + Sync),
-) -> Chunk {
+) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
-    let mut tally = Tally::default();
     let Some(&first) = chunk.first() else {
-        return (out, tally);
+        return out;
     };
     let mut stack: Vec<NodeId> = Vec::new();
     // Replay: push-clean every ancestor that starts before the chunk's
     // first descendant. For the first chunk this is a no-op prefix (the
     // main loop below would do the same pushes for `first`).
-    let mut i = ancestors.partition_point(|&a| {
-        tally.comparisons += 1;
-        cmp(a, first) == Ordering::Less
-    });
+    let mut i = ancestors.partition_point(|&a| cmp(a, first) == Ordering::Less);
     for &a in &ancestors[..i] {
-        pop_to_container(&mut stack, a, contains, &mut tally);
+        pop_to_container(&mut stack, a, contains);
         stack.push(a);
     }
     for &d in chunk {
         // Push every ancestor candidate that starts before d.
         while i < ancestors.len() {
-            tally.comparisons += 1;
             if cmp(ancestors[i], d) != Ordering::Less {
                 break;
             }
-            pop_to_container(&mut stack, ancestors[i], contains, &mut tally);
+            pop_to_container(&mut stack, ancestors[i], contains);
             stack.push(ancestors[i]);
             i += 1;
         }
         // Pop candidates whose subtree ended before d.
-        pop_to_container(&mut stack, d, contains, &mut tally);
+        pop_to_container(&mut stack, d, contains);
         // Every remaining stack entry contains d (they are nested).
         for &a in &stack {
             debug_assert!(contains(a, d));
             out.push((a, d));
         }
     }
-    (out, tally)
+    out
 }
 
 /// Physical structural join: inputs sorted by PBN; containment is the
@@ -209,8 +183,8 @@ pub fn physical_structural_join_generic(
 /// [`stack_tree_chunk`] monomorphized over u32 slot keys: document order
 /// is one integer compare on a value loaded straight from a flat column
 /// (the arena's slots, or a view's virtual ranks), and both predicates
-/// inline — no `dyn` dispatch anywhere in the merge. The tally costs a
-/// register increment per predicate.
+/// inline — no `dyn` dispatch anywhere in the merge. Returns the pairs and
+/// the order comparisons, tallied at a register increment each.
 ///
 /// oracle: stack_tree_chunk
 fn stack_tree_chunk_slots(
@@ -218,11 +192,10 @@ fn stack_tree_chunk_slots(
     chunk: &[NodeId],
     slot: impl Fn(NodeId) -> u32,
     contains: impl Fn(NodeId, NodeId) -> bool,
-) -> Chunk {
+) -> (Vec<(NodeId, NodeId)>, u64) {
     let mut out = Vec::new();
-    let mut tally = Tally::default();
     let Some(&first) = chunk.first() else {
-        return (out, tally);
+        return (out, 0);
     };
     let dslot0 = slot(first);
     let mut stack: Vec<NodeId> = Vec::new();
@@ -231,29 +204,29 @@ fn stack_tree_chunk_slots(
         probes.set(probes.get() + 1);
         slot(a) < dslot0
     });
-    tally.comparisons = probes.get();
+    let mut comparisons = probes.get();
     for &a in &ancestors[..i] {
-        pop_to_container(&mut stack, a, &contains, &mut tally);
+        pop_to_container(&mut stack, a, &contains);
         stack.push(a);
     }
     for &d in chunk {
         let dslot = slot(d);
         while i < ancestors.len() {
-            tally.comparisons += 1;
+            comparisons += 1;
             if slot(ancestors[i]) >= dslot {
                 break;
             }
-            pop_to_container(&mut stack, ancestors[i], &contains, &mut tally);
+            pop_to_container(&mut stack, ancestors[i], &contains);
             stack.push(ancestors[i]);
             i += 1;
         }
-        pop_to_container(&mut stack, d, &contains, &mut tally);
+        pop_to_container(&mut stack, d, &contains);
         for &a in &stack {
             debug_assert!(contains(a, d));
             out.push((a, d));
         }
     }
-    (out, tally)
+    (out, comparisons)
 }
 
 /// Virtual structural join: inputs sorted by virtual document order;
@@ -272,17 +245,18 @@ pub fn virtual_structural_join(
     virtual_structural_join_counted(vd, ancestors, descendants, &SjoinCounters::new())
 }
 
-/// The virtual structural join, recording its order comparisons,
-/// containment tests and pairs in `counters`.
+/// The virtual structural join, recording its order comparisons and
+/// pairs in `counters`.
 ///
-/// Fast path: the view's cached order column
-/// ([`VirtualDocument::order_column`]) turns document order into a rank
-/// compare and containment into interval nesting, so the merge is the
-/// same monomorphized `stack_tree_chunk_slots` pass the physical join
-/// runs over arena slots. A view that places some node twice has no
-/// column and runs the merge of [`virtual_structural_join_closure`].
-/// Either way each chunk tallies its predicates locally and the totals
-/// are published once per chunk.
+/// The view's cached order column ([`VirtualDocument::order_column`])
+/// turns document order into a rank compare and containment into interval
+/// nesting, so the merge is the same monomorphized `stack_tree_chunk_slots`
+/// pass the physical join runs over arena slots. It merges placements:
+/// both inputs become the placements of their nodes, and the pairs are
+/// projected back to nodes without duplicates. On a view that places each
+/// node once both steps are the identity. Only nodes the view places take
+/// part. Each chunk tallies its comparisons locally and the totals are
+/// published once per chunk.
 ///
 /// oracle: virtual_structural_join_closure
 pub fn virtual_structural_join_counted(
@@ -291,57 +265,67 @@ pub fn virtual_structural_join_counted(
     descendants: &[NodeId],
     counters: &SjoinCounters,
 ) -> Vec<(NodeId, NodeId)> {
-    let chunks = match vd.order_column() {
-        Some(col) => exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
-            stack_tree_chunk_slots(ancestors, chunk, |n| col.rank(n), |a, d| col.contains(a, d))
-        }),
-        None => closure_chunks(vd, ancestors, descendants),
-    };
-    for (_, tally) in &chunks {
-        counters.add_comparisons(tally.comparisons);
-        counters.add_containment_tests(tally.containment_tests);
+    let col = vd.order_column();
+    let (ancestors, descendants) = (col.placements(ancestors), col.placements(descendants));
+    let chunks = exec::par_chunk_map(&vd.exec(), &descendants, |chunk| {
+        stack_tree_chunk_slots(
+            &ancestors,
+            chunk,
+            |p| col.rank(p),
+            |a, d| col.contains(a, d),
+        )
+    });
+    let mut pairs = Vec::with_capacity(chunks.iter().map(|c| c.0.len()).sum());
+    for (chunk, comparisons) in chunks {
+        counters.add_comparisons(comparisons);
+        pairs.extend(chunk);
     }
-    let out = pairs_of(chunks);
+    let out = project_pairs(col, pairs);
     counters.add_pairs(out.len() as u64);
+    out
+}
+
+/// Maps (ancestor, descendant) pairs of placements to pairs of nodes,
+/// sorted by descendant, then ancestor, in virtual document order without
+/// duplicates — or leaves them as they are on a view that places each
+/// node once.
+fn project_pairs(col: &OrderColumn, pairs: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeId)> {
+    if col.places_each_once() {
+        return pairs;
+    }
+    let mut out: Vec<(NodeId, NodeId)> = pairs
+        .into_iter()
+        .map(|(a, d)| (col.node(a), col.node(d)))
+        .collect();
+    out.sort_unstable_by_key(|&(a, d)| (col.rank(d), col.rank(a)));
+    out.dedup();
     out
 }
 
 /// The closure form of [`virtual_structural_join`]: the generic
 /// Stack-Tree join calling `v_cmp` and `v_ancestor` on the nodes' vPBNs
-/// for every comparison. Views under join multiplicity run it, and the
-/// column join must stay byte-identical to it wherever it has a column.
+/// for every comparison. No query runs it: it is the oracle the column
+/// join must stay byte-identical to on views that place each node once.
+/// Under join multiplicity its containment intervals do not nest, and it
+/// misses pairs.
 pub fn virtual_structural_join_closure(
     vd: &VirtualDocument<'_>,
     ancestors: &[NodeId],
     descendants: &[NodeId],
 ) -> Vec<(NodeId, NodeId)> {
-    pairs_of(closure_chunks(vd, ancestors, descendants))
-}
-
-/// The chunked generic merge over the closure predicates.
-fn closure_chunks(
-    vd: &VirtualDocument<'_>,
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-) -> Vec<Chunk> {
-    let vpbn = visible_vpbn(vd);
-    let cmp = |a: NodeId, b: NodeId| v_cmp(vd.vdg(), &vpbn(a), &vpbn(b));
-    let contains = |a: NodeId, d: NodeId| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d));
-    exec::par_chunk_map(&vd.exec(), descendants, |chunk| {
-        stack_tree_chunk(ancestors, chunk, &cmp, &contains)
-    })
-}
-
-/// The vPBN lookup of the closure joins.
-///
-/// Invariant: join inputs are node lists of virtual types (from the type
-/// index), and every node of a virtual type is visible in the view — so
-/// it always has a vPBN.
-fn visible_vpbn<'v>(vd: &'v VirtualDocument<'_>) -> impl Fn(NodeId) -> VPbnRef<'v> {
-    move |n| match vd.vpbn_of(n) {
+    // Invariant: join inputs are node lists of virtual types, all of
+    // which are visible and therefore have a vPBN.
+    let vpbn = |n: NodeId| match vd.vpbn_of(n) {
         Some(v) => v,
         None => unreachable!("join input is visible"),
-    }
+    };
+    stack_tree_join_opts(
+        ancestors,
+        descendants,
+        &|a, b| v_cmp(vd.vdg(), &vpbn(a), &vpbn(b)),
+        &|a, d| v_ancestor(vd.vdg(), &vpbn(a), &vpbn(d)),
+        &vd.exec(),
+    )
 }
 
 /// Baseline for the F6/A1 experiments: the nested-loop join that tests
@@ -446,7 +430,6 @@ mod tests {
         let s = counters.snapshot();
         assert_eq!(s.pairs, counted.len() as u64);
         assert!(s.comparisons > 0, "the merge compared document order");
-        assert!(s.containment_tests > 0, "the merge tested vAncestor");
     }
 
     #[test]

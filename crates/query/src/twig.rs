@@ -13,15 +13,17 @@
 //! identical algorithm evaluates twig patterns **against a virtual
 //! hierarchy** without materializing it — the composition claim of §5 at
 //! the level of a real query operator. The virtual source reads both from
-//! the view's cached order column (a rank compare and an interval test).
+//! the view's cached order column (a rank compare and an interval test),
+//! whose streams list the view's placements; a node placed under several
+//! parents is matched once per placement and projected back to one match.
 //!
 //! All pattern edges are descendant edges (`//`), the class for which
 //! TwigStack is optimal; child edges can be post-filtered by the caller.
 //!
 //! The join has one body, [`twig_join_counted`]: the TwigStack pass
-//! tallies its seeks and cursor advances in plain integers, published
-//! once per run. [`twig_join_opts`] runs it with throwaway counters and
-//! [`twig_join`] runs that sequentially.
+//! tallies its seeks in a plain integer, published once per run.
+//! [`twig_join_opts`] runs it with throwaway counters and [`twig_join`]
+//! runs that sequentially.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -242,6 +244,14 @@ pub trait TwigSource {
         }
         i
     }
+
+    /// Maps matches over this source's stream entries to matches over
+    /// document nodes. The default keeps them: its streams are the
+    /// nodes. A source whose streams list placements projects each entry
+    /// to its node and drops the duplicate matches.
+    fn project(&self, matches: Vec<TwigMatch>) -> Vec<TwigMatch> {
+        matches
+    }
 }
 
 /// Physical source: plain PBN order and prefix containment.
@@ -359,16 +369,15 @@ impl<'a> TwigSource for PhysicalTwigSource<'a> {
 /// Virtual source: virtual document order and `vAncestor` containment.
 ///
 /// Both come from the view's cached order column
-/// ([`VirtualDocument::order_column`]): `cmp` compares two ranks and
-/// `contains` tests `rank[a] < rank[d] ≤ end[a]`, so no comparison walks
-/// a number, and the column is built once per view generation, not once
-/// per source. A view that places some node twice has no column; its
-/// source calls `v_cmp` and `v_ancestor` per test, as the
-/// [`VirtualTwigSource::with_closures`] twin does on any view.
+/// ([`VirtualDocument::order_column`]): streams list the placements of
+/// the matching nodes, `cmp` compares two ranks and `contains` tests
+/// `rank[a] < rank[d] ≤ end[a]`, so no comparison walks a number, and the
+/// column is built once per view generation, not once per source.
+/// Matches are projected back to nodes ([`TwigSource::project`]); on a
+/// view that places each node once that is the identity.
 pub struct VirtualTwigSource<'a> {
     vd: &'a VirtualDocument<'a>,
-    /// The view's order column; `None` runs the closure predicates.
-    column: Option<&'a OrderColumn>,
+    column: &'a OrderColumn,
 }
 
 impl<'a> VirtualTwigSource<'a> {
@@ -383,13 +392,65 @@ impl<'a> VirtualTwigSource<'a> {
         }
     }
 
-    /// The closure twin: `v_cmp` and `v_ancestor` on the nodes' vPBNs for
-    /// every test, whatever the view. Views without an order column run
-    /// this path; on the others the column source must match it.
-    pub fn with_closures(vd: &'a VirtualDocument<'a>) -> Self {
-        VirtualTwigSource { vd, column: None }
+    /// The closure twin, an oracle no query runs: `v_cmp` and
+    /// `v_ancestor` on the nodes' vPBNs for every test, over streams of
+    /// nodes. On a view that places each node once the column source
+    /// must match it.
+    pub fn with_closures(vd: &'a VirtualDocument<'a>) -> ClosureTwigSource<'a> {
+        ClosureTwigSource { vd }
+    }
+}
+
+impl<'a> TwigSource for VirtualTwigSource<'a> {
+    fn stream(&self, test: &str) -> Vec<NodeId> {
+        let nodes = nodes_named(self.vd, test);
+        let mut out = self.column.placements(&nodes).into_owned();
+        // An integer sort, safe to parallelize: ranks never tie.
+        exec::par_sort_by(&self.vd.exec(), &mut out, |&a, &b| self.cmp(a, b));
+        out
     }
 
+    fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
+        self.column.cmp(a, b)
+    }
+
+    fn contains(&self, a: NodeId, b: NodeId) -> bool {
+        self.column.contains(a, b)
+    }
+
+    /// Projects each placement to its node and drops duplicate matches.
+    fn project(&self, matches: Vec<TwigMatch>) -> Vec<TwigMatch> {
+        let col = self.column;
+        if col.places_each_once() {
+            return matches;
+        }
+        let mut out: Vec<TwigMatch> = matches
+            .into_iter()
+            .map(|m| m.into_iter().map(|p| col.node(p)).collect())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// Every node of the view's virtual types named `test`, type by type.
+fn nodes_named(vd: &VirtualDocument<'_>, test: &str) -> Vec<NodeId> {
+    let guide = vd.vdg().guide();
+    guide
+        .type_ids()
+        .filter(|&vt| guide.name(vt) == test)
+        .flat_map(|vt| vd.nodes_of_vtype(vt).iter().copied())
+        .collect()
+}
+
+/// The closure twin of [`VirtualTwigSource`], built by
+/// [`VirtualTwigSource::with_closures`].
+pub struct ClosureTwigSource<'a> {
+    vd: &'a VirtualDocument<'a>,
+}
+
+impl<'a> ClosureTwigSource<'a> {
     /// Invariant: `cmp`/`contains` are only called on nodes produced by
     /// `stream`, which enumerates nodes of virtual types — all of which
     /// are visible and therefore have a vPBN.
@@ -401,33 +462,19 @@ impl<'a> VirtualTwigSource<'a> {
     }
 }
 
-impl<'a> TwigSource for VirtualTwigSource<'a> {
+impl<'a> TwigSource for ClosureTwigSource<'a> {
     fn stream(&self, test: &str) -> Vec<NodeId> {
-        let vdg = self.vd.vdg();
-        let mut out: Vec<NodeId> = vdg
-            .guide()
-            .type_ids()
-            .filter(|&vt| vdg.guide().name(vt) == test)
-            .flat_map(|vt| self.vd.nodes_of_vtype(vt).iter().copied())
-            .collect();
-        // With a column this is an integer sort (and safe to parallelize:
-        // ranks never tie).
+        let mut out = nodes_named(self.vd, test);
         exec::par_sort_by(&self.vd.exec(), &mut out, |&a, &b| self.cmp(a, b));
         out
     }
 
     fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
-        match self.column {
-            Some(col) => col.cmp(a, b),
-            None => v_cmp(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b)),
-        }
+        v_cmp(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b))
     }
 
     fn contains(&self, a: NodeId, b: NodeId) -> bool {
-        match self.column {
-            Some(col) => col.contains(a, b),
-            None => v_ancestor(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b)),
-        }
+        v_ancestor(self.vd.vdg(), &self.vpbn(a), &self.vpbn(b))
     }
 }
 
@@ -457,10 +504,10 @@ pub fn twig_join_opts(
     twig_join_counted(source, pattern, opts, &TwigCounters::new())
 }
 
-/// The twig join, recording its issued seeks, cursor advances,
-/// path solutions and matches in `counters`. The TwigStack pass tallies
-/// seeks and advances in plain integers, and each total is published
-/// once per run.
+/// The twig join, recording its issued seeks and its matches in
+/// `counters`. The TwigStack pass tallies seeks in a plain integer,
+/// published once per run; matches are counted after the source's
+/// [`TwigSource::project`].
 pub fn twig_join_counted(
     source: &(dyn TwigSource + Sync),
     pattern: &TwigPattern,
@@ -471,10 +518,7 @@ pub fn twig_join_counted(
     let mut stack = TwigStack::with_streams(source, pattern, streams);
     stack.run();
     counters.add_seeks(stack.seeks);
-    counters.add_advances(stack.advances);
-    let paths = stack.out;
-    counters.add_path_solutions(paths.iter().map(|p| p.len() as u64).sum());
-    let matches = merge_path_solutions(pattern, &paths);
+    let matches = source.project(merge_path_solutions(pattern, &stack.out));
     counters.add_matches(matches.len() as u64);
     matches
 }
@@ -529,8 +573,6 @@ struct TwigStack<'s> {
     out: Vec<Vec<Vec<NodeId>>>,
     /// `seek` calls issued.
     seeks: u64,
-    /// Stream head advances consumed.
-    advances: u64,
 }
 
 impl<'s> TwigStack<'s> {
@@ -557,7 +599,6 @@ impl<'s> TwigStack<'s> {
             leaf_pos,
             chains: leaves.iter().map(|&l| pattern.path_to(l)).collect(),
             seeks: 0,
-            advances: 0,
         }
     }
 
@@ -648,7 +689,6 @@ impl<'s> TwigStack<'s> {
     fn run(&mut self) {
         let root = 0;
         while let Some(q) = self.get_next(root) {
-            self.advances += 1;
             // Invariant: get_next only returns pattern nodes whose streams
             // still have a head (exhausted branches yield None).
             let hq = match self.head(q) {
@@ -795,7 +835,7 @@ pub fn merge_path_solutions(pattern: &TwigPattern, paths: &[Vec<Vec<NodeId>>]) -
 }
 
 /// Reference implementation for testing: naive recursive enumeration of
-/// all twig matches using only `contains`.
+/// all twig matches using only `contains`, projected by the source.
 pub fn twig_join_naive(source: &dyn TwigSource, pattern: &TwigPattern) -> Vec<TwigMatch> {
     /// All assignments for the pattern subtree rooted at `q` given
     /// `q → node`, as sparse vectors over the whole pattern.
@@ -843,7 +883,7 @@ pub fn twig_join_naive(source: &dyn TwigSource, pattern: &TwigPattern) -> Vec<Tw
             );
         }
     }
-    out
+    source.project(out)
 }
 
 #[cfg(test)]
@@ -960,8 +1000,6 @@ mod tests {
             );
             let s = counters.snapshot();
             assert!(s.seeks > 0, "{pat} issued seeks");
-            assert!(s.advances > 0, "{pat} advanced its streams");
-            assert!(s.path_solutions > 0, "{pat} produced path solutions");
             assert_eq!(s.matches, counted.len() as u64, "{pat}");
         }
     }
@@ -1012,7 +1050,7 @@ mod tests {
         for &a in &nodes {
             for &b in &nodes {
                 let by_rank = src.cmp(a, b);
-                let by_vcmp = v_cmp(vd.vdg(), &src.vpbn(a), &src.vpbn(b));
+                let by_vcmp = v_cmp(vd.vdg(), &vd.vpbn_of(a).must(), &vd.vpbn_of(b).must());
                 assert_eq!(by_rank, by_vcmp, "{a:?} vs {b:?}");
             }
         }

@@ -171,6 +171,10 @@ pub const ALL_STATUSES: [WireStatus; 9] = [
 
 impl WireStatus {
     /// The status byte sent on the wire.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn code(self) -> u8 {
         match self {
             WireStatus::Ok => 0,
@@ -191,6 +195,10 @@ impl WireStatus {
     }
 
     /// Stable lowercase name, as documented in the README table.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn wire_name(self) -> &'static str {
         match self {
             WireStatus::Ok => "ok",
@@ -237,6 +245,10 @@ pub const ALL_VERBS: [Verb; 6] = [
 
 impl Verb {
     /// The verb byte sent on the wire.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn code(self) -> u8 {
         match self {
             Verb::Point => 1,
@@ -254,6 +266,10 @@ impl Verb {
     }
 
     /// Stable lowercase name, as documented in the README table.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn wire_name(self) -> &'static str {
         match self {
             Verb::Point => "point",

@@ -114,54 +114,6 @@ impl<'a> Code<'a> {
     }
 }
 
-/// Variant names (and lines) of `pub enum <name> { … }` in a code view.
-/// Skips attribute tokens and field contents; shared by the enum-table
-/// lints ([`errors`], [`api`]).
-pub(crate) fn enum_variants(code: &Code<'_>, name: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        if !(code.is_ident(i, "enum") && code.is_ident(i + 1, name) && code.is_punct(i + 2, '{')) {
-            continue;
-        }
-        let end = code.matching_brace(i + 2);
-        let mut expecting = true;
-        let mut depth = 0usize; // nesting inside variant fields
-        let mut j = i + 3;
-        while j < end {
-            match code.kind(j) {
-                Some(Tok::Punct('#')) if depth == 0 => {
-                    // Skip the `[…]` of an attribute.
-                    let mut k = j + 1;
-                    let mut b = 0usize;
-                    while k < end {
-                        if code.is_punct(k, '[') {
-                            b += 1;
-                        } else if code.is_punct(k, ']') {
-                            b -= 1;
-                            if b == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    j = k;
-                }
-                Some(Tok::Punct('(' | '{' | '[')) => depth += 1,
-                Some(Tok::Punct(')' | '}' | ']')) => depth = depth.saturating_sub(1),
-                Some(Tok::Punct(',')) if depth == 0 => expecting = true,
-                Some(Tok::Ident(name)) if depth == 0 && expecting => {
-                    out.push((name.clone(), code.line(j)));
-                    expecting = false;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        break;
-    }
-    out
-}
-
 /// Code-token range of the body of the first `fn name` inside
 /// `[from, to)`.
 pub(crate) fn fn_body_in(
@@ -182,24 +134,6 @@ pub(crate) fn fn_body_in(
         }
     }
     None
-}
-
-/// Variant names appearing as `<enum_name>::X` in a token range.
-pub(crate) fn matched_variants(
-    code: &Code<'_>,
-    start: usize,
-    end: usize,
-    enum_name: &str,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in start..end {
-        if code.is_ident(i, enum_name) && code.is_punct(i + 1, ':') && code.is_punct(i + 2, ':') {
-            if let Some(Tok::Ident(v)) = code.kind(i + 3) {
-                out.push(v.clone());
-            }
-        }
-    }
-    out
 }
 
 /// Runs every lint over the loaded workspace.

@@ -47,10 +47,8 @@ const SEEDED: &[(&str, u32, &str)] = &[
     ("crates/serve/src/locks.rs", 28, "lock-order"),
     ("crates/serve/src/locks.rs", 36, "lock-order"),
     ("crates/serve/src/server.rs", 4, "api-surface"),
-    ("crates/serve/src/wire.rs", 10, "api-surface"),
     ("crates/serve/src/wire.rs", 53, "api-surface"),
     ("crates/serve/src/wire.rs", 59, "api-surface"),
-    ("src/error.rs", 19, "error-exit"),
     ("src/error.rs", 39, "error-exit"),
     ("src/lib.rs", 11, "no-panic"),
     ("src/lib.rs", 12, "no-panic"),

@@ -20,7 +20,7 @@ impl Verb {
         }
     }
 
-    /// Wire name — the `Edit` arm is missing (seeded).
+    /// Wire name — a missing `Edit` arm is rustc's to catch; silent.
     pub fn wire_name(self) -> &'static str {
         match self {
             Verb::Point => "point",

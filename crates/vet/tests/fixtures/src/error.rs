@@ -1,7 +1,7 @@
 //! Fixture error facade, deliberately out of sync (seeds `error-exit`).
 //!
 //! Seeded violations:
-//! * `Storage` has no arm in `code()` (the wildcard does not count);
+//! * none in `code()`: its wildcard arm is clippy's to catch;
 //! * exit code 9 has no row in the fixture README's exit table.
 
 /// The fixture suite's error type.

@@ -79,6 +79,10 @@ impl VhError {
     ///
     /// For wrapped layer errors this defers to the layer's own `code()`
     /// where one exists, so the facade never loses precision.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn code(&self) -> &'static str {
         match self {
             VhError::Usage(_) => "CLI_USAGE",
@@ -96,6 +100,10 @@ impl VhError {
     }
 
     /// Process exit code for the failure class (see module docs).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn exit_code(&self) -> u8 {
         match self {
             VhError::Usage(_) => 2,
