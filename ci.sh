@@ -200,7 +200,7 @@ run_serve() {
 # durability oracles make every workload's exit status a correctness
 # check, so a short run of each gates the change without timing it.
 run_perfbench() {
-  echo "==> perfbench leg (generator tests + 3 s smoke of every workload, traced view-query and edit-stream)"
+  echo "==> perfbench leg (generator tests + 3 s smoke of every workload, traced view-query, edit-stream and served-mix)"
   local manifest=perfbench/Cargo.toml
   cargo build --release --offline --manifest-path "$manifest" --bin perfbench
   cargo test --release --offline --manifest-path "$manifest" -q
@@ -218,11 +218,19 @@ run_perfbench() {
     --trace 1 >/dev/null
   # The traced edit stream is the only run that drives
   # Engine::apply_traced(…, true); its probe suite then runs the plain
-  # and the counted joins on an engine whose edits dropped the view's
-  # order column.
+  # and the counted joins on an engine whose edits the view has not
+  # replayed yet, so the first open catches it up and the first join
+  # rebuilds its order column.
   echo "    smoke: edit-stream --trace 1"
   cargo run --release --quiet --offline --manifest-path "$manifest" \
     --bin perfbench -- --workload edit-stream --seed 7 --seconds 3 \
+    --trace 1 >/dev/null
+  # The traced served mix is the only run whose probe suite joins an
+  # edited 100-book view through the journal replay, so it runs the
+  # catch-up and the column rebuild after edits.
+  echo "    smoke: served-mix --trace 1"
+  cargo run --release --quiet --offline --manifest-path "$manifest" \
+    --bin perfbench -- --workload served-mix --seed 7 --seconds 3 \
     --trace 1 >/dev/null
 }
 

@@ -28,15 +28,19 @@
 //! * **delta maintenance** — a vocabulary-preserving skewed stream (the
 //!   same front-gap skew, but book-shaped inserts that never mint guide
 //!   types) in writer-sized batches through an engine whose virtual
-//!   views are warm. Every batch routes one merged delta through the
-//!   `ExecCache` instead of evicting, so the suite prices (a) the
-//!   per-edit cost of routing with live views (`update/cache_maintain`)
-//!   and (b) the warm-query latency the maintained views preserve
+//!   views are warm. Every batch journals one merged delta in the
+//!   `ExecCache` instead of evicting, and the view's next open replays
+//!   it, so the suite prices (a) the per-edit cost of maintenance with
+//!   a live view — each batch's `apply_all` plus one open of the view,
+//!   which runs the catch-up (`update/cache_maintain`) — and (b) the
+//!   warm-query latency the maintained views preserve
 //!   (`update/cache_warm_query`),
 //!   self-enforced against the ≤[`CACHE_WARM_BUDGET`]x bound: queries
 //!   on views that lived through the stream may cost at most that
 //!   multiple of warm queries on a never-edited engine holding the
-//!   same final document.
+//!   same final document. A second table times the edit side alone
+//!   with one warm view and with all six book views warm: journaling
+//!   does no per-view work, so the two should match.
 //!
 //! * **apply cost against document size** — a size-stable stream (book
 //!   inserts and deletes in equal shares at uniform positions, plus
@@ -60,7 +64,7 @@ use vh_dataguide::TypedDocument;
 use vh_pbn::update::{incremental_renumber, minimal_renumber_cost};
 use vh_pbn::PbnAssignment;
 use vh_query::api::{Edit, Engine, QueryRequest};
-use vh_workload::{generate_books, BooksConfig};
+use vh_workload::{book_scenarios, generate_books, BooksConfig};
 use vh_xml::{serialize, Document, NodeId, SerializeOptions};
 
 /// Timing repetitions per query measurement; the median is reported.
@@ -96,8 +100,8 @@ const MAINTAIN_EDITS: usize = 1_000;
 /// Corpus size for the maintenance leg, fixed across profiles. Large
 /// enough that (a) the 1k-edit stream is a realistic fraction of the
 /// document rather than a wholesale rewrite, and (b) each batch touches
-/// far fewer nodes than the document keeps, so the size rule in
-/// `ExecCache::route_delta` keeps the maintenance path.
+/// far fewer nodes than the document keeps, so the journal's size cap
+/// in `ExecCache::journal` keeps the maintenance path.
 const MAINTAIN_BOOKS: usize = 2_000;
 
 /// Corpus sizes of the apply-scaling rows, fixed across profiles.
@@ -588,12 +592,13 @@ fn main() {
 
     // ---------------------------------------- UPD-d: delta maintenance ---
     // A vocabulary-preserving skewed stream against warm virtual views:
-    // every `apply_all` batch routes one merged delta through the cache,
-    // splicing the live views in place, and an interleaved reader (one
-    // suite pass per batch, untimed) keeps them hot the way the
-    // concurrent readwrite workload does. Only the routing is timed.
-    // The leg runs on its own profile-independent corpus (see
-    // [`MAINTAIN_BOOKS`]).
+    // every `apply_all` batch journals one merged delta in the cache,
+    // and the next open of the view replays it, splicing the view in
+    // place. Each batch is timed with that open, so the row prices the
+    // whole maintenance, edit side and catch-up; an interleaved reader
+    // (one suite pass per batch, untimed) keeps the view hot the way the
+    // concurrent readwrite workload does. The leg runs on its own
+    // profile-independent corpus (see [`MAINTAIN_BOOKS`]).
     let m_base_xml = serialize(
         &generate_books(URI, &BooksConfig::sized(MAINTAIN_BOOKS)),
         SerializeOptions::compact(),
@@ -609,17 +614,26 @@ fn main() {
             .run(&QueryRequest::virtual_path(URI, SPEC, *p))
             .expect("warm query runs");
     }
-    let mut route_ns_total = 0u128;
+    let (mut edit_ns_total, mut catch_up_ns_total) = (0u128, 0u128);
     for chunk in m_script.chunks(MAINTAIN_BATCH) {
         let (_, d) = time(|| maintained.apply_all(chunk.to_vec()).expect("batch applies"));
-        route_ns_total += d.as_nanos();
+        edit_ns_total += d.as_nanos();
+        let (_, d) = time(|| {
+            maintained
+                .virtual_doc(URI, SPEC)
+                .map(|_| ())
+                .expect("view opens")
+        });
+        catch_up_ns_total += d.as_nanos();
         for p in VPATHS {
             maintained
                 .run(&QueryRequest::virtual_path(URI, SPEC, *p))
                 .expect("reader query runs");
         }
     }
-    let maintain_ns = route_ns_total as f64 / m_script.len() as f64;
+    let per_edit = |ns: u128| ns as f64 / m_script.len() as f64;
+    let (edit_ns, catch_up_ns) = (per_edit(edit_ns_total), per_edit(catch_up_ns_total));
+    let maintain_ns = edit_ns + catch_up_ns;
     let snap = maintained.snapshot().cache;
 
     // Warm-query contrast: the engine whose views lived through the
@@ -669,10 +683,12 @@ fn main() {
     }
     t.print();
     let mut t = Table::new(
-        "UPD-d: cache routing counters over the stream",
+        "UPD-d: maintenance per edit (apply_all + the view's catch-up) and counters",
         &[
             "edits",
-            "route_ns_per_edit",
+            "maintain_ns_per_edit",
+            "edit_ns",
+            "catch_up_ns",
             "maintained",
             "recomputed",
             "fallback_evictions",
@@ -681,15 +697,48 @@ fn main() {
     t.row(&[
         m_script.len().to_string(),
         format!("{maintain_ns:.0}"),
+        format!("{edit_ns:.0}"),
+        format!("{catch_up_ns:.0}"),
         snap.maintained.to_string(),
         snap.recomputed.to_string(),
         snap.fallback_evictions.to_string(),
     ]);
     t.print();
 
+    // The edit side alone, with one warm view and with every book view
+    // warm: an edit journals its batch once per URI, whatever is cached.
+    let mut t = Table::new(
+        "UPD-d: apply_all ns/edit by warm views (no reads)",
+        &["warm_views", "edit_ns"],
+    );
+    for specs in [
+        vec![SPEC],
+        book_scenarios().iter().map(|s| s.spec).collect(),
+    ] {
+        let mut e = Engine::new();
+        e.set_exec_options(opts.exec());
+        e.register_xml(URI, &m_base_xml)
+            .expect("maintenance base registers");
+        for spec in &specs {
+            e.virtual_doc(URI, spec).expect("warm view opens");
+        }
+        let (_, d) = time(|| {
+            for chunk in m_script.chunks(MAINTAIN_BATCH) {
+                e.apply_all(chunk.to_vec()).expect("batch applies");
+            }
+        });
+        t.row(&[
+            specs.len().to_string(),
+            format!("{:.0}", per_edit(d.as_nanos())),
+        ]);
+    }
+    t.print();
+
     report.push(
         BenchRow::new("update/cache_maintain/edit_ns", maintain_ns)
             .with("edits_per_s", 1e9 / maintain_ns)
+            .with("apply_ns", edit_ns)
+            .with("catch_up_ns", catch_up_ns)
             .with("views_maintained", snap.maintained as f64)
             .with("views_recomputed", snap.recomputed as f64)
             .with("fallback_evictions", snap.fallback_evictions as f64),

@@ -7,12 +7,11 @@
 //! [`TypeIndex`] of the view, which additionally depends on the document's
 //! nodes and is the only per-node-cost artifact — caching it makes warm
 //! view opens O(1) in document size. [`ExecCache`] memoizes each behind a
-//! [`ShardedLru`] keyed by [`ViewKey`] — the document URI, a fingerprint
-//! of its DataGuide, and the transform spec — so re-registering a document
-//! (which may change the guide) naturally misses, and
-//! [`ExecCache::invalidate_uri`] evicts everything for a URI explicitly
-//! (which is what keeps a re-registered same-shaped document from serving
-//! a stale node index).
+//! [`ShardedLru`] keyed by [`ViewKey`] — the document URI and the
+//! transform spec — and stamps every value with the document generation
+//! it reflects. [`ExecCache::invalidate_uri`] evicts everything for a
+//! URI explicitly, which is what keeps a re-registered document from
+//! serving views of its predecessor.
 //!
 //! The cache is `Sync`: shards are independent mutexes, counters are
 //! atomics, and values are handed out as cheap clones (`Arc`s at the call
@@ -22,30 +21,18 @@
 //!
 //! ## Delta-aware maintenance
 //!
-//! Since PR 6 documents are mutable, and a cache that evicts a URI's
-//! every artifact per edit re-pays the full compile-and-index cost the
-//! virtual-hierarchy design exists to avoid. The maintenance layer here
-//! keeps warm entries warm: the engine derives a [`ViewDelta`] from each
-//! committed edit batch (the dataguide edit journal plus the guide's
-//! new-type tail) and [`ExecCache::route_delta`] walks the URI's entries,
-//! asking one question per view: can the delta change the view's
-//! recompile ([`VDataGuide::unaffected_by`])? If it can, all four
-//! entries are dropped for recompute. If not, the three guide-shaped
-//! artifacts (pure functions of `(spec, guide)`) survive untouched and
-//! the per-node [`TypeIndex`] is spliced in place
-//! ([`TypeIndex::maintain`]) while the delta touches no more nodes than
-//! the document keeps — a rebuild scans every live node, so past that a
-//! splice cannot win — and is otherwise evicted. The splice goes through
-//! `Arc::make_mut`: it edits the cached lists themselves while the cache
-//! holds the only reference, and copies them first only when a caller
-//! still holds the `Arc`, so a held snapshot never changes. An overflowed
-//! journal or an explicit `Engine::compact()` falls back to full
-//! eviction; both kinds of drop count as `fallback_evictions`. Maintained
-//! entries are re-keyed to the post-edit guide fingerprint and stamped
-//! ([`Stamped`]) with the document generation, so a stale entry can
-//! never satisfy a lookup even when an edit leaves the fingerprint
-//! unchanged (inserting already-interned types does exactly that).
+//! Documents are mutable, and evicting a URI's artifacts on every edit
+//! would re-pay the compile-and-index cost the virtual-hierarchy design
+//! exists to avoid; maintaining every view on every edit would make
+//! edits pay for views nobody reads. So an edit batch only appends its
+//! `DocDelta` to the URI's journal ([`ExecCache::journal`]), and a lookup
+//! that finds a stale entry catches it up ([`ExecCache::catch_up`]):
+//! guide-shaped artifacts survive if no journaled batch can change the
+//! view's expansion ([`VDataGuide::unaffected_by`]), and the per-node
+//! [`TypeIndex`] is spliced in place ([`TypeIndex::maintain`]). DESIGN.md
+//! §14 has the rules and their proof obligations.
 
+use crate::journal::Journal;
 use crate::levels::LevelMap;
 use crate::range::PrefixTables;
 use crate::vdg::VDataGuide;
@@ -53,8 +40,8 @@ use crate::vdoc::TypeIndex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use vh_dataguide::{DataGuide, TouchedNode, TypeId, TypedDocument};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use vh_dataguide::{DocDelta, TypedDocument};
 
 /// Number of independent mutex-protected shards per map.
 const SHARDS: usize = 8;
@@ -65,6 +52,12 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 /// One shard: a key → (last-use tick, value) map.
 struct Shard<K, V> {
     entries: HashMap<K, (u64, V)>,
+}
+
+/// Locks one shard, recovering from poisoning (the cache holds only
+/// plain data, so a panicking holder leaves it consistent).
+fn lock_shard<K, V>(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A thread-safe, sharded, least-recently-used map.
@@ -105,16 +98,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    /// Locks the shard for `key`, recovering from poisoning (the cache
-    /// holds only plain data, so a panicking holder leaves it consistent).
+    /// Locks the shard for `key`.
     fn shard_for(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
         let mut h = std::hash::DefaultHasher::new();
         key.hash(&mut h);
         let idx = (h.finish() as usize) % self.shards.len();
-        match self.shards[idx].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock_shard(&self.shards[idx])
     }
 
     fn next_tick(&self) -> u64 {
@@ -176,52 +165,51 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         Ok(v)
     }
 
-    /// Looks up `key` without touching recency or the hit/miss counters —
-    /// the maintenance path inspects entries without skewing the stats
-    /// queries see.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard_for(key).entries.get(key).map(|(_, v)| v.clone())
+    /// Reads `key`'s value through `f` without touching recency or the
+    /// hit/miss counters — the maintenance path inspects entries without
+    /// skewing the stats queries see.
+    pub fn peek<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+        self.shard_for(key).entries.get(key).map(|(_, v)| f(v))
     }
 
-    /// Removes `key` without counting an invalidation (used to re-key a
-    /// maintained entry, which is a move, not a drop).
-    pub fn take(&self, key: &K) -> Option<V> {
-        self.shard_for(key).entries.remove(key).map(|(_, v)| v)
+    /// Lets `f` update `key`'s value in place under its shard lock,
+    /// without touching recency or the hit/miss counters. Returns `f`'s
+    /// result, or `None` when `key` is absent. Inside `f` the map holds the
+    /// value, so an `Arc` no caller holds stays unshared.
+    pub fn update<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        self.shard_for(key).entries.get_mut(key).map(|(_, v)| f(v))
     }
 
-    /// Removes `key`, counting an invalidation when it was present.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let v = self.take(key);
-        if v.is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+    /// Removes `key` if its value satisfies `pred`, counting an
+    /// invalidation; returns whether it did.
+    pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> bool {
+        let mut shard = self.shard_for(key);
+        if !shard.entries.get(key).is_some_and(|(_, v)| pred(v)) {
+            return false;
         }
-        v
+        shard.entries.remove(key);
+        drop(shard);
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
-    /// The keys currently cached that satisfy `f`.
-    pub fn keys_matching(&self, f: impl Fn(&K) -> bool) -> Vec<K> {
-        let mut out = Vec::new();
+    /// Calls `f` on every cached entry, one shard at a time.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for shard in &self.shards {
-            let shard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            out.extend(shard.entries.keys().filter(|k| f(k)).cloned());
+            for (k, (_, v)) in &lock_shard(shard).entries {
+                f(k, v);
+            }
         }
-        out
     }
 
-    /// Removes every entry whose key fails `keep`, counting the removals
-    /// as invalidations. Returns how many entries were dropped.
-    pub fn retain(&self, keep: impl Fn(&K) -> bool) -> usize {
+    /// Removes every entry that fails `keep`, counting the removals as
+    /// invalidations. Returns how many entries were dropped.
+    pub fn retain(&self, keep: impl Fn(&K, &V) -> bool) -> usize {
         let mut dropped = 0;
         for shard in &self.shards {
-            let mut shard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut shard = lock_shard(shard);
             let before = shard.entries.len();
-            shard.entries.retain(|k, _| keep(k));
+            shard.entries.retain(|k, (_, v)| keep(k, v));
             dropped += before - shard.entries.len();
         }
         self.invalidations
@@ -233,32 +221,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                match s.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                }
-                .entries
-                .len()
-            })
+            .map(|shard| lock_shard(shard).entries.len())
             .sum()
     }
 
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry without counting invalidations.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-            .entries
-            .clear();
-        }
     }
 
     /// Counter snapshot plus current entry count.
@@ -311,13 +280,15 @@ pub struct CacheStats {
     pub tables: CacheCounters,
     /// Per-type node-index cache.
     pub indexes: CacheCounters,
-    /// Entries kept alive across edits by delta maintenance.
+    /// Stale entries a catch-up replayed to the current generation.
     pub maintained: u64,
-    /// Entries a delta invalidated (recomputed on their next open).
+    /// Stale entries a journaled batch could change, dropped by a
+    /// catch-up (recomputed on their open).
     pub recomputed: u64,
-    /// Entries dropped by the maintenance fallback: the delta touched
-    /// more nodes than the document keeps, the journal overflowed, or an
-    /// explicit compaction rewrote the arena.
+    /// Entries dropped by the maintenance fallback: the journal's cap
+    /// (more touched nodes than the document keeps) trimmed the batches
+    /// they needed, the edit journal overflowed, or an explicit
+    /// compaction rewrote the arena.
     pub fallback_evictions: u64,
 }
 
@@ -341,83 +312,41 @@ impl CacheStats {
     }
 }
 
-/// Cache key of one compiled view: which document (URI), which shape of
-/// that document (guide fingerprint — re-registering changed content
-/// changes the fingerprint), and which transform spec.
+/// Cache key of one compiled view: which document (URI) and which
+/// transform spec. The document's state is not part of the key: every
+/// value carries the generation it reflects ([`Stamped`]), and a lookup
+/// catches a stale value up or drops it ([`ExecCache::catch_up`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ViewKey {
     /// Document URI.
     pub uri: String,
-    /// Fingerprint of the document's DataGuide (see [`guide_fingerprint`]).
-    pub guide: u64,
     /// The vDataGuide transform spec, verbatim.
     pub spec: String,
 }
 
 impl ViewKey {
     /// Builds a key from its parts.
-    pub fn new(uri: impl Into<String>, guide: u64, spec: impl Into<String>) -> Self {
+    pub fn new(uri: impl Into<String>, spec: impl Into<String>) -> Self {
         ViewKey {
             uri: uri.into(),
-            guide,
             spec: spec.into(),
         }
     }
 }
 
-/// Order-sensitive fingerprint of a DataGuide: hashes every type's path
-/// and PBN length, so structural changes to the document schema produce a
-/// different [`ViewKey`] even under the same URI.
-pub fn guide_fingerprint(guide: &DataGuide) -> u64 {
-    let mut h = std::hash::DefaultHasher::new();
-    guide.len().hash(&mut h);
-    for ty in guide.type_ids() {
-        guide.path_string(ty).hash(&mut h);
-        guide.length(ty).hash(&mut h);
-    }
-    h.finish()
-}
-
 // ------------------------------------------------- delta maintenance ---
-
-/// A compact description of what one committed edit batch changed in a
-/// document, derived by the engine from the dataguide edit journal and
-/// routed to the URI's cached entries by [`ExecCache::route_delta`]
-/// instead of evicting them.
-#[derive(Clone, Debug, Default)]
-pub struct ViewDelta {
-    /// The edited document's URI.
-    pub uri: String,
-    /// Guide fingerprint before the batch — live entries are keyed by it.
-    pub old_fp: u64,
-    /// Guide fingerprint after the batch — maintained entries are re-keyed
-    /// to it (equal to `old_fp` when no new types interned).
-    pub new_fp: u64,
-    /// Document generation after the batch; maintained entries are
-    /// restamped with it.
-    pub gen: u64,
-    /// Guide types the batch interned (the contiguous tail of the type
-    /// table — a strong DataGuide only grows).
-    pub new_types: Vec<TypeId>,
-    /// Node-level touches in chronological order.
-    pub touched: Vec<TouchedNode>,
-    /// The edit journal overflowed: `touched` is incomplete and every
-    /// entry for the URI must fall back to eviction.
-    pub overflowed: bool,
-}
 
 /// A cached value tagged with the document generation it reflects and
 /// whether its last producer was delta maintenance (vs. a fresh compute).
-/// The stamp is the second staleness guard behind the [`ViewKey`]
-/// fingerprint: an edit that only re-interns existing types leaves the
-/// fingerprint unchanged while still moving nodes, so lookups compare
-/// generations too.
+/// The generation alone decides staleness: a lookup serves a value only
+/// at the document's current generation, and catches an older one up
+/// first.
 #[derive(Clone, Debug)]
 pub struct Stamped<V> {
     /// Document generation this value is valid for.
     pub gen: u64,
-    /// True when the value last survived an edit via
-    /// [`ExecCache::route_delta`] rather than a fresh compute.
+    /// True when the value last reached its generation by replaying the
+    /// journal ([`ExecCache::catch_up`]) rather than by a fresh compute.
     pub maintained: bool,
     /// The artifact itself.
     pub value: V,
@@ -437,30 +366,31 @@ impl<V> Stamped<V> {
 /// Verdict of one [`TypeIndex::maintain`] splice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Maintained {
-    /// The delta touched no node of a visible type; nothing was written.
+    /// The delta touched no node of a visible type; no list was written.
     Unchanged,
     /// The touched nodes were spliced into the lists in place.
     Spliced,
     /// The index does not hold the pre-batch state the journal describes;
-    /// it was left as it was and must be rebuilt.
+    /// its lists were left as they were and it must be rebuilt.
     MustRecompute,
 }
 
-/// What routing one [`ViewDelta`] did to its URI's cached entries.
+/// What catching one view up did to its stale entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouteOutcome {
-    /// Entries kept alive (updated in place or proven unchanged).
+pub struct CatchUp {
+    /// Entries replayed to the current generation (updated in place or
+    /// proven unchanged).
     pub maintained: u64,
-    /// Entries the delta invalidated; recomputed on their next open.
+    /// Entries a journaled batch could change, dropped for recompute.
     pub recomputed: u64,
-    /// Entries dropped by the size rule or an overflowed journal even
-    /// though the delta was routable.
+    /// Entries dropped because the journal no longer reaches back to
+    /// them.
     pub fallback_evictions: u64,
 }
 
 /// The engine-wide artifact cache: one [`ShardedLru`] per compiled-view
 /// artifact, shared across queries (and across threads — the whole struct
-/// is `Sync`).
+/// is `Sync`), plus one journal of committed edit batches per URI.
 pub struct ExecCache {
     /// Expanded virtual guides keyed by view.
     pub expansions: ShardedLru<ViewKey, Stamped<Arc<VDataGuide>>>,
@@ -469,26 +399,27 @@ pub struct ExecCache {
     /// Precomputed scan-range prefix tables keyed by view.
     pub tables: ShardedLru<ViewKey, Stamped<Arc<PrefixTables>>>,
     /// Per-type node indexes keyed by view. Unlike the other artifacts this
-    /// depends on the document's *nodes*, not just its guide; deltas are
-    /// spliced into it by [`ExecCache::route_delta`], and
-    /// [`ExecCache::invalidate_uri`] on re-register keeps a re-registered
-    /// same-shaped document from serving a stale index.
+    /// depends on the document's *nodes*, not just its guide; journaled
+    /// batches are spliced into it by [`ExecCache::catch_up`].
     pub indexes: ShardedLru<ViewKey, Stamped<Arc<TypeIndex>>>,
+    /// Per-URI journals. Also the catch-up lock: a catch-up holds it
+    /// from its staleness check to its last restamp.
+    journals: Mutex<HashMap<String, Journal>>,
     maintained: AtomicU64,
     recomputed: AtomicU64,
     fallback_evictions: AtomicU64,
     /// Seqlock-style generation stamp over the maintenance counters: odd
-    /// while a delta route or fallback invalidation is mid-flight,
-    /// bumped to even when it commits. [`ExecCache::stats`] retries
-    /// until it reads the same even epoch on both sides, so a snapshot
-    /// can never observe a half-applied batch (entries dropped but the
+    /// while a catch-up or fallback invalidation is mid-flight, bumped to
+    /// even when it commits. [`ExecCache::stats`] retries until it reads
+    /// the same even epoch on both sides, so a snapshot can never observe
+    /// a half-applied catch-up (entries dropped but the
     /// maintained/recomputed totals not yet accounted).
     epoch: AtomicU64,
 }
 
 /// RAII writer section of the [`ExecCache`] epoch seqlock: entering makes
 /// the epoch odd, dropping makes it even again (panic-safe — a poisoned
-/// route still closes its epoch, leaving readers live).
+/// catch-up still closes its epoch, leaving readers live).
 struct EpochWriter<'a>(&'a AtomicU64);
 
 impl Drop for EpochWriter<'_> {
@@ -506,6 +437,7 @@ impl ExecCache {
             levels: ShardedLru::new(capacity),
             tables: ShardedLru::new(capacity),
             indexes: ShardedLru::new(capacity),
+            journals: Mutex::new(HashMap::new()),
             maintained: AtomicU64::new(0),
             recomputed: AtomicU64::new(0),
             fallback_evictions: AtomicU64::new(0),
@@ -513,118 +445,168 @@ impl ExecCache {
         }
     }
 
+    /// Locks the journals (plain data: a poisoned lock is still whole).
+    fn journals(&self) -> MutexGuard<'_, HashMap<String, Journal>> {
+        self.journals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Opens a maintenance writer section: the epoch goes odd until the
-    /// returned guard drops. Sections never nest — `route_delta` and the
-    /// public `fallback_invalidate_uri` each open exactly one.
+    /// returned guard drops. Sections never overlap: each runs under the
+    /// journal lock or inside an `&mut Engine` call.
     fn begin_maintenance(&self) -> EpochWriter<'_> {
         self.epoch.fetch_add(1, Ordering::Acquire);
         EpochWriter(&self.epoch)
     }
 
     /// The current maintenance epoch: even when quiescent, odd while a
-    /// delta route or fallback invalidation is in flight. Composite
-    /// readers (e.g. `Engine::snapshot`) can bracket multi-field reads
-    /// with two calls and retry on a mismatch.
+    /// catch-up or fallback invalidation is in flight. Composite readers
+    /// (e.g. `Engine::snapshot`) can bracket multi-field reads with two
+    /// calls and retry on a mismatch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Evicts every artifact compiled for `uri` (all specs, all guide
-    /// fingerprints). Returns the number of entries dropped.
-    pub fn invalidate_uri(&self, uri: &str) -> usize {
-        self.expansions.retain(|k| k.uri != uri)
-            + self.levels.retain(|k| k.uri != uri)
-            + self.tables.retain(|k| k.uri != uri)
-            + self.indexes.retain(|k| k.uri != uri)
+    /// The four artifact maps, expansions last: a catch-up restamps the
+    /// expansion after everything else, so a lookup that finds it at
+    /// the current generation knows the view is caught up.
+    fn maps(&self) -> [&dyn StampedMap; 4] {
+        [&self.levels, &self.tables, &self.indexes, &self.expansions]
     }
 
-    /// The maintenance hard fallback: evicts everything for `uri` and
-    /// counts the drops as fallback evictions. Used when an explicit
-    /// compaction (or a recovery replay the engine cannot model) makes
-    /// maintenance claims unsafe.
+    /// Evicts every artifact compiled for `uri` (all specs, all
+    /// generations) and forgets its journal. Returns the number of
+    /// entries dropped.
+    pub fn invalidate_uri(&self, uri: &str) -> usize {
+        self.journals().remove(uri);
+        self.maps()
+            .iter()
+            .map(|m| m.retain(&|k, _| k.uri != uri))
+            .sum()
+    }
+
+    /// The maintenance hard fallback: evicts everything for `uri`, forgets
+    /// its journal, and counts the drops as fallback evictions. Used when
+    /// an explicit compaction or an overflowed edit journal leaves no
+    /// batch to replay.
     pub fn fallback_invalidate_uri(&self, uri: &str) -> usize {
         let _epoch = self.begin_maintenance();
-        self.fallback_invalidate_inner(uri)
-    }
-
-    /// [`ExecCache::fallback_invalidate_uri`] without the epoch bracket,
-    /// for callers (the delta router) already inside a writer section.
-    fn fallback_invalidate_inner(&self, uri: &str) -> usize {
         let dropped = self.invalidate_uri(uri);
         self.fallback_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
-    /// Routes one edit-batch delta to every cached entry of its URI. One
-    /// verdict per view decides: a delta that can change the view's
-    /// expansion drops all four entries for recomputation; otherwise the
-    /// three guide-shaped entries are re-keyed to the post-edit
-    /// fingerprint and restamped with the new generation, and the
-    /// per-node index is spliced the same way — unless the delta touched
-    /// more nodes than `td` keeps, which drops it as a fallback eviction.
-    /// `td` is the document *after* the batch (drained).
-    pub fn route_delta(&self, delta: &ViewDelta, td: &TypedDocument) -> RouteOutcome {
-        let _epoch = self.begin_maintenance();
-        let mut out = RouteOutcome::default();
+    /// Appends one committed batch of `uri`, which took the document to
+    /// generation `gen`, to the URI's journal. Nothing happens per view:
+    /// each cached view replays the batch on its next lookup
+    /// ([`ExecCache::catch_up`]). Only a URI some lookup has opened keeps
+    /// a journal, so a URI the cache holds nothing of journals nothing.
+    /// The journal never holds more touches than the document keeps
+    /// `live` nodes — a longer replay cannot beat a rebuild — so past
+    /// that the oldest batches go, and the entries only they could have
+    /// caught up are evicted as fallbacks; once none of the URI's entries
+    /// is left, the journal goes too. An overflowed batch describes too
+    /// little to replay: the URI takes the hard fallback.
+    pub fn journal(&self, uri: &str, gen: u64, delta: DocDelta, live: usize) {
+        let mut journals = self.journals();
+        let Some(j) = journals.get_mut(uri) else {
+            return;
+        };
         if delta.overflowed {
-            out.fallback_evictions = self.fallback_invalidate_inner(&delta.uri) as u64;
-            return out;
+            drop(journals);
+            self.fallback_invalidate_uri(uri);
+            return;
         }
-        let of_uri = |k: &ViewKey| k.uri == delta.uri;
-        let mut keys: Vec<ViewKey> = Vec::new();
-        for k in self
-            .expansions
-            .keys_matching(of_uri)
-            .into_iter()
-            .chain(self.levels.keys_matching(of_uri))
-            .chain(self.tables.keys_matching(of_uri))
-            .chain(self.indexes.keys_matching(of_uri))
-        {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
+        j.push(gen, delta);
+        if j.len().1 <= live {
+            return;
         }
-        for key in keys {
-            if key.guide != delta.old_fp {
-                // A leftover keyed under an older guide shape: no future
-                // lookup can reach it, so drop it as a plain invalidation.
-                self.drop_key(&key);
-                continue;
-            }
-            let vdg = match self.expansions.peek(&key) {
-                Some(exp) if exp.value.unaffected_by(&delta.new_types, td.guide()) => exp.value,
-                // The delta can change the expansion, or the expansion
-                // fell out of the LRU and its dependents cannot be
-                // re-validated without it.
-                _ => {
-                    out.recomputed += self.drop_key(&key) as u64;
-                    continue;
+        let base = j.cap(live);
+        let _epoch = self.begin_maintenance();
+        let keep = |k: &ViewKey, g: u64| k.uri != uri || g >= base;
+        let dropped: usize = self.maps().iter().map(|m| m.retain(&keep)).sum();
+        self.fallback_evictions
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        if self.maps().iter().all(|m| m.oldest(uri).is_none()) {
+            journals.remove(uri);
+        }
+    }
+
+    /// Brings `key`'s cached entries to the document's generation `gen`
+    /// by replaying the URI's journal since each entry's stamp; `td` is
+    /// the document at `gen`. Afterwards every entry of `key` is stamped
+    /// `gen` or gone. The guide-shaped entries survive only if no batch
+    /// since the oldest stale entry can change the view's expansion; the
+    /// index is spliced once over the merged touches of its batches.
+    ///
+    /// A caught-up view costs one shard lookup. Otherwise the catch-up
+    /// runs under the journal lock, so a racing lookup of the same view
+    /// waits, then finds it caught up: each stale entry is replayed once,
+    /// and none is rebuilt because another lookup is replaying it.
+    /// Afterwards the journal is trimmed to the oldest entry the URI
+    /// still caches. A lookup that finds the view uncached opens the
+    /// URI's journal, so the batches after the entries it is about to
+    /// store can be replayed.
+    pub fn catch_up(&self, key: &ViewKey, gen: u64, td: &TypedDocument) -> CatchUp {
+        if self.expansions.peek(key, |s| s.gen) == Some(gen) {
+            return CatchUp::default();
+        }
+        let mut journals = self.journals();
+        if !journals.contains_key(&key.uri) {
+            journals.insert(key.uri.clone(), Journal::default());
+        }
+        let stamps = self.maps().map(|m| m.stamp(key));
+        let Some(oldest) = stamps.iter().flatten().copied().filter(|&g| g != gen).min() else {
+            return CatchUp::default();
+        };
+        let _epoch = self.begin_maintenance();
+        let drop_stale = || self.maps().iter().map(|m| m.remove_stale(key, gen)).sum();
+        let mut out = CatchUp::default();
+        // The verdict is asked of the oldest stale expansion, so it covers
+        // every batch a stale entry of this view missed.
+        let journal = journals.get(&key.uri).filter(|j| j.reaches(oldest));
+        let vdg = journal.and_then(|j| {
+            self.expansions.peek(key, |e| {
+                let ok = e.gen == oldest
+                    && j.new_types_since(oldest)
+                        .all(|types| e.value.unaffected_by(types, td.guide()));
+                ok.then(|| Arc::clone(&e.value))
+            })
+        });
+        match (journal, vdg.flatten()) {
+            // Trimmed (or never kept): no batch list reaches back far enough.
+            (None, _) => out.fallback_evictions = drop_stale(),
+            // A batch can change the expansion, or the expansion is not
+            // there to ask (fallen out of the LRU, or fresher than the
+            // entries it would vouch for).
+            (Some(_), None) => out.recomputed = drop_stale(),
+            (Some(journal), Some(vdg)) => {
+                out.maintained = self.levels.restamp(key, gen) + self.tables.restamp(key, gen);
+                if let Some(from) = stamps[2].filter(|&g| g != gen) {
+                    // Copy-on-write: in place while the cache holds the only
+                    // reference, on a copy while a caller still holds the `Arc`.
+                    let touched = journal.touched_since(from);
+                    let verdict = self.indexes.update(key, |s| {
+                        let verdict = Arc::make_mut(&mut s.value).maintain(&touched, td, &vdg);
+                        if verdict != Maintained::MustRecompute {
+                            (s.gen, s.maintained) = (gen, true);
+                        }
+                        verdict
+                    });
+                    match verdict {
+                        Some(Maintained::MustRecompute) => {
+                            out.recomputed += self.indexes.remove_stale(key, gen);
+                        }
+                        Some(_) => out.maintained += 1,
+                        None => {}
+                    }
                 }
-            };
-            let new_key = ViewKey::new(key.uri.clone(), delta.new_fp, key.spec.clone());
-            for kept in [
-                route_one(&self.expansions, &key, &new_key, delta.gen, |_| true),
-                route_one(&self.levels, &key, &new_key, delta.gen, |_| true),
-                route_one(&self.tables, &key, &new_key, delta.gen, |_| true),
-            ] {
-                out.maintained += u64::from(kept.is_some());
+                out.maintained += self.expansions.restamp(key, gen);
             }
-            // The per-node index is spliced only while the delta is no
-            // larger than a rebuild's scan of the document's live nodes.
-            if delta.touched.len() > td.pbn().len() {
-                out.fallback_evictions += u64::from(self.indexes.remove(&key).is_some());
-                continue;
-            }
-            // Copy-on-write: in place while the cache holds the only
-            // reference, on a copy while a caller still holds the `Arc`.
-            match route_one(&self.indexes, &key, &new_key, delta.gen, |index| {
-                Arc::make_mut(index).maintain(delta, td, &vdg) != Maintained::MustRecompute
-            }) {
-                Some(true) => out.maintained += 1,
-                Some(false) => out.recomputed += 1,
-                None => {}
-            }
+        }
+        let live = self.maps().iter().filter_map(|m| m.oldest(&key.uri)).min();
+        if let Some(j) = journals.get_mut(&key.uri) {
+            j.trim_to(live.unwrap_or(gen));
         }
         self.maintained.fetch_add(out.maintained, Ordering::Relaxed);
         self.recomputed.fetch_add(out.recomputed, Ordering::Relaxed);
@@ -633,27 +615,16 @@ impl ExecCache {
         out
     }
 
-    /// Drops `key` from all four maps; returns how many entries existed.
-    fn drop_key(&self, key: &ViewKey) -> usize {
-        usize::from(self.expansions.remove(key).is_some())
-            + usize::from(self.levels.remove(key).is_some())
-            + usize::from(self.tables.remove(key).is_some())
-            + usize::from(self.indexes.remove(key).is_some())
-    }
-
-    /// Drops everything, without counting invalidations.
-    pub fn clear(&self) {
-        self.expansions.clear();
-        self.levels.clear();
-        self.tables.clear();
-        self.indexes.clear();
+    /// Journaled batches and touched entries held for `uri`.
+    pub fn journal_len(&self, uri: &str) -> (usize, usize) {
+        self.journals().get(uri).map_or((0, 0), Journal::len)
     }
 
     /// Counter snapshot across the four artifact maps, taken under a
-    /// stable maintenance epoch: if a delta route or fallback
-    /// invalidation is in flight (epoch odd) or commits mid-read (epoch
-    /// moved), the read retries, so the returned stats never mix
-    /// pre-batch entry counts with post-batch maintenance totals.
+    /// stable maintenance epoch: if a catch-up or fallback invalidation
+    /// is in flight (epoch odd) or commits mid-read (epoch moved), the
+    /// read retries, so the returned stats never mix pre-catch-up entry
+    /// counts with post-catch-up maintenance totals.
     pub fn stats(&self) -> CacheStats {
         loop {
             let before = self.epoch();
@@ -677,32 +648,55 @@ impl ExecCache {
     }
 }
 
-/// Takes `key`'s entry out of `map` and lets `keep` update its value in
-/// place: a kept value is re-keyed to `new_key` and restamped as
-/// maintained for `gen`, a refused one is dropped as an invalidation.
-/// Returns whether the entry was kept, or `None` when `key` is absent.
-/// Out of the map, an `Arc` the map held alone stays unshared for `keep`.
-fn route_one<V: Clone>(
-    map: &ShardedLru<ViewKey, Stamped<V>>,
-    key: &ViewKey,
-    new_key: &ViewKey,
-    gen: u64,
-    keep: impl FnOnce(&mut V) -> bool,
-) -> Option<bool> {
-    let mut entry = map.take(key)?;
-    if !keep(&mut entry.value) {
-        map.invalidations.fetch_add(1, Ordering::Relaxed);
-        return Some(false);
+/// What maintenance does to one artifact map, whatever its artifact.
+trait StampedMap {
+    /// The generation `key`'s entry is stamped with.
+    fn stamp(&self, key: &ViewKey) -> Option<u64>;
+    /// Restamps `key`'s entry as maintained for `gen` if it is stale;
+    /// 1 if it was.
+    fn restamp(&self, key: &ViewKey, gen: u64) -> u64;
+    /// Removes `key`'s entry, counting an invalidation, if it is not
+    /// stamped `gen`; 1 if it was.
+    fn remove_stale(&self, key: &ViewKey, gen: u64) -> u64;
+    /// Removes the entries whose key and generation fail `keep`.
+    fn retain(&self, keep: &dyn Fn(&ViewKey, u64) -> bool) -> usize;
+    /// The oldest generation an entry of `uri` is stamped with.
+    fn oldest(&self, uri: &str) -> Option<u64>;
+}
+
+impl<V: Clone> StampedMap for ShardedLru<ViewKey, Stamped<V>> {
+    fn stamp(&self, key: &ViewKey) -> Option<u64> {
+        self.peek(key, |s| s.gen)
     }
-    map.insert(
-        new_key.clone(),
-        Stamped {
-            gen,
-            maintained: true,
-            value: entry.value,
-        },
-    );
-    Some(true)
+
+    fn restamp(&self, key: &ViewKey, gen: u64) -> u64 {
+        self.update(key, |s| {
+            let stale = s.gen != gen;
+            if stale {
+                (s.gen, s.maintained) = (gen, true);
+            }
+            u64::from(stale)
+        })
+        .unwrap_or(0)
+    }
+
+    fn remove_stale(&self, key: &ViewKey, gen: u64) -> u64 {
+        u64::from(self.remove_if(key, |s| s.gen != gen))
+    }
+
+    fn retain(&self, keep: &dyn Fn(&ViewKey, u64) -> bool) -> usize {
+        ShardedLru::retain(self, |k, s| keep(k, s.gen))
+    }
+
+    fn oldest(&self, uri: &str) -> Option<u64> {
+        let mut oldest: Option<u64> = None;
+        self.for_each(|k, s| {
+            if k.uri == uri {
+                oldest = Some(oldest.map_or(s.gen, |o| o.min(s.gen)));
+            }
+        });
+        oldest
+    }
 }
 
 impl Default for ExecCache {
@@ -763,8 +757,8 @@ mod tests {
     #[test]
     fn retain_counts_invalidations() {
         let cache = ExecCache::new(16);
-        let a = ViewKey::new("a.xml", 1, "title { author }");
-        let b = ViewKey::new("b.xml", 2, "title { author }");
+        let a = ViewKey::new("a.xml", "title { author }");
+        let b = ViewKey::new("b.xml", "title { author }");
         let g = Arc::new(LevelMap::build(
             &VDataGuide::compile("data { ** }", &test_guide()).unwrap(),
             &test_guide(),
@@ -780,18 +774,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_guide_shape() {
-        let g1 = test_guide();
-        let g2 = test_guide();
-        assert_eq!(guide_fingerprint(&g1), guide_fingerprint(&g2));
-        let (other, _) =
-            DataGuide::from_document(&vh_xml::parse("mem://t", "<data><extra/></data>").unwrap());
-        assert_ne!(guide_fingerprint(&g1), guide_fingerprint(&other));
-    }
-
-    #[test]
     fn stats_waits_for_an_in_flight_maintenance_section() {
-        // Regression: a snapshot taken while a delta route was mid-flight
+        // Regression: a snapshot taken while maintenance was mid-flight
         // used to mix pre-batch entry counts with post-batch totals. Open
         // a writer section, mutate one counter "mid-batch", and prove a
         // concurrent stats() call holds until the section commits — then
@@ -830,18 +814,36 @@ mod tests {
         assert_eq!(cache.epoch(), 0);
         cache.fallback_invalidate_uri("a.xml");
         assert_eq!(cache.epoch(), 2, "fallback left the epoch open or nested");
-        let delta = ViewDelta {
-            uri: "a.xml".into(),
-            overflowed: true,
-            ..ViewDelta::default()
-        };
         let td = TypedDocument::analyze(vh_xml::builder::paper_figure2());
-        cache.route_delta(&delta, &td);
+        let vdg = Arc::new(VDataGuide::compile("data { ** }", td.guide()).unwrap());
+        let key = ViewKey::new("a.xml", "data { ** }");
+        // A lookup of an uncached view opens the journal, then stores.
+        cache.catch_up(&key, 1, &td);
+        cache.expansions.insert(key.clone(), Stamped::fresh(1, vdg));
+        // A fresh entry is served without a section.
+        cache.catch_up(&key, 1, &td);
+        assert_eq!(cache.epoch(), 2, "a lookup opened a section");
+        // A batch that touches more nodes than the document keeps trims
+        // the journal at once, evicting the entry it strands.
+        let touched = vh_dataguide::TouchedNode {
+            id: vh_xml::NodeId::from_index(0),
+            ty: vh_dataguide::TypeId::from_index(0),
+            key: Vec::new(),
+            touch: vh_dataguide::Touch::Removed,
+        };
+        let delta = DocDelta {
+            touched: vec![touched],
+            ..DocDelta::default()
+        };
+        cache.journal("a.xml", 2, delta, 0);
         assert_eq!(
             cache.epoch(),
             4,
-            "overflow route (which falls back internally) must open exactly one section"
+            "the size cap must open exactly one section"
         );
+        assert_eq!(cache.journal_len("a.xml"), (0, 0), "the cap trims");
+        assert!(cache.expansions.is_empty(), "stranded entry evicted");
+        assert_eq!(cache.stats().fallback_evictions, 1);
     }
 
     #[test]
@@ -856,8 +858,8 @@ mod tests {
         assert_eq!(c.hit_ratio(), Some(0.75));
     }
 
-    fn test_guide() -> DataGuide {
-        let (g, _) = DataGuide::from_document(&vh_xml::builder::paper_figure2());
+    fn test_guide() -> vh_dataguide::DataGuide {
+        let (g, _) = vh_dataguide::DataGuide::from_document(&vh_xml::builder::paper_figure2());
         g
     }
 }

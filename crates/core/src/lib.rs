@@ -37,6 +37,7 @@
 pub mod axes;
 pub mod cache;
 pub mod exec;
+mod journal;
 pub mod levels;
 pub mod order;
 pub mod range;

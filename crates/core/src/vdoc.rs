@@ -10,7 +10,7 @@
 //! [`crate::range`].
 
 use crate::axes;
-use crate::cache::{Maintained, ViewDelta};
+use crate::cache::Maintained;
 use crate::exec::{self, ExecOptions};
 use crate::levels::{LevelArray, LevelMap};
 use crate::order::{v_cmp, OrderColumn};
@@ -18,7 +18,7 @@ use crate::range::{related_prefix, PrefixTables};
 use crate::vdg::{VDataGuide, VTypeId, VdgError};
 use crate::vpbn::VPbnRef;
 use std::sync::{Arc, OnceLock};
-use vh_dataguide::{Touch, TouchedNode, TypedDocument};
+use vh_dataguide::{Touch, Touched, TypedDocument};
 use vh_obs::{AxisCounters, RangeChoice};
 use vh_pbn::keys;
 use vh_xml::NodeId;
@@ -104,26 +104,27 @@ impl TypeIndex {
             + self.order.get().map_or(0, |col| col.heap_bytes())
     }
 
-    /// Splices one edit batch into the lists in place, and drops the order
-    /// column without copying it (the next join rebuilds it over the
-    /// post-batch document). Pre-batch entries of touched nodes are
-    /// located by binary search under their pre-batch keys: a node whose
-    /// first touch in the batch is a removal was listed under that
-    /// touch's journaled key and type, and untouched nodes keep their
-    /// current keys. Every removal is located before the first list
-    /// changes, so a [`Maintained::MustRecompute`] leaves the lists as
-    /// they were. Once those entries are out, every list holds untouched
-    /// nodes only, so each live touched node is inserted at the position
-    /// of its *final* key — moved nodes make the journaled keys
-    /// non-monotone, so positions are never replayed chronologically.
+    /// Splices one or more edit batches — their touched entries
+    /// concatenated in chronological order — into the lists in place, and
+    /// drops the order column without copying it (the next join rebuilds
+    /// it over the post-batch document). Pre-batch entries of touched
+    /// nodes are located by binary search under their pre-batch keys: a
+    /// node whose first touch is a removal was listed under that touch's
+    /// journaled key and type, and untouched nodes keep their current
+    /// keys. Every removal is located before the first list changes, so a
+    /// [`Maintained::MustRecompute`] leaves the lists as they were. Once
+    /// those entries are out, every list holds untouched nodes only, so
+    /// each live touched node is inserted at the position of its *final*
+    /// key — moved nodes make the journaled keys non-monotone, so
+    /// positions are never replayed chronologically.
     ///
-    /// `td` is the document after the batch, and the caller has
-    /// established that the batch leaves `vdg` valid
+    /// `td` is the document after the batches, and the caller has
+    /// established that they leave `vdg` valid
     /// ([`VDataGuide::unaffected_by`]).
     // oracle: rebuild_index_oracle
     pub fn maintain(
         &mut self,
-        delta: &ViewDelta,
+        touched: &[Touched<'_>],
         td: &TypedDocument,
         vdg: &VDataGuide,
     ) -> Maintained {
@@ -131,18 +132,19 @@ impl TypeIndex {
         // next join rebuilds them.
         self.order.take();
         // Only a touched node of a visible type can change a list: every
-        // type a touched node ever had in this batch maps to at most one.
-        if !delta.touched.iter().any(|t| vdg.vtype_of(t.ty).is_some()) {
+        // type a touched node ever had in these batches maps to at most
+        // one.
+        if !touched.iter().any(|t| vdg.vtype_of(t.ty).is_some()) {
             return Maintained::Unchanged;
         }
-        // One entry per touched node, its first touch of the batch (the
-        // stable sort keeps chronological order within a node).
-        let mut first: Vec<&TouchedNode> = delta.touched.iter().collect();
+        // One entry per touched node, its first touch (the stable sort
+        // keeps chronological order within a node).
+        let mut first: Vec<&Touched<'_>> = touched.iter().collect();
         first.sort_by_key(|t| t.id);
         first.dedup_by_key(|t| t.id);
         let pbn = td.pbn();
         let before = |id: NodeId| match first.binary_search_by_key(&id, |t| t.id) {
-            Ok(i) => first[i].key.as_slice(),
+            Ok(i) => first[i].key,
             Err(_) => pbn.key_of(id),
         };
         let mut removals: Vec<(usize, usize)> = Vec::new();
@@ -151,7 +153,7 @@ impl TypeIndex {
                 continue;
             };
             let list = &self.by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| before(x) < t.key.as_slice());
+            let pos = list.partition_point(|&x| before(x) < t.key);
             if list.get(pos) != Some(&t.id) {
                 // The index does not hold the pre-batch state the journal
                 // describes; only a rebuild is safe.
@@ -179,6 +181,13 @@ impl TypeIndex {
         }
         Maintained::Spliced
     }
+}
+
+/// A pending step of a placement walk: enter a node, or close the
+/// subtree opened at a walk position once everything below it is out.
+enum Step {
+    Enter(NodeId),
+    Close(usize),
 }
 
 /// A virtual view of a typed document under a vDataGuide.
@@ -261,6 +270,11 @@ impl<'a> VirtualDocument<'a> {
     pub fn set_prefix_tables(&mut self, tables: Arc<PrefixTables>) {
         debug_assert_eq!(tables.len(), self.vdg.len(), "tables match this view");
         self.tables = Some(tables);
+    }
+
+    /// The installed scan-range prefix tables, if any.
+    pub fn prefix_tables(&self) -> Option<&Arc<PrefixTables>> {
+        self.tables.as_ref()
     }
 
     /// Builds and installs the prefix tables for this view directly (for
@@ -379,13 +393,20 @@ impl<'a> VirtualDocument<'a> {
         let mut out = Vec::new();
         if let &[x] = xs {
             // One context is already one group per child type, and its
-            // children are distinct: no grouping sort, no dedup.
+            // children are distinct: no grouping sort, no dedup. Nodes of
+            // one virtual type order by key, as the index lists them, so
+            // only children of several types need the `v_cmp` sort.
+            let mut types = 0;
             if let Some(xt) = self.vtype_of(x) {
                 for &ct in self.vdg.children(xt).iter().filter(|&&ct| keep(ct)) {
-                    self.collect_related(xs, xt, ct, &mut out, axes::v_child);
+                    let len = out.len();
+                    self.collect_related(xs, xt, ct, &mut out, axes::v_child, |_| {});
+                    types += usize::from(out.len() > len);
                 }
             }
-            self.sort_virtual(&mut out);
+            if types > 1 {
+                self.sort_virtual(&mut out);
+            }
             return out;
         }
         let arena = self.td.pbn().arena();
@@ -410,7 +431,7 @@ impl<'a> VirtualDocument<'a> {
             let &(xt, ct, ..) = &run[0];
             group.clear();
             group.extend(run.iter().map(|w| w.3));
-            self.collect_related(&group, xt, ct, &mut out, axes::v_child);
+            self.collect_related(&group, xt, ct, &mut out, axes::v_child, |_| {});
         }
         self.sort_virtual(&mut out);
         out.dedup();
@@ -419,15 +440,25 @@ impl<'a> VirtualDocument<'a> {
 
     /// The virtual parent of `x`, if any.
     pub fn parent(&self, x: NodeId) -> Option<NodeId> {
-        let xt = self.vtype_of(x)?;
-        let pt = self.vdg.guide().ty(xt).parent()?;
-        let mut out = Vec::new();
-        self.collect_related(std::slice::from_ref(&x), xt, pt, &mut out, axes::v_parent);
         // The virtual tree gives every node at most one parent per parent
         // instance match; joins can produce several (a node appearing under
         // multiple parents) — return the first in document order.
-        out.into_iter()
+        self.parents(x)
+            .into_iter()
             .min_by(|&a, &b| v_cmp(&self.vdg, &self.vpbn_visible(a), &self.vpbn_visible(b)))
+    }
+
+    /// Every virtual parent of `x`: each node that places it.
+    fn parents(&self, x: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let Some(xt) = self.vtype_of(x) else {
+            return out;
+        };
+        if let Some(pt) = self.vdg.guide().ty(xt).parent() {
+            let xs = std::slice::from_ref(&x);
+            self.collect_related(xs, xt, pt, &mut out, axes::v_parent, |_| {});
+        }
+        out
     }
 
     /// The virtual descendants of `x` with virtual type `vt`, in virtual
@@ -436,10 +467,11 @@ impl<'a> VirtualDocument<'a> {
         let Some(xt) = self.vtype_of(x) else {
             return Vec::new();
         };
+        // One type, one context: the index order is already virtual
+        // document order.
         let mut out = Vec::new();
         let xs = std::slice::from_ref(&x);
-        self.collect_related(xs, xt, vt, &mut out, axes::v_descendant);
-        self.sort_virtual(&mut out);
+        self.collect_related(xs, xt, vt, &mut out, axes::v_descendant, |_| {});
         out
     }
 
@@ -468,7 +500,7 @@ impl<'a> VirtualDocument<'a> {
         let xs = std::slice::from_ref(&x);
         for vt in (0..self.vdg.len()).map(VTypeId::from_index) {
             if vh_dataguide::axes::descendant(self.vdg.guide(), vt, xt) {
-                self.collect_related(xs, xt, vt, &mut out, axes::v_descendant);
+                self.collect_related(xs, xt, vt, &mut out, axes::v_descendant, |_| {});
             }
         }
         self.sort_virtual(&mut out);
@@ -538,25 +570,70 @@ impl<'a> VirtualDocument<'a> {
     // ----- internals ----------------------------------------------------
 
     /// The preorder walk over the view's placements: each step's node and
-    /// the rank (walk position) of the last step inside its subtree. The
-    /// walk descends through [`Self::children`], which lists a node under
-    /// every parent that places it, so subtree intervals nest by
-    /// construction.
+    /// the rank (walk position) of the last step inside its subtree. A
+    /// node's children are those [`Self::children`] lists, under every
+    /// parent that places it, so subtree intervals nest by construction.
+    ///
+    /// Set at a time: one galloping pass per virtual edge (parent type,
+    /// child type) collects the children of every parent instance, one
+    /// slice per parent, and the walk then merges each node's slices.
+    /// Children of one type are already in virtual document order, so
+    /// `v_cmp` sorts only a node whose children span several types — the
+    /// same input and sort [`Self::children`] would give it.
+    // oracle: placement_walk_per_node
     fn placement_walk(&self) -> Vec<(NodeId, u32)> {
-        /// A pending step: enter a node, or close the subtree opened at
-        /// a walk position once everything below it is out.
-        enum Step {
-            Enter(NodeId),
-            Close(usize),
+        let guide = self.vdg.guide();
+        // Each visible node's position in its type's list.
+        let mut pos = vec![0u32; self.td.doc().len()];
+        for vt in guide.type_ids() {
+            for (i, &id) in self.index.nodes(vt).iter().enumerate() {
+                pos[id.index()] = i as u32;
+            }
         }
+        // `edges[pt]`: per child type of `pt`, the children of every `pt`
+        // instance back to back, and where each instance's slice ends.
+        let edges: Vec<Vec<(Vec<NodeId>, Vec<u32>)>> = guide
+            .type_ids()
+            .map(|pt| {
+                let parents = self.index.nodes(pt);
+                self.vdg
+                    .children(pt)
+                    .iter()
+                    .map(|&ct| {
+                        let mut kids = Vec::new();
+                        let mut ends = Vec::with_capacity(parents.len() + 1);
+                        ends.push(0);
+                        self.collect_related(parents, pt, ct, &mut kids, axes::v_child, |n| {
+                            ends.push(n as u32)
+                        });
+                        (kids, ends)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut out: Vec<(NodeId, u32)> = Vec::with_capacity(self.visible_nodes());
         let mut stack: Vec<Step> = self.roots().into_iter().rev().map(Step::Enter).collect();
+        let mut kids: Vec<NodeId> = Vec::new();
         while let Some(step) = stack.pop() {
             match step {
                 Step::Enter(id) => {
                     stack.push(Step::Close(out.len()));
                     out.push((id, 0));
-                    stack.extend(self.children(id).into_iter().rev().map(Step::Enter));
+                    let Some(vt) = self.vtype_of(id) else {
+                        continue;
+                    };
+                    let p = pos[id.index()] as usize;
+                    kids.clear();
+                    let mut types = 0;
+                    for (all, ends) in &edges[vt.index()] {
+                        let slice = &all[ends[p] as usize..ends[p + 1] as usize];
+                        types += usize::from(!slice.is_empty());
+                        kids.extend_from_slice(slice);
+                    }
+                    if types > 1 {
+                        self.sort_virtual(&mut kids);
+                    }
+                    stack.extend(kids.iter().rev().map(|&c| Step::Enter(c)));
                 }
                 Step::Close(at) => out[at].1 = (out.len() - 1) as u32,
             }
@@ -566,7 +643,8 @@ impl<'a> VirtualDocument<'a> {
 
     /// Collects nodes of type `vt` related to each context in `xs` under
     /// `pred(candidate, context)`, appending every context's matches in
-    /// index (PBN) order, context after context. Every context must have
+    /// index (PBN) order, context after context, and calling `ended` with
+    /// the length of `out` after each context. Every context must have
     /// virtual type `xt`, and `xs` must be in document order (sorted by
     /// arena slot); duplicates are scanned once per occurrence.
     ///
@@ -599,6 +677,7 @@ impl<'a> VirtualDocument<'a> {
         vt: VTypeId,
         out: &mut Vec<NodeId>,
         pred: F,
+        mut ended: impl FnMut(usize),
     ) where
         F: Fn(&VDataGuide, &VPbnRef<'_>, &VPbnRef<'_>) -> bool + Sync,
     {
@@ -633,12 +712,13 @@ impl<'a> VirtualDocument<'a> {
                         out.extend_from_slice(candidates);
                     }
                 }
-                continue;
+            } else {
+                out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
+                    let cv = VPbnRef::from_slices(pbn.key_of(cand), ta, vt);
+                    pred(&self.vdg, &cv, &xv)
+                }));
             }
-            out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
-                let cv = VPbnRef::from_slices(pbn.key_of(cand), ta, vt);
-                pred(&self.vdg, &cv, &xv)
-            }));
+            ended(out.len());
         }
     }
 
@@ -720,6 +800,7 @@ impl<'a> VirtualDocument<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vh_dataguide::TouchedNode;
     use vh_xml::builder::paper_figure2;
 
     fn sam() -> TypedDocument {
@@ -1075,6 +1156,81 @@ mod tests {
         }
     }
 
+    /// Per-node oracle for [`VirtualDocument::placement_walk`]: one
+    /// [`VirtualDocument::children`] call per entered node.
+    fn placement_walk_per_node(vd: &VirtualDocument<'_>) -> Vec<(NodeId, u32)> {
+        let mut out: Vec<(NodeId, u32)> = Vec::with_capacity(vd.visible_nodes());
+        let mut stack: Vec<Step> = vd.roots().into_iter().rev().map(Step::Enter).collect();
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter(id) => {
+                    stack.push(Step::Close(out.len()));
+                    out.push((id, 0));
+                    stack.extend(vd.children(id).into_iter().rev().map(Step::Enter));
+                }
+                Step::Close(at) => out[at].1 = (out.len() - 1) as u32,
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batched_placement_walks_match_the_per_node_walk() {
+        // Figure 2, a corpus with join multiplicity (several authors per
+        // book, books without a title or an author), and an edited
+        // document whose keys were minted between old ones.
+        let mut edited = sam();
+        let data = edited.doc().root().unwrap();
+        for k in 0..5 {
+            let xml = format!(
+                "<book><title>T{k}</title><author><name>N{k}</name></author>\
+                 <author><name>M{k}</name></author></book>"
+            );
+            edited.insert_fragment(data, 0, &xml).unwrap();
+        }
+        edited.compact();
+        let docs = [
+            sam(),
+            edited,
+            TypedDocument::parse(
+                "j",
+                "<data><book><title>A</title><title>B</title>\
+                 <author><name>C</name></author><author><name>D</name></author></book>\
+                 <book><author><name>E</name></author></book>\
+                 <book><title>F</title><publisher><location>L</location></publisher></book>\
+                 </data>",
+            )
+            .unwrap(),
+        ];
+        for td in &docs {
+            for spec in [
+                "data { ** }",
+                "title { author { name } }",
+                "title { name { author } }",
+                "name { author { title } }",
+                "author { title }",
+                "location { title author { name } }",
+            ] {
+                for threads in [1, 2, 8] {
+                    let mut vd = VirtualDocument::open(td, spec).unwrap();
+                    vd.set_exec(ExecOptions {
+                        threads,
+                        cache: true,
+                        par_threshold: 1,
+                    });
+                    let walk = vd.placement_walk();
+                    assert_eq!(
+                        walk,
+                        placement_walk_per_node(&vd),
+                        "{spec} threads={threads}"
+                    );
+                    let ids: Vec<NodeId> = walk.iter().map(|&(id, _)| id).collect();
+                    assert_eq!(vd.preorder(), ids, "{spec}");
+                }
+            }
+        }
+    }
+
     /// Recompute oracle for [`TypeIndex::maintain`]: a from-scratch
     /// rebuild over the final document, which every kept or spliced
     /// verdict must match byte-for-byte.
@@ -1082,23 +1238,18 @@ mod tests {
         TypeIndex::build(td, vdg)
     }
 
-    /// Drains the document's delta and routes it as
-    /// `ExecCache::route_delta` does — the guide verdict first, then the
+    /// Drains the document's delta and replays it as
+    /// `ExecCache::catch_up` does — the guide verdict first, then the
     /// splice, here on a clone — and asserts the survivor equals the
     /// rebuild oracle. Returns the next index plus whether the splice
     /// path (not a recompute) was taken.
     fn reconcile(idx: &TypeIndex, td: &mut TypedDocument, vdg: &VDataGuide) -> (TypeIndex, bool) {
-        use crate::cache::ViewDelta;
         td.compact();
         let d = td.take_delta();
-        let vd = ViewDelta {
-            new_types: d.new_types,
-            touched: d.touched,
-            ..ViewDelta::default()
-        };
+        let touched: Vec<Touched<'_>> = d.touched.iter().map(Touched::from).collect();
         let mut next = idx.clone();
-        let spliced = vdg.unaffected_by(&vd.new_types, td.guide())
-            && next.maintain(&vd, td, vdg) != Maintained::MustRecompute;
+        let spliced = vdg.unaffected_by(&d.new_types, td.guide())
+            && next.maintain(&touched, td, vdg) != Maintained::MustRecompute;
         if !spliced {
             next = TypeIndex::build(td, vdg);
         }
@@ -1186,7 +1337,6 @@ mod tests {
         // a removal the index does hold sorts ahead of it, which a splice
         // that mutated while it searched would already have taken out.
         {
-            use crate::cache::ViewDelta;
             let titles = of(&td, &["data", "book", "title"]);
             let removed = |id: NodeId, at: NodeId| TouchedNode {
                 id,
@@ -1199,12 +1349,12 @@ mod tests {
                 vec![bogus.clone()],
                 vec![removed(titles[1], titles[1]), bogus],
             ] {
-                let delta = ViewDelta {
-                    touched,
-                    ..ViewDelta::default()
-                };
+                let touched: Vec<Touched<'_>> = touched.iter().map(Touched::from).collect();
                 let mut held = idx.clone();
-                assert_eq!(held.maintain(&delta, &td, &vdg), Maintained::MustRecompute);
+                assert_eq!(
+                    held.maintain(&touched, &td, &vdg),
+                    Maintained::MustRecompute
+                );
                 assert_eq!(held, idx, "a refused splice left the index changed");
             }
         }

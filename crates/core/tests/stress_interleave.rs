@@ -80,7 +80,7 @@ fn sharded_lru_holds_its_invariants_under_contention() {
                                 // Occasional invalidation sweep, so retain
                                 // races against get/insert too.
                                 if round % 2 == 1 {
-                                    cache.retain(|k| k % 11 != t as u64);
+                                    cache.retain(|k, _| k % 11 != t as u64);
                                 }
                             }
                         }

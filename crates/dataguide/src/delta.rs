@@ -47,6 +47,31 @@ pub struct TouchedNode {
     pub touch: Touch,
 }
 
+/// A [`TouchedNode`] with its key borrowed, as a replay of packed
+/// journal entries hands it to a consumer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Touched<'a> {
+    /// The touched node.
+    pub id: NodeId,
+    /// Its guide type at touch time.
+    pub ty: TypeId,
+    /// Its key at touch time (a packed journal may keep removals' only).
+    pub key: &'a [u8],
+    /// Add or remove.
+    pub touch: Touch,
+}
+
+impl<'a> From<&'a TouchedNode> for Touched<'a> {
+    fn from(t: &'a TouchedNode) -> Self {
+        Touched {
+            id: t.id,
+            ty: t.ty,
+            key: &t.key,
+            touch: t.touch,
+        }
+    }
+}
+
 /// What a batch of edits changed, drained from a
 /// [`crate::TypedDocument`] via [`crate::TypedDocument::take_delta`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

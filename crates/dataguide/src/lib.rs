@@ -28,7 +28,7 @@ pub mod mutate;
 pub mod types;
 
 pub use build::TypedDocument;
-pub use delta::{DocDelta, Touch, TouchedNode, MAX_JOURNAL_OPS};
+pub use delta::{DocDelta, Touch, Touched, TouchedNode, MAX_JOURNAL_OPS};
 pub use guide::DataGuide;
 pub use mutate::{resolve_path, EditError};
 pub use types::{Type, TypeId, TEXT_TYPE_NAME};

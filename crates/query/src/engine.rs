@@ -38,7 +38,7 @@ use crate::xpath::parse::parse_xpath;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use vh_core::cache::{guide_fingerprint, CacheStats, ShardedLru, Stamped, ViewDelta, ViewKey};
+use vh_core::cache::{CacheStats, CatchUp, ShardedLru, Stamped, ViewKey};
 use vh_core::levels::LevelMap;
 use vh_core::range::PrefixTables;
 use vh_core::{ExecCache, ExecOptions, TypeIndex, VDataGuide, VirtualDocument};
@@ -293,9 +293,6 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 1024;
 /// A registry of analyzed documents plus the query entry points.
 pub struct Engine {
     docs: HashMap<String, TypedDocument>,
-    /// DataGuide fingerprint per registered URI — part of every view's
-    /// cache key, so re-registered content can never serve stale views.
-    guide_hash: HashMap<String, u64>,
     /// Compiled-view artifacts shared across queries (and threads).
     cache: Arc<ExecCache>,
     /// Execution options stamped onto every view this engine opens.
@@ -321,8 +318,8 @@ pub struct Engine {
     /// Per-URI document generation, bumped whenever a structural edit
     /// batch commits (or a URI is re-registered / hard-compacted). Cached
     /// entries carry the generation they reflect ([`Stamped`]); a lookup
-    /// whose entry generation disagrees recomputes, so correctness never
-    /// depends on delta routing having reached every entry.
+    /// whose entry is older replays the journaled batches since, or
+    /// recomputes, so no entry is served at a generation it missed.
     doc_gen: HashMap<String, u64>,
 }
 
@@ -338,7 +335,6 @@ impl Default for Engine {
     fn default() -> Self {
         Engine {
             docs: HashMap::new(),
-            guide_hash: HashMap::new(),
             cache: Arc::default(),
             exec: ExecOptions::default(),
             limits: Limits::default(),
@@ -403,15 +399,13 @@ impl Engine {
     }
 
     /// Stores an analyzed document, evicting all cached views of the URI
-    /// and recording the new guide fingerprint. Re-registration is not an
-    /// edit — there is no delta to route — so the generation is bumped and
-    /// the cache hard-evicted.
+    /// and its journal. Re-registration is not an edit — there is no
+    /// delta to journal — so the generation is bumped and the cache
+    /// hard-evicted.
     fn install(&mut self, uri: String, td: TypedDocument) {
         self.cache.invalidate_uri(&uri);
         self.stores.remove(&uri);
         *self.doc_gen.entry(uri.clone()).or_insert(0) += 1;
-        self.guide_hash
-            .insert(uri.clone(), guide_fingerprint(td.guide()));
         self.docs.insert(uri, td);
     }
 
@@ -472,7 +466,6 @@ impl Engine {
         };
         trace.meta("kind", edit.kind());
         trace.meta("uri", edit.uri());
-        let old_fp = self.fingerprint_of(edit.uri());
         let nodes_touched = match self.apply_inner(&edit, &mut trace) {
             Ok(n) => n,
             Err(e) => {
@@ -483,7 +476,7 @@ impl Engine {
         let seq = self.log_edit(&edit);
         trace.count("wal.seq", seq);
         let compacted = self.drain_delta(edit.uri(), &mut trace);
-        self.route_uri_delta(edit.uri(), old_fp, &mut trace);
+        self.journal_batch(edit.uri());
         Ok((
             EditReceipt {
                 seq,
@@ -506,12 +499,11 @@ impl Engine {
     pub fn apply_all(&mut self, edits: Vec<Edit>) -> Result<Vec<EditReceipt>, FlwrError> {
         let mut trace = TraceBuilder::disabled();
         let mut receipts = Vec::with_capacity(edits.len());
-        // One `(uri, pre-batch fingerprint)` per touched document: the whole
-        // batch is routed to the cache as a single merged delta at the end
-        // (or on the error path), never per edit.
-        let mut touched: Vec<(String, u64)> = Vec::new();
+        // One entry per touched document: the whole batch is journaled as
+        // a single merged delta at the end (or on the error path), never
+        // per edit.
+        let mut touched: Vec<String> = Vec::new();
         for edit in edits {
-            let old_fp = self.fingerprint_of(edit.uri());
             let nodes_touched = match self.apply_inner(&edit, &mut trace) {
                 Ok(n) => n,
                 Err(e) => {
@@ -521,8 +513,8 @@ impl Engine {
                 }
             };
             let seq = self.log_edit(&edit);
-            if !touched.iter().any(|(u, _)| u == edit.uri()) {
-                touched.push((edit.uri().to_owned(), old_fp));
+            if !touched.iter().any(|u| u == edit.uri()) {
+                touched.push(edit.uri().to_owned());
             }
             let compacted = if self.delta_of(edit.uri()) >= self.compact_threshold {
                 self.drain_delta(edit.uri(), &mut trace)
@@ -577,7 +569,7 @@ impl Engine {
             wal: report,
             ..EditRecovery::default()
         };
-        let mut touched: Vec<(String, u64)> = Vec::new();
+        let mut touched: Vec<String> = Vec::new();
         for r in &records {
             if r.seq <= self.applied_seq {
                 rec.skipped += 1;
@@ -593,14 +585,13 @@ impl Engine {
                     break;
                 }
             };
-            let old_fp = self.fingerprint_of(edit.uri());
             match self.apply_inner(&edit, &mut trace) {
                 Ok(_) => {
                     self.applied_seq = r.seq;
                     rec.replayed += 1;
                     self.counters.record_edit(true);
-                    if !touched.iter().any(|(u, _)| u == edit.uri()) {
-                        touched.push((edit.uri().to_owned(), old_fp));
+                    if !touched.iter().any(|u| u == edit.uri()) {
+                        touched.push(edit.uri().to_owned());
                     }
                     // Bound the delta segment during long replays.
                     if self.delta_of(edit.uri()) >= self.compact_threshold {
@@ -616,9 +607,9 @@ impl Engine {
                 }
             }
         }
-        for (uri, old_fp) in &touched {
+        for uri in &touched {
             rec.compacted += self.drain_delta(uri, &mut trace);
-            self.route_uri_delta(uri, *old_fp, &mut trace);
+            self.journal_batch(uri);
         }
         self.wal = wal;
         trace.count("recover.replayed", rec.replayed);
@@ -634,7 +625,7 @@ impl Engine {
     /// driving [`Engine::apply_all`] batches or long replays.
     ///
     /// Unlike the modeled drains inside `apply`/`apply_all`/`recover`
-    /// (which route a [`ViewDelta`] to the cache), an explicit compaction
+    /// (which journal their batch in the cache), an explicit compaction
     /// the engine did not schedule takes the maintenance **hard
     /// fallback**: any URI it actually compacts has its edit journal
     /// discarded and its cached views evicted (counted as fallback
@@ -679,11 +670,10 @@ impl Engine {
         self.applied_seq
     }
 
-    /// Validates and applies one edit to its document, then refreshes the
-    /// URI's guide fingerprint (the guide may have grown). Cached views
-    /// are **not** evicted here: the edit's journal is routed to the cache
-    /// as a [`ViewDelta`] once the batch commits
-    /// ([`Engine::route_uri_delta`]). Returns the number of nodes touched.
+    /// Validates and applies one edit to its document. Cached views are
+    /// **not** evicted here: the edit's journal is appended to the
+    /// cache's once the batch commits
+    /// ([`Engine::journal_batch`]). Returns the number of nodes touched.
     /// Does **not** log or compact.
     #[deny(
         clippy::wildcard_enum_match_arm,
@@ -725,9 +715,7 @@ impl Engine {
             }
         };
         trace.count("edit.nodes_touched", nodes_touched);
-        let fp = guide_fingerprint(td.guide());
         self.stores.remove(uri);
-        self.guide_hash.insert(uri.to_owned(), fp);
         Ok(nodes_touched)
     }
 
@@ -746,8 +734,8 @@ impl Engine {
     /// Merges `uri`'s delta segment into its byte arena under a `compact`
     /// span. Returns the number of entries merged (0 when already
     /// compact). No cached artifact addresses arena slots directly, so a
-    /// modeled drain does not evict; the batch's journal is routed through
-    /// [`Engine::route_uri_delta`] afterwards.
+    /// modeled drain does not evict; the batch's journal is appended
+    /// through [`Engine::journal_batch`] afterwards.
     fn drain_delta(&mut self, uri: &str, trace: &mut TraceBuilder) -> usize {
         let Some(td) = self.docs.get_mut(uri) else {
             return 0;
@@ -764,13 +752,13 @@ impl Engine {
         merged
     }
 
-    /// Drains and routes every URI in `touched` (end-of-batch cleanup,
+    /// Drains and journals every URI in `touched` (end-of-batch cleanup,
     /// also taken on the error path so the partially applied prefix is
     /// consistent with the cache).
-    fn drain_touched(&mut self, touched: &[(String, u64)], trace: &mut TraceBuilder) {
-        for (uri, old_fp) in touched {
+    fn drain_touched(&mut self, touched: &[String], trace: &mut TraceBuilder) {
+        for uri in touched {
             self.drain_delta(uri, trace);
-            self.route_uri_delta(uri, *old_fp, trace);
+            self.journal_batch(uri);
         }
     }
 
@@ -779,29 +767,24 @@ impl Engine {
         self.docs.get(uri).map_or(0, TypedDocument::delta_len)
     }
 
-    /// The recorded guide fingerprint of `uri` (0 for unknown URIs — the
-    /// only callers follow up with an operation that fails on them).
-    fn fingerprint_of(&self, uri: &str) -> u64 {
-        self.guide_hash.get(uri).copied().unwrap_or(0)
-    }
-
     /// The current document generation of `uri`.
     fn gen_of(&self, uri: &str) -> u64 {
         self.doc_gen.get(uri).copied().unwrap_or(0)
     }
 
-    /// Drains `uri`'s edit journal into one [`ViewDelta`] and routes it to
-    /// the URI's cached views: maintainable artifacts survive the edit
-    /// batch (re-keyed and restamped), the rest are dropped for recompute.
-    /// Value-only batches (no structural touches, no new types) route
-    /// nothing — no cached artifact depends on text content.
-    fn route_uri_delta(&mut self, uri: &str, old_fp: u64, trace: &mut TraceBuilder) {
+    /// Drains `uri`'s edit journal into one delta, bumps the document
+    /// generation and appends the delta to the cache's journal for the
+    /// URI. No view is touched: each catches up on its next open
+    /// ([`vh_core::cache::ExecCache::catch_up`]), so an edit's cache work
+    /// does not grow with the number of cached views. Value-only batches
+    /// (no structural touches, no new types) journal nothing — no cached
+    /// artifact depends on text content.
+    fn journal_batch(&mut self, uri: &str) {
         let Some(td) = self.docs.get_mut(uri) else {
             return;
         };
-        let d = td.take_delta();
-        let new_fp = self.guide_hash.get(uri).copied().unwrap_or(old_fp);
-        if d.is_empty() && old_fp == new_fp {
+        let delta = td.take_delta();
+        if delta.is_empty() {
             return;
         }
         let gen = {
@@ -809,20 +792,7 @@ impl Engine {
             *g += 1;
             *g
         };
-        let td = &self.docs[uri];
-        let delta = ViewDelta {
-            uri: uri.to_owned(),
-            old_fp,
-            new_fp,
-            gen,
-            new_types: d.new_types,
-            touched: d.touched,
-            overflowed: d.overflowed,
-        };
-        let out = self.cache.route_delta(&delta, td);
-        trace.count("cache.maintained", out.maintained);
-        trace.count("cache.recomputed", out.recomputed);
-        trace.count("cache.fallback_evictions", out.fallback_evictions);
+        self.cache.journal(uri, gen, delta, td.pbn().len());
     }
 
     // ------------------------------------------------------------- run ---
@@ -1043,13 +1013,6 @@ impl Engine {
             .docs
             .get(uri)
             .ok_or_else(|| FlwrError::UnknownDocument(uri.to_owned()))?;
-        // Invariant: `install` records a fingerprint for every registered
-        // URI; recompute defensively if a future path skips it.
-        let fp = self
-            .guide_hash
-            .get(uri)
-            .copied()
-            .unwrap_or_else(|| guide_fingerprint(td.guide()));
         trace.begin("view");
         trace.meta("uri", uri);
         trace.meta("spec", spec);
@@ -1060,7 +1023,13 @@ impl Engine {
         };
         let mut vd = if exec.cache {
             let gen = self.gen_of(uri);
-            let key = ViewKey::new(uri, fp, spec);
+            let key = ViewKey::new(uri, spec);
+            let caught = self.cache.catch_up(&key, gen, td);
+            if caught != CatchUp::default() {
+                trace.count("cache.maintained", caught.maintained);
+                trace.count("cache.recomputed", caught.recomputed);
+                trace.count("cache.fallback_evictions", caught.fallback_evictions);
+            }
             trace.begin("guide-expansion");
             let (vdg, outcome) = cached_artifact(&self.cache.expansions, &key, gen, || {
                 VDataGuide::compile(spec, td.guide()).map(Arc::new)
@@ -1137,10 +1106,10 @@ impl Engine {
     /// stores, and cumulative query counters.
     ///
     /// The whole composite is read under a stable cache maintenance
-    /// epoch (the same generation stamp `Stamped` entries carry): if an
-    /// `apply` batch routes its delta while the snapshot is being
-    /// assembled, the read retries, so the returned stats can never mix
-    /// pre-batch cache state with post-batch counters.
+    /// epoch: if a concurrent open catches a view up (or a fallback
+    /// evicts one) while the snapshot is being assembled, the read
+    /// retries, so the returned stats can never mix cache state from
+    /// before the catch-up with counters from after it.
     pub fn snapshot(&self) -> EngineSnapshot {
         loop {
             let epoch = self.cache.epoch();
@@ -1344,32 +1313,25 @@ fn flwr_origins(q: &FlwrQuery) -> Result<Vec<(String, Option<String>)>, FlwrErro
     Ok(origins)
 }
 
-/// Looks up one compiled-view artifact in its cache map. A present entry
-/// is served only when its generation stamp matches the document's
-/// current generation — the second staleness guard behind the fingerprint
-/// in the key — and reports whether delta maintenance (vs. a fresh
-/// compute) last produced it. A miss (or a stale entry, dropped) computes
-/// via `build`.
+/// Looks up one compiled-view artifact in its cache map, after
+/// [`vh_core::cache::ExecCache::catch_up`] brought the view's entries to
+/// `gen` or dropped them. A present entry is served only when its
+/// generation stamp matches `gen`, and reports whether delta maintenance
+/// (vs. a fresh compute) last produced it. Anything else computes via
+/// `build` and replaces the entry.
 fn cached_artifact<T, E>(
     map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
     key: &ViewKey,
     gen: u64,
     build: impl FnOnce() -> Result<Arc<T>, E>,
 ) -> Result<(Arc<T>, CacheOutcome), E> {
-    match map.get(key) {
-        Some(s) if s.gen == gen => {
-            let outcome = if s.maintained {
-                CacheOutcome::Maintained
-            } else {
-                CacheOutcome::Hit
-            };
-            return Ok((s.value, outcome));
-        }
-        Some(_) => {
-            // An edit committed without routing this entry; never serve it.
-            map.remove(key);
-        }
-        None => {}
+    if let Some(s) = map.get(key).filter(|s| s.gen == gen) {
+        let outcome = if s.maintained {
+            CacheOutcome::Maintained
+        } else {
+            CacheOutcome::Hit
+        };
+        return Ok((s.value, outcome));
     }
     let value = build()?;
     map.insert(key.clone(), Stamped::fresh(gen, value.clone()));
@@ -1900,8 +1862,14 @@ mod tests {
     /// The address of the cached type index of Sam's view, read without
     /// keeping a reference that would make the next splice copy.
     fn cached_index_addr(e: &Engine) -> *const TypeIndex {
-        let key = ViewKey::new("book.xml", e.fingerprint_of("book.xml"), SAM);
-        Arc::as_ptr(&e.cache.indexes.peek(&key).must().value)
+        let key = ViewKey::new("book.xml", SAM);
+        e.cache.indexes.peek(&key, |s| Arc::as_ptr(&s.value)).must()
+    }
+
+    /// Maintained, recomputed and fallback totals of the engine's cache.
+    fn maintenance(e: &Engine) -> (u64, u64, u64) {
+        let c = e.snapshot().cache;
+        (c.maintained, c.recomputed, c.fallback_evictions)
     }
 
     #[test]
@@ -1912,30 +1880,35 @@ mod tests {
         e.eval_to_string(RHONDA).must();
         let warm_index = cached_index_addr(&e);
         e.apply(insert_book("W", 0)).must();
-        // Nobody else held the index, so the splice edited the cached
-        // lists themselves instead of a copy.
-        assert_eq!(cached_index_addr(&e), warm_index, "index was copied");
-        let snap = e.snapshot();
         assert_eq!(
-            snap.cache.maintained, 4,
-            "expansion, levels, tables and index all kept: {snap:?}"
+            maintenance(&e),
+            (0, 0, 0),
+            "the edit itself maintains nothing"
         );
-        assert_eq!(snap.cache.recomputed, 0);
-        assert_eq!(snap.cache.fallback_evictions, 0);
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         let v = &warm.stats.views[0];
         assert_eq!(v.expansion, CacheOutcome::Maintained);
         assert_eq!(v.levels, CacheOutcome::Maintained);
         assert_eq!(v.tables, CacheOutcome::Maintained);
         assert_eq!(v.indexes, CacheOutcome::Maintained);
+        // Nobody else held the index, so the catch-up edited the cached
+        // lists themselves instead of a copy.
+        assert_eq!(cached_index_addr(&e), warm_index, "index was copied");
+        assert_eq!(
+            maintenance(&e),
+            (4, 0, 0),
+            "expansion, levels, tables and index all kept"
+        );
         assert_eq!(
             warm.to_string_compact().matches("<result>").count(),
             3,
             "maintained index must serve the inserted book"
         );
+        let view = warm.trace.must().root.find("view").must().clone();
+        assert_eq!(view.counter("cache.maintained"), Some(4));
 
-        // A caller holding the index across an edit keeps its snapshot:
-        // the splice copies instead of writing under it.
+        // A caller holding the index across the catch-up keeps its
+        // snapshot: the splice copies instead of writing under it.
         let (held, pre_edit) = {
             let vd = open_sam(&e);
             (
@@ -1944,9 +1917,9 @@ mod tests {
             )
         };
         e.apply(insert_book("X", 1)).must();
+        let vd = open_sam(&e);
         assert_eq!(*held, pre_edit, "a held index changed under its holder");
         assert_eq!(e.snapshot().cache.maintained, 8, "the copy still counts");
-        let vd = open_sam(&e);
         assert!(!Arc::ptr_eq(vd.type_index(), &held));
         // `TypeIndex::build` is the rebuild oracle.
         assert_eq!(
@@ -1957,37 +1930,102 @@ mod tests {
     }
 
     #[test]
+    fn edits_journal_once_and_each_view_catches_up_on_its_open() {
+        let mut e = engine();
+        let specs = [SAM, "title { name { author } }", "data { ** }"];
+        for spec in specs {
+            e.virtual_doc("book.xml", spec).must();
+        }
+        for k in 0..5 {
+            e.apply(insert_book(&format!("J{k}"), k)).must();
+        }
+        // Five batches journaled once for the URI; no view was touched.
+        assert_eq!(e.cache.journal_len("book.xml").0, 5);
+        assert_eq!(maintenance(&e), (0, 0, 0));
+        // The first open replays all five batches into its view alone;
+        // the others still need them, so the journal keeps them.
+        e.virtual_doc("book.xml", SAM).must();
+        assert_eq!(maintenance(&e), (4, 0, 0));
+        assert_eq!(e.cache.journal_len("book.xml").0, 5);
+        // A second open of a caught-up view replays nothing.
+        e.virtual_doc("book.xml", SAM).must();
+        assert_eq!(maintenance(&e), (4, 0, 0));
+        for spec in &specs[1..] {
+            let vd = e.virtual_doc("book.xml", spec).must();
+            assert_eq!(
+                **vd.type_index(),
+                TypeIndex::build(vd.typed(), vd.vdg()),
+                "{spec}: caught up == rebuilt"
+            );
+        }
+        assert_eq!(maintenance(&e), (12, 0, 0));
+        assert_eq!(
+            e.cache.journal_len("book.xml"),
+            (0, 0),
+            "trimmed once every view replayed"
+        );
+    }
+
+    #[test]
+    fn uris_the_cache_never_opened_journal_nothing() {
+        let mut e = engine();
+        // Queried physically, and virtually with the cache bypassed.
+        e.run(&QueryRequest::path("book.xml", "//book")).must();
+        let bypass = QueryRequest::flwr(RHONDA).with_exec(ExecOptions {
+            cache: false,
+            ..ExecOptions::default()
+        });
+        e.run(&bypass).must();
+        for k in 0..5 {
+            e.apply(insert_book(&format!("N{k}"), k)).must();
+            assert_eq!(e.cache.journal_len("book.xml"), (0, 0), "edit {k}");
+        }
+        e.set_exec_options(ExecOptions {
+            cache: false,
+            ..ExecOptions::default()
+        });
+        e.virtual_doc("book.xml", SAM).must();
+        e.apply(insert_book("Off", 0)).must();
+        assert_eq!(e.cache.journal_len("book.xml"), (0, 0), "cache off");
+        // The first cached open starts the journal.
+        e.set_exec_options(ExecOptions::default());
+        e.virtual_doc("book.xml", SAM).must();
+        e.apply(insert_book("On", 0)).must();
+        assert_eq!(e.cache.journal_len("book.xml").0, 1);
+        let vd = e.virtual_doc("book.xml", SAM).must();
+        assert_eq!(**vd.type_index(), TypeIndex::build(vd.typed(), vd.vdg()));
+        assert_eq!(maintenance(&e), (4, 0, 0));
+    }
+
+    #[test]
     fn refused_index_splices_leave_no_entry_behind() {
-        use vh_dataguide::{Touch, TouchedNode};
-        let e = engine();
+        use vh_dataguide::{DocDelta, Touch, TouchedNode};
+        let mut e = engine();
         e.eval_to_string(RHONDA).must();
         // A journaled removal of a node id the document never had,
         // claimed at an existing title's number: the index cannot hold
-        // the pre-batch state the delta describes, so the splice refuses.
+        // the state before the batch the journal describes, so the
+        // splice refuses.
         let td = e.document("book.xml").must();
         let title = td.nodes_of_type(td.guide().lookup_path(&["data", "book", "title"]).must())[0];
-        let fp = e.fingerprint_of("book.xml");
-        let bogus = ViewDelta {
-            uri: "book.xml".into(),
-            old_fp: fp,
-            new_fp: fp,
-            gen: e.gen_of("book.xml"),
+        let bogus = DocDelta {
             touched: vec![TouchedNode {
                 id: NodeId::from_index(td.doc().len() + 5),
                 ty: td.type_of(title),
                 key: td.pbn().key_of(title).to_vec(),
                 touch: Touch::Removed,
             }],
-            ..ViewDelta::default()
+            ..DocDelta::default()
         };
-        let out = e.cache.route_delta(&bogus, td);
+        let (live, gen) = (td.pbn().len(), e.gen_of("book.xml") + 1);
+        e.cache.journal("book.xml", gen, bogus, live);
+        e.doc_gen.insert("book.xml".into(), gen);
+        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         assert_eq!(
-            (out.maintained, out.recomputed, out.fallback_evictions),
+            maintenance(&e),
             (3, 1, 0),
             "guide-only artifacts kept, the index dropped for recompute"
         );
-        assert!(e.cache.indexes.is_empty(), "a refused splice left an entry");
-        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
         assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
         let mut cold = Engine::new();
@@ -1999,7 +2037,8 @@ mod tests {
     fn new_type_edits_recompute_affected_views() {
         let mut e = engine();
         e.eval_to_string(RHONDA).must();
-        // A fresh type under the *visible* title: conservative recompute.
+        // A fresh type under the *visible* title: conservative recompute,
+        // found by the catch-up although the batch changed the guide.
         e.apply(Edit::InsertSubtree {
             uri: "book.xml".into(),
             parent: "1.1.1".into(),
@@ -2007,10 +2046,8 @@ mod tests {
             xml: "<subtitle>s</subtitle>".into(),
         })
         .must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.maintained, 0);
-        assert!(snap.cache.recomputed > 0, "{snap:?}");
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
+        assert_eq!(maintenance(&e), (0, 4, 0));
         assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
         assert_eq!(warm.to_string_compact().matches("<result>").count(), 2);
     }
@@ -2025,61 +2062,58 @@ mod tests {
             value: "X2".into(),
         })
         .must();
-        let snap = e.snapshot();
-        assert_eq!((snap.cache.maintained, snap.cache.recomputed), (0, 0));
+        assert_eq!(e.cache.journal_len("book.xml"), (0, 0), "nothing journaled");
         // No artifact depends on text, so the entries are plain hits —
         // not even restamped as maintained.
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Hit);
+        assert_eq!(maintenance(&e), (0, 0, 0));
         assert!(warm.to_string_compact().contains("<title>X2</title>"));
     }
 
     #[test]
-    fn apply_all_routes_one_merged_delta_per_uri() {
+    fn apply_all_journals_one_merged_delta_per_uri() {
         let mut e = engine();
         e.eval_to_string(RHONDA).must();
-        // Three edits, one batch: the cache sees ONE merged delta (4
-        // artifacts maintained once), not one route per edit — the former
-        // double-invalidation (per edit + batch end) would triple it.
+        // Three edits, one batch: the journal holds ONE merged delta, and
+        // the catch-up maintains the 4 artifacts once.
         e.apply_all(vec![
             insert_book("A", 0),
             insert_book("B", 1),
             insert_book("C", 2),
         ])
         .must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.maintained, 4, "{snap:?}");
+        assert_eq!(e.cache.journal_len("book.xml").0, 1);
         let after = e.eval_to_string(RHONDA).must();
         assert_eq!(after.matches("<result>").count(), 5);
+        assert_eq!(maintenance(&e), (4, 0, 0));
     }
 
     #[test]
-    fn oversized_deltas_evict_the_index_as_a_fallback() {
+    fn oversized_deltas_evict_the_view_as_a_fallback() {
         let mut e = engine();
         e.eval_to_string(RHONDA).must();
         // Replacing both books by one new book touches more nodes than
-        // the document keeps, so rebuilding the per-node index beats
-        // splicing it: the index is evicted while the guide-pure
-        // artifacts survive.
+        // the document keeps, so no replay can beat a rebuild: the batch
+        // trims the journal at once and the entries it strands go.
         let delete = |target: &str| Edit::DeleteSubtree {
             uri: "book.xml".into(),
             target: target.into(),
         };
         e.apply_all(vec![delete("1.2"), delete("1.1"), insert_book("N", 0)])
             .must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.fallback_evictions, 1, "{snap:?}");
-        assert_eq!(snap.cache.maintained, 3, "guide-pure artifacts kept");
+        assert_eq!(e.cache.journal_len("book.xml"), (0, 0));
+        assert_eq!(maintenance(&e), (0, 0, 4));
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
-        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
+        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Computed);
         assert_eq!(warm.to_string_compact().matches("<result>").count(), 1);
         let mut cold = Engine::new();
         cold.register(Document::parse("book.xml", &doc_text(&e, "book.xml")).must());
         assert_eq!(
             warm.to_string_compact(),
             cold.eval_to_string(RHONDA).must(),
-            "the rebuilt index answers like a cold engine"
+            "the rebuilt view answers like a cold engine"
         );
     }
 

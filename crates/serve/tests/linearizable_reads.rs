@@ -206,6 +206,16 @@ fn check_linearizable(readers: usize) {
         "the writer's edits are acknowledged in order"
     );
 
+    // Every catch-up the readers ran replayed the journal: the stream
+    // mints no guide type and no batch outgrows the document.
+    let cache = tenant.read().snapshot().cache;
+    assert!(cache.maintained > 0, "reads caught the view up: {cache:?}");
+    assert_eq!(
+        (cache.recomputed, cache.fallback_evictions),
+        (0, 0),
+        "no catch-up fell back to a rebuild: {cache:?}"
+    );
+
     let oracle = oracle();
     assert!(reads.len() >= readers, "every reader completed a read");
     for (n, read) in reads.iter().enumerate() {

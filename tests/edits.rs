@@ -6,13 +6,17 @@
 //! byte-identical query results at 1, 2 and 8 threads. The edited
 //! engine's caches are warmed *before* the script runs, so any stale
 //! `ExecCache` entry surviving an edit shows up as an oracle mismatch.
+//! A third property reads views at random points of a script: every
+//! view a read catches up must equal a fresh build, artifact by
+//! artifact, and views no read touched must catch up at the end.
 
 use proptest::prelude::*;
 
 mod common;
 use common::{concretize, URI};
+use vpbn_suite::core::VirtualDocument;
 use vpbn_suite::pbn::{Pbn, PbnArena};
-use vpbn_suite::query::api::{Engine, ExecOptions, QueryRequest};
+use vpbn_suite::query::api::{Edit, Engine, ExecOptions, QueryRequest};
 use vpbn_suite::xml::{serialize, NodeId, SerializeOptions};
 
 /// The query suite both engines answer; results are compared as
@@ -72,8 +76,178 @@ fn arena_matches_build(engine: &Engine) -> bool {
     pbn.arena() == &PbnArena::build(&numbered, pbn.id_space())
 }
 
+/// The views the catch-up property keeps warm: the first
+/// [`READ_VIEWS`] are read at random points of the script, the rest
+/// only after it.
+const CATCH_UP_VIEWS: &[&str] = &[
+    "title { author { name } }",
+    "name { author { title } }",
+    "data { ** }",
+    "title { name { author } }",
+    "book { publisher }",
+];
+const READ_VIEWS: usize = 3;
+
+/// Opens `spec` through the engine's cache, which catches its entries
+/// up, and checks every cached artifact — expansion, level map, prefix
+/// tables, type index and order column — against a fresh build over the
+/// current document. Random inserts can make a view's labels ambiguous;
+/// then both opens must fail.
+fn check_caught_up(engine: &Engine, spec: &str, ctx: &str) -> Result<(), TestCaseError> {
+    let td = engine.document(URI).expect("registered");
+    let (cached, fresh) = match (
+        engine.virtual_doc(URI, spec),
+        VirtualDocument::open(td, spec),
+    ) {
+        (Ok(cached), Ok(fresh)) => (cached, fresh),
+        (Err(_), Err(_)) => return Ok(()),
+        (cached, fresh) => {
+            return Err(TestCaseError::fail(format!(
+                "{ctx} {spec}: cached open {:?} but fresh open {:?}",
+                cached.err(),
+                fresh.err()
+            )))
+        }
+    };
+    let shape = |vd: &VirtualDocument<'_>| {
+        let v = vd.vdg();
+        let types: Vec<String> = v
+            .guide()
+            .type_ids()
+            .map(|t| v.guide().path_string(t))
+            .collect();
+        let mapped: Vec<_> = td.guide().type_ids().map(|t| v.vtype_of(t)).collect();
+        (types, mapped)
+    };
+    prop_assert_eq!(shape(&cached), shape(&fresh), "{} {}: expansion", ctx, spec);
+    prop_assert_eq!(cached.levels(), fresh.levels(), "{} {}: levels", ctx, spec);
+    let mut tabled = VirtualDocument::open(td, spec).expect("opened above");
+    tabled.build_prefix_tables();
+    prop_assert_eq!(
+        cached.prefix_tables(),
+        tabled.prefix_tables(),
+        "{} {}",
+        ctx,
+        spec
+    );
+    prop_assert_eq!(
+        &**cached.type_index(),
+        &**fresh.type_index(),
+        "{} {}",
+        ctx,
+        spec
+    );
+    prop_assert_eq!(
+        cached.order_column(),
+        fresh.order_column(),
+        "{} {}",
+        ctx,
+        spec
+    );
+    Ok(())
+}
+
+/// Runs one catch-up script at `threads`: `script` entries with
+/// `op % 4 == 0` read view `a % READ_VIEWS`, the rest are edit ops,
+/// applied one by one or, with `chunk`, in `apply_all` batches of that
+/// many. Edits never maintain or recompute a view — that happens on its
+/// next read; only the journal's size cap may evict views — and reads
+/// check the view they catch up.
+fn run_catch_up_script(
+    base_xml: &str,
+    script: &[(u8, u16, u16)],
+    threads: usize,
+    chunk: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let mut engine = Engine::new();
+    engine.set_exec_options(ExecOptions {
+        threads,
+        cache: true,
+        par_threshold: 1,
+    });
+    engine.register_xml(URI, base_xml).expect("base registers");
+    for spec in CATCH_UP_VIEWS {
+        if let Ok(vd) = engine.virtual_doc(URI, spec) {
+            vd.order_column();
+        }
+    }
+    let counters = |e: &Engine| {
+        let c = e.snapshot().cache;
+        (c.maintained, c.recomputed)
+    };
+    let mut pending: Vec<Edit> = Vec::new();
+    for (i, &(op, a, b)) in script.iter().enumerate() {
+        let ctx = format!("threads={threads} chunk={chunk:?} step {i}");
+        if op % 4 != 0 {
+            let doc = engine.document(URI).expect("registered").doc();
+            if let Some(edit) = concretize(doc, op / 4, a, b) {
+                pending.push(edit);
+            }
+            if pending.len() < chunk.unwrap_or(1) {
+                continue;
+            }
+        }
+        let before = counters(&engine);
+        match chunk {
+            Some(_) => {
+                let _ = engine.apply_all(std::mem::take(&mut pending));
+            }
+            None => {
+                for edit in pending.drain(..) {
+                    let _ = engine.apply(edit);
+                }
+            }
+        }
+        prop_assert_eq!(
+            counters(&engine),
+            before,
+            "{}: an edit maintained views",
+            ctx
+        );
+        if op % 4 == 0 {
+            check_caught_up(&engine, CATCH_UP_VIEWS[a as usize % READ_VIEWS], &ctx)?;
+        }
+    }
+    let _ = engine.apply_all(pending);
+    for spec in CATCH_UP_VIEWS {
+        check_caught_up(
+            &engine,
+            spec,
+            &format!("threads={threads} chunk={chunk:?} end"),
+        )?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Views read at random points of an edit script catch up to a fresh
+    /// build, artifact by artifact, at 1, 2 and 8 threads, through single
+    /// applies and `apply_all` batches; views no read touched catch up
+    /// after the script.
+    #[test]
+    fn views_read_mid_script_catch_up_to_a_fresh_build(
+        books in 1usize..6,
+        seed in 0u64..400,
+        script in prop::collection::vec((0u8..=255, 0u16..=u16::MAX, 0u16..=u16::MAX), 4..30),
+        chunk in 2usize..5,
+    ) {
+        let cfg = vpbn_suite::workload::BooksConfig {
+            books,
+            max_authors: 3,
+            rare_fraction: 0.2,
+            seed,
+        };
+        let base_xml = serialize(
+            &vpbn_suite::workload::generate_books(URI, &cfg),
+            SerializeOptions::compact(),
+        );
+        for threads in [1usize, 2, 8] {
+            run_catch_up_script(&base_xml, &script, threads, None)?;
+            run_catch_up_script(&base_xml, &script, threads, Some(chunk))?;
+        }
+    }
 
     /// The tentpole property: an engine that lived through a random edit
     /// script equals an engine built from scratch on the final document,

@@ -33,10 +33,15 @@ use vpbn_suite::workload::{
     book_scenarios, generate_books, generate_xmark, xmark_scenarios, BooksConfig, XmarkConfig,
 };
 use vpbn_suite::xml::builder::paper_figure2;
-use vpbn_suite::xml::{serialize, NodeId, SerializeOptions};
+use vpbn_suite::xml::serialize::serialize_node;
+use vpbn_suite::xml::{serialize, Document, NodeId, SerializeOptions};
+
+#[allow(dead_code)]
+mod common;
+use common::dotted_path;
 
 /// The document URI of the edited engine.
-const URI: &str = "books.xml";
+use common::URI;
 
 /// Views that place a title under every author of its book.
 const MULTIPLICITY: [&str; 2] = ["name { author { title } }", "author { title }"];
@@ -345,12 +350,126 @@ fn join_multiplicity_views_get_a_column_and_exact_joins() {
     }
 }
 
-/// After key-minting front inserts, an author insert, a move and a
-/// delete, every warm view's column was dropped by the splice, and the
-/// rebuilt one equals a fresh build over the edited document.
+/// One step of an edit script, concretized against the current
+/// document (`None` when the document offers no place for it).
+type EditStep = fn(&Document) -> Option<Edit>;
+
+/// The repeated records of a corpus: the root's children, or XMark's
+/// persons.
+fn records(doc: &Document) -> (NodeId, Vec<NodeId>) {
+    let root = doc.root().expect("corpus has a root");
+    let people = doc
+        .children(root)
+        .iter()
+        .copied()
+        .find(|&c| doc.name(c) == Some("people"));
+    let parent = people.unwrap_or(root);
+    (parent, doc.children(parent).to_vec())
+}
+
+/// The first node named `name` at or below `scope`, in document order.
+fn first_named(doc: &Document, scope: NodeId, name: &str) -> Option<NodeId> {
+    doc.descendants_or_self(scope)
+        .find(|&n| doc.name(n) == Some(name))
+}
+
+/// A copy of the first record inserted in front of all of them.
+fn front_insert(doc: &Document) -> Option<Edit> {
+    let (parent, recs) = records(doc);
+    Some(Edit::InsertSubtree {
+        uri: URI.into(),
+        parent: dotted_path(doc, parent),
+        pos: 0,
+        xml: serialize_node(doc, *recs.first()?, SerializeOptions::compact()),
+    })
+}
+
+/// A nested node inserted into the third record: an author into a
+/// book, an e-mail address into an XMark person.
+fn nested_insert(doc: &Document) -> Option<Edit> {
+    let (_, recs) = records(doc);
+    let rec = *recs.get(2)?;
+    let xml = match doc.name(rec)? {
+        "person" => "<emailaddress>mailto:z@example.org</emailaddress>",
+        _ => "<author><name>Z</name></author>",
+    };
+    Some(Edit::InsertSubtree {
+        uri: URI.into(),
+        parent: dotted_path(doc, rec),
+        pos: 1,
+        xml: xml.into(),
+    })
+}
+
+/// The last record moved to the second position.
+fn move_record(doc: &Document) -> Option<Edit> {
+    let (parent, recs) = records(doc);
+    Some(Edit::MoveSubtree {
+        uri: URI.into(),
+        target: dotted_path(doc, *recs.last()?),
+        parent: dotted_path(doc, parent),
+        pos: 1,
+    })
+}
+
+/// The third record deleted.
+fn delete_record(doc: &Document) -> Option<Edit> {
+    let (_, recs) = records(doc);
+    Some(Edit::DeleteSubtree {
+        uri: URI.into(),
+        target: dotted_path(doc, *recs.get(2)?),
+    })
+}
+
+/// A move that changes a node's guide type: a book title's text under
+/// an author's name (`title/#text` becomes `name/#text`). On XMark, a
+/// person's address is handed to a person without one, after its other
+/// children as the DTD orders them: that city changes persons, and the
+/// first person is no longer placed under `person_city`.
+fn type_changing_move(doc: &Document) -> Option<Edit> {
+    retype(doc, false)
+}
+
+/// [`type_changing_move`], with XMark's address moved in front of the
+/// person's other children.
+fn front_type_changing_move(doc: &Document) -> Option<Edit> {
+    retype(doc, true)
+}
+
+fn retype(doc: &Document, front: bool) -> Option<Edit> {
+    let (_, recs) = records(doc);
+    let (target, dest, pos) = if doc.name(recs[0]) == Some("person") {
+        let has = |p: &NodeId| first_named(doc, *p, "address").is_some();
+        let from = recs.iter().find(|p| has(p))?;
+        let to = *recs.iter().find(|p| !has(p))?;
+        let address = first_named(doc, *from, "address")?;
+        (address, to, if front { 0 } else { doc.children(to).len() })
+    } else {
+        let text = recs.iter().find_map(|&b| {
+            let title = first_named(doc, b, "title")?;
+            doc.children(title).first().copied()
+        })?;
+        let name = recs.iter().find_map(|&b| first_named(doc, b, "name"))?;
+        (text, name, 0)
+    };
+    Some(Edit::MoveSubtree {
+        uri: URI.into(),
+        target: dotted_path(doc, target),
+        parent: dotted_path(doc, dest),
+        pos,
+    })
+}
+
+/// After each step of a front-insert storm, a nested insert, a record
+/// move, a record delete and a type-changing move, every view's
+/// catch-up has dropped its column, and the column the next join builds
+/// over the maintained index equals a fresh build over the edited
+/// document. Half the views ask for their column on every step, the
+/// other half every third step, so several catch-ups maintain the index
+/// before a join reads it.
 #[test]
 fn cleared_columns_rebuild_to_a_fresh_build_after_edits() {
-    let base = generate_books(
+    let books = generate_books(
         URI,
         &BooksConfig {
             books: 6,
@@ -359,64 +478,80 @@ fn cleared_columns_rebuild_to_a_fresh_build_after_edits() {
             seed: 9,
         },
     );
-    let mut engine = Engine::new();
-    engine
-        .register_xml(URI, &serialize(&base, SerializeOptions::compact()))
-        .expect("base registers");
-    let specs: Vec<&str> = book_scenarios().iter().map(|s| s.spec).collect();
-    let warm = |engine: &Engine| {
-        for &spec in &specs {
-            let vd = engine.virtual_doc(URI, spec).expect("view opens");
-            vd.order_column();
-            assert!(vd.type_index().order_checked(), "{spec}: column cached");
-        }
-    };
-    warm(&engine);
-    let uri = URI.to_string();
-    let mut edits: Vec<Edit> = (0..8)
-        .map(|k| Edit::InsertSubtree {
-            uri: uri.clone(),
-            parent: "1".into(),
-            pos: 0,
-            xml: format!(
-                "<book><title>T{k}</title><author><name>N{k}</name></author>\
-                 <publisher><location>L{k}</location></publisher></book>"
-            ),
-        })
+    // Each spec once: a second open in the same step would find the view
+    // already caught up.
+    let mut seen = HashSet::new();
+    let book_specs: Vec<&str> = book_scenarios()
+        .iter()
+        .map(|s| s.spec)
+        .chain(MULTIPLICITY)
+        .filter(|&spec| seen.insert(spec))
         .collect();
-    edits.push(Edit::InsertSubtree {
-        uri: uri.clone(),
-        parent: "1.3".into(),
-        pos: 1,
-        xml: "<author><name>Z</name></author>".into(),
-    });
-    edits.push(Edit::MoveSubtree {
-        uri: uri.clone(),
-        target: "1.10".into(),
-        parent: "1".into(),
-        pos: 0,
-    });
-    edits.push(Edit::DeleteSubtree {
-        uri,
-        target: "1.4".into(),
-    });
-    for (i, edit) in edits.into_iter().enumerate() {
-        engine.apply(edit).expect("edit applies");
-        for &spec in &specs {
-            let ctx = format!("edit {i} {spec}");
-            let vd = engine.virtual_doc(URI, spec).expect("view opens");
-            assert!(
-                !vd.type_index().order_checked(),
-                "{ctx}: the edit dropped the column"
-            );
-            let td = engine.document(URI).expect("corpus registered");
-            let fresh = VirtualDocument::open(td, spec).expect("view opens");
-            assert_eq!(vd.order_column(), fresh.order_column(), "{ctx}");
+    let xmark_specs: Vec<&str> = xmark_scenarios().iter().map(|s| s.spec).collect();
+    let corpora = [
+        ("books", books, &book_specs),
+        ("figure2", paper_figure2(), &book_specs),
+        ("xmark", xmark().doc().clone(), &xmark_specs),
+    ];
+    let script: Vec<EditStep> = [front_insert as EditStep; 6]
+        .into_iter()
+        .chain([
+            nested_insert as EditStep,
+            move_record,
+            delete_record,
+            type_changing_move,
+            front_insert,
+        ])
+        .collect();
+    for (label, doc, specs) in corpora {
+        let mut engine = Engine::new();
+        engine
+            .register_xml(URI, &serialize(&doc, SerializeOptions::compact()))
+            .expect("corpus registers");
+        for &spec in specs.iter() {
+            engine
+                .virtual_doc(URI, spec)
+                .expect("view opens")
+                .order_column();
         }
-        warm(&engine);
-    }
-    let td = engine.document(URI).expect("corpus registered");
-    for s in book_scenarios() {
-        check_joins(td, s.spec, &format!("edited {}", s.name));
+        let step_and_compare =
+            |engine: &mut Engine, i: usize, step: &EditStep, ask: &dyn Fn(usize) -> bool| {
+                let edit = step(engine.document(URI).expect("registered").doc())
+                    .unwrap_or_else(|| panic!("{label}: step {i} has a target"));
+                engine.apply(edit).expect("edit applies");
+                for (v, &spec) in specs.iter().enumerate() {
+                    let ctx = format!("{label} step {i} {spec}");
+                    let vd = engine.virtual_doc(URI, spec).expect("view opens");
+                    assert!(
+                        !vd.type_index().order_checked(),
+                        "{ctx}: the catch-up dropped the column"
+                    );
+                    if !ask(v) {
+                        // Caught up, but the column is not asked this time.
+                        continue;
+                    }
+                    let td = engine.document(URI).expect("registered");
+                    let fresh = VirtualDocument::open(td, spec).expect("view opens");
+                    assert_eq!(vd.order_column(), fresh.order_column(), "{ctx}");
+                    assert!(vd.type_index().order_checked(), "{ctx}: column cached");
+                }
+            };
+        for (i, step) in script.iter().enumerate() {
+            step_and_compare(&mut engine, i, step, &|v| v % 2 == 0 || i % 3 == 2);
+        }
+        let td = engine.document(URI).expect("registered");
+        for &spec in specs.iter() {
+            check_joins(td, spec, &format!("edited {label} {spec}"));
+        }
+        // On XMark this move puts a city in front of its new person's
+        // other children, where `v_cmp` disagrees with the placement walk
+        // (see CHANGES.md), so `check_joins` does not run after it; the
+        // column comparison does not call `v_cmp` outside the walk.
+        step_and_compare(
+            &mut engine,
+            script.len(),
+            &(front_type_changing_move as EditStep),
+            &|_| true,
+        );
     }
 }
