@@ -243,7 +243,6 @@ fn axis_scan_demo(opts: &BenchOpts, td: &TypedDocument, report: &mut BenchReport
     for threads in opts.thread_set() {
         let mut vd = VirtualDocument::open(td, SPEC).unwrap();
         vd.set_exec(ExecOptions::with_threads(threads));
-        vd.build_prefix_tables();
         let title_vt = vd.vdg().guide().lookup_path(&["title"]).unwrap();
         let name_vt = vd
             .vdg()
@@ -313,8 +312,8 @@ fn cache_demo(opts: &BenchOpts, cfg: &BooksConfig, report: &mut BenchReport) {
     let stats = engine.snapshot().cache;
 
     let mut t = Table::new(
-        "cache: compiled-view open, cold vs warm",
-        &["open", "ns", "hits", "misses"],
+        "cache: compiled-view open, cold vs warm (one view lookup per open)",
+        &["open", "ns", "view hits", "view misses"],
     );
     t.row(&[
         "cold".into(),

@@ -1,52 +1,51 @@
-//! Sharded LRU cache for per-view compiled artifacts.
+//! Sharded LRU cache for compiled views.
 //!
-//! Four artifacts are recomputed from scratch on every query in a naive
-//! engine: the expanded [`VDataGuide`], the Algorithm-1 [`LevelMap`], the
-//! [`PrefixTables`] of precomputed scan-range prefixes (all three pure
-//! functions of `(document guide, transform spec)`), and the per-type
-//! [`TypeIndex`] of the view, which additionally depends on the document's
-//! nodes and is the only per-node-cost artifact — caching it makes warm
-//! view opens O(1) in document size. [`ExecCache`] memoizes each behind a
-//! [`ShardedLru`] keyed by [`ViewKey`] — the document URI and the
-//! transform spec — and stamps every value with the document generation
-//! it reflects. [`ExecCache::invalidate_uri`] evicts everything for a
-//! URI explicitly, which is what keeps a re-registered document from
-//! serving views of its predecessor.
+//! A naive engine recompiles a view on every query: the expanded
+//! vDataGuide, the Algorithm-1 level map, the scan-range prefix tables
+//! (all three pure functions of `(document guide, transform spec)`) and
+//! the per-type node index, which also depends on the document's nodes
+//! and is the only part with per-node cost — caching it makes warm view
+//! opens O(1) in document size. [`ExecCache`] keeps each view as one
+//! [`CompiledView`] entry of a [`ShardedLru`] keyed by [`ViewKey`] — the
+//! document URI and the transform spec — stamped with the document
+//! generation it reflects. The four parts are compiled, stamped, caught
+//! up and evicted together, so no lookup can find some of them and miss
+//! the rest. [`ExecCache::invalidate_uri`] evicts everything for a URI
+//! explicitly, which is what keeps a re-registered document from serving
+//! views of its predecessor.
 //!
 //! The cache is `Sync`: shards are independent mutexes, counters are
-//! atomics, and values are handed out as cheap clones (`Arc`s at the call
-//! sites), so parallel query stages can share one cache without a global
-//! lock. Hit/miss/eviction/invalidation counters are surfaced through
-//! [`CacheStats`] alongside the storage layer's `StorageStats`.
+//! atomics, and a view's parts are `Arc`s, so parallel query stages can
+//! share one cache without a global lock. Hit/miss/eviction/invalidation
+//! counters are surfaced through [`CacheStats`] alongside the storage
+//! layer's `StorageStats`.
 //!
 //! ## Delta-aware maintenance
 //!
-//! Documents are mutable, and evicting a URI's artifacts on every edit
-//! would re-pay the compile-and-index cost the virtual-hierarchy design
-//! exists to avoid; maintaining every view on every edit would make
-//! edits pay for views nobody reads. So an edit batch only appends its
-//! `DocDelta` to the URI's journal ([`ExecCache::journal`]), and a lookup
-//! that finds a stale entry catches it up ([`ExecCache::catch_up`]):
-//! guide-shaped artifacts survive if no journaled batch can change the
-//! view's expansion ([`VDataGuide::unaffected_by`]), and the per-node
-//! [`TypeIndex`] is spliced in place ([`TypeIndex::maintain`]). DESIGN.md
-//! §14 has the rules and their proof obligations.
+//! Documents are mutable, and evicting a URI's views on every edit would
+//! re-pay the compile-and-index cost the virtual-hierarchy design exists
+//! to avoid; maintaining every view on every edit would make edits pay
+//! for views nobody reads. So an edit batch only appends its `DocDelta`
+//! to the URI's journal ([`ExecCache::journal`]), and a lookup that finds
+//! a stale entry catches it up ([`ExecCache::catch_up`]): the entry
+//! survives if no journaled batch can change the view's expansion
+//! ([`crate::vdg::VDataGuide::unaffected_by`]) and its index takes the
+//! splice ([`crate::vdoc::TypeIndex::maintain`]); otherwise it is dropped
+//! whole. DESIGN.md §14 has the rules and their proof obligations.
 
 use crate::journal::Journal;
-use crate::levels::LevelMap;
-use crate::range::PrefixTables;
-use crate::vdg::VDataGuide;
-use crate::vdoc::TypeIndex;
+use crate::vdoc::CompiledView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vh_dataguide::{DocDelta, TypedDocument};
+use vh_obs::CacheOutcome;
 
 /// Number of independent mutex-protected shards per map.
 const SHARDS: usize = 8;
 
-/// Default total entry capacity of each artifact map.
+/// Default total entry capacity of the view cache.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// One shard: a key → (last-use tick, value) map.
@@ -242,7 +241,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     }
 }
 
-/// Counter snapshot of one artifact map.
+/// Counter snapshot of one [`ShardedLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found a live entry.
@@ -269,23 +268,17 @@ impl CacheCounters {
     }
 }
 
-/// Per-artifact counters for the whole [`ExecCache`].
+/// Counters for the whole [`ExecCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// vDataGuide expansion cache.
-    pub expansions: CacheCounters,
-    /// Algorithm-1 level-map cache.
-    pub levels: CacheCounters,
-    /// Scan-range prefix-table cache.
-    pub tables: CacheCounters,
-    /// Per-type node-index cache.
-    pub indexes: CacheCounters,
-    /// Stale entries a catch-up replayed to the current generation.
+    /// Compiled-view lookups, evictions and live entries.
+    pub views: CacheCounters,
+    /// Stale views a catch-up replayed to the current generation.
     pub maintained: u64,
-    /// Stale entries a journaled batch could change, dropped by a
-    /// catch-up (recomputed on their open).
+    /// Stale views a journaled batch could change, dropped by a catch-up
+    /// (recomputed on their open).
     pub recomputed: u64,
-    /// Entries dropped by the maintenance fallback: the journal's cap
+    /// Views dropped by the maintenance fallback: the journal's cap
     /// (more touched nodes than the document keeps) trimmed the batches
     /// they needed, the edit journal overflowed, or an explicit
     /// compaction rewrote the arena.
@@ -293,22 +286,19 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total hits across all four artifact maps.
+    /// View lookups that found a live entry.
     pub fn total_hits(&self) -> u64 {
-        self.expansions.hits + self.levels.hits + self.tables.hits + self.indexes.hits
+        self.views.hits
     }
 
-    /// Total misses across all four artifact maps.
+    /// View lookups that found nothing.
     pub fn total_misses(&self) -> u64 {
-        self.expansions.misses + self.levels.misses + self.tables.misses + self.indexes.misses
+        self.views.misses
     }
 
-    /// Total explicit invalidations across all four artifact maps.
+    /// Views dropped by explicit invalidation.
     pub fn total_invalidations(&self) -> u64 {
-        self.expansions.invalidations
-            + self.levels.invalidations
-            + self.tables.invalidations
-            + self.indexes.invalidations
+        self.views.invalidations
     }
 }
 
@@ -348,7 +338,7 @@ pub struct Stamped<V> {
     /// True when the value last reached its generation by replaying the
     /// journal ([`ExecCache::catch_up`]) rather than by a fresh compute.
     pub maintained: bool,
-    /// The artifact itself.
+    /// The cached value itself.
     pub value: V,
 }
 
@@ -363,7 +353,7 @@ impl<V> Stamped<V> {
     }
 }
 
-/// Verdict of one [`TypeIndex::maintain`] splice.
+/// Verdict of one [`crate::vdoc::TypeIndex::maintain`] splice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Maintained {
     /// The delta touched no node of a visible type; no list was written.
@@ -375,35 +365,29 @@ pub enum Maintained {
     MustRecompute,
 }
 
-/// What catching one view up did to its stale entries.
+/// What catching one view up did to its entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CatchUp {
-    /// Entries replayed to the current generation (updated in place or
-    /// proven unchanged).
+    /// 1 if the entry was replayed to the current generation (its index
+    /// spliced in place or proven unchanged).
     pub maintained: u64,
-    /// Entries a journaled batch could change, dropped for recompute.
+    /// 1 if a journaled batch could change the view, or the index refused
+    /// the splice, and the entry was dropped for recompute.
     pub recomputed: u64,
-    /// Entries dropped because the journal no longer reaches back to
-    /// them.
+    /// 1 if the journal no longer reaches back to the entry and it was
+    /// dropped.
     pub fallback_evictions: u64,
 }
 
-/// The engine-wide artifact cache: one [`ShardedLru`] per compiled-view
-/// artifact, shared across queries (and across threads — the whole struct
-/// is `Sync`), plus one journal of committed edit batches per URI.
+/// The engine-wide compiled-view cache: one [`ShardedLru`] entry per view,
+/// shared across queries (and across threads — the whole struct is
+/// `Sync`), plus one journal of committed edit batches per URI.
 pub struct ExecCache {
-    /// Expanded virtual guides keyed by view.
-    pub expansions: ShardedLru<ViewKey, Stamped<Arc<VDataGuide>>>,
-    /// Algorithm-1 level maps keyed by view.
-    pub levels: ShardedLru<ViewKey, Stamped<Arc<LevelMap>>>,
-    /// Precomputed scan-range prefix tables keyed by view.
-    pub tables: ShardedLru<ViewKey, Stamped<Arc<PrefixTables>>>,
-    /// Per-type node indexes keyed by view. Unlike the other artifacts this
-    /// depends on the document's *nodes*, not just its guide; journaled
-    /// batches are spliced into it by [`ExecCache::catch_up`].
-    pub indexes: ShardedLru<ViewKey, Stamped<Arc<TypeIndex>>>,
+    /// Compiled views keyed by view. An entry holds all four parts and
+    /// is stamped, caught up and evicted as one.
+    pub views: ShardedLru<ViewKey, Stamped<CompiledView>>,
     /// Per-URI journals. Also the catch-up lock: a catch-up holds it
-    /// from its staleness check to its last restamp.
+    /// from its staleness check to its restamp.
     journals: Mutex<HashMap<String, Journal>>,
     maintained: AtomicU64,
     recomputed: AtomicU64,
@@ -412,7 +396,7 @@ pub struct ExecCache {
     /// while a catch-up or fallback invalidation is mid-flight, bumped to
     /// even when it commits. [`ExecCache::stats`] retries until it reads
     /// the same even epoch on both sides, so a snapshot can never observe
-    /// a half-applied catch-up (entries dropped but the
+    /// a half-applied catch-up (an entry dropped but the
     /// maintained/recomputed totals not yet accounted).
     epoch: AtomicU64,
 }
@@ -429,14 +413,10 @@ impl Drop for EpochWriter<'_> {
 }
 
 impl ExecCache {
-    /// Creates a cache where each artifact map holds up to `capacity`
-    /// entries.
+    /// Creates a cache holding up to `capacity` compiled views.
     pub fn new(capacity: usize) -> Self {
         ExecCache {
-            expansions: ShardedLru::new(capacity),
-            levels: ShardedLru::new(capacity),
-            tables: ShardedLru::new(capacity),
-            indexes: ShardedLru::new(capacity),
+            views: ShardedLru::new(capacity),
             journals: Mutex::new(HashMap::new()),
             maintained: AtomicU64::new(0),
             recomputed: AtomicU64::new(0),
@@ -466,22 +446,22 @@ impl ExecCache {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The four artifact maps, expansions last: a catch-up restamps the
-    /// expansion after everything else, so a lookup that finds it at
-    /// the current generation knows the view is caught up.
-    fn maps(&self) -> [&dyn StampedMap; 4] {
-        [&self.levels, &self.tables, &self.indexes, &self.expansions]
+    /// The oldest generation a cached view of `uri` is stamped with.
+    fn oldest(&self, uri: &str) -> Option<u64> {
+        let mut oldest: Option<u64> = None;
+        self.views.for_each(|k, s| {
+            if k.uri == uri {
+                oldest = Some(oldest.map_or(s.gen, |o| o.min(s.gen)));
+            }
+        });
+        oldest
     }
 
-    /// Evicts every artifact compiled for `uri` (all specs, all
-    /// generations) and forgets its journal. Returns the number of
-    /// entries dropped.
+    /// Evicts every view compiled for `uri` (all specs, all generations)
+    /// and forgets its journal. Returns the number of entries dropped.
     pub fn invalidate_uri(&self, uri: &str) -> usize {
         self.journals().remove(uri);
-        self.maps()
-            .iter()
-            .map(|m| m.retain(&|k, _| k.uri != uri))
-            .sum()
+        self.views.retain(|k, _| k.uri != uri)
     }
 
     /// The maintenance hard fallback: evicts everything for `uri`, forgets
@@ -503,8 +483,8 @@ impl ExecCache {
     /// a journal, so a URI the cache holds nothing of journals nothing.
     /// The journal never holds more touches than the document keeps
     /// `live` nodes — a longer replay cannot beat a rebuild — so past
-    /// that the oldest batches go, and the entries only they could have
-    /// caught up are evicted as fallbacks; once none of the URI's entries
+    /// that the oldest batches go, and the views only they could have
+    /// caught up are evicted as fallbacks; once none of the URI's views
     /// is left, the journal goes too. An overflowed batch describes too
     /// little to replay: the URI takes the hard fallback.
     pub fn journal(&self, uri: &str, gen: u64, delta: DocDelta, live: usize) {
@@ -523,91 +503,71 @@ impl ExecCache {
         }
         let base = j.cap(live);
         let _epoch = self.begin_maintenance();
-        let keep = |k: &ViewKey, g: u64| k.uri != uri || g >= base;
-        let dropped: usize = self.maps().iter().map(|m| m.retain(&keep)).sum();
+        let dropped = self.views.retain(|k, s| k.uri != uri || s.gen >= base);
         self.fallback_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
-        if self.maps().iter().all(|m| m.oldest(uri).is_none()) {
+        if self.oldest(uri).is_none() {
             journals.remove(uri);
         }
     }
 
-    /// Brings `key`'s cached entries to the document's generation `gen`
-    /// by replaying the URI's journal since each entry's stamp; `td` is
-    /// the document at `gen`. Afterwards every entry of `key` is stamped
-    /// `gen` or gone. The guide-shaped entries survive only if no batch
-    /// since the oldest stale entry can change the view's expansion; the
-    /// index is spliced once over the merged touches of its batches.
+    /// Brings `key`'s cached view to the document's generation `gen` by
+    /// replaying the URI's journal since the view's stamp; `td` is the
+    /// document at `gen`. Afterwards the entry is stamped `gen` or gone,
+    /// whole: it survives only if no batch since its stamp can change the
+    /// view's expansion and its index takes the splice of the batches'
+    /// merged touches. The expansion, level map and prefix tables are
+    /// pure functions of the guide, so that verdict alone keeps them.
     ///
     /// A caught-up view costs one shard lookup. Otherwise the catch-up
     /// runs under the journal lock, so a racing lookup of the same view
-    /// waits, then finds it caught up: each stale entry is replayed once,
+    /// waits, then finds it caught up: a stale entry is replayed once,
     /// and none is rebuilt because another lookup is replaying it.
-    /// Afterwards the journal is trimmed to the oldest entry the URI
+    /// Afterwards the journal is trimmed to the oldest view the URI
     /// still caches. A lookup that finds the view uncached opens the
-    /// URI's journal, so the batches after the entries it is about to
+    /// URI's journal, so the batches after the entry it is about to
     /// store can be replayed.
     pub fn catch_up(&self, key: &ViewKey, gen: u64, td: &TypedDocument) -> CatchUp {
-        if self.expansions.peek(key, |s| s.gen) == Some(gen) {
+        let stamp = || self.views.peek(key, |s| s.gen);
+        if stamp() == Some(gen) {
             return CatchUp::default();
         }
         let mut journals = self.journals();
-        if !journals.contains_key(&key.uri) {
-            journals.insert(key.uri.clone(), Journal::default());
-        }
-        let stamps = self.maps().map(|m| m.stamp(key));
-        let Some(oldest) = stamps.iter().flatten().copied().filter(|&g| g != gen).min() else {
+        let journal = journals.entry(key.uri.clone()).or_default();
+        let Some(from) = stamp().filter(|&g| g != gen) else {
             return CatchUp::default();
         };
         let _epoch = self.begin_maintenance();
-        let drop_stale = || self.maps().iter().map(|m| m.remove_stale(key, gen)).sum();
-        let mut out = CatchUp::default();
-        // The verdict is asked of the oldest stale expansion, so it covers
-        // every batch a stale entry of this view missed.
-        let journal = journals.get(&key.uri).filter(|j| j.reaches(oldest));
-        let vdg = journal.and_then(|j| {
-            self.expansions.peek(key, |e| {
-                let ok = e.gen == oldest
-                    && j.new_types_since(oldest)
-                        .all(|types| e.value.unaffected_by(types, td.guide()));
-                ok.then(|| Arc::clone(&e.value))
+        let verdict = journal.reaches(from).then(|| {
+            self.views.update(key, |s| {
+                let view = &mut s.value;
+                if !journal
+                    .new_types_since(from)
+                    .all(|types| view.vdg.unaffected_by(types, td.guide()))
+                {
+                    return Maintained::MustRecompute;
+                }
+                // Copy-on-write: in place while the cache holds the only
+                // reference, on a copy while a caller still holds the `Arc`.
+                let touched = journal.touched_since(from);
+                let verdict = Arc::make_mut(&mut view.index).maintain(&touched, td, &view.vdg);
+                if verdict != Maintained::MustRecompute {
+                    (s.gen, s.maintained) = (gen, true);
+                }
+                verdict
             })
         });
-        match (journal, vdg.flatten()) {
+        let drop_stale = || u64::from(self.views.remove_if(key, |s| s.gen != gen));
+        let mut out = CatchUp::default();
+        match verdict.flatten() {
             // Trimmed (or never kept): no batch list reaches back far enough.
-            (None, _) => out.fallback_evictions = drop_stale(),
-            // A batch can change the expansion, or the expansion is not
-            // there to ask (fallen out of the LRU, or fresher than the
-            // entries it would vouch for).
-            (Some(_), None) => out.recomputed = drop_stale(),
-            (Some(journal), Some(vdg)) => {
-                out.maintained = self.levels.restamp(key, gen) + self.tables.restamp(key, gen);
-                if let Some(from) = stamps[2].filter(|&g| g != gen) {
-                    // Copy-on-write: in place while the cache holds the only
-                    // reference, on a copy while a caller still holds the `Arc`.
-                    let touched = journal.touched_since(from);
-                    let verdict = self.indexes.update(key, |s| {
-                        let verdict = Arc::make_mut(&mut s.value).maintain(&touched, td, &vdg);
-                        if verdict != Maintained::MustRecompute {
-                            (s.gen, s.maintained) = (gen, true);
-                        }
-                        verdict
-                    });
-                    match verdict {
-                        Some(Maintained::MustRecompute) => {
-                            out.recomputed += self.indexes.remove_stale(key, gen);
-                        }
-                        Some(_) => out.maintained += 1,
-                        None => {}
-                    }
-                }
-                out.maintained += self.expansions.restamp(key, gen);
-            }
+            None => out.fallback_evictions = drop_stale(),
+            // A batch can change the expansion, or the index refused the
+            // splice: the whole entry goes, no part of it is kept.
+            Some(Maintained::MustRecompute) => out.recomputed = drop_stale(),
+            Some(_) => out.maintained = 1,
         }
-        let live = self.maps().iter().filter_map(|m| m.oldest(&key.uri)).min();
-        if let Some(j) = journals.get_mut(&key.uri) {
-            j.trim_to(live.unwrap_or(gen));
-        }
+        journal.trim_to(self.oldest(&key.uri).unwrap_or(gen));
         self.maintained.fetch_add(out.maintained, Ordering::Relaxed);
         self.recomputed.fetch_add(out.recomputed, Ordering::Relaxed);
         self.fallback_evictions
@@ -615,16 +575,40 @@ impl ExecCache {
         out
     }
 
+    /// Looks `key` up after [`ExecCache::catch_up`] brought it to `gen`
+    /// or dropped it: an entry stamped `gen` is served, reporting whether
+    /// a catch-up or a fresh compile last produced it; anything else is
+    /// compiled by `compile` and stored.
+    pub fn get_or_compile<E>(
+        &self,
+        key: &ViewKey,
+        gen: u64,
+        compile: impl FnOnce() -> Result<CompiledView, E>,
+    ) -> Result<(CompiledView, CacheOutcome), E> {
+        if let Some(s) = self.views.get(key).filter(|s| s.gen == gen) {
+            let outcome = if s.maintained {
+                CacheOutcome::Maintained
+            } else {
+                CacheOutcome::Hit
+            };
+            return Ok((s.value, outcome));
+        }
+        let view = compile()?;
+        self.views
+            .insert(key.clone(), Stamped::fresh(gen, view.clone()));
+        Ok((view, CacheOutcome::Computed))
+    }
+
     /// Journaled batches and touched entries held for `uri`.
     pub fn journal_len(&self, uri: &str) -> (usize, usize) {
         self.journals().get(uri).map_or((0, 0), Journal::len)
     }
 
-    /// Counter snapshot across the four artifact maps, taken under a
-    /// stable maintenance epoch: if a catch-up or fallback invalidation
-    /// is in flight (epoch odd) or commits mid-read (epoch moved), the
-    /// read retries, so the returned stats never mix pre-catch-up entry
-    /// counts with post-catch-up maintenance totals.
+    /// Counter snapshot, taken under a stable maintenance epoch: if a
+    /// catch-up or fallback invalidation is in flight (epoch odd) or
+    /// commits mid-read (epoch moved), the read retries, so the returned
+    /// stats never mix pre-catch-up entry counts with post-catch-up
+    /// maintenance totals.
     pub fn stats(&self) -> CacheStats {
         loop {
             let before = self.epoch();
@@ -633,10 +617,7 @@ impl ExecCache {
                 continue;
             }
             let stats = CacheStats {
-                expansions: self.expansions.counters(),
-                levels: self.levels.counters(),
-                tables: self.tables.counters(),
-                indexes: self.indexes.counters(),
+                views: self.views.counters(),
                 maintained: self.maintained.load(Ordering::Relaxed),
                 recomputed: self.recomputed.load(Ordering::Relaxed),
                 fallback_evictions: self.fallback_evictions.load(Ordering::Relaxed),
@@ -645,57 +626,6 @@ impl ExecCache {
                 return stats;
             }
         }
-    }
-}
-
-/// What maintenance does to one artifact map, whatever its artifact.
-trait StampedMap {
-    /// The generation `key`'s entry is stamped with.
-    fn stamp(&self, key: &ViewKey) -> Option<u64>;
-    /// Restamps `key`'s entry as maintained for `gen` if it is stale;
-    /// 1 if it was.
-    fn restamp(&self, key: &ViewKey, gen: u64) -> u64;
-    /// Removes `key`'s entry, counting an invalidation, if it is not
-    /// stamped `gen`; 1 if it was.
-    fn remove_stale(&self, key: &ViewKey, gen: u64) -> u64;
-    /// Removes the entries whose key and generation fail `keep`.
-    fn retain(&self, keep: &dyn Fn(&ViewKey, u64) -> bool) -> usize;
-    /// The oldest generation an entry of `uri` is stamped with.
-    fn oldest(&self, uri: &str) -> Option<u64>;
-}
-
-impl<V: Clone> StampedMap for ShardedLru<ViewKey, Stamped<V>> {
-    fn stamp(&self, key: &ViewKey) -> Option<u64> {
-        self.peek(key, |s| s.gen)
-    }
-
-    fn restamp(&self, key: &ViewKey, gen: u64) -> u64 {
-        self.update(key, |s| {
-            let stale = s.gen != gen;
-            if stale {
-                (s.gen, s.maintained) = (gen, true);
-            }
-            u64::from(stale)
-        })
-        .unwrap_or(0)
-    }
-
-    fn remove_stale(&self, key: &ViewKey, gen: u64) -> u64 {
-        u64::from(self.remove_if(key, |s| s.gen != gen))
-    }
-
-    fn retain(&self, keep: &dyn Fn(&ViewKey, u64) -> bool) -> usize {
-        ShardedLru::retain(self, |k, s| keep(k, s.gen))
-    }
-
-    fn oldest(&self, uri: &str) -> Option<u64> {
-        let mut oldest: Option<u64> = None;
-        self.for_each(|k, s| {
-            if k.uri == uri {
-                oldest = Some(oldest.map_or(s.gen, |o| o.min(s.gen)));
-            }
-        });
-        oldest
     }
 }
 
@@ -759,18 +689,64 @@ mod tests {
         let cache = ExecCache::new(16);
         let a = ViewKey::new("a.xml", "title { author }");
         let b = ViewKey::new("b.xml", "title { author }");
-        let g = Arc::new(LevelMap::build(
-            &VDataGuide::compile("data { ** }", &test_guide()).unwrap(),
-            &test_guide(),
-        ));
-        cache.levels.insert(a.clone(), Stamped::fresh(0, g.clone()));
-        cache.levels.insert(b.clone(), Stamped::fresh(0, g));
+        let v = compile(&figure2(), "data { ** }");
+        cache.views.insert(a.clone(), Stamped::fresh(0, v.clone()));
+        cache.views.insert(b.clone(), Stamped::fresh(0, v));
         assert_eq!(cache.invalidate_uri("a.xml"), 1);
-        assert_eq!(cache.levels.len(), 1);
-        assert!(cache.levels.get(&a).is_none());
-        assert!(cache.levels.get(&b).is_some());
-        assert_eq!(cache.stats().levels.invalidations, 1);
+        assert_eq!(cache.views.len(), 1);
+        assert!(cache.views.get(&a).is_none());
+        assert!(cache.views.get(&b).is_some());
+        assert_eq!(cache.stats().views.invalidations, 1);
         assert_eq!(cache.stats().total_invalidations(), 1);
+    }
+
+    #[test]
+    fn evicted_views_rebuild_whole_on_their_next_open() {
+        // Capacity 8 over 8 shards: one view per shard. Two keys of one
+        // shard evict each other.
+        let td = figure2();
+        let cache = ExecCache::new(8);
+        let shard = |k: &ViewKey| {
+            let mut h = std::hash::DefaultHasher::new();
+            k.hash(&mut h);
+            (h.finish() as usize) % SHARDS
+        };
+        let keys: Vec<ViewKey> = (0..)
+            .map(|i| ViewKey::new(format!("d{i}.xml"), "title { author { name } }"))
+            .filter(|k| shard(k) == 0)
+            .take(2)
+            .collect();
+        let compiles = AtomicU64::new(0);
+        let open = |key: &ViewKey| {
+            cache.catch_up(key, 0, &td);
+            let compiled = cache.get_or_compile(key, 0, || {
+                compiles.fetch_add(1, Ordering::Relaxed);
+                Ok::<_, crate::VdgError>(compile(&td, &key.spec))
+            });
+            compiled.unwrap_or_else(|e| unreachable!("{e}"))
+        };
+        let (first, outcome) = open(&keys[0]);
+        assert_eq!(outcome, CacheOutcome::Computed);
+        assert_eq!(open(&keys[0]).1, CacheOutcome::Hit);
+        open(&keys[1]);
+        assert_eq!(cache.stats().views.evictions, 1, "the older view went");
+        let before = cache.stats().views;
+        let compiled = compiles.load(Ordering::Relaxed);
+        let (again, outcome) = open(&keys[0]);
+        let after = cache.stats().views;
+        assert_eq!(outcome, CacheOutcome::Computed);
+        assert_eq!(
+            (after.misses - before.misses, after.hits - before.hits),
+            (1, 0),
+            "one miss, no partial hit"
+        );
+        assert_eq!(compiles.load(Ordering::Relaxed), compiled + 1);
+        // Every part was rebuilt: none is shared with the evicted entry.
+        assert!(!Arc::ptr_eq(&first.vdg, &again.vdg));
+        assert!(!Arc::ptr_eq(&first.levels, &again.levels));
+        assert!(!Arc::ptr_eq(&first.tables, &again.tables));
+        assert!(!Arc::ptr_eq(&first.index, &again.index));
+        assert_eq!(*first.index, *again.index);
     }
 
     #[test]
@@ -814,12 +790,12 @@ mod tests {
         assert_eq!(cache.epoch(), 0);
         cache.fallback_invalidate_uri("a.xml");
         assert_eq!(cache.epoch(), 2, "fallback left the epoch open or nested");
-        let td = TypedDocument::analyze(vh_xml::builder::paper_figure2());
-        let vdg = Arc::new(VDataGuide::compile("data { ** }", td.guide()).unwrap());
+        let td = figure2();
         let key = ViewKey::new("a.xml", "data { ** }");
         // A lookup of an uncached view opens the journal, then stores.
         cache.catch_up(&key, 1, &td);
-        cache.expansions.insert(key.clone(), Stamped::fresh(1, vdg));
+        let view = compile(&td, &key.spec);
+        cache.views.insert(key.clone(), Stamped::fresh(1, view));
         // A fresh entry is served without a section.
         cache.catch_up(&key, 1, &td);
         assert_eq!(cache.epoch(), 2, "a lookup opened a section");
@@ -842,7 +818,7 @@ mod tests {
             "the size cap must open exactly one section"
         );
         assert_eq!(cache.journal_len("a.xml"), (0, 0), "the cap trims");
-        assert!(cache.expansions.is_empty(), "stranded entry evicted");
+        assert!(cache.views.is_empty(), "stranded entry evicted");
         assert_eq!(cache.stats().fallback_evictions, 1);
     }
 
@@ -858,8 +834,12 @@ mod tests {
         assert_eq!(c.hit_ratio(), Some(0.75));
     }
 
-    fn test_guide() -> vh_dataguide::DataGuide {
-        let (g, _) = vh_dataguide::DataGuide::from_document(&vh_xml::builder::paper_figure2());
-        g
+    fn figure2() -> TypedDocument {
+        TypedDocument::analyze(vh_xml::builder::paper_figure2())
+    }
+
+    fn compile(td: &TypedDocument, spec: &str) -> CompiledView {
+        CompiledView::compile(td, spec, &mut vh_obs::TraceBuilder::disabled())
+            .unwrap_or_else(|e| unreachable!("{e}"))
     }
 }

@@ -16,14 +16,14 @@
 use std::cmp::Ordering;
 
 /// How a query (or bench) run executes: degree of parallelism and whether
-/// per-view artifacts (vDataGuide expansions, level maps, prefix tables)
-/// are served from the [`crate::cache::ExecCache`].
+/// compiled views (vDataGuide expansion, level map, prefix tables, type
+/// index) are served from the [`crate::cache::ExecCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Worker threads for partitionable stages. `1` = sequential (the
     /// default); `0` = use all hardware threads.
     pub threads: usize,
-    /// Whether compiled-view artifacts are cached across queries.
+    /// Whether compiled views are cached across queries.
     pub cache: bool,
     /// Minimum input length before a stage is split across threads;
     /// smaller inputs run sequentially (thread spawn costs more than the

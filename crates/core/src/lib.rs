@@ -30,9 +30,9 @@
 //!   predicates.
 //! * [`exec`] — [`ExecOptions`] and the deterministic partition/merge
 //!   primitives behind parallel scans, filters and sorts.
-//! * [`cache`] — sharded LRU for per-view compiled artifacts (vDataGuide
-//!   expansions, level-array maps, prefix tables, per-type node indexes)
-//!   with hit/miss counters.
+//! * [`cache`] — sharded LRU of compiled views (vDataGuide expansion,
+//!   level-array map, prefix tables and per-type node index, cached as
+//!   one entry) with hit/miss counters.
 
 pub mod axes;
 pub mod cache;
@@ -51,7 +51,7 @@ pub use cache::{CacheStats, ExecCache};
 pub use exec::ExecOptions;
 pub use levels::LevelArray;
 pub use vdg::{VDataGuide, VdgError, VdgSpec};
-pub use vdoc::{TypeIndex, VirtualDocument};
+pub use vdoc::{CompiledView, TypeIndex, VirtualDocument};
 pub use vpbn::VPbn;
 
 #[cfg(test)]

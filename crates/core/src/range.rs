@@ -123,7 +123,7 @@ fn scan_range(x: &VPbnRef<'_>, m: usize, exact: bool) -> ScanRange {
 /// contiguous-prefix length `m` and the exactness flag can be computed
 /// once per type pair and the per-node work drops to slicing the context
 /// number — this is the "decoded vPBN comparisons' per-type prefix table"
-/// artifact served by [`crate::cache::ExecCache`].
+/// part of every [`crate::vdoc::CompiledView`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrefixTables {
     /// Number of virtual types (the table is `n × n`).

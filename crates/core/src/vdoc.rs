@@ -2,8 +2,9 @@
 //! transformed, without moving a single node.
 //!
 //! This is the runtime counterpart of the `virtualDoc` function the paper
-//! adds to XQuery: it bundles the original [`TypedDocument`], the compiled
-//! [`VDataGuide`], the level-array map (Algorithm 1), and per-virtual-type
+//! adds to XQuery: it pairs the original [`TypedDocument`] with a
+//! [`CompiledView`] — the compiled [`VDataGuide`], the level-array map
+//! (Algorithm 1), the scan-range prefix tables, and per-virtual-type
 //! indexes (nodes of each virtual type, sorted by PBN number — the stand-in
 //! for the DBMS type index of §4.3). All navigation is implemented with the
 //! virtual predicates of [`crate::axes`], narrowed by the scan ranges of
@@ -14,20 +15,20 @@ use crate::cache::Maintained;
 use crate::exec::{self, ExecOptions};
 use crate::levels::{LevelArray, LevelMap};
 use crate::order::{v_cmp, OrderColumn};
-use crate::range::{related_prefix, PrefixTables};
+use crate::range::PrefixTables;
 use crate::vdg::{VDataGuide, VTypeId, VdgError};
 use crate::vpbn::VPbnRef;
 use std::sync::{Arc, OnceLock};
 use vh_dataguide::{Touch, Touched, TypedDocument};
-use vh_obs::{AxisCounters, RangeChoice};
+use vh_obs::{AxisCounters, RangeChoice, TraceBuilder};
 use vh_pbn::keys;
 use vh_xml::NodeId;
 
 /// The per-virtual-type node index of one view: for each virtual type,
 /// every node of that type in PBN (document) order — the stand-in for the
 /// per-type index of a PBN-based DBMS (§4.3). A pure function of
-/// `(document, vDataGuide)`, so engines cache it per view alongside the
-/// other compiled artifacts instead of re-walking the document on every
+/// `(document, vDataGuide)` and part of every [`CompiledView`], so engines
+/// cache it with the view instead of re-walking the document on every
 /// query.
 ///
 /// The index also carries the view's [`OrderColumn`], built lazily by the
@@ -190,20 +191,64 @@ enum Step {
     Close(usize),
 }
 
+/// One compiled view of a document: the vDataGuide expansion, its
+/// Algorithm-1 level map, the scan-range [`PrefixTables`] and the
+/// per-type [`TypeIndex`], each behind an `Arc`. It is the unit the
+/// engine cache stores, stamps, catches up and evicts whole, and every
+/// [`VirtualDocument`] opened from it shares its parts, so a warm open
+/// clones four pointers.
+#[derive(Clone, Debug)]
+pub struct CompiledView {
+    pub(crate) vdg: Arc<VDataGuide>,
+    pub(crate) levels: Arc<LevelMap>,
+    pub(crate) tables: Arc<PrefixTables>,
+    pub(crate) index: Arc<TypeIndex>,
+}
+
+impl CompiledView {
+    /// Compiles `spec` against the document's DataGuide and builds the
+    /// rest of the view, each part under its own span of `trace` (a
+    /// disabled builder records nothing).
+    pub fn compile(
+        td: &TypedDocument,
+        spec: &str,
+        trace: &mut TraceBuilder,
+    ) -> Result<Self, VdgError> {
+        trace.begin("guide-expansion");
+        let vdg = VDataGuide::compile(spec, td.guide())?;
+        trace.end();
+        trace.begin("level-map");
+        let levels = LevelMap::build(&vdg, td.guide());
+        trace.end();
+        trace.begin("prefix-tables");
+        let tables = PrefixTables::build(&vdg, &levels, td.guide());
+        trace.end();
+        trace.begin("type-index");
+        let index = TypeIndex::build(td, &vdg);
+        trace.end();
+        Ok(CompiledView {
+            vdg: Arc::new(vdg),
+            levels: Arc::new(levels),
+            tables: Arc::new(tables),
+            index: Arc::new(index),
+        })
+    }
+
+    /// The per-type node index.
+    pub fn type_index(&self) -> &Arc<TypeIndex> {
+        &self.index
+    }
+}
+
 /// A virtual view of a typed document under a vDataGuide.
 #[derive(Clone, Debug)]
 pub struct VirtualDocument<'a> {
     td: &'a TypedDocument,
-    vdg: VDataGuide,
-    levels: LevelMap,
-    /// Per-type node lists, shared with the engine cache when the view was
+    /// The compiled parts, shared with the engine cache when the view was
     /// opened through one.
-    index: Arc<TypeIndex>,
+    view: CompiledView,
     /// How axis filters and sorts over this view execute.
     exec: ExecOptions,
-    /// Precomputed scan-range prefixes; when absent, prefixes are derived
-    /// per lookup with [`related_prefix`].
-    tables: Option<Arc<PrefixTables>>,
     /// Axis-scan observability sink for traced queries. `None` (the
     /// default) keeps the hot path a single pointer test per scan.
     obs: Option<Arc<AxisCounters>>,
@@ -213,41 +258,17 @@ impl<'a> VirtualDocument<'a> {
     /// Compiles `spec` against the document's DataGuide and builds the
     /// virtual view. This is `virtualDoc(uri, spec)` minus the URI lookup.
     pub fn open(td: &'a TypedDocument, spec: &str) -> Result<Self, VdgError> {
-        let vdg = VDataGuide::compile(spec, td.guide())?;
-        Ok(Self::with_vdg(td, vdg))
+        let view = CompiledView::compile(td, spec, &mut TraceBuilder::disabled())?;
+        Ok(Self::new(td, view))
     }
 
-    /// Builds the virtual view from an already-expanded vDataGuide.
-    pub fn with_vdg(td: &'a TypedDocument, vdg: VDataGuide) -> Self {
-        let levels = LevelMap::build(&vdg, td.guide());
-        Self::with_parts(td, vdg, levels)
-    }
-
-    /// Builds the virtual view from pre-compiled parts (used by engines
-    /// that cache `(vDataGuide, level map)` pairs across queries), building
-    /// the type index fresh.
-    pub fn with_parts(td: &'a TypedDocument, vdg: VDataGuide, levels: LevelMap) -> Self {
-        let index = Arc::new(TypeIndex::build(td, &vdg));
-        Self::with_cached_parts(td, vdg, levels, index)
-    }
-
-    /// Builds the virtual view from pre-compiled parts *including* a
-    /// cached [`TypeIndex`] — the fully warm open path, which touches no
-    /// per-node state at all.
-    pub fn with_cached_parts(
-        td: &'a TypedDocument,
-        vdg: VDataGuide,
-        levels: LevelMap,
-        index: Arc<TypeIndex>,
-    ) -> Self {
-        debug_assert_eq!(index.len(), vdg.len(), "index matches this view");
+    /// Opens a view of `td` from its compiled parts (which engines cache
+    /// across queries); touches no per-node state.
+    pub fn new(td: &'a TypedDocument, view: CompiledView) -> Self {
         VirtualDocument {
             td,
-            vdg,
-            levels,
-            index,
+            view,
             exec: ExecOptions::default(),
-            tables: None,
             obs: None,
         }
     }
@@ -264,24 +285,9 @@ impl<'a> VirtualDocument<'a> {
         self.exec
     }
 
-    /// Installs precomputed scan-range prefix tables (usually served by
-    /// [`crate::cache::ExecCache`]); navigation then skips the per-lookup
-    /// level-array comparison of [`crate::range::related_prefix`].
-    pub fn set_prefix_tables(&mut self, tables: Arc<PrefixTables>) {
-        debug_assert_eq!(tables.len(), self.vdg.len(), "tables match this view");
-        self.tables = Some(tables);
-    }
-
-    /// The installed scan-range prefix tables, if any.
-    pub fn prefix_tables(&self) -> Option<&Arc<PrefixTables>> {
-        self.tables.as_ref()
-    }
-
-    /// Builds and installs the prefix tables for this view directly (for
-    /// callers without an engine cache).
-    pub fn build_prefix_tables(&mut self) {
-        let t = PrefixTables::build(&self.vdg, &self.levels, self.td.guide());
-        self.tables = Some(Arc::new(t));
+    /// The view's precomputed scan-range prefix tables.
+    pub fn prefix_tables(&self) -> &PrefixTables {
+        &self.view.tables
     }
 
     /// Attaches an axis-scan counter sink: every subsequent
@@ -301,20 +307,20 @@ impl<'a> VirtualDocument<'a> {
     /// The compiled vDataGuide.
     #[inline]
     pub fn vdg(&self) -> &VDataGuide {
-        &self.vdg
+        &self.view.vdg
     }
 
     /// The level-array map.
     #[inline]
     pub fn levels(&self) -> &LevelMap {
-        &self.levels
+        &self.view.levels
     }
 
     /// The virtual type of a node, or `None` if the node is not part of
     /// the virtual hierarchy.
     #[inline]
     pub fn vtype_of(&self, id: NodeId) -> Option<VTypeId> {
-        self.vdg.vtype_of(self.td.type_of(id))
+        self.view.vdg.vtype_of(self.td.type_of(id))
     }
 
     /// The vPBN number of a node (physical number + type level array).
@@ -324,7 +330,7 @@ impl<'a> VirtualDocument<'a> {
         let vt = self.vtype_of(id)?;
         Some(VPbnRef::from_slices(
             self.td.pbn().key_of(id),
-            self.levels.levels_of(vt),
+            self.view.levels.levels_of(vt),
             vt,
         ))
     }
@@ -342,34 +348,35 @@ impl<'a> VirtualDocument<'a> {
     /// column (borrow via [`Self::levels`] + `levels_of` on hot paths).
     #[inline]
     pub fn array(&self, vt: VTypeId) -> LevelArray {
-        self.levels.array(vt)
+        self.view.levels.array(vt)
     }
 
     /// The per-type node index of this view.
     #[inline]
     pub fn type_index(&self) -> &Arc<TypeIndex> {
-        &self.index
+        &self.view.index
     }
 
     /// All nodes of a virtual type, in PBN (original document) order.
     #[inline]
     pub fn nodes_of_vtype(&self, vt: VTypeId) -> &[NodeId] {
-        self.index.nodes(vt)
+        self.view.index.nodes(vt)
     }
 
     /// Total number of nodes visible in the virtual hierarchy.
     pub fn visible_nodes(&self) -> usize {
-        self.index.total_nodes()
+        self.view.index.total_nodes()
     }
 
     /// The virtual roots: instances of the root virtual types, in virtual
     /// document order.
     pub fn roots(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
+            .view
             .vdg
             .roots()
             .iter()
-            .flat_map(|&rt| self.index.nodes(rt).iter().copied())
+            .flat_map(|&rt| self.view.index.nodes(rt).iter().copied())
             .collect();
         self.sort_virtual(&mut out);
         out
@@ -398,7 +405,7 @@ impl<'a> VirtualDocument<'a> {
             // only children of several types need the `v_cmp` sort.
             let mut types = 0;
             if let Some(xt) = self.vtype_of(x) {
-                for &ct in self.vdg.children(xt).iter().filter(|&&ct| keep(ct)) {
+                for &ct in self.view.vdg.children(xt).iter().filter(|&&ct| keep(ct)) {
                     let len = out.len();
                     self.collect_related(xs, xt, ct, &mut out, axes::v_child, |_| {});
                     types += usize::from(out.len() > len);
@@ -419,7 +426,7 @@ impl<'a> VirtualDocument<'a> {
             let Some(xt) = self.vtype_of(x) else {
                 continue;
             };
-            for &ct in self.vdg.children(xt) {
+            for &ct in self.view.vdg.children(xt) {
                 if keep(ct) {
                     work.push((xt, ct, arena.slot_of(x), x));
                 }
@@ -445,7 +452,7 @@ impl<'a> VirtualDocument<'a> {
         // multiple parents) — return the first in document order.
         self.parents(x)
             .into_iter()
-            .min_by(|&a, &b| v_cmp(&self.vdg, &self.vpbn_visible(a), &self.vpbn_visible(b)))
+            .min_by(|&a, &b| v_cmp(&self.view.vdg, &self.vpbn_visible(a), &self.vpbn_visible(b)))
     }
 
     /// Every virtual parent of `x`: each node that places it.
@@ -454,7 +461,7 @@ impl<'a> VirtualDocument<'a> {
         let Some(xt) = self.vtype_of(x) else {
             return out;
         };
-        if let Some(pt) = self.vdg.guide().ty(xt).parent() {
+        if let Some(pt) = self.view.vdg.guide().ty(xt).parent() {
             let xs = std::slice::from_ref(&x);
             self.collect_related(xs, xt, pt, &mut out, axes::v_parent, |_| {});
         }
@@ -482,10 +489,10 @@ impl<'a> VirtualDocument<'a> {
         let Some(xv) = self.vpbn_of(x) else {
             return Vec::new();
         };
-        let ta = self.levels.levels_of(vt);
-        let mut out = exec::par_filter(&self.exec, self.index.nodes(vt), |&cand| {
+        let ta = self.view.levels.levels_of(vt);
+        let mut out = exec::par_filter(&self.exec, self.view.index.nodes(vt), |&cand| {
             let cv = VPbnRef::from_slices(self.td.pbn().key_of(cand), ta, vt);
-            axes::v_descendant(&self.vdg, &cv, &xv)
+            axes::v_descendant(&self.view.vdg, &cv, &xv)
         });
         self.sort_virtual(&mut out);
         out
@@ -498,8 +505,8 @@ impl<'a> VirtualDocument<'a> {
         };
         let mut out = Vec::new();
         let xs = std::slice::from_ref(&x);
-        for vt in (0..self.vdg.len()).map(VTypeId::from_index) {
-            if vh_dataguide::axes::descendant(self.vdg.guide(), vt, xt) {
+        for vt in (0..self.view.vdg.len()).map(VTypeId::from_index) {
+            if vh_dataguide::axes::descendant(self.view.vdg.guide(), vt, xt) {
                 self.collect_related(xs, xt, vt, &mut out, axes::v_descendant, |_| {});
             }
         }
@@ -534,7 +541,7 @@ impl<'a> VirtualDocument<'a> {
         F: Fn(&VDataGuide, &VPbnRef<'_>, &VPbnRef<'_>) -> bool,
     {
         match (self.vpbn_of(x), self.vpbn_of(y)) {
-            (Some(xv), Some(yv)) => pred(&self.vdg, &xv, &yv),
+            (Some(xv), Some(yv)) => pred(&self.view.vdg, &xv, &yv),
             _ => false,
         }
     }
@@ -557,7 +564,7 @@ impl<'a> VirtualDocument<'a> {
     /// generation and cached with the index, so later joins reuse it and
     /// opening a view never builds it.
     pub fn order_column(&self) -> &OrderColumn {
-        self.index.order.get_or_init(|| {
+        self.view.index.order.get_or_init(|| {
             let walk = self.placement_walk();
             Arc::new(OrderColumn::from_walk(
                 self.td.doc().len(),
@@ -582,11 +589,11 @@ impl<'a> VirtualDocument<'a> {
     /// same input and sort [`Self::children`] would give it.
     // oracle: placement_walk_per_node
     fn placement_walk(&self) -> Vec<(NodeId, u32)> {
-        let guide = self.vdg.guide();
+        let guide = self.view.vdg.guide();
         // Each visible node's position in its type's list.
         let mut pos = vec![0u32; self.td.doc().len()];
         for vt in guide.type_ids() {
-            for (i, &id) in self.index.nodes(vt).iter().enumerate() {
+            for (i, &id) in self.view.index.nodes(vt).iter().enumerate() {
                 pos[id.index()] = i as u32;
             }
         }
@@ -595,8 +602,9 @@ impl<'a> VirtualDocument<'a> {
         let edges: Vec<Vec<(Vec<NodeId>, Vec<u32>)>> = guide
             .type_ids()
             .map(|pt| {
-                let parents = self.index.nodes(pt);
-                self.vdg
+                let parents = self.view.index.nodes(pt);
+                self.view
+                    .vdg
                     .children(pt)
                     .iter()
                     .map(|&ct| {
@@ -654,12 +662,13 @@ impl<'a> VirtualDocument<'a> {
     /// context's key, so the candidates form one contiguous slice of the
     /// PBN-sorted index — no numbers are decoded and no bound numbers
     /// allocated (`memcmp` is document order, `starts_with` is the prefix
-    /// test). The first context finds its slice by two binary searches.
-    /// `m` depends only on the `(xt, vt)` pair, and truncating sorted keys
-    /// to their first `m` components keeps them sorted, so each later
-    /// context's slice starts no earlier than the previous one's: both of
-    /// its bounds are found by galloping forward from there, which makes a
-    /// whole sorted context set one forward pass over the index.
+    /// test). `m` depends only on the `(xt, vt)` pair, so it is one
+    /// lookup in the view's [`PrefixTables`]. The first context finds its
+    /// slice by two binary searches. Truncating sorted keys to their first
+    /// `m` components keeps them sorted, so each later context's slice
+    /// starts no earlier than the previous one's: both of its bounds are
+    /// found by galloping forward from there, which makes a whole sorted
+    /// context set one forward pass over the index.
     ///
     /// When the prefix subsumes every compatibility constraint (`exact`),
     /// the §5 predicate is a *constant* over the slice: every in-range
@@ -682,18 +691,15 @@ impl<'a> VirtualDocument<'a> {
         F: Fn(&VDataGuide, &VPbnRef<'_>, &VPbnRef<'_>) -> bool + Sync,
     {
         let pbn = self.td.pbn();
-        let xa = self.levels.levels_of(xt);
-        let ta = self.levels.levels_of(vt);
-        let list = self.index.nodes(vt);
+        let xa = self.view.levels.levels_of(xt);
+        let ta = self.view.levels.levels_of(vt);
+        let list = self.view.index.nodes(vt);
+        let (m, exact) = self.view.tables.prefix(xt, vt);
         // Start of the previous context's slice: where the next gallops from.
         let mut from: Option<usize> = None;
         for &x in xs {
             let xkey = pbn.key_of(x);
             let xv = VPbnRef::from_slices(xkey, xa, xt);
-            let (m, exact) = match &self.tables {
-                Some(t) => t.prefix(xt, vt),
-                None => related_prefix(&xv, ta),
-            };
             let prefix = &xkey[..keys::component_boundary(xkey, m)];
             let (start, end) = self.index_range(list, from, prefix);
             debug_assert!(
@@ -708,14 +714,14 @@ impl<'a> VirtualDocument<'a> {
             if exact {
                 if let Some(&first) = candidates.first() {
                     let cv = VPbnRef::from_slices(pbn.key_of(first), ta, vt);
-                    if pred(&self.vdg, &cv, &xv) {
+                    if pred(&self.view.vdg, &cv, &xv) {
                         out.extend_from_slice(candidates);
                     }
                 }
             } else {
                 out.extend(exec::par_filter(&self.exec, candidates, |&cand| {
                     let cv = VPbnRef::from_slices(pbn.key_of(cand), ta, vt);
-                    pred(&self.vdg, &cv, &xv)
+                    pred(&self.view.vdg, &cv, &xv)
                 }));
             }
             ended(out.len());
@@ -748,8 +754,8 @@ impl<'a> VirtualDocument<'a> {
         if obs.wants_range() {
             let (arena_start, arena_end) = self.td.pbn().arena().slot_window(prefix);
             obs.push_range(RangeChoice {
-                context: self.vdg.guide().path_string(ctx),
-                target: self.vdg.guide().path_string(vt),
+                context: self.view.vdg.guide().path_string(ctx),
+                target: self.view.vdg.guide().path_string(vt),
                 pinned: pinned as u32,
                 exact,
                 index_start: start as u64,
@@ -792,7 +798,7 @@ impl<'a> VirtualDocument<'a> {
     /// the sequential order exactly.
     fn sort_virtual(&self, ids: &mut [NodeId]) {
         exec::par_sort_by(&self.exec, ids, |&a, &b| {
-            v_cmp(&self.vdg, &self.vpbn_visible(a), &self.vpbn_visible(b))
+            v_cmp(&self.view.vdg, &self.vpbn_visible(a), &self.vpbn_visible(b))
         });
     }
 }
@@ -974,6 +980,19 @@ mod tests {
         let td = sam();
         for spec in ["title { author { name } }", "title { name { author } }"] {
             let base = VirtualDocument::open(&td, spec).unwrap();
+            // Every table cell the scans read equals the per-context
+            // computation it replaces, `related_prefix`.
+            for x in base.preorder() {
+                let (xv, xt) = (base.vpbn_of(x).unwrap(), base.vtype_of(x).unwrap());
+                for vt in base.vdg().guide().type_ids() {
+                    assert_eq!(
+                        base.prefix_tables().prefix(xt, vt),
+                        crate::range::related_prefix(&xv, base.levels().levels_of(vt)),
+                        "{spec}: {} -> {vt:?}",
+                        label(&td, x)
+                    );
+                }
+            }
             for threads in [2, 3, 8] {
                 let mut vd = VirtualDocument::open(&td, spec).unwrap();
                 vd.set_exec(ExecOptions {
@@ -981,7 +1000,6 @@ mod tests {
                     cache: true,
                     par_threshold: 1, // force parallel paths on this tiny doc
                 });
-                vd.build_prefix_tables();
                 assert_eq!(vd.exec().threads, threads);
                 assert_eq!(vd.roots(), base.roots(), "{spec} t={threads}");
                 assert_eq!(vd.preorder(), base.preorder(), "{spec} t={threads}");
@@ -1118,7 +1136,7 @@ mod tests {
                     let name = guide.name(vt).to_owned();
                     tests.push(Box::new(move |t| guide.name(t) == name));
                 }
-                for (threads, tables) in [(1, false), (1, true), (2, true), (8, false)] {
+                for threads in [1, 2, 8] {
                     let mut batched = VirtualDocument::open(td, spec).unwrap();
                     let mut single = VirtualDocument::open(td, spec).unwrap();
                     for vd in [&mut batched, &mut single] {
@@ -1127,9 +1145,6 @@ mod tests {
                             cache: true,
                             par_threshold: 1,
                         });
-                        if tables {
-                            vd.build_prefix_tables();
-                        }
                     }
                     let (bo, so) = (Arc::new(AxisCounters::new()), Arc::new(AxisCounters::new()));
                     batched.set_obs(Arc::clone(&bo));
@@ -1140,7 +1155,7 @@ mod tests {
                             assert_eq!(
                                 got,
                                 children_of_set_oracle(&base, xs, keep),
-                                "{spec} threads={threads} tables={tables}"
+                                "{spec} threads={threads}"
                             );
                             // One-context calls take the binary-search
                             // path; the galloping pass must scan exactly

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// EXPLAIN a human reads, and a bound on allocation for huge queries.
 pub const MAX_RANGE_RECORDS: usize = 64;
 
-/// How a compiled-view artifact was obtained for a query.
+/// How a compiled view was obtained for a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Served from the compiled-view cache shard.
@@ -42,22 +42,15 @@ impl CacheOutcome {
     }
 }
 
-/// Cache provenance of the four compiled-view artifacts of one
-/// `virtualDoc` origin.
+/// Cache provenance of the compiled view of one `virtualDoc` origin.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewProvenance {
     /// Document URI of the view.
     pub uri: String,
     /// vDataGuide specification text.
     pub spec: String,
-    /// How the compiled vDataGuide expansion was obtained.
-    pub expansion: CacheOutcome,
-    /// How the Algorithm-1 level map was obtained.
-    pub levels: CacheOutcome,
-    /// How the scan-range prefix tables were obtained.
-    pub tables: CacheOutcome,
-    /// How the per-type node index was obtained.
-    pub indexes: CacheOutcome,
+    /// How the compiled view was obtained.
+    pub cache: CacheOutcome,
 }
 
 /// One axis-range selection: the §5 byte-range chosen for a

@@ -5,10 +5,12 @@
 //! type map), then run FLWR queries whose sources name them through
 //! `doc("uri")` or `virtualDoc("uri", "vDataGuide")`. `virtualDoc` views
 //! are compiled on first use and served from the sharded
-//! [`ExecCache`] — vDataGuide expansions, Algorithm-1 level maps,
-//! scan-range prefix tables and per-type node indexes are each cached per
-//! `(uri, guide fingerprint, specification)` — so Algorithm 1 runs once
-//! per view, not once per query, and a warm open does no per-node work.
+//! [`ExecCache`], which keeps each `(uri, specification)` view as one
+//! entry — its vDataGuide expansion, Algorithm-1 level map, scan-range
+//! prefix tables and per-type node index, stamped with the document
+//! generation — so Algorithm 1 runs once per view, not once per query,
+//! and a warm open does no per-node work. An edit journals its batch;
+//! the next open of a view catches it up or recompiles it.
 //! The engine is `Sync`: reads ([`Engine::run`]) can run from many
 //! threads against one registry.
 //!
@@ -38,10 +40,8 @@ use crate::xpath::parse::parse_xpath;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use vh_core::cache::{CacheStats, CatchUp, ShardedLru, Stamped, ViewKey};
-use vh_core::levels::LevelMap;
-use vh_core::range::PrefixTables;
-use vh_core::{ExecCache, ExecOptions, TypeIndex, VDataGuide, VirtualDocument};
+use vh_core::cache::{CacheStats, CatchUp, ViewKey};
+use vh_core::{CompiledView, ExecCache, ExecOptions, VirtualDocument};
 use vh_dataguide::{resolve_path, TypedDocument};
 use vh_obs::{
     AxisCounters, CacheOutcome, PromWriter, QueryCounterCells, QueryCounters, QueryStats,
@@ -293,7 +293,7 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 1024;
 /// A registry of analyzed documents plus the query entry points.
 pub struct Engine {
     docs: HashMap<String, TypedDocument>,
-    /// Compiled-view artifacts shared across queries (and threads).
+    /// Compiled views shared across queries (and threads).
     cache: Arc<ExecCache>,
     /// Execution options stamped onto every view this engine opens.
     exec: ExecOptions,
@@ -999,8 +999,9 @@ impl Engine {
     }
 
     /// Opens the virtual view `spec` of `uri`, going through the
-    /// compiled-view cache when `exec` allows, recording one child span
-    /// per artifact and its cache provenance.
+    /// compiled-view cache when `exec` allows, and records its cache
+    /// provenance. A view compiled by this open (computed or bypassed)
+    /// carries one child span per build stage.
     fn open_view<'a>(
         &'a self,
         uri: &str,
@@ -1016,12 +1017,7 @@ impl Engine {
         trace.begin("view");
         trace.meta("uri", uri);
         trace.meta("spec", spec);
-        let mut prov = ViewProvenance {
-            uri: uri.to_owned(),
-            spec: spec.to_owned(),
-            ..ViewProvenance::default()
-        };
-        let mut vd = if exec.cache {
+        let (view, cache) = if exec.cache {
             let gen = self.gen_of(uri);
             let key = ViewKey::new(uri, spec);
             let caught = self.cache.catch_up(&key, gen, td);
@@ -1030,58 +1026,21 @@ impl Engine {
                 trace.count("cache.recomputed", caught.recomputed);
                 trace.count("cache.fallback_evictions", caught.fallback_evictions);
             }
-            trace.begin("guide-expansion");
-            let (vdg, outcome) = cached_artifact(&self.cache.expansions, &key, gen, || {
-                VDataGuide::compile(spec, td.guide()).map(Arc::new)
-            })?;
-            prov.expansion = outcome;
-            trace.meta("cache", prov.expansion.label());
-            trace.end();
-
-            trace.begin("level-map");
-            let (levels, outcome) = cached_artifact(&self.cache.levels, &key, gen, || {
-                Ok::<_, FlwrError>(Arc::new(LevelMap::build(&vdg, td.guide())))
-            })?;
-            prov.levels = outcome;
-            trace.meta("cache", prov.levels.label());
-            trace.end();
-
-            trace.begin("prefix-tables");
-            let (tables, outcome) = cached_artifact(&self.cache.tables, &key, gen, || {
-                Ok::<_, FlwrError>(Arc::new(PrefixTables::build(&vdg, &levels, td.guide())))
-            })?;
-            prov.tables = outcome;
-            trace.meta("cache", prov.tables.label());
-            trace.end();
-
-            trace.begin("type-index");
-            let (index, outcome) = cached_artifact(&self.cache.indexes, &key, gen, || {
-                Ok::<_, FlwrError>(Arc::new(TypeIndex::build(td, &vdg)))
-            })?;
-            prov.indexes = outcome;
-            trace.meta("cache", prov.indexes.label());
-            trace.end();
-
-            let mut vd =
-                VirtualDocument::with_cached_parts(td, (*vdg).clone(), (*levels).clone(), index);
-            vd.set_prefix_tables(tables);
-            vd
+            self.cache
+                .get_or_compile(&key, gen, || CompiledView::compile(td, spec, trace))?
         } else {
-            // Cache bypassed: every artifact is computed fresh
-            // (`ViewProvenance::default()` already says `Bypassed`).
-            trace.begin("guide-expansion");
-            trace.meta("cache", CacheOutcome::Bypassed.label());
-            let vdg = VDataGuide::compile(spec, td.guide())?;
-            trace.end();
-            trace.begin("level-map");
-            trace.meta("cache", CacheOutcome::Bypassed.label());
-            let levels = LevelMap::build(&vdg, td.guide());
-            trace.end();
-            VirtualDocument::with_parts(td, vdg, levels)
+            let view = CompiledView::compile(td, spec, trace)?;
+            (view, CacheOutcome::Bypassed)
         };
-        vd.set_exec(exec);
-        views.push(prov);
+        trace.meta("cache", cache.label());
+        views.push(ViewProvenance {
+            uri: uri.to_owned(),
+            spec: spec.to_owned(),
+            cache,
+        });
         trace.end(); // view
+        let mut vd = VirtualDocument::new(td, view);
+        vd.set_exec(exec);
         Ok(vd)
     }
 
@@ -1201,42 +1160,20 @@ impl Engine {
             "Delta-segment compactions (automatic and explicit).",
         );
         w.sample("vpbn_compactions_total", &[], snap.queries.compactions);
-        let artifacts = [
-            ("expansions", &snap.cache.expansions),
-            ("levels", &snap.cache.levels),
-            ("tables", &snap.cache.tables),
-            ("indexes", &snap.cache.indexes),
-        ];
-        // One family at a time: the exposition format wants every sample
-        // of a metric grouped directly under its HELP/TYPE lines.
         w.counter("vpbn_cache_hits_total", "Compiled-view cache hits.");
-        for (artifact, c) in artifacts {
-            w.sample("vpbn_cache_hits_total", &[("artifact", artifact)], c.hits);
-        }
+        w.sample("vpbn_cache_hits_total", &[], snap.cache.views.hits);
         w.counter("vpbn_cache_misses_total", "Compiled-view cache misses.");
-        for (artifact, c) in artifacts {
-            w.sample(
-                "vpbn_cache_misses_total",
-                &[("artifact", artifact)],
-                c.misses,
-            );
-        }
+        w.sample("vpbn_cache_misses_total", &[], snap.cache.views.misses);
         w.gauge("vpbn_cache_entries", "Live compiled-view cache entries.");
-        for (artifact, c) in artifacts {
-            w.sample(
-                "vpbn_cache_entries",
-                &[("artifact", artifact)],
-                c.entries as u64,
-            );
-        }
+        w.sample("vpbn_cache_entries", &[], snap.cache.views.entries as u64);
         w.counter(
             "vh_cache_maintained_total",
-            "Cached view artifacts kept alive across an edit batch by delta maintenance.",
+            "Cached views kept alive across edit batches by delta maintenance.",
         );
         w.sample("vh_cache_maintained_total", &[], snap.cache.maintained);
         w.counter(
             "vh_cache_recomputed_total",
-            "Cached view artifacts an edit delta invalidated for recompute.",
+            "Cached views an edit delta invalidated for recompute.",
         );
         w.sample("vh_cache_recomputed_total", &[], snap.cache.recomputed);
         w.counter(
@@ -1313,31 +1250,6 @@ fn flwr_origins(q: &FlwrQuery) -> Result<Vec<(String, Option<String>)>, FlwrErro
     Ok(origins)
 }
 
-/// Looks up one compiled-view artifact in its cache map, after
-/// [`vh_core::cache::ExecCache::catch_up`] brought the view's entries to
-/// `gen` or dropped them. A present entry is served only when its
-/// generation stamp matches `gen`, and reports whether delta maintenance
-/// (vs. a fresh compute) last produced it. Anything else computes via
-/// `build` and replaces the entry.
-fn cached_artifact<T, E>(
-    map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
-    key: &ViewKey,
-    gen: u64,
-    build: impl FnOnce() -> Result<Arc<T>, E>,
-) -> Result<(Arc<T>, CacheOutcome), E> {
-    if let Some(s) = map.get(key).filter(|s| s.gen == gen) {
-        let outcome = if s.maintained {
-            CacheOutcome::Maintained
-        } else {
-            CacheOutcome::Hit
-        };
-        return Ok((s.value, outcome));
-    }
-    let value = build()?;
-    map.insert(key.clone(), Stamped::fresh(gen, value.clone()));
-    Ok((value, CacheOutcome::Computed))
-}
-
 /// Nanoseconds since `t`, saturating into `u64`.
 fn elapsed_ns(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -1355,6 +1267,7 @@ pub fn query_document(doc: Document, query: &str) -> Result<Document, FlwrError>
 mod tests {
     use super::*;
     use crate::testutil::Must;
+    use vh_core::TypeIndex;
     use vh_xml::builder::paper_figure2;
 
     fn engine() -> Engine {
@@ -1402,7 +1315,7 @@ mod tests {
                 .unwrap_or_default())
         }
         fn cached_views(&self) -> usize {
-            self.snapshot().cache.expansions.entries
+            self.snapshot().cache.views.entries
         }
     }
 
@@ -1648,15 +1561,9 @@ mod tests {
     fn provenance_goes_computed_then_hit() {
         let e = engine();
         let cold = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        let v = &cold.stats.views[0];
-        assert_eq!(v.expansion, CacheOutcome::Computed);
-        assert_eq!(v.indexes, CacheOutcome::Computed);
+        assert_eq!(cold.stats.views[0].cache, CacheOutcome::Computed);
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        let v = &warm.stats.views[0];
-        assert_eq!(v.expansion, CacheOutcome::Hit);
-        assert_eq!(v.levels, CacheOutcome::Hit);
-        assert_eq!(v.tables, CacheOutcome::Hit);
-        assert_eq!(v.indexes, CacheOutcome::Hit);
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Hit);
     }
 
     #[test]
@@ -1669,7 +1576,7 @@ mod tests {
                 ..ExecOptions::default()
             });
         let out = e.run(&req).must();
-        assert_eq!(out.stats.views[0].expansion, CacheOutcome::Bypassed);
+        assert_eq!(out.stats.views[0].cache, CacheOutcome::Bypassed);
         assert_eq!(e.cached_views(), 0, "bypass must not fill the cache");
     }
 
@@ -1752,14 +1659,14 @@ mod tests {
         assert_eq!(snap.queries.queries, 2);
         assert_eq!(snap.queries.failures, 1);
         assert!(snap.queries.total_ns > 0);
-        assert!(snap.cache.expansions.entries > 0);
+        assert!(snap.cache.views.entries > 0);
         assert!(snap.storage.total_bytes() > 0);
         let text = e.metrics_text();
         for needle in [
             "vpbn_queries_total 2",
             "vpbn_query_failures_total 1",
             "vpbn_query_stage_ns_total{stage=\"exec\"}",
-            "vpbn_cache_hits_total{artifact=\"expansions\"}",
+            "vpbn_cache_misses_total 1",
             "vh_cache_maintained_total 0",
             "vh_cache_recomputed_total 0",
             "vh_cache_fallback_evictions_total 0",
@@ -1834,8 +1741,8 @@ mod tests {
     #[test]
     fn edits_invalidate_cached_views() {
         let mut e = engine();
-        // Warm every view artifact, then edit, then re-run: the cached
-        // artifacts were built pre-edit and must not serve the second run.
+        // Warm the view, then edit, then re-run: the cached view was
+        // built pre-edit and must not serve the second run as it was.
         let before = e.eval_to_string(RHONDA).must();
         assert_eq!(before.matches("<result>").count(), 2);
         e.apply(insert_book("W", 0)).must();
@@ -1863,7 +1770,10 @@ mod tests {
     /// keeping a reference that would make the next splice copy.
     fn cached_index_addr(e: &Engine) -> *const TypeIndex {
         let key = ViewKey::new("book.xml", SAM);
-        e.cache.indexes.peek(&key, |s| Arc::as_ptr(&s.value)).must()
+        e.cache
+            .views
+            .peek(&key, |s| Arc::as_ptr(s.value.type_index()))
+            .must()
     }
 
     /// Maintained, recomputed and fallback totals of the engine's cache.
@@ -1875,7 +1785,7 @@ mod tests {
     #[test]
     fn edit_deltas_maintain_cached_views() {
         let mut e = engine();
-        // Warm every artifact, then insert a book whose types are all
+        // Warm the view, then insert a book whose types are all
         // already interned: the whole view must survive via maintenance.
         e.eval_to_string(RHONDA).must();
         let warm_index = cached_index_addr(&e);
@@ -1886,26 +1796,18 @@ mod tests {
             "the edit itself maintains nothing"
         );
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        let v = &warm.stats.views[0];
-        assert_eq!(v.expansion, CacheOutcome::Maintained);
-        assert_eq!(v.levels, CacheOutcome::Maintained);
-        assert_eq!(v.tables, CacheOutcome::Maintained);
-        assert_eq!(v.indexes, CacheOutcome::Maintained);
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Maintained);
         // Nobody else held the index, so the catch-up edited the cached
         // lists themselves instead of a copy.
         assert_eq!(cached_index_addr(&e), warm_index, "index was copied");
-        assert_eq!(
-            maintenance(&e),
-            (4, 0, 0),
-            "expansion, levels, tables and index all kept"
-        );
+        assert_eq!(maintenance(&e), (1, 0, 0), "the whole view kept");
         assert_eq!(
             warm.to_string_compact().matches("<result>").count(),
             3,
             "maintained index must serve the inserted book"
         );
         let view = warm.trace.must().root.find("view").must().clone();
-        assert_eq!(view.counter("cache.maintained"), Some(4));
+        assert_eq!(view.counter("cache.maintained"), Some(1));
 
         // A caller holding the index across the catch-up keeps its
         // snapshot: the splice copies instead of writing under it.
@@ -1919,7 +1821,7 @@ mod tests {
         e.apply(insert_book("X", 1)).must();
         let vd = open_sam(&e);
         assert_eq!(*held, pre_edit, "a held index changed under its holder");
-        assert_eq!(e.snapshot().cache.maintained, 8, "the copy still counts");
+        assert_eq!(e.snapshot().cache.maintained, 2, "the copy still counts");
         assert!(!Arc::ptr_eq(vd.type_index(), &held));
         // `TypeIndex::build` is the rebuild oracle.
         assert_eq!(
@@ -1945,11 +1847,11 @@ mod tests {
         // The first open replays all five batches into its view alone;
         // the others still need them, so the journal keeps them.
         e.virtual_doc("book.xml", SAM).must();
-        assert_eq!(maintenance(&e), (4, 0, 0));
+        assert_eq!(maintenance(&e), (1, 0, 0));
         assert_eq!(e.cache.journal_len("book.xml").0, 5);
         // A second open of a caught-up view replays nothing.
         e.virtual_doc("book.xml", SAM).must();
-        assert_eq!(maintenance(&e), (4, 0, 0));
+        assert_eq!(maintenance(&e), (1, 0, 0));
         for spec in &specs[1..] {
             let vd = e.virtual_doc("book.xml", spec).must();
             assert_eq!(
@@ -1958,7 +1860,7 @@ mod tests {
                 "{spec}: caught up == rebuilt"
             );
         }
-        assert_eq!(maintenance(&e), (12, 0, 0));
+        assert_eq!(maintenance(&e), (3, 0, 0));
         assert_eq!(
             e.cache.journal_len("book.xml"),
             (0, 0),
@@ -1994,7 +1896,7 @@ mod tests {
         assert_eq!(e.cache.journal_len("book.xml").0, 1);
         let vd = e.virtual_doc("book.xml", SAM).must();
         assert_eq!(**vd.type_index(), TypeIndex::build(vd.typed(), vd.vdg()));
-        assert_eq!(maintenance(&e), (4, 0, 0));
+        assert_eq!(maintenance(&e), (1, 0, 0));
     }
 
     #[test]
@@ -2020,14 +1922,15 @@ mod tests {
         let (live, gen) = (td.pbn().len(), e.gen_of("book.xml") + 1);
         e.cache.journal("book.xml", gen, bogus, live);
         e.doc_gen.insert("book.xml".into(), gen);
+        // The refusal drops the view's one entry, with every part in it.
+        let key = ViewKey::new("book.xml", SAM);
+        let caught = e.cache.catch_up(&key, gen, e.document("book.xml").must());
+        assert_eq!(caught.recomputed, 1);
+        assert!(e.cache.views.peek(&key, |_| ()).is_none(), "no entry left");
+        assert_eq!(maintenance(&e), (0, 1, 0));
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(
-            maintenance(&e),
-            (3, 1, 0),
-            "guide-only artifacts kept, the index dropped for recompute"
-        );
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
-        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Computed);
+        assert_eq!(maintenance(&e), (0, 1, 0), "the next open compiles");
         let mut cold = Engine::new();
         cold.register(paper_figure2());
         assert_eq!(warm.to_string_compact(), cold.eval_to_string(RHONDA).must());
@@ -2047,8 +1950,8 @@ mod tests {
         })
         .must();
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(maintenance(&e), (0, 4, 0));
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
+        assert_eq!(maintenance(&e), (0, 1, 0));
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Computed);
         assert_eq!(warm.to_string_compact().matches("<result>").count(), 2);
     }
 
@@ -2063,10 +1966,10 @@ mod tests {
         })
         .must();
         assert_eq!(e.cache.journal_len("book.xml"), (0, 0), "nothing journaled");
-        // No artifact depends on text, so the entries are plain hits —
+        // No part of a view depends on text, so the entry is a plain hit —
         // not even restamped as maintained.
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Hit);
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Hit);
         assert_eq!(maintenance(&e), (0, 0, 0));
         assert!(warm.to_string_compact().contains("<title>X2</title>"));
     }
@@ -2076,7 +1979,7 @@ mod tests {
         let mut e = engine();
         e.eval_to_string(RHONDA).must();
         // Three edits, one batch: the journal holds ONE merged delta, and
-        // the catch-up maintains the 4 artifacts once.
+        // the catch-up maintains the view once.
         e.apply_all(vec![
             insert_book("A", 0),
             insert_book("B", 1),
@@ -2086,7 +1989,7 @@ mod tests {
         assert_eq!(e.cache.journal_len("book.xml").0, 1);
         let after = e.eval_to_string(RHONDA).must();
         assert_eq!(after.matches("<result>").count(), 5);
-        assert_eq!(maintenance(&e), (4, 0, 0));
+        assert_eq!(maintenance(&e), (1, 0, 0));
     }
 
     #[test]
@@ -2095,7 +1998,7 @@ mod tests {
         e.eval_to_string(RHONDA).must();
         // Replacing both books by one new book touches more nodes than
         // the document keeps, so no replay can beat a rebuild: the batch
-        // trims the journal at once and the entries it strands go.
+        // trims the journal at once and the view it strands goes.
         let delete = |target: &str| Edit::DeleteSubtree {
             uri: "book.xml".into(),
             target: target.into(),
@@ -2103,10 +2006,9 @@ mod tests {
         e.apply_all(vec![delete("1.2"), delete("1.1"), insert_book("N", 0)])
             .must();
         assert_eq!(e.cache.journal_len("book.xml"), (0, 0));
-        assert_eq!(maintenance(&e), (0, 0, 4));
+        assert_eq!(maintenance(&e), (0, 0, 1));
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
-        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Computed);
+        assert_eq!(warm.stats.views[0].cache, CacheOutcome::Computed);
         assert_eq!(warm.to_string_compact().matches("<result>").count(), 1);
         let mut cold = Engine::new();
         cold.register(Document::parse("book.xml", &doc_text(&e, "book.xml")).must());

@@ -100,7 +100,7 @@ impl Lint {
             }
             Lint::SafetyComment => "every unsafe block/fn carries a // SAFETY: comment",
             Lint::SpanVocab => {
-                "every span name used in vh-query appears in vh-obs's STABLE_SPAN_NAMES"
+                "every span name used in vh-query or vh-core appears in vh-obs's STABLE_SPAN_NAMES"
             }
             Lint::ErrorExit => {
                 "every VhError variant has code()/exit_code() arms and a README exit-table row"

@@ -1,10 +1,12 @@
-//! `span-vocab`: `vh-query` only emits spans from the stable vocabulary.
+//! `span-vocab`: `vh-query` and `vh-core` only emit spans from the stable
+//! vocabulary.
 //!
 //! DESIGN.md §10 freezes the span-tree names — the CLI, the integration
 //! tests and external tooling parse them. The vocabulary's single source
 //! of truth is `STABLE_SPAN_NAMES` in `crates/obs/src/span.rs`; this
 //! lint extracts it textually and checks every span-creating call in
-//! `crates/query/src/` (`trace.begin("…")`, `Span::named("…")`,
+//! `crates/query/src/` and `crates/core/src/` (where a view's build
+//! stages open theirs) (`trace.begin("…")`, `Span::named("…")`,
 //! `TraceBuilder::enabled("…")`) against it. A new stage name therefore
 //! requires a deliberate vocabulary edit, not just a string literal.
 
@@ -17,8 +19,8 @@ use crate::workspace::Workspace;
 const VOCAB_FILE: &str = "crates/obs/src/span.rs";
 /// The constant holding it.
 const VOCAB_CONST: &str = "STABLE_SPAN_NAMES";
-/// The crate whose span emissions are checked.
-const USE_PREFIX: &str = "crates/query/src/";
+/// The crates whose span emissions are checked.
+const USE_PREFIXES: &[&str] = &["crates/query/src/", "crates/core/src/"];
 
 /// Runs the lint over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
@@ -35,7 +37,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
         return;
     };
     for file in &ws.files {
-        if !file.rel.starts_with(USE_PREFIX) {
+        if !USE_PREFIXES.iter().any(|p| file.rel.starts_with(p)) {
             continue;
         }
         let code = Code::of(file);
@@ -110,12 +112,12 @@ mod tests {
     use super::*;
     use crate::workspace::SourceFile;
 
-    fn fake_ws(query_src: &str) -> Workspace {
+    fn fake_ws(path: &str, src: &str) -> Workspace {
         let vocab = r#"pub const STABLE_SPAN_NAMES: &[&str] = &["query", "parse", "exec"];"#;
         Workspace {
             files: vec![
                 SourceFile::from_source(VOCAB_FILE, vocab),
-                SourceFile::from_source("crates/query/src/engine.rs", query_src),
+                SourceFile::from_source(path, src),
             ],
             readme: None,
         }
@@ -132,16 +134,18 @@ fn f(trace: &mut T) {
     let t = TraceBuilder::enabled("query");
 }
 "#;
-        let mut out = Vec::new();
-        check(&fake_ws(src), &mut out);
-        let msgs: Vec<&str> = out.iter().map(|f| f.message.as_str()).collect();
-        assert_eq!(out.len(), 2, "{msgs:?}");
-        assert!(msgs[0].contains("rogue-stage"));
-        assert!(msgs[1].contains("off-vocab"));
+        for path in ["crates/query/src/engine.rs", "crates/core/src/vdoc.rs"] {
+            let mut out = Vec::new();
+            check(&fake_ws(path, src), &mut out);
+            let msgs: Vec<&str> = out.iter().map(|f| f.message.as_str()).collect();
+            assert_eq!(out.len(), 2, "{path}: {msgs:?}");
+            assert!(msgs[0].contains("rogue-stage"));
+            assert!(msgs[1].contains("off-vocab"));
+        }
     }
 
     #[test]
-    fn files_outside_vh_query_are_not_checked() {
+    fn files_outside_vh_query_and_vh_core_are_not_checked() {
         let vocab = r#"pub const STABLE_SPAN_NAMES: &[&str] = &["query"];"#;
         let ws = Workspace {
             files: vec![

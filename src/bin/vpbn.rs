@@ -286,18 +286,11 @@ fn run(args: &[String]) -> Result<(), VhError> {
                 println!("  node headers    : {:>10} B", s.header_bytes);
                 println!("  total           : {:>10} B", s.total_bytes());
                 let snap = engine.snapshot();
-                println!("compiled-view cache:");
-                for (name, c) in [
-                    ("expansions", snap.cache.expansions),
-                    ("level maps", snap.cache.levels),
-                    ("prefix tables", snap.cache.tables),
-                    ("type indexes", snap.cache.indexes),
-                ] {
-                    println!(
-                        "  {name:<16}: {} entries, {} hits / {} misses, {} evicted, {} invalidated",
-                        c.entries, c.hits, c.misses, c.evictions, c.invalidations
-                    );
-                }
+                let c = snap.cache.views;
+                println!(
+                    "compiled-view cache: {} views, {} hits / {} misses, {} evicted, {} invalidated",
+                    c.entries, c.hits, c.misses, c.evictions, c.invalidations
+                );
                 println!(
                     "buffer pool: {} hits / {} misses, {} evicted, {} quarantined",
                     snap.buffers.hits,

@@ -106,16 +106,13 @@ fn paths_for(spec_name: &str) -> Vec<String> {
 }
 
 /// The option sets every comparison runs under.
-fn option_sets() -> Vec<(ExecOptions, bool)> {
+fn option_sets() -> Vec<ExecOptions> {
     [1, 2, 8]
         .into_iter()
-        .flat_map(|threads| {
-            let opts = ExecOptions {
-                threads,
-                cache: true,
-                par_threshold: 1,
-            };
-            [(opts, false), (opts, true)]
+        .map(|threads| ExecOptions {
+            threads,
+            cache: true,
+            par_threshold: 1,
         })
         .collect()
 }
@@ -164,16 +161,10 @@ fn check_view(vd: &VirtualDocument<'_>, paths: &[String], ctx: &str) {
 fn check_document(td: &TypedDocument, label: &str) {
     for s in book_scenarios() {
         let paths = paths_for(s.name);
-        for (opts, tables) in option_sets() {
+        for opts in option_sets() {
             let mut vd = VirtualDocument::open(td, s.spec).expect("scenario compiles");
             vd.set_exec(opts);
-            if tables {
-                vd.build_prefix_tables();
-            }
-            let ctx = format!(
-                "{label} {} threads={} tables={tables}",
-                s.name, opts.threads
-            );
+            let ctx = format!("{label} {} threads={}", s.name, opts.threads);
             check_view(&vd, &paths, &ctx);
         }
     }
@@ -261,7 +252,7 @@ fn batched_child_steps_match_the_per_context_oracle_after_edits() {
     let mut engine = edited_engine();
     for s in book_scenarios() {
         let paths = paths_for(s.name);
-        for (opts, _) in option_sets() {
+        for opts in option_sets() {
             engine.set_exec_options(opts);
             let vd = engine.virtual_doc(URI, s.spec).expect("view opens");
             let ctx = format!("edited {} threads={}", s.name, opts.threads);

@@ -81,22 +81,25 @@ fn cold_and_warm_runs_agree_with_the_cache_oracle() {
 
     // Provenance flips from computed to hit; nothing else may change.
     for v in &cold.stats.views {
-        assert_eq!(v.expansion, CacheOutcome::Computed, "cold {}", v.uri);
+        assert_eq!(v.cache, CacheOutcome::Computed, "cold {}", v.uri);
     }
     for v in &warm.stats.views {
-        assert_eq!(v.expansion, CacheOutcome::Hit, "warm {}", v.uri);
+        assert_eq!(v.cache, CacheOutcome::Hit, "warm {}", v.uri);
     }
     assert_eq!(cold.stats.axis, warm.stats.axis, "same scans either way");
     assert_eq!(cold.stats.result_nodes, warm.stats.result_nodes);
     assert_eq!(cold.to_string_compact(), warm.to_string_compact());
 
-    // The trace's view spans carry the same verdict as the stats.
+    // The trace's view spans carry the same verdict as the stats, and
+    // only a computed view has build-stage spans.
     let cold_trace = cold.trace.as_ref().expect("traced");
     let warm_trace = warm.trace.as_ref().expect("traced");
-    let cold_exp = cold_trace.root.find("guide-expansion").expect("span");
-    let warm_exp = warm_trace.root.find("guide-expansion").expect("span");
-    assert_eq!(cold_exp.meta_value("cache"), Some("computed"));
-    assert_eq!(warm_exp.meta_value("cache"), Some("hit"));
+    let cold_view = cold_trace.root.find("view").expect("span");
+    let warm_view = warm_trace.root.find("view").expect("span");
+    assert_eq!(cold_view.meta_value("cache"), Some("computed"));
+    assert_eq!(warm_view.meta_value("cache"), Some("hit"));
+    assert!(cold_view.find("guide-expansion").is_some());
+    assert!(warm_view.find("guide-expansion").is_none());
 
     // With the cache disabled the same query reports bypassed artifacts.
     let exec = ExecOptions {
@@ -107,7 +110,7 @@ fn cold_and_warm_runs_agree_with_the_cache_oracle() {
         .run(&rhonda().with_exec(exec).with_trace(true))
         .expect("cache-off run");
     for v in &off.stats.views {
-        assert_eq!(v.expansion, CacheOutcome::Bypassed, "bypassed {}", v.uri);
+        assert_eq!(v.cache, CacheOutcome::Bypassed, "bypassed {}", v.uri);
     }
     assert_eq!(off.to_string_compact(), warm.to_string_compact());
 }
@@ -205,17 +208,14 @@ fn snapshot_and_metrics_accumulate_across_runs() {
     assert_eq!(snap.queries.failures, 1);
     assert_eq!(snap.queries.result_nodes, 4);
     assert!(snap.storage.total_bytes() > 0, "store was attached");
-    assert!(snap.cache.expansions.entries > 0, "view was cached");
+    assert!(snap.cache.views.entries > 0, "view was cached");
 
     let m = engine.metrics_text();
     assert!(m.contains("vpbn_queries_total 3"), "{m}");
     assert!(m.contains("vpbn_query_failures_total 1"), "{m}");
     assert!(m.contains("vpbn_queries_traced_total 1"), "{m}");
     assert!(m.contains("vpbn_query_result_nodes_total 4"), "{m}");
-    assert!(
-        m.contains("vpbn_cache_hits_total{artifact=\"expansions\"} 1"),
-        "{m}"
-    );
+    assert!(m.contains("vpbn_cache_hits_total 1"), "{m}");
     // Exposition discipline: every sample sits under its family's TYPE
     // line, before the next family begins.
     let mut current_family = String::new();

@@ -353,11 +353,11 @@ fn virtual_xpath_matches_xpath_over_the_materialized_instance() {
 }
 
 /// Cache invalidation: re-registering a mutated document under the same
-/// URI must evict the stale compiled-view artifacts (vDataGuide
-/// expansion, level-array map, prefix tables, node index), and the next
-/// open must
-/// agree with the materialization oracle on the *new* instance — a stale
-/// level array would place nodes at the old document's positions.
+/// URI must evict the stale compiled view (vDataGuide expansion,
+/// level-array map, prefix tables and node index, cached as one entry),
+/// and the next open must agree with the materialization oracle on the
+/// *new* instance — a stale level array would place nodes at the old
+/// document's positions.
 #[test]
 fn mutating_a_document_evicts_stale_view_artifacts() {
     use vpbn_suite::query::Engine;
@@ -382,34 +382,30 @@ fn mutating_a_document_evicts_stale_view_artifacts() {
     let mut engine = Engine::new();
     engine.register(generate_books(URI, &old_cfg));
 
-    // Cold open fills the cache; warm open hits every shard.
+    // Cold open fills the cache; warm open hits the view's one entry.
     let old_pre = engine.virtual_doc(URI, SPEC).unwrap().preorder();
     let cold = engine.snapshot().cache;
-    assert_eq!(
-        cold.total_misses(),
-        4,
-        "expansion + levels + tables + index miss"
-    );
+    assert_eq!(cold.total_misses(), 1, "the view misses once");
     assert_eq!(cold.total_hits(), 0);
     let _ = engine.virtual_doc(URI, SPEC).unwrap();
     let warm = engine.snapshot().cache;
-    assert_eq!(warm.total_hits(), 4, "warm open hits all four caches");
-    assert_eq!(warm.total_misses(), 4);
+    assert_eq!(warm.total_hits(), 1, "warm open hits the whole view");
+    assert_eq!(warm.total_misses(), 1);
 
     // Mutate: same URI, new instance. Registration must invalidate.
     engine.register(generate_books(URI, &new_cfg));
     let after = engine.snapshot().cache;
     assert_eq!(
         after.total_invalidations(),
-        4,
-        "stale expansion, level map, prefix tables and node index are evicted"
+        1,
+        "the stale view (expansion, level map, prefix tables and node index) is evicted"
     );
 
     // The next open recompiles (miss, not hit) ...
     let new_pre = engine.virtual_doc(URI, SPEC).unwrap().preorder();
     let refilled = engine.snapshot().cache;
-    assert_eq!(refilled.total_misses(), 8, "recompiled after invalidation");
-    assert_eq!(refilled.total_hits(), 4, "no stale hits served");
+    assert_eq!(refilled.total_misses(), 2, "recompiled after invalidation");
+    assert_eq!(refilled.total_hits(), 1, "no stale hits served");
     assert_ne!(old_pre, new_pre, "the mutation changed the view");
 
     // ... and agrees with materializing the new instance from scratch.
@@ -433,14 +429,14 @@ fn mutating_a_document_evicts_stale_view_artifacts() {
     let stats = engine.snapshot().cache;
     assert_eq!(
         stats.total_invalidations(),
-        with_other.total_invalidations() + 4,
+        with_other.total_invalidations() + 1,
         "only books.xml entries are evicted"
     );
     let other_pre = engine.virtual_doc("other.xml", SPEC).unwrap().preorder();
     let hits_after = engine.snapshot().cache.total_hits();
     assert_eq!(
         hits_after,
-        stats.total_hits() + 4,
+        stats.total_hits() + 1,
         "other.xml still served from cache"
     );
     assert!(!other_pre.is_empty());

@@ -347,8 +347,9 @@ proptest! {
 // Range-scan axis evaluation is byte-identical to the predicate-scan
 // oracle: the binary-searched candidate slice (plus the collapsed check
 // for exact ranges) must select exactly the nodes the full Algorithm-1
-// predicate scan does — for every scenario view, with and without prefix
-// tables, at thread counts 1, 2 and 8.
+// predicate scan does — for every scenario view, at thread counts 1, 2
+// and 8. The prefix-table cell each scan reads must equal the
+// per-context computation it replaces, `related_prefix`.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -358,6 +359,7 @@ proptest! {
         max_authors in 1usize..4,
         seed in 0u64..500,
     ) {
+        use vpbn_suite::core::range::related_prefix;
         use vpbn_suite::core::ExecOptions;
         let cfg = vpbn_suite::workload::BooksConfig {
             books,
@@ -369,16 +371,24 @@ proptest! {
             vpbn_suite::workload::generate_books("books.xml", &cfg),
         );
         for s in vpbn_suite::workload::book_scenarios() {
+            let vd = VirtualDocument::open(&td, s.spec).unwrap();
+            let contexts: Vec<NodeId> = vd.preorder().into_iter().take(20).collect();
+            for &x in &contexts {
+                let (xv, xt) = (vd.vpbn_of(x).unwrap(), vd.vtype_of(x).unwrap());
+                for vt in vd.vdg().guide().type_ids() {
+                    prop_assert_eq!(
+                        vd.prefix_tables().prefix(xt, vt),
+                        related_prefix(&xv, vd.levels().levels_of(vt)),
+                        "scenario {} cell {:?} -> {:?}",
+                        s.name,
+                        xt,
+                        vt
+                    );
+                }
+            }
             for &threads in &[1usize, 2, 8] {
                 let mut vd = VirtualDocument::open(&td, s.spec).unwrap();
                 vd.set_exec(ExecOptions { threads, cache: true, par_threshold: 1 });
-                // Exercise both the per-call prefix computation (t=1) and
-                // the precomputed tables (t=2, t=8).
-                if threads > 1 {
-                    vd.build_prefix_tables();
-                }
-                let contexts: Vec<NodeId> =
-                    vd.preorder().into_iter().take(20).collect();
                 for vt in vd.vdg().guide().type_ids() {
                     for &x in &contexts {
                         prop_assert_eq!(
@@ -432,7 +442,6 @@ proptest! {
             for &threads in &[2usize, 3, 8] {
                 let mut vd = VirtualDocument::open(&td, s.spec).unwrap();
                 vd.set_exec(ExecOptions { threads, cache: true, par_threshold: 1 });
-                vd.build_prefix_tables();
                 prop_assert_eq!(&vd.preorder(), &base_pre,
                     "preorder, scenario {} t={}", s.name, threads);
                 prop_assert_eq!(&vd.roots(), &base_roots,
