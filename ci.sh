@@ -267,7 +267,7 @@ if [ "$RUN_GATE" = 1 ]; then
   echo "==> cargo fmt --check"
   cargo fmt --all -- --check
 
-  echo "==> cargo clippy (warnings are errors; unwrap/expect denied in lib crates)"
+  echo "==> cargo clippy (warnings are errors; panic-freedom and SAFETY comments via the workspace lint table)"
   cargo clippy --workspace --all-targets -- -D warnings -D clippy::dbg_macro
 
   run_vet

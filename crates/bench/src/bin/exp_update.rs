@@ -596,8 +596,8 @@ fn main() {
     // and the next open of the view replays it, splicing the view in
     // place. Each batch is timed with that open, so the row prices the
     // whole maintenance, edit side and catch-up; an interleaved reader
-    // (one suite pass per batch, untimed) keeps the view hot the way the
-    // concurrent readwrite workload does. The leg runs on its own
+    // (one suite pass per batch, untimed) keeps the view hot the way a
+    // concurrent reader does. The leg runs on its own
     // profile-independent corpus (see [`MAINTAIN_BOOKS`]).
     let m_base_xml = serialize(
         &generate_books(URI, &BooksConfig::sized(MAINTAIN_BOOKS)),

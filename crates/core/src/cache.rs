@@ -148,22 +148,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         shard.entries.insert(key, (tick, value));
     }
 
-    /// Returns the cached value for `key`, or computes, stores and returns
-    /// it. The computation runs outside the shard lock; two racing threads
-    /// may both compute, but both arrive at the same pure-function value.
-    pub fn get_or_try_insert<E>(
-        &self,
-        key: &K,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<V, E> {
-        if let Some(v) = self.get(key) {
-            return Ok(v);
-        }
-        let v = compute()?;
-        self.insert(key.clone(), v.clone());
-        Ok(v)
-    }
-
     /// Reads `key`'s value through `f` without touching recency or the
     /// hit/miss counters — the maintenance path inspects entries without
     /// skewing the stats queries see.
@@ -669,19 +653,6 @@ mod tests {
         assert_eq!(lru.counters().evictions, 1);
         assert_eq!(lru.get(&in_shard[0]), None, "older entry evicted");
         assert_eq!(lru.get(&in_shard[1]), Some(200));
-    }
-
-    #[test]
-    fn get_or_try_insert_computes_once_per_key() {
-        let lru: ShardedLru<String, u32> = ShardedLru::new(16);
-        let key = "k".to_string();
-        let v: Result<u32, ()> = lru.get_or_try_insert(&key, || Ok(7));
-        assert_eq!(v, Ok(7));
-        let v2: Result<u32, ()> = lru.get_or_try_insert(&key, || panic!("cached"));
-        assert_eq!(v2, Ok(7));
-        let err: Result<u32, &str> = lru.get_or_try_insert(&"e".to_string(), || Err("boom"));
-        assert_eq!(err, Err("boom"));
-        assert_eq!(lru.len(), 1, "failed computations are not cached");
     }
 
     #[test]

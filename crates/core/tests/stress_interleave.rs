@@ -68,9 +68,10 @@ fn sharded_lru_holds_its_invariants_under_contention() {
                             }
                             2 | 3 => cache.insert(key, value_of(key)),
                             4 => {
-                                let got: Result<u64, ()> =
-                                    cache.get_or_try_insert(&key, || Ok(value_of(key)));
-                                assert_eq!(got, Ok(value_of(key)));
+                                match cache.get(&key) {
+                                    Some(v) => assert_eq!(v, value_of(key), "stale or torn value"),
+                                    None => cache.insert(key, value_of(key)),
+                                }
                                 lookups.fetch_add(1, Ordering::Relaxed);
                             }
                             5 => {

@@ -19,11 +19,13 @@ impl TypeId {
 
     /// Creates a `TypeId` from a raw index.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented capacity limit: >4 Gi types is out of scope"
+    )]
     pub fn from_index(index: usize) -> Self {
         // Documented capacity limit: type ids are u32 by design, matching
         // node ids; a guide with >4 Gi types is unsupported.
-        #[allow(clippy::expect_used)]
-        // vet: allow(no-panic) — documented capacity limit: >4 Gi types is out of scope
         TypeId(u32::try_from(index).expect("type index exceeds u32 range"))
     }
 }

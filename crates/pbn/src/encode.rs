@@ -157,12 +157,14 @@ impl EncodedPbn {
     /// Panics if the bytes are not a valid encoding (cannot happen for
     /// values produced by [`EncodedPbn::encode`] or accepted by
     /// [`EncodedPbn::from_bytes`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; untrusted input goes through try_decode"
+    )]
     pub fn decode(&self) -> Pbn {
         // Documented panic: trusted internal call sites only; untrusted
         // input must go through `try_decode` / `from_bytes`.
-        #[allow(clippy::expect_used)]
         self.try_decode()
-            // vet: allow(no-panic) — documented panic; untrusted input goes through try_decode
             .expect("EncodedPbn holds a valid encoding")
     }
 

@@ -366,11 +366,12 @@ impl Pbn {
     /// Panics on the empty number, which has no siblings.
     pub fn sibling_successor(&self) -> Pbn {
         let mut components = self.components.clone();
-        // Documented panic: the empty number has no sibling ordinal to bump.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the empty number has no siblings"
+        )]
         let last = components
             .last_mut()
-            // vet: allow(no-panic) — documented panic: the empty number has no siblings
             .expect("sibling_successor of the empty number");
         *last = last.successor();
         Pbn { components }
@@ -386,10 +387,12 @@ impl Pbn {
     /// Panics on the empty number (its subtree is the whole space).
     pub fn subtree_bound(&self) -> Pbn {
         let mut components = self.components.clone();
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the empty number bounds nothing"
+        )]
         let last = components
             .last_mut()
-            // vet: allow(no-panic) — documented panic: the empty number bounds nothing
             .expect("subtree_bound of the empty number");
         *last = last.bound();
         Pbn { components }

@@ -6,9 +6,9 @@
 //! resolves the historical naming asymmetries in one place —
 //! [`PhysicalDoc::with_document`] / [`PhysicalDoc::with_store`] are the
 //! symmetric constructor pair, [`Engine::run`] with a [`QueryRequest`]
-//! (built from a typed [`QueryKind`], directly or via
-//! [`QueryRequest::builder`]) is the one evaluation entry point, and
-//! [`query_document`] is the single-document convenience.
+//! (built from a typed [`QueryKind`] and its `with_*` options) is the
+//! one evaluation entry point, and [`query_document`] is the
+//! single-document convenience.
 //!
 //! ```
 //! use vh_query::api::{Engine, QueryRequest};
@@ -25,7 +25,6 @@ pub use crate::doc::{PhysicalDoc, QueryDoc, VirtualDoc};
 pub use crate::edit::{Edit, EditReceipt, EditRecovery, ReplayFailure};
 pub use crate::engine::{
     query_document, Engine, EngineSnapshot, Explain, QueryKind, QueryOutcome, QueryRequest,
-    QueryRequestBuilder,
 };
 pub use crate::error::{Limits, QueryError, ResourceKind};
 pub use crate::flwr::ast::FlwrQuery;

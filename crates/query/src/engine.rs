@@ -97,7 +97,7 @@ impl QueryKind {
 ///
 /// Built with [`QueryRequest::flwr`] / [`QueryRequest::parsed`] /
 /// [`QueryRequest::path`] / [`QueryRequest::virtual_path`] and the
-/// `with_*` builder methods.
+/// `with_*` methods.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryRequest {
     kind: QueryKind,
@@ -115,15 +115,6 @@ impl QueryRequest {
             limits: None,
             exec: None,
             trace: false,
-        }
-    }
-
-    /// Starts a [`QueryRequestBuilder`] for `kind` — the explicit-struct
-    /// spelling of the `with_*` chain, for callers (like the wire
-    /// protocol's request decoder) that assemble options incrementally.
-    pub fn builder(kind: QueryKind) -> QueryRequestBuilder {
-        QueryRequestBuilder {
-            request: Self::new(kind),
         }
     }
 
@@ -185,41 +176,6 @@ impl QueryRequest {
     /// Whether this request collects a trace.
     pub fn trace_enabled(&self) -> bool {
         self.trace
-    }
-}
-
-/// Incremental constructor for a [`QueryRequest`], started by
-/// [`QueryRequest::builder`]. Every setter has a `with_*` twin on the
-/// request itself; the builder exists for call sites that thread options
-/// through conditionals before sealing the request with
-/// [`QueryRequestBuilder::build`].
-#[derive(Clone, Debug)]
-pub struct QueryRequestBuilder {
-    request: QueryRequest,
-}
-
-impl QueryRequestBuilder {
-    /// Overrides the engine's resource limits for this request.
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.request.limits = Some(limits);
-        self
-    }
-
-    /// Overrides the engine's execution options for this request.
-    pub fn exec(mut self, exec: ExecOptions) -> Self {
-        self.request.exec = Some(exec);
-        self
-    }
-
-    /// Turns span/counter collection on or off (off by default).
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.request.trace = trace;
-        self
-    }
-
-    /// Seals the builder into the finished request.
-    pub fn build(self) -> QueryRequest {
-        self.request
     }
 }
 
@@ -316,8 +272,8 @@ pub struct Engine {
     /// being compacted (see [`Engine::set_compact_threshold`]).
     compact_threshold: usize,
     /// Per-URI document generation, bumped whenever a structural edit
-    /// batch commits (or a URI is re-registered / hard-compacted). Cached
-    /// entries carry the generation they reflect ([`Stamped`]); a lookup
+    /// batch commits or a URI is re-registered. Cached entries carry
+    /// the generation they reflect ([`Stamped`]); a lookup
     /// whose entry is older replays the journaled batches since, or
     /// recomputes, so no entry is served at a generation it missed.
     doc_gen: HashMap<String, u64>,
@@ -616,36 +572,6 @@ impl Engine {
         trace.count("recover.skipped", rec.skipped);
         rec.trace = trace.finish();
         Ok(rec)
-    }
-
-    /// Explicitly merges every document's outstanding delta segment into
-    /// its byte arena. Returns the total number of entries merged. After
-    /// single [`Engine::apply`] calls this is a no-op (they drain
-    /// eagerly); it exists as the bounded explicit compactor for embedders
-    /// driving [`Engine::apply_all`] batches or long replays.
-    ///
-    /// Unlike the modeled drains inside `apply`/`apply_all`/`recover`
-    /// (which journal their batch in the cache), an explicit compaction
-    /// the engine did not schedule takes the maintenance **hard
-    /// fallback**: any URI it actually compacts has its edit journal
-    /// discarded and its cached views evicted (counted as fallback
-    /// evictions), and its generation bumped.
-    pub fn compact(&mut self) -> usize {
-        let uris: Vec<String> = self.docs.keys().cloned().collect();
-        let mut trace = TraceBuilder::disabled();
-        let mut merged = 0;
-        for uri in uris {
-            let m = self.drain_delta(&uri, &mut trace);
-            if m > 0 {
-                if let Some(td) = self.docs.get_mut(&uri) {
-                    td.take_delta();
-                }
-                self.cache.fallback_invalidate_uri(&uri);
-                *self.doc_gen.entry(uri).or_insert(0) += 1;
-            }
-            merged += m;
-        }
-        merged
     }
 
     /// Replaces the mid-batch compaction threshold (clamped to ≥ 1).
@@ -1317,27 +1243,6 @@ mod tests {
         fn cached_views(&self) -> usize {
             self.snapshot().cache.views.entries
         }
-    }
-
-    #[test]
-    fn builder_and_with_chain_agree() {
-        let req = QueryRequest::builder(QueryKind::Path {
-            uri: "book.xml".into(),
-            spec: Some("title { author { name } }".into()),
-            path: "//title".into(),
-        })
-        .limits(Limits::default())
-        .exec(ExecOptions::default())
-        .trace(true)
-        .build();
-        let chained =
-            QueryRequest::virtual_path("book.xml", "title { author { name } }", "//title")
-                .with_limits(Limits::default())
-                .with_exec(ExecOptions::default())
-                .with_trace(true);
-        assert_eq!(req, chained);
-        assert_eq!(req.kind().label(), "virtual-path");
-        assert!(req.trace_enabled());
     }
 
     const RHONDA: &str = r#"for $t in virtualDoc("book.xml", "title { author { name } }")//title
@@ -2134,7 +2039,11 @@ mod tests {
             receipts.iter().all(|r| r.compacted == 0),
             "below the threshold nothing compacts mid-batch"
         );
-        assert_eq!(e.compact(), 0, "the batch drained its delta at the end");
+        assert_eq!(
+            e.document("book.xml").must().delta_len(),
+            0,
+            "the batch drained its delta at the end"
+        );
         assert_eq!(e.eval_path("book.xml", "//book").must().len(), 10);
         // A tiny threshold forces mid-batch compactions.
         let mut tight = engine();

@@ -44,9 +44,7 @@ pub mod twig;
 pub mod xpath;
 
 pub use edit::{Edit, EditReceipt, EditRecovery, ReplayFailure};
-pub use engine::{
-    Engine, EngineSnapshot, Explain, QueryKind, QueryOutcome, QueryRequest, QueryRequestBuilder,
-};
+pub use engine::{Engine, EngineSnapshot, Explain, QueryKind, QueryOutcome, QueryRequest};
 pub use error::{FlwrError, Limits, QueryError, ResourceKind};
 pub use xpath::{parse_xpath, XPath};
 

@@ -50,12 +50,13 @@ impl ValueIndex {
     /// Records the range of a node.
     // Documented capacity limit: offsets are u32 by design to keep the
     // index at 8 bytes per node; documents over 4 GiB are unsupported.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented capacity limit: >4 GiB documents unsupported"
+    )]
     pub fn set(&mut self, node: NodeId, start: usize, end: usize) {
         self.ranges[node.index()] = ValueRange {
-            // vet: allow(no-panic) — documented capacity limit: >4 GiB documents unsupported
             start: u32::try_from(start).expect("document exceeds 4 GiB"),
-            // vet: allow(no-panic) — documented capacity limit: >4 GiB documents unsupported
             end: u32::try_from(end).expect("document exceeds 4 GiB"),
         };
     }

@@ -8,11 +8,6 @@ use std::fmt::{self, Write as _};
 /// `// vet: allow(<id>) — <reason>` escape hatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// `panic!`/`todo!`/`unimplemented!`/`dbg!`/`.unwrap()`/`.expect()`
-    /// in lib-crate non-test code.
-    NoPanic,
-    /// An `unsafe` block or fn without a `// SAFETY:` comment.
-    SafetyComment,
     /// A span name used in `vh-query` that is missing from `vh-obs`'s
     /// stable span vocabulary.
     SpanVocab,
@@ -27,9 +22,9 @@ pub enum Lint {
     /// A Prometheus metric name that is not namespaced snake_case, or a
     /// sample emitted before its family's `# HELP`/`# TYPE` opener.
     PromName,
-    /// A `*_swar`/`*_branchless` kernel — or a bodied cache `maintain`
-    /// impl — without an `// oracle:` comment naming a twin defined in
-    /// the same file.
+    /// A `*_swar`/`*_branchless` kernel, or a function opted in with an
+    /// `// oracle:` comment, without a named twin defined in the same
+    /// file.
     OracleTwin,
     /// Two lock classes acquired in opposite orders somewhere across
     /// the workspace call graph: a potential deadlock.
@@ -49,8 +44,6 @@ pub enum Lint {
 
 /// Every lint, in reporting order.
 pub const ALL_LINTS: &[Lint] = &[
-    Lint::NoPanic,
-    Lint::SafetyComment,
     Lint::SpanVocab,
     Lint::ErrorExit,
     Lint::ApiSurface,
@@ -68,8 +61,6 @@ impl Lint {
     /// allow-comments).
     pub fn id(self) -> &'static str {
         match self {
-            Lint::NoPanic => "no-panic",
-            Lint::SafetyComment => "safety-comment",
             Lint::SpanVocab => "span-vocab",
             Lint::ErrorExit => "error-exit",
             Lint::ApiSurface => "api-surface",
@@ -95,10 +86,6 @@ impl Lint {
     /// One-line description, shown by `vh-vet --list`.
     pub fn describe(self) -> &'static str {
         match self {
-            Lint::NoPanic => {
-                "no panic!/todo!/unimplemented!/dbg!/.unwrap()/.expect() in lib-crate non-test code"
-            }
-            Lint::SafetyComment => "every unsafe block/fn carries a // SAFETY: comment",
             Lint::SpanVocab => {
                 "every span name used in vh-query or vh-core appears in vh-obs's STABLE_SPAN_NAMES"
             }
@@ -112,7 +99,7 @@ impl Lint {
                 "Prometheus metric names are vpbn_/vh_-prefixed snake_case with families opened before samples"
             }
             Lint::OracleTwin => {
-                "every *_swar/*_branchless kernel and cache maintain impl has an // oracle: comment naming a twin defined in the same file"
+                "every *_swar/*_branchless kernel, and every fn carrying an // oracle: comment, names a twin defined in the same file"
             }
             Lint::LockOrder => {
                 "no two lock classes are acquired in opposite orders anywhere in the call graph"
@@ -225,12 +212,12 @@ mod tests {
         let f = Finding {
             file: "crates/x/src/lib.rs".into(),
             line: 7,
-            lint: Lint::NoPanic,
-            message: "`.unwrap()` in lib-crate code".into(),
+            lint: Lint::HotPath,
+            message: "heap allocation on the hot path of f".into(),
         };
         assert_eq!(
             f.render(),
-            "crates/x/src/lib.rs:7: [no-panic] `.unwrap()` in lib-crate code"
+            "crates/x/src/lib.rs:7: [hot-path] heap allocation on the hot path of f"
         );
     }
 

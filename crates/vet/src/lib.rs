@@ -6,8 +6,7 @@
 //! A dependency-free static-analysis pass over every `.rs` file in the
 //! workspace, enforcing the cross-file invariants clippy cannot express
 //! (DESIGN.md §11). The suite grew contracts that live in more than one
-//! crate — panic-freedom in libraries, `SAFETY:` justifications, the
-//! stable span vocabulary shared by `vh-query` and `vh-obs`, the
+//! crate — the stable span vocabulary shared by `vh-query` and `vh-obs`, the
 //! `VhError` ↔ exit-code ↔ README synchronisation, Prometheus family
 //! discipline — and each was policed only by convention. `vh-vet` checks them at lint time, in the
 //! spirit of catching the invariant break before it ships rather than
@@ -30,8 +29,10 @@
 //! The binary (`vh-vet`) exits 0 on a clean tree, 1 when findings exist,
 //! 2 on usage errors and 3 on I/O errors, matching the suite's exit-code
 //! classes. `crates/vet/tests/self_check.rs` runs the whole pass over
-//! the live workspace on every `cargo test`, so a stray `unwrap()` or an
-//! uncommented `unsafe` fails the ordinary test gate, not just CI.
+//! the live workspace on every `cargo test`, so an undeclared span name
+//! or a lock-order cycle fails the ordinary test gate, not just CI. The
+//! panic and `unsafe` rules are clippy's: the workspace `[lints]` table
+//! in the root `Cargo.toml`, which the self-check also pins.
 
 pub mod callgraph;
 pub mod findings;

@@ -1,6 +1,6 @@
 //! The lint set and its driver.
 //!
-//! Per-file lints ([`panics`], [`safety`], [`prom`], [`oracle`]) run over every
+//! Per-file lints ([`prom`], [`oracle`]) run over every
 //! walked file in their scope; cross-file lints ([`spans`], [`errors`],
 //! [`api`]) additionally read the workspace files that define the
 //! invariant they enforce (the `vh-obs` span vocabulary, the `VhError`
@@ -14,9 +14,7 @@ pub mod hold_blocking;
 pub mod hot_path;
 pub mod lock_order;
 pub mod oracle;
-pub mod panics;
 pub mod prom;
-pub mod safety;
 pub mod spans;
 
 use crate::callgraph::CallGraph;
@@ -141,8 +139,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in &ws.files {
         allow_comments(file, &mut out);
-        panics::check(file, &mut out);
-        safety::check(file, &mut out);
         prom::check(file, &mut out);
         oracle::check(file, &mut out);
     }

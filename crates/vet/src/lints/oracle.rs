@@ -11,19 +11,12 @@
 //! the kernel fails the build, so SWAR code can never silently outlive
 //! its ground truth.
 //!
-//! The same contract covers cache delta maintenance: a function named
-//! `maintain` **with a body** (the core crate's `TypeIndex::maintain`)
-//! splices edits into a cached artifact, and the only proof a splice
-//! equals a rebuild is the recompute-oracle property test. Each such
-//! function must carry the `// oracle: <name>` comment and its named
-//! twin in the same file. Bodyless trait *declarations*
-//! (`fn maintain(...);`) declare the contract rather than implement it
-//! and are exempt.
-//!
 //! Any other lib function may opt in: an `// oracle: <name>` comment on
-//! it (the §5 predicates that walk encoded key bytes name their
-//! decode-then-compare twins this way) is held to the same rule — the
-//! named twin must be defined in the same file.
+//! it is held to the same rule — the named twin must be defined in the
+//! same file. The §5 predicates that walk encoded key bytes name their
+//! decode-then-compare twins this way, and the core crate's
+//! `TypeIndex::maintain` names the recompute oracle its catch-up splice
+//! must equal.
 //!
 //! Test regions are exempt (a helper named `*_swar` inside `mod tests` is
 //! not a kernel), as are bench/bin/example/vendor files — ablation
@@ -39,10 +32,6 @@ const ORACLE_WINDOW: u32 = 5;
 
 /// Suffixes that mark a function as an optimized kernel needing a twin.
 const KERNEL_SUFFIXES: &[&str] = &["_swar", "_branchless"];
-
-/// Exact names that mark a function as a cache-maintenance impl needing
-/// a recompute twin (when defined with a body).
-const MAINTAIN_NAMES: &[&str] = &["maintain"];
 
 /// Runs the lint over one file.
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -65,9 +54,8 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
             _ => None,
         })
         .collect();
-    // Every `fn` definition: (name line, name, in-test-region, name token
-    // index — used to tell implementations from bodyless declarations).
-    let mut defs: Vec<(u32, &str, bool, usize)> = Vec::new();
+    // Every `fn` definition: (name line, name, in-test-region).
+    let mut defs: Vec<(u32, &str, bool)> = Vec::new();
     for (i, t) in file.tokens.iter().enumerate() {
         if !matches!(&t.kind, Tok::Ident(s) if s == "fn") {
             continue;
@@ -80,27 +68,22 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
             j += 1;
         }
         if let Some(Tok::Ident(name)) = file.tokens.get(j).map(|t| &t.kind) {
-            defs.push((file.tokens[j].line, name, file.suppressed[j], j));
+            defs.push((file.tokens[j].line, name, file.suppressed[j]));
         }
     }
-    for &(line, name, in_test, at) in &defs {
+    for &(line, name, in_test) in &defs {
         if in_test {
             continue;
         }
         let is_kernel = KERNEL_SUFFIXES.iter().any(|s| name.ends_with(s));
-        // A trait's `fn maintain(...);` declares the contract; only a
-        // definition with a body performs a splice needing a twin.
-        let is_maintain = MAINTAIN_NAMES.contains(&name) && has_body(file, at);
         let oracle = oracles
             .iter()
             .rfind(|(c, _)| *c <= line && c + ORACLE_WINDOW >= line);
-        if !is_kernel && !is_maintain && oracle.is_none() {
+        if !is_kernel && oracle.is_none() {
             continue;
         }
         let (what, twin_kind) = if is_kernel {
             ("branch-free kernel", "scalar")
-        } else if is_maintain {
-            ("cache-maintenance impl", "recompute")
         } else {
             ("function", "oracle")
         };
@@ -118,7 +101,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                 format!("{what} `{name}`'s `// oracle:` comment names no identifier"),
             ),
             Some((_, Some(twin))) => {
-                if !defs.iter().any(|&(_, n, _, _)| n == twin) {
+                if !defs.iter().any(|&(_, n, _)| n == twin) {
                     file.report(
                         out,
                         Lint::OracleTwin,
@@ -131,26 +114,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// True when the `fn` whose name sits at token index `at` is defined with
-/// a body (`{` before `;` at signature depth) rather than declared
-/// bodyless inside a trait. Parentheses and brackets are tracked so a
-/// `;` inside an array type (`[u8; 4]`) cannot end the signature early.
-fn has_body(file: &SourceFile, at: usize) -> bool {
-    let mut depth = 0i32;
-    for t in &file.tokens[at + 1..] {
-        if let Tok::Punct(c) = t.kind {
-            match c {
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth -= 1,
-                '{' if depth == 0 => return true,
-                ';' if depth == 0 => return false,
-                _ => {}
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -268,69 +231,6 @@ mod tests {
         let mut out = Vec::new();
         check(&f, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn maintain_impl_without_oracle_comment_fires() {
-        let src = "\
-impl MaintainView for Thing {
-    fn maintain(&self, d: &ViewDelta) -> Maintained<Self> { Maintained::Unchanged }
-}
-";
-        let got = findings(src);
-        assert_eq!(got.len(), 1);
-        assert!(got[0].message.contains("cache-maintenance impl"));
-        assert!(got[0].message.contains("recompute twin"));
-    }
-
-    #[test]
-    fn trait_declaration_of_maintain_is_exempt() {
-        let src = "\
-pub trait MaintainView: Sized {
-    fn maintain(&self, delta: &ViewDelta, ctx: &MaintainCtx<'_>) -> Maintained<Self>;
-}
-";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn array_type_semicolons_do_not_end_the_signature() {
-        // The `;` inside `[u8; 4]` is type syntax, not the declaration
-        // terminator; the `;` after the parens still is.
-        let src = "\
-pub trait T { fn maintain(&self, xs: [u8; 4]) -> u32; }
-";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn maintain_impl_with_recompute_twin_is_silent() {
-        let src = "\
-/// Splice docs.
-// oracle: rebuild_thing_oracle
-impl MaintainView for Thing {
-    fn maintain(&self, d: &ViewDelta) -> Maintained<Self> { Maintained::Unchanged }
-}
-
-#[cfg(test)]
-mod tests {
-    fn rebuild_thing_oracle() -> Thing { Thing }
-}
-";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn maintain_impl_with_missing_twin_fires() {
-        let src = "\
-// oracle: rebuild_thing_oracle
-impl MaintainView for Thing {
-    fn maintain(&self, d: &ViewDelta) -> Maintained<Self> { Maintained::Unchanged }
-}
-";
-        let got = findings(src);
-        assert_eq!(got.len(), 1);
-        assert!(got[0].message.contains("rebuild_thing_oracle"));
     }
 
     #[test]

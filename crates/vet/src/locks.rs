@@ -189,8 +189,8 @@ impl LockFacts {
         let mut edges = Vec::new();
         let mut holds = Vec::new();
         for (id, f) in model.fns.iter().enumerate() {
-            // Test code is exempt from the concurrency contracts, like
-            // it is from no-panic: tests serialise on purpose.
+            // Test code is exempt from the concurrency contracts: tests
+            // serialise on purpose.
             if f.in_test {
                 continue;
             }

@@ -92,7 +92,7 @@ mod tests {
         assert!(doc.contains("cycle \\\"a\\\" -> b"));
         assert!(doc.contains("\"startLine\":7"));
         // stale-allow is warning level; lock-order is an error.
-        assert!(doc.contains("\"ruleId\":\"stale-allow\",\"ruleIndex\":11,\"level\":\"warning\""));
+        assert!(doc.contains("\"ruleId\":\"stale-allow\",\"ruleIndex\":9,\"level\":\"warning\""));
         assert!(doc.contains("\"level\":\"error\""));
     }
 

@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn comment_text_and_doc_flag_are_preserved() {
-        let toks = scan("/// SAFETY: fine\n// vet: allow(no-panic) — ok\nlet x = 1;");
+        let toks = scan("/// SAFETY: fine\n// vet: allow(hot-path) — ok\nlet x = 1;");
         let comments: Vec<(String, bool)> = toks
             .into_iter()
             .filter_map(|t| match t.kind {
@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(comments[0], ("SAFETY: fine".to_string(), true));
         assert_eq!(
             comments[1],
-            ("vet: allow(no-panic) — ok".to_string(), false)
+            ("vet: allow(hot-path) — ok".to_string(), false)
         );
     }
 

@@ -7,7 +7,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// What kind of target a `.rs` file belongs to. Lints pick their scope
-/// from this: e.g. `no-panic` applies only to [`FileClass::Lib`].
+/// from this: e.g. `oracle-twin` applies only to [`FileClass::Lib`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
     /// Library source of a workspace crate (`crates/*/src/**`, `src/**`).
@@ -390,21 +390,21 @@ mod tests {
     #[test]
     fn allow_comments_parse_and_gate_findings() {
         let src = "\
-// vet: allow(no-panic) — message is part of the API contract
-x.unwrap();
-y.unwrap(); // vet: allow(no-panic) - same line form
-// vet: allow(no-panic)
-z.unwrap();
+// vet: allow(hot-path) — bounded by the loop condition
+x[i];
+y[i]; // vet: allow(hot-path) - same line form
+// vet: allow(hot-path)
+z[i];
 // vet: allow(not-a-lint) — reason
-w.unwrap();
+w[i];
 ";
         let f = SourceFile::from_source("crates/x/src/lib.rs", src);
         assert_eq!(f.allows.len(), 4);
-        assert!(f.allowed(Lint::NoPanic, 2), "preceding-line allow");
-        assert!(f.allowed(Lint::NoPanic, 3), "same-line allow");
-        assert!(!f.allowed(Lint::NoPanic, 5), "missing reason does not gate");
-        assert!(!f.allowed(Lint::NoPanic, 7), "unknown lint does not gate");
-        assert!(!f.allowed(Lint::SafetyComment, 2), "other lints unaffected");
+        assert!(f.allowed(Lint::HotPath, 2), "preceding-line allow");
+        assert!(f.allowed(Lint::HotPath, 3), "same-line allow");
+        assert!(!f.allowed(Lint::HotPath, 5), "missing reason does not gate");
+        assert!(!f.allowed(Lint::HotPath, 7), "unknown lint does not gate");
+        assert!(!f.allowed(Lint::OracleTwin, 2), "other lints unaffected");
     }
 
     #[test]

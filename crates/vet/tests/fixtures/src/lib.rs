@@ -1,57 +1,45 @@
-//! Fixture library seeding every `no-panic` form plus the allow-comment
-//! edge cases (`vet-allow`).
+//! Fixture library seeding the allow-comment edge cases on `hot-path`
+//! allows (`vet-allow`, `stale-allow`).
 //!
-//! Seeded findings: six `no-panic` forms in `panics`/`unfinished`, one
-//! suppressed occurrence in `documented`, a reason-less allow and an
-//! unknown-lint allow (each a `vet-allow` finding whose occurrence still
-//! fires), and a `#[cfg(test)]` region that must stay silent.
+//! Seeded findings: a reason-less allow and an unknown-lint allow (each
+//! a `vet-allow` finding whose indexing still fires `hot-path`) and a
+//! stale `oracle-twin` allow. The documented allow in `documented` gates
+//! its finding, and the `#[cfg(test)]` hot kernel must stay silent.
 
-/// Fires all six forbidden forms.
-pub fn panics(x: Option<u32>) -> u32 {
-    dbg!(x);
-    let a = x.unwrap();
-    let b = x.expect("fixture");
-    if a > b {
-        panic!("boom");
-    }
-    todo!()
-}
-
-/// Fires `unimplemented!`.
-pub fn unfinished() {
-    unimplemented!()
-}
-
-/// A properly documented caller bug: suppressed, zero findings.
-pub fn documented(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic) — fixture: documented caller bug
-    x.unwrap()
+/// A documented bound: the allow gates the indexing, zero findings.
+// vet: hot
+pub fn documented(xs: &[u32; 4]) -> u32 {
+    // vet: allow(hot-path) — fixture: a constant index into a 4-array
+    xs[0]
 }
 
 /// A reason-less allow suppresses nothing: one `vet-allow` finding plus
-/// the `no-panic` finding it failed to gate.
-pub fn reasonless(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic)
-    x.unwrap()
+/// the `hot-path` finding it failed to gate.
+// vet: hot
+pub fn reasonless(xs: &[u32]) -> u32 {
+    // vet: allow(hot-path)
+    xs[0]
 }
 
 /// An unknown lint id: one `vet-allow` finding plus the ungated
-/// `no-panic` finding.
-pub fn unknown_lint(x: Option<u32>) -> u32 {
+/// `hot-path` finding.
+// vet: hot
+pub fn unknown_lint(xs: &[u32]) -> u32 {
     // vet: allow(no-such-lint) — reason given but the lint is made up
-    x.unwrap()
+    xs[0]
 }
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn test_code_is_exempt() {
-        Some(1u32).unwrap();
+    /// Test code is exempt: a hot kernel here indexes freely.
+    // vet: hot
+    fn test_code_is_exempt(xs: &[u32]) -> u32 {
+        xs[0]
     }
 }
 
-/// Seeded `stale-allow`: the unwrap this once gated is long gone.
-pub fn healed(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic) — fixture: stale, the unwrap was removed
-    x.map_or(0, |v| v + 1)
+/// Seeded `stale-allow`: the kernel this once excused was renamed.
+// vet: allow(oracle-twin) — fixture: stale, the kernel lost its _swar suffix
+pub fn healed(x: u64) -> u64 {
+    x.rotate_left(8)
 }

@@ -14,25 +14,21 @@
 //!
 //! [`scenarios`] names the virtual transformations each corpus is queried
 //! through (inversion, regrouping, projection, identity, …) and
-//! [`queries`] the query workloads per scenario. [`readwrite`] drives a
-//! live engine with concurrent readers while a writer streams edit
-//! batches — the scenario behind the cache-maintenance experiments —
-//! and [`serve`] deals the seeded point/twig/edit op streams the query
-//! server's bench replays over the wire. All are consumed by the
-//! benchmark harness (`vh-bench`) and the integration tests.
+//! [`queries`] the query workloads per scenario, and [`serve`] deals the
+//! seeded point/twig/edit op streams the query server's bench replays
+//! over the wire. All are consumed by the benchmark harness
+//! (`vh-bench`) and the integration tests.
 //!
 //! All generation is deterministic given a seed.
 
 pub mod books;
 pub mod queries;
-pub mod readwrite;
 pub mod scenarios;
 pub mod serve;
 pub mod synthetic;
 pub mod xmark;
 
 pub use books::{generate_books, BooksConfig};
-pub use readwrite::{run_readwrite, ReadWriteConfig, ReadWriteReport};
 pub use scenarios::{book_scenarios, xmark_scenarios, Scenario};
 pub use serve::{serve_engine, serve_ops, ServeMixConfig, ServeOp, SERVE_SPEC, SERVE_URI};
 pub use synthetic::generate_comb;

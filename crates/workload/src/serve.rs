@@ -6,10 +6,9 @@
 //! thread, distinguished by seed) so the traffic mix is reproducible
 //! run-to-run. Ops are plain data — this crate knows nothing about the
 //! wire — and every edit inserts vocabulary the corpus already uses, so
-//! cached views take the maintenance path exactly as in [`readwrite`].
+//! cached views take the maintenance path rather than a rebuild.
 //!
 //! [`vh_serve` client]: https://docs.rs/vh-serve
-//! [`readwrite`]: crate::readwrite
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

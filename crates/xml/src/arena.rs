@@ -239,7 +239,10 @@ impl Document {
             }
             // Documented panic: `set_attribute` is only meaningful on
             // elements; calling it on text/comment nodes is a caller bug.
-            // vet: allow(no-panic) — documented panic: caller bug, not recoverable state
+            #[expect(
+                clippy::panic,
+                reason = "documented panic: caller bug, not recoverable state"
+            )]
             other => panic!("set_attribute on non-element node: {other:?}"),
         }
     }
@@ -276,10 +279,12 @@ impl Document {
     pub fn detach(&mut self, id: NodeId) {
         // Documented panic (see the doc comment above): detaching the root
         // or a detached node is a caller bug, not a recoverable state.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: detaching the root is a caller bug"
+        )]
         let parent = self.nodes[id.index()]
             .parent
-            // vet: allow(no-panic) — documented panic: detaching the root is a caller bug
             .expect("cannot detach the root or an already-detached node");
         let children = &mut self.nodes[parent.index()].children;
         // Invariant: the parent/child links are symmetric (see
@@ -324,7 +329,10 @@ impl Document {
             NodeKind::Text(t) => *t = text.into(),
             // Documented panic: callers (the edit layer) validate the node
             // kind before dispatching here.
-            // vet: allow(no-panic) — documented panic: caller bug, not recoverable state
+            #[expect(
+                clippy::panic,
+                reason = "documented panic: caller bug, not recoverable state"
+            )]
             other => panic!("set_text on non-text node: {other:?}"),
         }
     }

@@ -28,11 +28,13 @@ impl NodeId {
     /// index that does not belong to the document is a logic error and will
     /// panic on access.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented capacity limit: >4 Gi nodes is out of scope"
+    )]
     pub fn from_index(index: usize) -> Self {
         // Documented capacity limit: node ids are u32 by design (the paper's
         // level arrays assume 32-bit ordinals); >4 Gi nodes is unsupported.
-        #[allow(clippy::expect_used)]
-        // vet: allow(no-panic) — documented capacity limit: >4 Gi nodes is out of scope
         NodeId(u32::try_from(index).expect("node index exceeds u32 range"))
     }
 }

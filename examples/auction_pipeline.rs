@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example auction_pipeline`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::VirtualDocument;
 use vpbn_suite::dataguide::TypedDocument;

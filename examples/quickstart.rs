@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+#![allow(clippy::expect_used)]
+
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::query::api::{Engine, QueryRequest, VirtualDocument};

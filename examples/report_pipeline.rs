@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --example report_pipeline`
 
+#![allow(clippy::expect_used)]
+
 use vpbn_suite::query::api::{Engine, QueryRequest};
 use vpbn_suite::workload::{generate_books, BooksConfig};
 use vpbn_suite::xml::{serialize, SerializeOptions};

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example virtual_views`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use vpbn_suite::core::transform::materialize;
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::{VDataGuide, VirtualDocument};

@@ -49,6 +49,8 @@
 //! storage=7, resource limits=8, edit rejected=9, serve=10 (see
 //! `vpbn_suite::error`).
 
+#![allow(clippy::expect_used)]
+
 use std::process::ExitCode;
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::query::api::{

@@ -14,6 +14,8 @@
 //! with none of those hooks: tree-walk descendants, no indexed `//name`
 //! or batched child scan, and the byte-key order compare.
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::core::{ExecOptions, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::pbn::keys;

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `vpbn` command-line binary.
 
+#![allow(clippy::expect_used)]
+
 use std::process::{Command, Output};
 
 fn vpbn(args: &[&str]) -> Output {

@@ -2,6 +2,8 @@
 //! `recovery.rs`): dotted-path addressing and the skewed random edit
 //! scripts both suites drive through `Engine::apply`.
 
+#![allow(clippy::expect_used)]
+
 use vpbn_suite::query::api::Edit;
 use vpbn_suite::xml::{Document, NodeId};
 

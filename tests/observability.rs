@@ -1,6 +1,8 @@
 //! Integration tests of the observability layer: stage timings, cache
 //! provenance oracles, trace JSON round-trips and engine-wide metrics.
 
+#![allow(clippy::expect_used)]
+
 use vpbn_suite::obs::{CacheOutcome, QueryTrace, Span};
 use vpbn_suite::query::api::{Engine, ExecOptions, QueryRequest};
 

@@ -12,6 +12,8 @@
 //! `v_cmp` and `v_ancestor` for every test
 //! (`virtual_structural_join_closure`, `VirtualTwigSource::with_closures`).
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use vpbn_suite::core::axes::v_ancestor;

@@ -16,6 +16,8 @@
 //! `target/recovery-reports/` before the test dies, so a red CI run can
 //! be triaged from the artifact alone.
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 mod common;
 use common::{concretize, URI};
 

@@ -4,6 +4,8 @@
 //! where a bare `part` label is ambiguous and every virtual construct must
 //! be qualified per recursion level.
 
+#![allow(clippy::unwrap_used)]
+
 use vpbn_suite::core::transform::materialize;
 use vpbn_suite::core::{VDataGuide, VdgError, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
