@@ -219,15 +219,15 @@ run_perfbench() {
   # The traced edit stream is the only run that drives
   # Engine::apply_traced(…, true); its probe suite then runs the plain
   # and the counted joins on an engine whose edits the view has not
-  # replayed yet, so the first open catches it up and the first join
-  # rebuilds its order column.
+  # caught up with yet, so the first open catches it up and the first
+  # join rebuilds its order column.
   echo "    smoke: edit-stream --trace 1"
   cargo run --release --quiet --offline --manifest-path "$manifest" \
     --bin perfbench -- --workload edit-stream --seed 7 --seconds 3 \
     --trace 1 >/dev/null
   # The traced served mix is the only run whose probe suite joins an
-  # edited 100-book view through the journal replay, so it runs the
-  # catch-up and the column rebuild after edits.
+  # edited 100-book view, so it runs the catch-up and the column
+  # rebuild after edits.
   echo "    smoke: served-mix --trace 1"
   cargo run --release --quiet --offline --manifest-path "$manifest" \
     --bin perfbench -- --workload served-mix --seed 7 --seconds 3 \

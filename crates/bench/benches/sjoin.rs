@@ -28,7 +28,7 @@ fn bench_sjoin(c: &mut Criterion) {
         let vnames = vd.nodes_of_vtype(name_vt).to_vec();
 
         g.bench_with_input(BenchmarkId::new("physical", n), &n, |b, _| {
-            b.iter(|| physical_structural_join(&td, &books, &names).len())
+            b.iter(|| physical_structural_join(&td, books, names).len())
         });
         g.bench_with_input(BenchmarkId::new("virtual", n), &n, |b, _| {
             b.iter(|| virtual_structural_join(&vd, &vtitles, &vnames).len())

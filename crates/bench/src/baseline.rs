@@ -2,14 +2,15 @@
 //!
 //! What a system without vPBN must do before it can answer Rhonda's query:
 //! 1. physically build the transformed instance,
-//! 2. re-parse / renumber it (fresh PBN assignment + DataGuide),
-//! 3. rebuild the storage structures (document string, value index, type
-//!    index, name index, headers),
+//! 2. re-parse / renumber it (fresh PBN assignment, DataGuide and type
+//!    index),
+//! 3. rebuild the storage structures (document string, value index,
+//!    headers),
 //! 4. only then evaluate the query with plain PBN.
 //!
 //! [`run_materialized`] measures each stage; [`run_virtual`] is the vPBN
-//! side: compile the vDataGuide, build level arrays and the per-type node
-//! lists, evaluate the same query virtually.
+//! side: compile the vDataGuide and build level arrays over the
+//! document's existing type index, evaluate the same query virtually.
 
 use std::time::Duration;
 use vh_core::transform::materialize;
@@ -27,9 +28,9 @@ use crate::timing::time;
 pub struct MaterializeTimings {
     /// Building the transformed instance.
     pub transform: Duration,
-    /// Renumbering + re-deriving the DataGuide.
+    /// Renumbering + re-deriving the DataGuide and the type index.
     pub renumber: Duration,
-    /// Rebuilding string storage and all indexes.
+    /// Rebuilding string storage, the value index and the headers.
     pub reindex: Duration,
     /// Evaluating the query on the transformed store.
     pub query: Duration,
@@ -64,7 +65,7 @@ pub fn run_materialized(
 
     let path = parse_xpath(query).expect("query parses");
     let (nodes, d) =
-        time(|| eval_xpath(&PhysicalDoc::with_store(&stored), &path).expect("query evaluates"));
+        time(|| eval_xpath(&PhysicalDoc::new(stored.typed()), &path).expect("query evaluates"));
     t.query = d;
 
     (nodes.len(), t)
@@ -73,7 +74,7 @@ pub fn run_materialized(
 /// Stage timings of the virtual (vPBN) pipeline.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VirtualTimings {
-    /// Compiling the vDataGuide + Algorithm 1 + per-type node lists.
+    /// Compiling the vDataGuide + Algorithm 1 + prefix tables.
     pub open: Duration,
     /// Evaluating the query over the virtual hierarchy.
     pub query: Duration,

@@ -69,7 +69,7 @@ fn main() {
         let mat = materialize(td, &vdg);
         let mat_stored = StoredDocument::build(TypedDocument::analyze(mat.doc));
         let pages_written = mat_stored.stats().document_pages as u64;
-        let mat_answers = eval_xpath(&PhysicalDoc::with_store(&mat_stored), &path).unwrap();
+        let mat_answers = eval_xpath(&PhysicalDoc::new(mat_stored.typed()), &path).unwrap();
         assert_eq!(mat_answers.len(), answers.len());
         mat_stored.reset_counters();
         let mut mat_out = String::new();

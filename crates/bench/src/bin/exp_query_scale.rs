@@ -4,7 +4,7 @@
 //!
 //! Expected shape: the materializing pipeline grows with document size
 //! regardless of how little the query touches, while the vPBN pipeline
-//! pays a small per-view cost (level arrays + type lists) plus work
+//! pays a small per-view cost (level arrays + prefix tables) plus work
 //! proportional to the data actually used.
 
 use vh_bench::baseline::{run_materialized, run_virtual};

@@ -90,8 +90,8 @@ fn main() {
             .guide()
             .lookup_path(&["data", "book", "author", "name"])
             .unwrap();
-        let books: Vec<_> = td.nodes_of_type(book_t);
-        let names: Vec<_> = td.nodes_of_type(name_t);
+        let books = td.nodes_of_type(book_t);
+        let names = td.nodes_of_type(name_t);
 
         // Virtual: title ancestors, name descendants (same cardinalities).
         let title_vt = vd.vdg().guide().lookup_path(&["title"]).unwrap();
@@ -126,7 +126,7 @@ fn main() {
             let ex = ExecOptions::with_threads(threads);
             vd.set_exec(ex);
             let (p_us, p_pairs) = time_us(5, || {
-                physical_structural_join_opts(&td, &books, &names, &ex).len()
+                physical_structural_join_opts(&td, books, names, &ex).len()
             });
             let (v_us, v_pairs) =
                 time_us(5, || virtual_structural_join(&vd, &vtitles, &vnames).len());

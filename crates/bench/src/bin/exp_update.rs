@@ -25,12 +25,13 @@
 //!   write-ahead log's bytes/edit (the WAL is linear in edits by
 //!   design; it is reported, not bounded by the arena ratio).
 //!
-//! * **delta maintenance** — a vocabulary-preserving skewed stream (the
+//! * **view catch-up** — a vocabulary-preserving skewed stream (the
 //!   same front-gap skew, but book-shaped inserts that never mint guide
 //!   types) in writer-sized batches through an engine whose virtual
-//!   views are warm. Every batch journals one merged delta in the
-//!   `ExecCache` instead of evicting, and the view's next open replays
-//!   it, so the suite prices (a) the per-edit cost of maintenance with
+//!   views are warm. Every batch splices the document's type index and
+//!   bumps its generation instead of evicting, and the view's next open
+//!   catches up by checking the guide types interned since its compile,
+//!   so the suite prices (a) the per-edit cost of maintenance with
 //!   a live view — each batch's `apply_all` plus one open of the view,
 //!   which runs the catch-up (`update/cache_maintain`) — and (b) the
 //!   warm-query latency the maintained views preserve
@@ -39,8 +40,8 @@
 //!   on views that lived through the stream may cost at most that
 //!   multiple of warm queries on a never-edited engine holding the
 //!   same final document. A second table times the edit side alone
-//!   with one warm view and with all six book views warm: journaling
-//!   does no per-view work, so the two should match.
+//!   with one warm view and with all six book views warm: an edit does
+//!   no per-view work, so the two should match.
 //!
 //! * **apply cost against document size** — a size-stable stream (book
 //!   inserts and deletes in equal shares at uniform positions, plus
@@ -49,7 +50,8 @@
 //!   (`update/apply/books=N`). The 6000/60 ratio is printed for
 //!   information: an edit still pays O(document) work (the arena splice
 //!   copies every key and rewrites the inverse slot map from the first
-//!   changed slot on), so it is not yet bounded.
+//!   changed slot on, and the type index moves each touched list's
+//!   tail), so it is not yet bounded.
 //!
 //! Medians land in `BENCH_update.json`; the `update/apply/…` and
 //! `update/cache_…` rows are gated against the committed baseline like
@@ -87,9 +89,8 @@ const SPACE_BUDGET: f64 = 2.0;
 /// the same final document.
 const CACHE_WARM_BUDGET: f64 = 1.10;
 
-/// Edits per writer batch in the maintenance leg: large enough that
-/// routing amortizes, small enough that the delta journal never
-/// overflows into the eviction fallback.
+/// Edits per writer batch in the maintenance leg: a writer-sized
+/// batch, so one catch-up covers many edits.
 const MAINTAIN_BATCH: usize = 64;
 
 /// Length of the maintenance stream — the "1k-edit skewed stream" of
@@ -100,8 +101,7 @@ const MAINTAIN_EDITS: usize = 1_000;
 /// Corpus size for the maintenance leg, fixed across profiles. Large
 /// enough that (a) the 1k-edit stream is a realistic fraction of the
 /// document rather than a wholesale rewrite, and (b) each batch touches
-/// far fewer nodes than the document keeps, so the journal's size cap
-/// in `ExecCache::journal` keeps the maintenance path.
+/// far fewer nodes than the document keeps.
 const MAINTAIN_BOOKS: usize = 2_000;
 
 /// Corpus sizes of the apply-scaling rows, fixed across profiles.
@@ -228,8 +228,8 @@ fn skewed_edit(doc: &Document, rng: &mut Lcg) -> Option<Edit> {
 /// same front-gap skew as [`skewed_edit`]: 60% book inserts (mostly at
 /// position 0 of the root — the minting worst case), 20% title value
 /// rewrites, 20% book deletes. Every tag already exists in the corpus,
-/// so the stream never mints guide types and the cache's maintenance
-/// path — not the recompute fallback — absorbs it.
+/// so the stream never mints guide types and every catch-up keeps the
+/// view rather than recomputing it.
 fn maintain_edit(doc: &Document, rng: &mut Lcg) -> Option<Edit> {
     let root = doc.root()?;
     let (op, a, b) = (rng.next(), rng.next() as usize, rng.next() as usize);
@@ -590,11 +590,12 @@ fn main() {
             .with("wal_bytes_per_edit", wal_per_edit),
     );
 
-    // ---------------------------------------- UPD-d: delta maintenance ---
+    // ----------------------------------------- UPD-d: view catch-up ---
     // A vocabulary-preserving skewed stream against warm virtual views:
-    // every `apply_all` batch journals one merged delta in the cache,
-    // and the next open of the view replays it, splicing the view in
-    // place. Each batch is timed with that open, so the row prices the
+    // every `apply_all` batch splices the document's type index and
+    // bumps its generation, and the next open of the view catches up,
+    // checking the guide types interned since its compile. Each batch is
+    // timed with that open, so the row prices the
     // whole maintenance, edit side and catch-up; an interleaved reader
     // (one suite pass per batch, untimed) keeps the view hot the way a
     // concurrent reader does. The leg runs on its own
@@ -657,7 +658,7 @@ fn main() {
         let _ = virt_suite_ns(&pristine);
     }
     let mut t = Table::new(
-        "UPD-d: delta maintenance — ns/edit with warm views, and the warm suite after",
+        "UPD-d: view catch-up — ns/edit with warm views, and the warm suite after",
         &["attempt", "maintained_ns", "pristine_ns", "warm_x"],
     );
     let mut warm_best = f64::INFINITY;
@@ -691,7 +692,6 @@ fn main() {
             "catch_up_ns",
             "maintained",
             "recomputed",
-            "fallback_evictions",
         ],
     );
     t.row(&[
@@ -701,12 +701,11 @@ fn main() {
         format!("{catch_up_ns:.0}"),
         snap.maintained.to_string(),
         snap.recomputed.to_string(),
-        snap.fallback_evictions.to_string(),
     ]);
     t.print();
 
     // The edit side alone, with one warm view and with every book view
-    // warm: an edit journals its batch once per URI, whatever is cached.
+    // warm: an edit splices the document once, whatever is cached.
     let mut t = Table::new(
         "UPD-d: apply_all ns/edit by warm views (no reads)",
         &["warm_views", "edit_ns"],
@@ -740,8 +739,7 @@ fn main() {
             .with("apply_ns", edit_ns)
             .with("catch_up_ns", catch_up_ns)
             .with("views_maintained", snap.maintained as f64)
-            .with("views_recomputed", snap.recomputed as f64)
-            .with("fallback_evictions", snap.fallback_evictions as f64),
+            .with("views_recomputed", snap.recomputed as f64),
     );
     report.push(
         BenchRow::new("update/cache_warm_query/edited", warm_edited)
@@ -805,8 +803,9 @@ fn main() {
     println!(
         "apply scaling: {} books cost {scaling_x:.2}x the per-edit time of {} books \
          (informational; the O(edit) target of <= 2x is not met while an edit \
-         still pays O(document) work: the arena splice copies every key, and \
-         rewrites the inverse slot map from the first changed slot on)",
+         still pays O(document) work: the arena splice copies every key and \
+         rewrites the inverse slot map from the first changed slot on, and the \
+         type index moves each touched list's tail)",
         SCALING_BOOKS[2], SCALING_BOOKS[0]
     );
 
@@ -852,7 +851,7 @@ fn main() {
         "acceptance: after {applied} skewed edits queries run at {best:.3}x a fresh rebuild \
          (bound {SLOWDOWN_BUDGET}x), the arena sits at {arena_x:.3}x (bound {SPACE_BUDGET}x), \
          warm maintained views at {warm_best:.3}x (bound {CACHE_WARM_BUDGET}x, \
-         {} views spliced in place); the log costs {wal_per_edit:.1} B/edit",
+         {} catch-ups kept their view); the log costs {wal_per_edit:.1} B/edit",
         snap.maintained
     );
 }

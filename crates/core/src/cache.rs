@@ -1,18 +1,17 @@
 //! Sharded LRU cache for compiled views.
 //!
 //! A naive engine recompiles a view on every query: the expanded
-//! vDataGuide, the Algorithm-1 level map, the scan-range prefix tables
-//! (all three pure functions of `(document guide, transform spec)`) and
-//! the per-type node index, which also depends on the document's nodes
-//! and is the only part with per-node cost — caching it makes warm view
-//! opens O(1) in document size. [`ExecCache`] keeps each view as one
-//! [`CompiledView`] entry of a [`ShardedLru`] keyed by [`ViewKey`] — the
-//! document URI and the transform spec — stamped with the document
-//! generation it reflects. The four parts are compiled, stamped, caught
-//! up and evicted together, so no lookup can find some of them and miss
-//! the rest. [`ExecCache::invalidate_uri`] evicts everything for a URI
-//! explicitly, which is what keeps a re-registered document from serving
-//! views of its predecessor.
+//! vDataGuide, the Algorithm-1 level map and the scan-range prefix tables
+//! — pure functions of `(document guide, transform spec)`. The nodes
+//! themselves come from the document's type index, so nothing in a view
+//! costs per node except its lazily built order column. [`ExecCache`]
+//! keeps each view as one [`CompiledView`] entry of a [`ShardedLru`]
+//! keyed by [`ViewKey`] — the document URI and the transform spec —
+//! stamped with the document generation it reflects. The parts are
+//! compiled, stamped, caught up and evicted together, so no lookup can
+//! find some of them and miss the rest. [`ExecCache::invalidate_uri`]
+//! evicts everything for a URI explicitly, which is what keeps a
+//! re-registered document from serving views of its predecessor.
 //!
 //! The cache is `Sync`: shards are independent mutexes, counters are
 //! atomics, and a view's parts are `Arc`s, so parallel query stages can
@@ -20,26 +19,25 @@
 //! counters are surfaced through [`CacheStats`] alongside the storage
 //! layer's `StorageStats`.
 //!
-//! ## Delta-aware maintenance
+//! ## Catching up after edits
 //!
 //! Documents are mutable, and evicting a URI's views on every edit would
-//! re-pay the compile-and-index cost the virtual-hierarchy design exists
-//! to avoid; maintaining every view on every edit would make edits pay
-//! for views nobody reads. So an edit batch only appends its `DocDelta`
-//! to the URI's journal ([`ExecCache::journal`]), and a lookup that finds
-//! a stale entry catches it up ([`ExecCache::catch_up`]): the entry
-//! survives if no journaled batch can change the view's expansion
-//! ([`crate::vdg::VDataGuide::unaffected_by`]) and its index takes the
-//! splice ([`crate::vdoc::TypeIndex::maintain`]); otherwise it is dropped
-//! whole. DESIGN.md §14 has the rules and their proof obligations.
+//! re-pay the compile cost the virtual-hierarchy design exists to avoid.
+//! An edit only bumps the document's generation; a lookup that finds a
+//! stale entry catches it up ([`ExecCache::catch_up`]). A DataGuide only
+//! grows, so what an edit can have changed about a view's parts is one
+//! thing: the guide types interned since the entry was compiled, the tail
+//! of the guide. If [`crate::vdg::VDataGuide::unaffected_by`] clears that
+//! tail, the entry is restamped with an empty order cell (the column
+//! ranks nodes, which the edit moved); otherwise it is dropped whole.
+//! DESIGN.md §14 has the rule and why it is sound.
 
-use crate::journal::Journal;
 use crate::vdoc::CompiledView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use vh_dataguide::{DocDelta, TypedDocument};
+use vh_dataguide::TypedDocument;
 use vh_obs::CacheOutcome;
 
 /// Number of independent mutex-protected shards per map.
@@ -157,8 +155,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
 
     /// Lets `f` update `key`'s value in place under its shard lock,
     /// without touching recency or the hit/miss counters. Returns `f`'s
-    /// result, or `None` when `key` is absent. Inside `f` the map holds the
-    /// value, so an `Arc` no caller holds stays unshared.
+    /// result, or `None` when `key` is absent.
     pub fn update<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
         self.shard_for(key).entries.get_mut(key).map(|(_, v)| f(v))
     }
@@ -174,15 +171,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         drop(shard);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Calls `f` on every cached entry, one shard at a time.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for shard in &self.shards {
-            for (k, (_, v)) in &lock_shard(shard).entries {
-                f(k, v);
-            }
-        }
     }
 
     /// Removes every entry that fails `keep`, counting the removals as
@@ -257,16 +245,11 @@ impl CacheCounters {
 pub struct CacheStats {
     /// Compiled-view lookups, evictions and live entries.
     pub views: CacheCounters,
-    /// Stale views a catch-up replayed to the current generation.
+    /// Stale views a catch-up restamped to the current generation.
     pub maintained: u64,
-    /// Stale views a journaled batch could change, dropped by a catch-up
-    /// (recomputed on their open).
+    /// Stale views whose expansion the grown guide could change, dropped
+    /// by a catch-up (recomputed on their open).
     pub recomputed: u64,
-    /// Views dropped by the maintenance fallback: the journal's cap
-    /// (more touched nodes than the document keeps) trimmed the batches
-    /// they needed, the edit journal overflowed, or an explicit
-    /// compaction rewrote the arena.
-    pub fallback_evictions: u64,
 }
 
 impl CacheStats {
@@ -311,7 +294,7 @@ impl ViewKey {
 // ------------------------------------------------- delta maintenance ---
 
 /// A cached value tagged with the document generation it reflects and
-/// whether its last producer was delta maintenance (vs. a fresh compute).
+/// whether its last producer was a catch-up (vs. a fresh compute).
 /// The generation alone decides staleness: a lookup serves a value only
 /// at the document's current generation, and catches an older one up
 /// first.
@@ -319,8 +302,8 @@ impl ViewKey {
 pub struct Stamped<V> {
     /// Document generation this value is valid for.
     pub gen: u64,
-    /// True when the value last reached its generation by replaying the
-    /// journal ([`ExecCache::catch_up`]) rather than by a fresh compute.
+    /// True when the value last reached its generation by a catch-up
+    /// ([`ExecCache::catch_up`]) rather than by a fresh compute.
     pub maintained: bool,
     /// The cached value itself.
     pub value: V,
@@ -337,51 +320,34 @@ impl<V> Stamped<V> {
     }
 }
 
-/// Verdict of one [`crate::vdoc::TypeIndex::maintain`] splice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Maintained {
-    /// The delta touched no node of a visible type; no list was written.
-    Unchanged,
-    /// The touched nodes were spliced into the lists in place.
-    Spliced,
-    /// The index does not hold the pre-batch state the journal describes;
-    /// its lists were left as they were and it must be rebuilt.
-    MustRecompute,
-}
-
 /// What catching one view up did to its entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CatchUp {
-    /// 1 if the entry was replayed to the current generation (its index
-    /// spliced in place or proven unchanged).
+    /// 1 if the entry was restamped to the current generation.
     pub maintained: u64,
-    /// 1 if a journaled batch could change the view, or the index refused
-    /// the splice, and the entry was dropped for recompute.
+    /// 1 if the grown guide could change the view and the entry was
+    /// dropped for recompute.
     pub recomputed: u64,
-    /// 1 if the journal no longer reaches back to the entry and it was
-    /// dropped.
-    pub fallback_evictions: u64,
 }
 
 /// The engine-wide compiled-view cache: one [`ShardedLru`] entry per view,
 /// shared across queries (and across threads — the whole struct is
-/// `Sync`), plus one journal of committed edit batches per URI.
+/// `Sync`).
 pub struct ExecCache {
-    /// Compiled views keyed by view. An entry holds all four parts and
+    /// Compiled views keyed by view. An entry holds all its parts and
     /// is stamped, caught up and evicted as one.
     pub views: ShardedLru<ViewKey, Stamped<CompiledView>>,
-    /// Per-URI journals. Also the catch-up lock: a catch-up holds it
-    /// from its staleness check to its restamp.
-    journals: Mutex<HashMap<String, Journal>>,
+    /// The catch-up lock: a catch-up holds it from its staleness check
+    /// to its restamp.
+    catching_up: Mutex<()>,
     maintained: AtomicU64,
     recomputed: AtomicU64,
-    fallback_evictions: AtomicU64,
     /// Seqlock-style generation stamp over the maintenance counters: odd
-    /// while a catch-up or fallback invalidation is mid-flight, bumped to
-    /// even when it commits. [`ExecCache::stats`] retries until it reads
-    /// the same even epoch on both sides, so a snapshot can never observe
-    /// a half-applied catch-up (an entry dropped but the
-    /// maintained/recomputed totals not yet accounted).
+    /// while a catch-up is mid-flight, bumped to even when it commits.
+    /// [`ExecCache::stats`] retries until it reads the same even epoch on
+    /// both sides, so a snapshot can never observe a half-applied
+    /// catch-up (an entry dropped but the maintained/recomputed totals
+    /// not yet accounted).
     epoch: AtomicU64,
 }
 
@@ -401,161 +367,84 @@ impl ExecCache {
     pub fn new(capacity: usize) -> Self {
         ExecCache {
             views: ShardedLru::new(capacity),
-            journals: Mutex::new(HashMap::new()),
+            catching_up: Mutex::new(()),
             maintained: AtomicU64::new(0),
             recomputed: AtomicU64::new(0),
-            fallback_evictions: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
         }
     }
 
-    /// Locks the journals (plain data: a poisoned lock is still whole).
-    fn journals(&self) -> MutexGuard<'_, HashMap<String, Journal>> {
-        self.journals.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Opens a maintenance writer section: the epoch goes odd until the
     /// returned guard drops. Sections never overlap: each runs under the
-    /// journal lock or inside an `&mut Engine` call.
+    /// catch-up lock.
     fn begin_maintenance(&self) -> EpochWriter<'_> {
         self.epoch.fetch_add(1, Ordering::Acquire);
         EpochWriter(&self.epoch)
     }
 
     /// The current maintenance epoch: even when quiescent, odd while a
-    /// catch-up or fallback invalidation is in flight. Composite readers
-    /// (e.g. `Engine::snapshot`) can bracket multi-field reads with two
-    /// calls and retry on a mismatch.
+    /// catch-up is in flight. Composite readers (e.g. `Engine::snapshot`)
+    /// can bracket multi-field reads with two calls and retry on a
+    /// mismatch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The oldest generation a cached view of `uri` is stamped with.
-    fn oldest(&self, uri: &str) -> Option<u64> {
-        let mut oldest: Option<u64> = None;
-        self.views.for_each(|k, s| {
-            if k.uri == uri {
-                oldest = Some(oldest.map_or(s.gen, |o| o.min(s.gen)));
-            }
-        });
-        oldest
-    }
-
-    /// Evicts every view compiled for `uri` (all specs, all generations)
-    /// and forgets its journal. Returns the number of entries dropped.
+    /// Evicts every view compiled for `uri` (all specs, all
+    /// generations). Returns the number of entries dropped.
     pub fn invalidate_uri(&self, uri: &str) -> usize {
-        self.journals().remove(uri);
         self.views.retain(|k, _| k.uri != uri)
     }
 
-    /// The maintenance hard fallback: evicts everything for `uri`, forgets
-    /// its journal, and counts the drops as fallback evictions. Used when
-    /// an explicit compaction or an overflowed edit journal leaves no
-    /// batch to replay.
-    pub fn fallback_invalidate_uri(&self, uri: &str) -> usize {
-        let _epoch = self.begin_maintenance();
-        let dropped = self.invalidate_uri(uri);
-        self.fallback_evictions
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
-    }
-
-    /// Appends one committed batch of `uri`, which took the document to
-    /// generation `gen`, to the URI's journal. Nothing happens per view:
-    /// each cached view replays the batch on its next lookup
-    /// ([`ExecCache::catch_up`]). Only a URI some lookup has opened keeps
-    /// a journal, so a URI the cache holds nothing of journals nothing.
-    /// The journal never holds more touches than the document keeps
-    /// `live` nodes — a longer replay cannot beat a rebuild — so past
-    /// that the oldest batches go, and the views only they could have
-    /// caught up are evicted as fallbacks; once none of the URI's views
-    /// is left, the journal goes too. An overflowed batch describes too
-    /// little to replay: the URI takes the hard fallback.
-    pub fn journal(&self, uri: &str, gen: u64, delta: DocDelta, live: usize) {
-        let mut journals = self.journals();
-        let Some(j) = journals.get_mut(uri) else {
-            return;
-        };
-        if delta.overflowed {
-            drop(journals);
-            self.fallback_invalidate_uri(uri);
-            return;
-        }
-        j.push(gen, delta);
-        if j.len().1 <= live {
-            return;
-        }
-        let base = j.cap(live);
-        let _epoch = self.begin_maintenance();
-        let dropped = self.views.retain(|k, s| k.uri != uri || s.gen >= base);
-        self.fallback_evictions
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        if self.oldest(uri).is_none() {
-            journals.remove(uri);
-        }
-    }
-
-    /// Brings `key`'s cached view to the document's generation `gen` by
-    /// replaying the URI's journal since the view's stamp; `td` is the
-    /// document at `gen`. Afterwards the entry is stamped `gen` or gone,
-    /// whole: it survives only if no batch since its stamp can change the
-    /// view's expansion and its index takes the splice of the batches'
-    /// merged touches. The expansion, level map and prefix tables are
-    /// pure functions of the guide, so that verdict alone keeps them.
+    /// Brings `key`'s cached view to the document's generation `gen`; `td`
+    /// is the document at `gen`. Afterwards the entry is stamped `gen` or
+    /// gone, whole: it survives only if the guide types interned since it
+    /// was compiled cannot change its expansion
+    /// ([`crate::vdg::VDataGuide::unaffected_by`]). The expansion, level
+    /// map and prefix tables are pure functions of the guide, so that
+    /// verdict alone keeps them; the order column ranks nodes the edits
+    /// moved, so a kept entry gets an empty cell.
     ///
     /// A caught-up view costs one shard lookup. Otherwise the catch-up
-    /// runs under the journal lock, so a racing lookup of the same view
-    /// waits, then finds it caught up: a stale entry is replayed once,
-    /// and none is rebuilt because another lookup is replaying it.
-    /// Afterwards the journal is trimmed to the oldest view the URI
-    /// still caches. A lookup that finds the view uncached opens the
-    /// URI's journal, so the batches after the entry it is about to
-    /// store can be replayed.
+    /// runs under the catch-up lock, so a racing lookup of the same view
+    /// waits, then finds it caught up.
     pub fn catch_up(&self, key: &ViewKey, gen: u64, td: &TypedDocument) -> CatchUp {
         let stamp = || self.views.peek(key, |s| s.gen);
-        if stamp() == Some(gen) {
+        if stamp().is_none_or(|g| g == gen) {
             return CatchUp::default();
         }
-        let mut journals = self.journals();
-        let journal = journals.entry(key.uri.clone()).or_default();
-        let Some(from) = stamp().filter(|&g| g != gen) else {
+        let _lock = self
+            .catching_up
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if stamp().is_none_or(|g| g == gen) {
             return CatchUp::default();
-        };
+        }
         let _epoch = self.begin_maintenance();
-        let verdict = journal.reaches(from).then(|| {
-            self.views.update(key, |s| {
-                let view = &mut s.value;
-                if !journal
-                    .new_types_since(from)
-                    .all(|types| view.vdg.unaffected_by(types, td.guide()))
-                {
-                    return Maintained::MustRecompute;
-                }
-                // Copy-on-write: in place while the cache holds the only
-                // reference, on a copy while a caller still holds the `Arc`.
-                let touched = journal.touched_since(from);
-                let verdict = Arc::make_mut(&mut view.index).maintain(&touched, td, &view.vdg);
-                if verdict != Maintained::MustRecompute {
-                    (s.gen, s.maintained) = (gen, true);
-                }
-                verdict
-            })
+        let guide = td.guide();
+        let kept = self.views.update(key, |s| {
+            let view = &mut s.value;
+            if !view.vdg.unaffected_by(view.guide_len, guide) {
+                return false;
+            }
+            view.guide_len = guide.len();
+            view.order = Arc::default();
+            (s.gen, s.maintained) = (gen, true);
+            true
         });
-        let drop_stale = || u64::from(self.views.remove_if(key, |s| s.gen != gen));
-        let mut out = CatchUp::default();
-        match verdict.flatten() {
-            // Trimmed (or never kept): no batch list reaches back far enough.
-            None => out.fallback_evictions = drop_stale(),
-            // A batch can change the expansion, or the index refused the
-            // splice: the whole entry goes, no part of it is kept.
-            Some(Maintained::MustRecompute) => out.recomputed = drop_stale(),
-            Some(_) => out.maintained = 1,
-        }
-        journal.trim_to(self.oldest(&key.uri).unwrap_or(gen));
+        let out = if kept == Some(true) {
+            CatchUp {
+                maintained: 1,
+                recomputed: 0,
+            }
+        } else {
+            CatchUp {
+                maintained: 0,
+                recomputed: u64::from(self.views.remove_if(key, |s| s.gen != gen)),
+            }
+        };
         self.maintained.fetch_add(out.maintained, Ordering::Relaxed);
         self.recomputed.fetch_add(out.recomputed, Ordering::Relaxed);
-        self.fallback_evictions
-            .fetch_add(out.fallback_evictions, Ordering::Relaxed);
         out
     }
 
@@ -583,13 +472,8 @@ impl ExecCache {
         Ok((view, CacheOutcome::Computed))
     }
 
-    /// Journaled batches and touched entries held for `uri`.
-    pub fn journal_len(&self, uri: &str) -> (usize, usize) {
-        self.journals().get(uri).map_or((0, 0), Journal::len)
-    }
-
     /// Counter snapshot, taken under a stable maintenance epoch: if a
-    /// catch-up or fallback invalidation is in flight (epoch odd) or
+    /// catch-up is in flight (epoch odd) or
     /// commits mid-read (epoch moved), the read retries, so the returned
     /// stats never mix pre-catch-up entry counts with post-catch-up
     /// maintenance totals.
@@ -604,7 +488,6 @@ impl ExecCache {
                 views: self.views.counters(),
                 maintained: self.maintained.load(Ordering::Relaxed),
                 recomputed: self.recomputed.load(Ordering::Relaxed),
-                fallback_evictions: self.fallback_evictions.load(Ordering::Relaxed),
             };
             if self.epoch() == before {
                 return stats;
@@ -716,8 +599,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&first.vdg, &again.vdg));
         assert!(!Arc::ptr_eq(&first.levels, &again.levels));
         assert!(!Arc::ptr_eq(&first.tables, &again.tables));
-        assert!(!Arc::ptr_eq(&first.index, &again.index));
-        assert_eq!(*first.index, *again.index);
+        assert!(!Arc::ptr_eq(&first.order, &again.order));
     }
 
     #[test]
@@ -756,41 +638,51 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_entry_points_each_close_their_epoch() {
+    fn catch_ups_restamp_or_drop_by_the_guide_tail_and_close_their_epoch() {
+        let mut td = figure2();
         let cache = ExecCache::new(16);
-        assert_eq!(cache.epoch(), 0);
-        cache.fallback_invalidate_uri("a.xml");
-        assert_eq!(cache.epoch(), 2, "fallback left the epoch open or nested");
-        let td = figure2();
-        let key = ViewKey::new("a.xml", "data { ** }");
-        // A lookup of an uncached view opens the journal, then stores.
-        cache.catch_up(&key, 1, &td);
-        let view = compile(&td, &key.spec);
-        cache.views.insert(key.clone(), Stamped::fresh(1, view));
-        // A fresh entry is served without a section.
-        cache.catch_up(&key, 1, &td);
-        assert_eq!(cache.epoch(), 2, "a lookup opened a section");
-        // A batch that touches more nodes than the document keeps trims
-        // the journal at once, evicting the entry it strands.
-        let touched = vh_dataguide::TouchedNode {
-            id: vh_xml::NodeId::from_index(0),
-            ty: vh_dataguide::TypeId::from_index(0),
-            key: Vec::new(),
-            touch: vh_dataguide::Touch::Removed,
+        let key = ViewKey::new("a.xml", "title { author { name } }");
+        let store = |td: &TypedDocument, gen| {
+            let view = compile(td, &key.spec);
+            crate::VirtualDocument::new(td, view.clone()).order_column();
+            assert!(view.order_checked(), "the open shares the cell");
+            cache.views.insert(key.clone(), Stamped::fresh(gen, view));
         };
-        let delta = DocDelta {
-            touched: vec![touched],
-            ..DocDelta::default()
-        };
-        cache.journal("a.xml", 2, delta, 0);
+        store(&td, 1);
+        // Uncached and fresh entries open no section.
         assert_eq!(
-            cache.epoch(),
-            4,
-            "the size cap must open exactly one section"
+            cache.catch_up(&ViewKey::new("b.xml", "x"), 1, &td),
+            CatchUp::default()
         );
-        assert_eq!(cache.journal_len("a.xml"), (0, 0), "the cap trims");
-        assert!(cache.views.is_empty(), "stranded entry evicted");
-        assert_eq!(cache.stats().fallback_evictions, 1);
+        assert_eq!(cache.catch_up(&key, 1, &td), CatchUp::default());
+        assert_eq!(cache.epoch(), 0);
+        // A new type under an invisible parent: restamped, column dropped.
+        let root = td.doc().root().unwrap_or_else(|| unreachable!());
+        let book = td.doc().children(root)[0];
+        let publisher = *td
+            .doc()
+            .children(book)
+            .last()
+            .unwrap_or_else(|| unreachable!());
+        td.insert_fragment(publisher, 0, "<note>n</note>")
+            .unwrap_or_else(|e| unreachable!("{e}"));
+        let caught = cache.catch_up(&key, 2, &td);
+        assert_eq!((caught.maintained, caught.recomputed), (1, 0));
+        assert_eq!(cache.epoch(), 2, "one section, closed");
+        let entry = cache
+            .views
+            .peek(&key, |s| (s.gen, s.maintained, s.value.order_checked()));
+        assert_eq!(entry, Some((2, true, false)));
+        // A new type under a visible parent: dropped whole.
+        let title = td.doc().children(book)[0];
+        td.insert_fragment(title, 0, "<sub>s</sub>")
+            .unwrap_or_else(|e| unreachable!("{e}"));
+        let caught = cache.catch_up(&key, 3, &td);
+        assert_eq!((caught.maintained, caught.recomputed), (0, 1));
+        assert!(cache.views.is_empty());
+        assert_eq!(cache.epoch(), 4);
+        let stats = cache.stats();
+        assert_eq!((stats.maintained, stats.recomputed), (1, 1));
     }
 
     #[test]

@@ -31,13 +31,12 @@
 //! * [`exec`] — [`ExecOptions`] and the deterministic partition/merge
 //!   primitives behind parallel scans, filters and sorts.
 //! * [`cache`] — sharded LRU of compiled views (vDataGuide expansion,
-//!   level-array map, prefix tables and per-type node index, cached as
+//!   level-array map, prefix tables and the order-column cell, cached as
 //!   one entry) with hit/miss counters.
 
 pub mod axes;
 pub mod cache;
 pub mod exec;
-mod journal;
 pub mod levels;
 pub mod order;
 pub mod range;
@@ -51,7 +50,7 @@ pub use cache::{CacheStats, ExecCache};
 pub use exec::ExecOptions;
 pub use levels::LevelArray;
 pub use vdg::{VDataGuide, VdgError, VdgSpec};
-pub use vdoc::{CompiledView, TypeIndex, VirtualDocument};
+pub use vdoc::{CompiledView, VirtualDocument};
 pub use vpbn::VPbn;
 
 #[cfg(test)]

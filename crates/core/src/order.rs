@@ -237,12 +237,6 @@ impl OrderColumn {
     pub fn is_empty(&self) -> bool {
         self.placements == 0
     }
-
-    /// Heap bytes of the column.
-    pub fn heap_bytes(&self) -> usize {
-        self.spans.len() * std::mem::size_of::<Span>()
-            + self.repeats.len() * std::mem::size_of::<NodeId>()
-    }
 }
 
 impl std::fmt::Debug for OrderColumn {

@@ -134,9 +134,11 @@ impl VDataGuide {
         self.vguide.length(vt)
     }
 
-    /// True when freshly interned guide types provably cannot change what
-    /// `VDataGuide::compile(spec, original)` would produce, so this cached
-    /// expansion stays valid under the grown guide.
+    /// True when the guide types interned since `original` had `since`
+    /// types provably cannot change what `VDataGuide::compile(spec,
+    /// original)` would produce, so this cached expansion stays valid
+    /// under the grown guide. A DataGuide only grows, so the new types
+    /// are the tail `since..original.len()`.
     ///
     /// A new type `t` is harmless iff **both** hold:
     /// * its parent is invisible in this view (no virtual type) — a
@@ -149,8 +151,8 @@ impl VDataGuide {
     ///   must happen even if only to surface that error.
     ///
     /// Conservative by design: a `false` only costs a recompute.
-    pub fn unaffected_by(&self, new_types: &[TypeId], original: &DataGuide) -> bool {
-        if new_types.is_empty() {
+    pub fn unaffected_by(&self, since: usize, original: &DataGuide) -> bool {
+        if since >= original.len() {
             return true;
         }
         let tails: Vec<&str> = self
@@ -159,8 +161,8 @@ impl VDataGuide {
             .iter()
             .map(|l| l.rsplit('.').next().unwrap_or(l))
             .collect();
-        new_types.iter().all(|&t| {
-            let ty = original.ty(t);
+        (since..original.len()).all(|t| {
+            let ty = original.ty(TypeId::from_index(t));
             let parent_visible = match ty.parent() {
                 Some(p) => self.vtype_of(p).is_some(),
                 // A parentless new type would be a new root; mutations
@@ -593,30 +595,30 @@ mod tests {
         // label: the expansion must survive, and the recompile agrees.
         let mut g = g0.clone();
         let publisher = g.lookup_path(&["data", "book", "publisher"]).must();
-        let t = g.intern_child(publisher, "note");
-        assert!(v.unaffected_by(&[t], &g));
+        g.intern_child(publisher, "note");
+        assert!(v.unaffected_by(g0.len(), &g));
         assert_same_expansion(&v, &recompile_expansion_oracle(spec, &g), &g0, &g);
 
         // A new type under a *visible* parent must force a recompute
         // (conservative: the implicit rules could pull it in).
         let mut g = g0.clone();
         let title = g.lookup_path(&["data", "book", "title"]).must();
-        let t = g.intern_child(title, "subtitle");
-        assert!(!v.unaffected_by(&[t], &g));
+        g.intern_child(title, "subtitle");
+        assert!(!v.unaffected_by(g0.len(), &g));
 
         // A new type whose name is a label tail must force a recompute:
         // here the recompile even errors (ambiguous label), which the
         // cache must surface rather than mask with a stale entry.
         let mut g = g0.clone();
         let publisher = g.lookup_path(&["data", "book", "publisher"]).must();
-        let t = g.intern_child(publisher, "name");
-        assert!(!v.unaffected_by(&[t], &g));
+        g.intern_child(publisher, "name");
+        assert!(!v.unaffected_by(g0.len(), &g));
         assert!(matches!(
             VDataGuide::compile(spec, &g),
             Err(VdgError::AmbiguousLabel { .. })
         ));
 
         // No new types: trivially unaffected.
-        assert!(v.unaffected_by(&[], &g0));
+        assert!(v.unaffected_by(g0.len(), &g0));
     }
 }

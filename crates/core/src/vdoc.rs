@@ -4,14 +4,15 @@
 //! This is the runtime counterpart of the `virtualDoc` function the paper
 //! adds to XQuery: it pairs the original [`TypedDocument`] with a
 //! [`CompiledView`] — the compiled [`VDataGuide`], the level-array map
-//! (Algorithm 1), the scan-range prefix tables, and per-virtual-type
-//! indexes (nodes of each virtual type, sorted by PBN number — the stand-in
-//! for the DBMS type index of §4.3). All navigation is implemented with the
-//! virtual predicates of [`crate::axes`], narrowed by the scan ranges of
+//! (Algorithm 1) and the scan-range prefix tables, all per type. Nodes
+//! come from the document's own type index
+//! ([`TypedDocument::nodes_of_type`], the DBMS type index of §4.3): a
+//! virtual type's nodes are exactly its original type's, so no view
+//! re-indexes anything. All navigation is implemented with the virtual
+//! predicates of [`crate::axes`], narrowed by the scan ranges of
 //! [`crate::range`].
 
 use crate::axes;
-use crate::cache::Maintained;
 use crate::exec::{self, ExecOptions};
 use crate::levels::{LevelArray, LevelMap};
 use crate::order::{v_cmp, OrderColumn};
@@ -19,170 +20,10 @@ use crate::range::PrefixTables;
 use crate::vdg::{VDataGuide, VTypeId, VdgError};
 use crate::vpbn::VPbnRef;
 use std::sync::{Arc, OnceLock};
-use vh_dataguide::{Touch, Touched, TypedDocument};
+use vh_dataguide::TypedDocument;
 use vh_obs::{AxisCounters, RangeChoice, TraceBuilder};
 use vh_pbn::keys;
 use vh_xml::NodeId;
-
-/// The per-virtual-type node index of one view: for each virtual type,
-/// every node of that type in PBN (document) order — the stand-in for the
-/// per-type index of a PBN-based DBMS (§4.3). A pure function of
-/// `(document, vDataGuide)` and part of every [`CompiledView`], so engines
-/// cache it with the view instead of re-walking the document on every
-/// query.
-///
-/// The index also carries the view's [`OrderColumn`], built lazily by the
-/// first join over this generation ([`VirtualDocument::order_column`]),
-/// never at open. Cloning shares it, [`TypeIndex::maintain`] drops it, and
-/// equality ignores it.
-#[derive(Clone, Debug)]
-pub struct TypeIndex {
-    /// `by_vtype[vt.index()]` = nodes of virtual type `vt`, PBN-sorted.
-    by_vtype: Vec<Vec<NodeId>>,
-    /// The order column once a join asked for it.
-    order: OnceLock<Arc<OrderColumn>>,
-}
-
-impl PartialEq for TypeIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.by_vtype == other.by_vtype
-    }
-}
-
-impl Eq for TypeIndex {}
-
-impl TypeIndex {
-    /// Builds the index in one pass in document order: PBN assignment
-    /// order is document order, so each per-type list comes out PBN-sorted
-    /// for free.
-    pub fn build(td: &TypedDocument, vdg: &VDataGuide) -> Self {
-        let mut by_vtype: Vec<Vec<NodeId>> = vec![Vec::new(); vdg.len()];
-        for &id in td.pbn().in_document_order() {
-            if let Some(vt) = vdg.vtype_of(td.type_of(id)) {
-                by_vtype[vt.index()].push(id);
-            }
-        }
-        TypeIndex {
-            by_vtype,
-            order: OnceLock::new(),
-        }
-    }
-
-    /// True once a join has asked this generation for its order column,
-    /// which built it.
-    pub fn order_checked(&self) -> bool {
-        self.order.get().is_some()
-    }
-
-    /// The nodes of one virtual type, in PBN order.
-    #[inline]
-    pub fn nodes(&self, vt: VTypeId) -> &[NodeId] {
-        &self.by_vtype[vt.index()]
-    }
-
-    /// Number of virtual types indexed.
-    pub fn len(&self) -> usize {
-        self.by_vtype.len()
-    }
-
-    /// True for the degenerate empty view.
-    pub fn is_empty(&self) -> bool {
-        self.by_vtype.is_empty()
-    }
-
-    /// Total nodes across all types (= visible nodes of the view).
-    pub fn total_nodes(&self) -> usize {
-        self.by_vtype.iter().map(Vec::len).sum()
-    }
-
-    /// Heap bytes of the index (for cache accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.by_vtype
-            .iter()
-            .map(|v| v.len() * std::mem::size_of::<NodeId>())
-            .sum::<usize>()
-            + self.by_vtype.len() * std::mem::size_of::<Vec<NodeId>>()
-            + self.order.get().map_or(0, |col| col.heap_bytes())
-    }
-
-    /// Splices one or more edit batches — their touched entries
-    /// concatenated in chronological order — into the lists in place, and
-    /// drops the order column without copying it (the next join rebuilds
-    /// it over the post-batch document). Pre-batch entries of touched
-    /// nodes are located by binary search under their pre-batch keys: a
-    /// node whose first touch is a removal was listed under that touch's
-    /// journaled key and type, and untouched nodes keep their current
-    /// keys. Every removal is located before the first list changes, so a
-    /// [`Maintained::MustRecompute`] leaves the lists as they were. Once
-    /// those entries are out, every list holds untouched nodes only, so
-    /// each live touched node is inserted at the position of its *final*
-    /// key — moved nodes make the journaled keys non-monotone, so
-    /// positions are never replayed chronologically.
-    ///
-    /// `td` is the document after the batches, and the caller has
-    /// established that they leave `vdg` valid
-    /// ([`VDataGuide::unaffected_by`]).
-    // oracle: rebuild_index_oracle
-    pub fn maintain(
-        &mut self,
-        touched: &[Touched<'_>],
-        td: &TypedDocument,
-        vdg: &VDataGuide,
-    ) -> Maintained {
-        // Ranks and subtree ends describe the pre-batch document; the
-        // next join rebuilds them.
-        self.order.take();
-        // Only a touched node of a visible type can change a list: every
-        // type a touched node ever had in these batches maps to at most
-        // one.
-        if !touched.iter().any(|t| vdg.vtype_of(t.ty).is_some()) {
-            return Maintained::Unchanged;
-        }
-        // One entry per touched node, its first touch (the stable sort
-        // keeps chronological order within a node).
-        let mut first: Vec<&Touched<'_>> = touched.iter().collect();
-        first.sort_by_key(|t| t.id);
-        first.dedup_by_key(|t| t.id);
-        let pbn = td.pbn();
-        let before = |id: NodeId| match first.binary_search_by_key(&id, |t| t.id) {
-            Ok(i) => first[i].key,
-            Err(_) => pbn.key_of(id),
-        };
-        let mut removals: Vec<(usize, usize)> = Vec::new();
-        for t in first.iter().filter(|t| t.touch == Touch::Removed) {
-            let Some(vt) = vdg.vtype_of(t.ty) else {
-                continue;
-            };
-            let list = &self.by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| before(x) < t.key);
-            if list.get(pos) != Some(&t.id) {
-                // The index does not hold the pre-batch state the journal
-                // describes; only a rebuild is safe.
-                return Maintained::MustRecompute;
-            }
-            removals.push((vt.index(), pos));
-        }
-        // Back to front, so no removal shifts a position still to come.
-        removals.sort_unstable_by(|a, b| b.cmp(a));
-        for (vt, pos) in removals {
-            self.by_vtype[vt].remove(pos);
-        }
-        for t in &first {
-            // Dead or detached nodes hold the empty key and stay out.
-            let key = pbn.key_of(t.id);
-            if key.is_empty() {
-                continue;
-            }
-            let Some(vt) = vdg.vtype_of(td.type_of(t.id)) else {
-                continue;
-            };
-            let list = &mut self.by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| pbn.key_of(x) < key);
-            list.insert(pos, t.id);
-        }
-        Maintained::Spliced
-    }
-}
 
 /// A pending step of a placement walk: enter a node, or close the
 /// subtree opened at a walk position once everything below it is out.
@@ -192,8 +33,10 @@ enum Step {
 }
 
 /// One compiled view of a document: the vDataGuide expansion, its
-/// Algorithm-1 level map, the scan-range [`PrefixTables`] and the
-/// per-type [`TypeIndex`], each behind an `Arc`. It is the unit the
+/// Algorithm-1 level map and the scan-range [`PrefixTables`] — pure
+/// functions of the guide, each behind an `Arc` — plus the cell of the
+/// view's [`OrderColumn`], which the first join after a compile or a
+/// catch-up fills ([`VirtualDocument::order_column`]). It is the unit the
 /// engine cache stores, stamps, catches up and evicts whole, and every
 /// [`VirtualDocument`] opened from it shares its parts, so a warm open
 /// clones four pointers.
@@ -202,7 +45,10 @@ pub struct CompiledView {
     pub(crate) vdg: Arc<VDataGuide>,
     pub(crate) levels: Arc<LevelMap>,
     pub(crate) tables: Arc<PrefixTables>,
-    pub(crate) index: Arc<TypeIndex>,
+    pub(crate) order: Arc<OnceLock<OrderColumn>>,
+    /// Guide types the parts reflect: the guide's length when they were
+    /// compiled or last proven unaffected by its growth.
+    pub(crate) guide_len: usize,
 }
 
 impl CompiledView {
@@ -223,20 +69,19 @@ impl CompiledView {
         trace.begin("prefix-tables");
         let tables = PrefixTables::build(&vdg, &levels, td.guide());
         trace.end();
-        trace.begin("type-index");
-        let index = TypeIndex::build(td, &vdg);
-        trace.end();
         Ok(CompiledView {
             vdg: Arc::new(vdg),
             levels: Arc::new(levels),
             tables: Arc::new(tables),
-            index: Arc::new(index),
+            order: Arc::default(),
+            guide_len: td.guide().len(),
         })
     }
 
-    /// The per-type node index.
-    pub fn type_index(&self) -> &Arc<TypeIndex> {
-        &self.index
+    /// True once a join has asked this compile (or catch-up) for its
+    /// order column, which built it.
+    pub fn order_checked(&self) -> bool {
+        self.order.get().is_some()
     }
 }
 
@@ -351,21 +196,24 @@ impl<'a> VirtualDocument<'a> {
         self.view.levels.array(vt)
     }
 
-    /// The per-type node index of this view.
+    /// The compiled parts this view shares with the engine cache.
     #[inline]
-    pub fn type_index(&self) -> &Arc<TypeIndex> {
-        &self.view.index
+    pub fn compiled(&self) -> &CompiledView {
+        &self.view
     }
 
-    /// All nodes of a virtual type, in PBN (original document) order.
+    /// All nodes of a virtual type, in PBN (original document) order: the
+    /// document's type-index list of its original type.
     #[inline]
-    pub fn nodes_of_vtype(&self, vt: VTypeId) -> &[NodeId] {
-        self.view.index.nodes(vt)
+    pub fn nodes_of_vtype(&self, vt: VTypeId) -> &'a [NodeId] {
+        self.td.nodes_of_type(self.view.vdg.original_type(vt))
     }
 
     /// Total number of nodes visible in the virtual hierarchy.
     pub fn visible_nodes(&self) -> usize {
-        self.view.index.total_nodes()
+        (0..self.view.vdg.len())
+            .map(|vt| self.nodes_of_vtype(VTypeId::from_index(vt)).len())
+            .sum()
     }
 
     /// The virtual roots: instances of the root virtual types, in virtual
@@ -376,7 +224,7 @@ impl<'a> VirtualDocument<'a> {
             .vdg
             .roots()
             .iter()
-            .flat_map(|&rt| self.view.index.nodes(rt).iter().copied())
+            .flat_map(|&rt| self.nodes_of_vtype(rt).iter().copied())
             .collect();
         self.sort_virtual(&mut out);
         out
@@ -490,7 +338,7 @@ impl<'a> VirtualDocument<'a> {
             return Vec::new();
         };
         let ta = self.view.levels.levels_of(vt);
-        let mut out = exec::par_filter(&self.exec, self.view.index.nodes(vt), |&cand| {
+        let mut out = exec::par_filter(&self.exec, self.nodes_of_vtype(vt), |&cand| {
             let cv = VPbnRef::from_slices(self.td.pbn().key_of(cand), ta, vt);
             axes::v_descendant(&self.view.vdg, &cv, &xv)
         });
@@ -560,17 +408,13 @@ impl<'a> VirtualDocument<'a> {
     /// The view's [`OrderColumn`]: the rank of every placement in the
     /// preorder walk and the last rank inside its subtree, which the
     /// structural and twig joins compare instead of calling `v_cmp` and
-    /// `v_ancestor`. Built on the first call over this type-index
-    /// generation and cached with the index, so later joins reuse it and
-    /// opening a view never builds it.
+    /// `v_ancestor`. Built on the first call after the view was compiled
+    /// or caught up and cached in the view's cell, so later joins reuse
+    /// it and opening a view never builds it.
     pub fn order_column(&self) -> &OrderColumn {
-        self.view.index.order.get_or_init(|| {
+        self.view.order.get_or_init(|| {
             let walk = self.placement_walk();
-            Arc::new(OrderColumn::from_walk(
-                self.td.doc().len(),
-                self.visible_nodes(),
-                &walk,
-            ))
+            OrderColumn::from_walk(self.td.doc().len(), self.visible_nodes(), &walk)
         })
     }
 
@@ -593,7 +437,7 @@ impl<'a> VirtualDocument<'a> {
         // Each visible node's position in its type's list.
         let mut pos = vec![0u32; self.td.doc().len()];
         for vt in guide.type_ids() {
-            for (i, &id) in self.view.index.nodes(vt).iter().enumerate() {
+            for (i, &id) in self.nodes_of_vtype(vt).iter().enumerate() {
                 pos[id.index()] = i as u32;
             }
         }
@@ -602,7 +446,7 @@ impl<'a> VirtualDocument<'a> {
         let edges: Vec<Vec<(Vec<NodeId>, Vec<u32>)>> = guide
             .type_ids()
             .map(|pt| {
-                let parents = self.view.index.nodes(pt);
+                let parents = self.nodes_of_vtype(pt);
                 self.view
                     .vdg
                     .children(pt)
@@ -693,7 +537,7 @@ impl<'a> VirtualDocument<'a> {
         let pbn = self.td.pbn();
         let xa = self.view.levels.levels_of(xt);
         let ta = self.view.levels.levels_of(vt);
-        let list = self.view.index.nodes(vt);
+        let list = self.nodes_of_vtype(vt);
         let (m, exact) = self.view.tables.prefix(xt, vt);
         // Start of the previous context's slice: where the next gallops from.
         let mut from: Option<usize> = None;
@@ -806,7 +650,6 @@ impl<'a> VirtualDocument<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vh_dataguide::TouchedNode;
     use vh_xml::builder::paper_figure2;
 
     fn sam() -> TypedDocument {
@@ -1086,12 +929,15 @@ mod tests {
         }
         edited.compact();
         let path = |td: &TypedDocument, p: &[&str]| td.guide().lookup_path(p).unwrap();
-        let books = edited.nodes_of_type(path(&edited, &["data", "book"]));
-        let authors = edited.nodes_of_type(path(&edited, &["data", "book", "author"]));
+        let books = edited
+            .nodes_of_type(path(&edited, &["data", "book"]))
+            .to_vec();
+        let authors = edited
+            .nodes_of_type(path(&edited, &["data", "book", "author"]))
+            .to_vec();
         edited.move_subtree(authors[3], books[0], 0).unwrap();
         edited.delete_subtree(books[2]).unwrap();
         edited.compact();
-        edited.take_delta();
         // The flag marks documents without join multiplicity.
         let docs = [
             (sam(), true),
@@ -1244,143 +1090,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Recompute oracle for [`TypeIndex::maintain`]: a from-scratch
-    /// rebuild over the final document, which every kept or spliced
-    /// verdict must match byte-for-byte.
-    fn rebuild_index_oracle(td: &TypedDocument, vdg: &VDataGuide) -> TypeIndex {
-        TypeIndex::build(td, vdg)
-    }
-
-    /// Drains the document's delta and replays it as
-    /// `ExecCache::catch_up` does — the guide verdict first, then the
-    /// splice, here on a clone — and asserts the survivor equals the
-    /// rebuild oracle. Returns the next index plus whether the splice
-    /// path (not a recompute) was taken.
-    fn reconcile(idx: &TypeIndex, td: &mut TypedDocument, vdg: &VDataGuide) -> (TypeIndex, bool) {
-        td.compact();
-        let d = td.take_delta();
-        let touched: Vec<Touched<'_>> = d.touched.iter().map(Touched::from).collect();
-        let mut next = idx.clone();
-        let spliced = vdg.unaffected_by(&d.new_types, td.guide())
-            && next.maintain(&touched, td, vdg) != Maintained::MustRecompute;
-        if !spliced {
-            next = TypeIndex::build(td, vdg);
-        }
-        assert_eq!(next, rebuild_index_oracle(td, vdg));
-        (next, spliced)
-    }
-
-    #[test]
-    fn maintained_type_indexes_match_the_rebuild_oracle() {
-        let mut td = TypedDocument::analyze(paper_figure2());
-        let vdg = VDataGuide::compile("title { author { name } }", td.guide()).unwrap();
-        let mut idx = TypeIndex::build(&td, &vdg);
-        fn of(td: &TypedDocument, path: &[&str]) -> Vec<NodeId> {
-            td.nodes_of_type(td.guide().lookup_path(path).unwrap())
-        }
-
-        // Insert a whole book of already-interned types: pure splice.
-        let data = td.doc().root().unwrap();
-        td.insert_fragment(
-            data,
-            1,
-            "<book><title>Z</title><author><name>E</name></author>\
-             <publisher><location>L</location></publisher></book>",
-        )
-        .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "existing-type insert must splice");
-        idx = next;
-
-        // Move the last book's title into the first book: the journaled
-        // numbers are non-monotone, only the final position counts.
-        let titles = of(&td, &["data", "book", "title"]);
-        let books = of(&td, &["data", "book"]);
-        td.move_subtree(*titles.last().unwrap(), books[0], 0)
-            .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "moves must splice");
-        idx = next;
-
-        // Delete an author subtree: retained-out, never re-inserted.
-        let authors = of(&td, &["data", "book", "author"]);
-        td.delete_subtree(authors[0]).unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "deletes must splice");
-        idx = next;
-
-        // Insert a book, then move that same book to the front, in one
-        // batch: its first touch is an add, so nothing is searched out.
-        let book = td
-            .insert_fragment(data, 2, "<book><title>I</title></book>")
-            .unwrap();
-        td.move_subtree(book, data, 0).unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "insert-then-move must splice");
-        idx = next;
-
-        // Move an author subtree, then delete it, in one batch: found
-        // under its pre-batch numbers, never re-inserted.
-        let authors = of(&td, &["data", "book", "author"]);
-        let books = of(&td, &["data", "book"]);
-        td.move_subtree(authors[1], books[0], 0).unwrap();
-        td.delete_subtree(authors[1]).unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "move-then-delete must splice");
-        idx = next;
-
-        // Move a title's text under a name: its guide type changes from
-        // title/#text to name/#text, so it leaves one virtual type's list
-        // for another's.
-        let title_text = of(&td, &["data", "book", "title", "#text"])[0];
-        let name = of(&td, &["data", "book", "author", "name"])[0];
-        let before_ty = td.type_of(title_text);
-        td.move_subtree(title_text, name, 0).unwrap();
-        assert_ne!(td.type_of(title_text), before_ty);
-        assert!(
-            vdg.vtype_of(before_ty).is_some() && vdg.vtype_of(td.type_of(title_text)).is_some()
-        );
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "a type-changing move must splice");
-        idx = next;
-
-        // A journaled removal the index does not hold where its number
-        // says it should (here: a node id the document never had, claimed
-        // at an existing title's number) must refuse to splice — also when
-        // a removal the index does hold sorts ahead of it, which a splice
-        // that mutated while it searched would already have taken out.
-        {
-            let titles = of(&td, &["data", "book", "title"]);
-            let removed = |id: NodeId, at: NodeId| TouchedNode {
-                id,
-                ty: td.type_of(at),
-                key: td.pbn().key_of(at).to_vec(),
-                touch: Touch::Removed,
-            };
-            let bogus = removed(NodeId::from_index(td.doc().len() + 5), titles[0]);
-            for touched in [
-                vec![bogus.clone()],
-                vec![removed(titles[1], titles[1]), bogus],
-            ] {
-                let touched: Vec<Touched<'_>> = touched.iter().map(Touched::from).collect();
-                let mut held = idx.clone();
-                assert_eq!(
-                    held.maintain(&touched, &td, &vdg),
-                    Maintained::MustRecompute
-                );
-                assert_eq!(held, idx, "a refused splice left the index changed");
-            }
-        }
-
-        // A new type under a visible parent forces the recompute path.
-        let titles = of(&td, &["data", "book", "title"]);
-        td.insert_fragment(titles[0], 0, "<subtitle>s</subtitle>")
-            .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(!spliced, "visible-parent new type must recompute");
-        idx = next;
-        assert!(idx.total_nodes() > 0);
     }
 }

@@ -2,7 +2,6 @@
 //! [`TypedDocument`] (document + guide + node→type map + PBN assignment)
 //! that the rest of the system works with.
 
-use crate::delta::{DeltaJournal, DocDelta};
 use crate::guide::DataGuide;
 use crate::types::{TypeId, TEXT_TYPE_NAME};
 use vh_pbn::PbnAssignment;
@@ -45,7 +44,12 @@ impl DataGuide {
 }
 
 /// A document prepared for PBN-based query processing: the instance, its
-/// PBN assignment, its DataGuide, and the node → type map.
+/// PBN assignment, its DataGuide, the node → type map and the type index.
+///
+/// The type index is §4.3's: for each guide type, its numbered nodes in
+/// PBN (document) order. It lives beside the PBN arena, and every edit
+/// splices it where it splices the numbering, so it is always current;
+/// physical `//name` steps and every virtual view read it.
 ///
 /// This is the "original data" half of the paper's machinery; `vh-core`
 /// layers the virtual hierarchy on top of it.
@@ -55,23 +59,28 @@ pub struct TypedDocument {
     pub(crate) pbn: PbnAssignment,
     pub(crate) guide: DataGuide,
     pub(crate) type_of: Vec<TypeId>,
-    /// Chronological record of node touches since the last
-    /// [`TypedDocument::take_delta`], for delta-aware cache maintenance.
-    pub(crate) journal: DeltaJournal,
+    /// `by_type[t]`: the numbered nodes of guide type `t`, PBN-sorted;
+    /// one list per guide type.
+    pub(crate) by_type: Vec<Vec<NodeId>>,
+    /// Set by every edit that numbers or retires a node, cleared by
+    /// [`TypedDocument::take_reshaped`].
+    pub(crate) reshaped: bool,
 }
 
 impl TypedDocument {
-    /// Analyzes `doc`: assigns PBN numbers and builds the DataGuide.
+    /// Analyzes `doc`: assigns PBN numbers, builds the DataGuide and the
+    /// type index.
     pub fn analyze(doc: Document) -> Self {
         let pbn = PbnAssignment::assign(&doc);
         let (guide, type_of) = DataGuide::from_document(&doc);
-        let journal = DeltaJournal::with_guide_base(guide.len());
+        let by_type = type_lists(pbn.in_document_order(), &type_of, guide.len());
         TypedDocument {
             doc,
             pbn,
             guide,
             type_of,
-            journal,
+            by_type,
+            reshaped: false,
         }
     }
 
@@ -104,34 +113,29 @@ impl TypedDocument {
         self.type_of[id.index()]
     }
 
-    /// Drains the edit journal: everything the mutations touched since the
-    /// last drain, plus the guide types they interned. Value-only rewrites
-    /// leave no trace (no cached structure depends on node values).
-    pub fn take_delta(&mut self) -> DocDelta {
-        self.journal.drain(self.guide.len())
+    /// True when an edit numbered or retired a node since the last call,
+    /// which resets it. Value-only rewrites leave it false: nothing that
+    /// depends on the tree's shape depends on text content.
+    pub fn take_reshaped(&mut self) -> bool {
+        std::mem::take(&mut self.reshaped)
     }
 
-    /// Pending journal entries (0 right after [`TypedDocument::take_delta`],
-    /// and 0 while the journal is in its overflowed state).
-    pub fn pending_delta_ops(&self) -> usize {
-        self.journal.len()
+    /// All numbered nodes of the given type, in document (PBN) order: the
+    /// type index's list, current after every edit.
+    #[inline]
+    pub fn nodes_of_type(&self, ty: TypeId) -> &[NodeId] {
+        self.by_type.get(ty.index()).map_or(&[], Vec::as_slice)
     }
+}
 
-    /// True when the journal overflowed and the next
-    /// [`TypedDocument::take_delta`] will demand full recomputation.
-    pub fn delta_overflowed(&self) -> bool {
-        self.journal.overflowed()
+/// The type index in one pass: `order` is document order, so each type's
+/// list comes out PBN-sorted.
+pub(crate) fn type_lists(order: &[NodeId], type_of: &[TypeId], types: usize) -> Vec<Vec<NodeId>> {
+    let mut by_type = vec![Vec::new(); types];
+    for &id in order {
+        by_type[type_of[id.index()].index()].push(id);
     }
-
-    /// All nodes of the given type, in document order.
-    pub fn nodes_of_type(&self, ty: TypeId) -> Vec<NodeId> {
-        self.pbn
-            .in_document_order()
-            .iter()
-            .copied()
-            .filter(|&id| self.type_of(id) == ty)
-            .collect()
-    }
+    by_type
 }
 
 #[cfg(test)]

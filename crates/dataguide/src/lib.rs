@@ -13,8 +13,8 @@
 //! * [`DataGuide`] — the type forest, built from a document
 //!   ([`DataGuide::from_document`]) with every helper the paper assumes
 //!   (`roots`, `name`, `typeOf`, `lcaTypeOf`, `length`).
-//! * [`TypedDocument`] — a document together with its guide and the
-//!   node → type map.
+//! * [`TypedDocument`] — a document together with its guide, the
+//!   node → type map and the type index (each type's nodes in PBN order).
 //! * [`axes`] — location relationships *between types* in the guide,
 //!   evaluated by PBN-numbering the guide itself (§5: "We assume that PBN is
 //!   used to number the types in a DataGuide and quickly determine
@@ -22,13 +22,11 @@
 
 pub mod axes;
 pub mod build;
-pub mod delta;
 pub mod guide;
 pub mod mutate;
 pub mod types;
 
 pub use build::TypedDocument;
-pub use delta::{DocDelta, Touch, Touched, TouchedNode, MAX_JOURNAL_OPS};
 pub use guide::DataGuide;
 pub use mutate::{resolve_path, EditError};
 pub use types::{Type, TypeId, TEXT_TYPE_NAME};

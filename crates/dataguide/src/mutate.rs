@@ -9,15 +9,15 @@
 //! [`vh_pbn::PbnAssignment::compact`]).
 //!
 //! Every mutation also maintains the DataGuide incrementally: newly
-//! observed paths intern new types ([`crate::DataGuide::intern_child`]) and the
-//! node → type map is extended in place — an edited document is
+//! observed paths intern new types ([`crate::DataGuide::intern_child`]),
+//! the node → type map is extended in place, and the type index is
+//! spliced next to the numbering — an edited document is
 //! indistinguishable from one analyzed from scratch, except for the
 //! minted numbers (the whole point) and guide types left behind by
 //! deletions (a strong DataGuide only ever grows).
 
-use crate::build::TypedDocument;
-use crate::delta::{Touch, TouchedNode};
-use crate::types::TEXT_TYPE_NAME;
+use crate::build::{type_lists, TypedDocument};
+use crate::types::{TypeId, TEXT_TYPE_NAME};
 use std::fmt;
 use vh_pbn::{encode_ordinal_value, EncodedPbn, KeyGen};
 use vh_xml::{Document, NodeId, NodeKind};
@@ -142,7 +142,7 @@ impl TypedDocument {
             detail: "fragment has no root element".into(),
         })?;
         let new_root = self.doc.copy_subtree_at(parent, pos, &fragment, src);
-        self.renumber_inserted(parent, pos, new_root);
+        self.mint_subtree(parent, pos, new_root);
         Ok(new_root)
     }
 
@@ -192,7 +192,7 @@ impl TypedDocument {
         self.retire_subtree(target);
         self.doc.detach(target);
         self.doc.attach_at(parent, pos, target);
-        self.renumber_inserted(parent, pos, target);
+        self.mint_subtree(parent, pos, target);
         Ok(())
     }
 
@@ -210,7 +210,7 @@ impl TypedDocument {
             NodeKind::Element { .. } => match *self.doc.children(target) {
                 [] => {
                     let id = self.doc.append_text(target, value);
-                    self.renumber_inserted(target, 0, id);
+                    self.mint_subtree(target, 0, id);
                     Ok(())
                 }
                 [only] if matches!(self.doc.kind(only), NodeKind::Text(_)) => {
@@ -257,9 +257,10 @@ impl TypedDocument {
 
     /// Numbers and types the (already attached) subtree rooted at the
     /// `pos`-th child of `parent`: the root's number is minted between
-    /// its current neighbours, descendants are numbered densely, and
-    /// every node's type is interned along its new path.
-    fn renumber_inserted(&mut self, parent: NodeId, pos: usize, root_id: NodeId) {
+    /// its current neighbours, descendants are numbered densely, every
+    /// node's type is interned along its new path, and the subtree joins
+    /// the type index.
+    fn mint_subtree(&mut self, parent: NodeId, pos: usize, root_id: NodeId) {
         let siblings = self.doc.children(parent);
         debug_assert_eq!(siblings.get(pos), Some(&root_id));
         // Minting is the one place numbers are decoded: `KeyGen` works on
@@ -276,16 +277,14 @@ impl TypedDocument {
         let root_key = EncodedPbn::encode(&root_pbn).as_bytes().to_vec();
 
         if self.type_of.len() < self.doc.len() {
-            self.type_of
-                .resize(self.doc.len(), crate::types::TypeId::from_index(0));
+            self.type_of.resize(self.doc.len(), TypeId::from_index(0));
         }
         let parent_ty = self.type_of[parent.index()];
         // Preorder with dense child numbers is document order, so the
         // subtree's keys come out as one sorted run; a child's key is its
         // parent's plus one encoded ordinal.
         let mut run: Vec<(Vec<u8>, NodeId)> = Vec::new();
-        let mut stack: Vec<(NodeId, Vec<u8>, crate::types::TypeId)> =
-            vec![(root_id, root_key, parent_ty)];
+        let mut stack: Vec<(NodeId, Vec<u8>, TypeId)> = vec![(root_id, root_key, parent_ty)];
         while let Some((id, key, ptype)) = stack.pop() {
             let name = match self.doc.kind(id) {
                 NodeKind::Element { name, .. } => name.as_str(),
@@ -295,12 +294,6 @@ impl TypedDocument {
             };
             let ty = self.guide.intern_child(ptype, name);
             self.type_of[id.index()] = ty;
-            self.journal.record(TouchedNode {
-                id,
-                ty,
-                key: key.clone(),
-                touch: Touch::Added,
-            });
             for (i, &c) in self.doc.children(id).iter().enumerate().rev() {
                 let mut child = key.clone();
                 // Ordinals are 1-based and never zero, so this cannot fail.
@@ -309,28 +302,79 @@ impl TypedDocument {
             }
             run.push((key, id));
         }
+        self.by_type.resize_with(self.guide.len(), Vec::new);
+        self.list_subtree(&run);
         let inserted = self.pbn.insert_run(run);
         debug_assert!(inserted, "minted numbers are unique by construction");
+        self.reshaped = true;
     }
 
     /// Retires the numbers of the still-attached subtree rooted at
-    /// `target` (delete, or the detach half of a move) and journals each
-    /// retirement in document order. Returns the number of nodes retired.
+    /// `target` (delete, or the detach half of a move), after taking its
+    /// nodes out of the type index while their keys still locate them.
+    /// Returns the number of nodes retired.
     fn retire_subtree(&mut self, target: NodeId) -> usize {
-        let run = self
+        let ids: Vec<NodeId> = self
+            .doc
+            .descendants_or_self(target)
+            .filter(|&id| !self.pbn.key_of(id).is_empty())
+            .collect();
+        let listed = ids.len();
+        self.unlist_subtree(ids);
+        let retired = self
             .pbn
-            .remove_subtree(self.doc.descendants_or_self(target));
-        debug_assert_eq!(run.len(), self.doc.descendants_or_self(target).count());
-        let retired = run.len();
-        for (key, id) in run {
-            self.journal.record(TouchedNode {
-                id,
-                ty: self.type_of[id.index()],
-                key,
-                touch: Touch::Removed,
-            });
-        }
+            .remove_subtree(self.doc.descendants_or_self(target))
+            .len();
+        debug_assert_eq!(retired, listed);
+        self.reshaped = true;
         retired
+    }
+
+    /// Splices a freshly minted subtree — its `(key, node)` run in
+    /// document order, not yet handed to the numbering — into the type
+    /// index. Regrouped by type with document order kept, each group is
+    /// one contiguous run of its type's list (a subtree is one key
+    /// interval), so each costs one `partition_point` on the keys and one
+    /// splice. It runs before the run joins the numbering, so a drained
+    /// numbering reads every compared key from its arena.
+    // oracle: rebuild_type_lists
+    fn list_subtree(&mut self, run: &[(Vec<u8>, NodeId)]) {
+        let ty = |i: usize| self.type_of[run[i].1.index()];
+        let mut order: Vec<usize> = (0..run.len()).collect();
+        order.sort_by_key(|&i| ty(i));
+        for group in order.chunk_by(|&a, &b| ty(a) == ty(b)) {
+            let first = run[group[0]].0.as_slice();
+            let list = &mut self.by_type[ty(group[0]).index()];
+            let pos = list.partition_point(|&x| self.pbn.key_of(x) < first);
+            list.splice(pos..pos, group.iter().map(|&i| run[i].1));
+        }
+    }
+
+    /// Takes a still-numbered subtree (`ids`, in document order) out of
+    /// the type index: per type, one `partition_point` on the keys and
+    /// one drain.
+    // oracle: rebuild_type_lists
+    fn unlist_subtree(&mut self, mut ids: Vec<NodeId>) {
+        let ty = |id: NodeId| self.type_of[id.index()];
+        ids.sort_by_key(|&id| ty(id));
+        for run in ids.chunk_by(|&a, &b| ty(a) == ty(b)) {
+            let first = self.pbn.key_of(run[0]);
+            let list = &mut self.by_type[ty(run[0]).index()];
+            let pos = list.partition_point(|&x| self.pbn.key_of(x) < first);
+            let gone = list.drain(pos..pos + run.len());
+            debug_assert!(gone.eq(run.iter().copied()), "one run per type");
+        }
+    }
+
+    /// The type index rebuilt in one pass over the document order: the
+    /// twin the spliced lists must equal, one list per guide type. Needs
+    /// a drained delta segment ([`TypedDocument::compact`]).
+    pub fn rebuild_type_lists(&self) -> Vec<Vec<NodeId>> {
+        type_lists(
+            self.pbn.in_document_order(),
+            &self.type_of,
+            self.guide.len(),
+        )
     }
 }
 
@@ -356,6 +400,12 @@ mod tests {
         let rebuilt = TypedDocument::parse(td.doc().uri().to_string(), &edited).unwrap();
         assert_eq!(edited, vh_xml::serialize(rebuilt.doc(), opts));
         assert_eq!(td.pbn().len(), rebuilt.pbn().len());
+        let spliced: Vec<Vec<NodeId>> = td
+            .guide()
+            .type_ids()
+            .map(|t| td.nodes_of_type(t).to_vec())
+            .collect();
+        assert_eq!(spliced, td.rebuild_type_lists(), "type index splice");
         // Walking both in document order pairs up corresponding nodes:
         // kinds and guide paths must agree even though the numbers differ
         // (ours are minted, the rebuild's are dense).
@@ -500,5 +550,68 @@ mod tests {
         let text = t.doc().children(id)[0];
         assert_eq!(t.pbn().pbn_of(text), t.pbn().pbn_of(id).child(1));
         assert_matches_rebuild(&mut t);
+    }
+
+    #[test]
+    fn spliced_type_lists_match_the_one_pass_rebuild_mid_batch() {
+        let mut t = td();
+        let of = |t: &TypedDocument, path: &[&str]| {
+            t.nodes_of_type(t.guide().lookup_path(path).unwrap())
+                .to_vec()
+        };
+        let check = |t: &mut TypedDocument, what: &str| {
+            t.compact();
+            let spliced: Vec<Vec<NodeId>> = t
+                .guide()
+                .type_ids()
+                .map(|ty| t.nodes_of_type(ty).to_vec())
+                .collect();
+            assert_eq!(spliced, t.rebuild_type_lists(), "{what}");
+            assert!(t.take_reshaped(), "{what} reshaped the document");
+            assert!(!t.take_reshaped(), "the flag resets");
+        };
+        let data = t.doc().root().unwrap();
+        t.insert_fragment(
+            data,
+            1,
+            "<book><title>Z</title><author><name>E</name></author>\
+             <publisher><location>L</location></publisher></book>",
+        )
+        .unwrap();
+        check(&mut t, "whole-book insert");
+        // Each batch below splices several edits before one compaction,
+        // so later splices search keys the delta segment holds.
+        let titles = of(&t, &["data", "book", "title"]);
+        let books = of(&t, &["data", "book"]);
+        t.move_subtree(*titles.last().unwrap(), books[0], 0)
+            .unwrap();
+        let authors = of(&t, &["data", "book", "author"]);
+        t.delete_subtree(authors[0]).unwrap();
+        check(&mut t, "move then delete elsewhere");
+        let book = t
+            .insert_fragment(data, 2, "<book><title>I</title></book>")
+            .unwrap();
+        t.move_subtree(book, data, 0).unwrap();
+        let authors = of(&t, &["data", "book", "author"]);
+        let books = of(&t, &["data", "book"]);
+        t.move_subtree(authors[1], books[0], 0).unwrap();
+        t.delete_subtree(authors[1]).unwrap();
+        check(&mut t, "insert-then-move and move-then-delete");
+        // A title's text moved under a name changes its guide type.
+        let text = of(&t, &["data", "book", "title", "#text"])[0];
+        let name = of(&t, &["data", "book", "author", "name"])[0];
+        let before = t.type_of(text);
+        t.move_subtree(text, name, 0).unwrap();
+        assert_ne!(t.type_of(text), before);
+        check(&mut t, "type-changing move");
+        // Front inserts under one parent, and a value-only rewrite.
+        for k in 0..5 {
+            t.insert_fragment(data, 0, &format!("<book><title>F{k}</title></book>"))
+                .unwrap();
+        }
+        check(&mut t, "front-insert storm");
+        let title = of(&t, &["data", "book", "title"])[0];
+        t.set_value(title, "v").unwrap();
+        assert!(!t.take_reshaped(), "a text rewrite numbers nothing");
     }
 }

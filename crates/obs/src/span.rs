@@ -77,7 +77,6 @@ pub const STABLE_SPAN_NAMES: &[&str] = &[
     "guide-expansion",
     "level-map",
     "prefix-tables",
-    "type-index",
     "exec",
     "arena-range-selection",
     "apply",

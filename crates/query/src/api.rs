@@ -4,8 +4,7 @@
 //! import from here instead of picking symbols out of the individual
 //! submodules: this module is the compatibility contract, and it
 //! resolves the historical naming asymmetries in one place —
-//! [`PhysicalDoc::with_document`] / [`PhysicalDoc::with_store`] are the
-//! symmetric constructor pair, [`Engine::run`] with a [`QueryRequest`]
+//! [`Engine::run`] with a [`QueryRequest`]
 //! (built from a typed [`QueryKind`] and its `with_*` options) is the
 //! one evaluation entry point, and [`query_document`] is the
 //! single-document convenience.

@@ -2,8 +2,9 @@
 //! virtual documents.
 //!
 //! The XPath evaluator is written once against this trait. The physical
-//! implementation navigates with plain PBN numbers: its path steps and
-//! document order read the numbering's arena (or a store's name index);
+//! implementation navigates with plain PBN numbers: its `//name` steps
+//! read the document's type index, its other steps and document order the
+//! numbering's arena;
 //! the virtual implementation delegates to [`vh_core::VirtualDocument`],
 //! whose every operation is a vPBN comparison. Identical query results over
 //! `data { ** }` (identity) versus the physical document is one of the
@@ -11,6 +12,7 @@
 
 use crate::xpath::NodeTest;
 use std::cmp::Ordering;
+use vh_core::exec::partition_point_branchless;
 use vh_core::vdg::VTypeId;
 use vh_core::VirtualDocument;
 use vh_dataguide::TypedDocument;
@@ -50,11 +52,10 @@ pub trait QueryDoc {
 
     /// Indexed lookup: all elements named `name` below `scope` (the whole
     /// document when `scope` is `None`). This is the access path `//name`
-    /// steps take in a PBN-based system (§4.3's type index). A virtual
-    /// document always answers; a physical one answers from its store's
-    /// name index or its numbering's arena, and returns `None` only while
-    /// the numbering holds edits its arena has not absorbed — the
-    /// evaluator then falls back to a tree walk.
+    /// steps take in a PBN-based system (§4.3's type index). Both
+    /// documents answer from the type index; a physical one returns
+    /// `None` only for a scope that holds no number — the evaluator then
+    /// falls back to a tree walk.
     ///
     /// Contract: an answer is in document order ([`Self::cmp_order`]) with
     /// no duplicates. The evaluator returns a single context's answer as
@@ -145,40 +146,69 @@ fn sibling_split<D: QueryDoc + ?Sized>(doc: &D, n: NodeId) -> Option<(Vec<NodeId
     Some((sibs, pos))
 }
 
+/// The numbered nodes whose type carries `name`, in document order: the
+/// type-index lists of every such type, merged on their keys. With
+/// `scope` (a subtree root's key) each list is first narrowed to the
+/// keys strictly inside that subtree, which sort as one contiguous run.
+/// An element's type is named after it; text, comment and PI types carry
+/// `#` pseudo-names no name test spells.
+pub(crate) fn nodes_named(td: &TypedDocument, name: &str, scope: Option<&[u8]>) -> Vec<NodeId> {
+    let pbn = td.pbn();
+    let guide = td.guide();
+    let mut runs: Vec<(&[u8], &[NodeId])> = guide
+        .type_ids()
+        .filter(|&t| guide.name(t) == name)
+        .filter_map(|t| {
+            let list = td.nodes_of_type(t);
+            let run = match scope {
+                None => list,
+                Some(xk) => {
+                    let start = partition_point_branchless(list, |&c| pbn.key_of(c) <= xk);
+                    let len = partition_point_branchless(&list[start..], |&c| {
+                        keys::before_subtree_end(xk, pbn.key_of(c))
+                    });
+                    &list[start..start + len]
+                }
+            };
+            Some((pbn.key_of(*run.first()?), run))
+        })
+        .collect();
+    if let [(_, run)] = runs[..] {
+        return run.to_vec();
+    }
+    // A name carried by a few types merges a few runs, each keyed by its
+    // head: take the smallest head until every run is out.
+    let mut out = Vec::with_capacity(runs.iter().map(|(_, r)| r.len()).sum());
+    while let Some(i) = (0..runs.len()).min_by_key(|&i| runs[i].0) {
+        let (head, run) = &mut runs[i];
+        out.push(run[0]);
+        *run = &run[1..];
+        match run.first() {
+            Some(&next) => *head = pbn.key_of(next),
+            None => {
+                runs.swap_remove(i);
+            }
+        }
+    }
+    out
+}
+
 /// Physical navigation over a [`TypedDocument`] (plain PBN semantics).
 ///
-/// While the numbering is drained, document order, descendants, `//name`
-/// and `child::name` / `child::text()` steps read its arena: the node
-/// column is the document order, and a subtree is one contiguous slice
-/// of it. Mid-batch (an undrained delta segment) they fall back to the
-/// tree walk and the byte-key compare. A [`vh_storage::StoredDocument`]
-/// answers `//name` from its name index instead.
+/// `//name` steps merge the type index's lists of the types carrying the
+/// name, which every edit keeps current. While the numbering is drained,
+/// document order, descendants and `child::name` / `child::text()` steps
+/// read its arena: the node column is the document order, and a subtree
+/// is one contiguous slice of it. Mid-batch (an undrained delta segment)
+/// they fall back to the tree walk and the byte-key compare.
 pub struct PhysicalDoc<'a> {
     td: &'a TypedDocument,
-    store: Option<&'a vh_storage::StoredDocument>,
 }
 
 impl<'a> PhysicalDoc<'a> {
-    /// Wraps a typed document; `//x` steps scan its numbering's arena.
+    /// Wraps a typed document.
     pub fn new(td: &'a TypedDocument) -> Self {
-        PhysicalDoc { td, store: None }
-    }
-
-    /// Wraps a typed document — the named sibling of
-    /// [`Self::with_store`], so the two construction paths read
-    /// symmetrically at call sites ([`Self::new`] remains as the
-    /// conventional alias).
-    pub fn with_document(td: &'a TypedDocument) -> Self {
-        Self::new(td)
-    }
-
-    /// Wraps a stored document; `//x` steps use the name index with PBN
-    /// subtree-range narrowing.
-    pub fn with_store(store: &'a vh_storage::StoredDocument) -> Self {
-        PhysicalDoc {
-            td: store.typed(),
-            store: Some(store),
-        }
+        PhysicalDoc { td }
     }
 
     /// The wrapped document.
@@ -200,28 +230,6 @@ impl<'a> PhysicalDoc<'a> {
         let arena = self.arena()?;
         let slot = arena.slot_of(n)?;
         arena.subtree_nodes(arena.key_at_slot(slot)).get(1..)
-    }
-
-    /// `//name` from the arena: one pass over its node column (the whole
-    /// document, or the scope's descendant slice), keeping the nodes whose
-    /// type carries the name. An element's type is named after it; text,
-    /// comment and PI types carry `#` pseudo-names no name test spells.
-    ///
-    /// oracle: descendants_named_walk
-    fn arena_descendants_named(&self, scope: Option<NodeId>, name: &str) -> Option<Vec<NodeId>> {
-        let nodes = match scope {
-            None => self.arena()?.nodes_in_order(),
-            Some(x) => self.descendant_slice(x)?,
-        };
-        let guide = self.td.guide();
-        let named: Vec<bool> = guide.type_ids().map(|t| guide.name(t) == name).collect();
-        Some(
-            nodes
-                .iter()
-                .copied()
-                .filter(|&n| named.get(self.td.type_of(n).index()) == Some(&true))
-                .collect(),
-        )
     }
 }
 
@@ -278,34 +286,13 @@ impl<'a> QueryDoc for PhysicalDoc<'a> {
         }
     }
 
+    // oracle: descendants_named_walk
     fn descendants_named(&self, scope: Option<NodeId>, name: &str) -> Option<Vec<NodeId>> {
-        let Some(store) = self.store else {
-            return self.arena_descendants_named(scope, name);
+        let scope = match scope {
+            None => None,
+            Some(x) => Some(self.td.pbn().key_of(x)).filter(|k| !k.is_empty()),
         };
-        let list = store.names().nodes(name);
-        match scope {
-            None => Some(list.to_vec()),
-            Some(x) => {
-                // Elements named `name` inside x's subtree occupy a
-                // contiguous run of the PBN-sorted name list.
-                // On the encoded keys that run is `[key(x), subtree end)`.
-                let pbn = self.td.pbn();
-                let xk = pbn.key_of(x);
-                let start =
-                    vh_core::exec::partition_point_branchless(list, |&c| pbn.key_of(c) < xk);
-                let end = vh_core::exec::partition_point_branchless(list, |&c| {
-                    keys::before_subtree_end(xk, pbn.key_of(c))
-                });
-                // Exclude x itself (descendant, not self).
-                Some(
-                    list[start..end]
-                        .iter()
-                        .copied()
-                        .filter(|&c| c != x)
-                        .collect(),
-                )
-            }
-        }
+        Some(nodes_named(self.td, name, scope))
     }
 
     // oracle: children_matching_walk
@@ -553,8 +540,6 @@ mod tests {
             names.sort_unstable();
             names.dedup();
             assert_ordered_answers(&PhysicalDoc::new(td), &all, &names, label);
-            let store = vh_storage::StoredDocument::build(td.clone());
-            assert_ordered_answers(&PhysicalDoc::with_store(&store), &all, &names, label);
         }
         let mut single_type_answers = 0;
         for (label, td) in [("books", &books), ("figure2", &fig2)] {
@@ -687,7 +672,13 @@ mod tests {
         let mut drained = td.clone();
         drained.compact();
         let (mid, after) = (PhysicalDoc::new(&td), PhysicalDoc::new(&drained));
-        assert!(mid.descendants_named(None, "book").is_none());
+        // `//name` reads the type index, which every edit splices, so it
+        // answers mid-batch too.
+        for (scope, name) in [(None, "book"), (Some(book), "name"), (Some(root), "author")] {
+            let found = mid.descendants_named(scope, name).must();
+            assert_eq!(found, descendants_named_walk(&mid, scope, name), "{name}");
+            assert_eq!(Some(found), after.descendants_named(scope, name), "{name}");
+        }
         assert!(mid
             .children_matching(&[root], &NodeTest::Name("book".into()))
             .is_none());

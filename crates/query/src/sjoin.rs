@@ -352,7 +352,8 @@ mod tests {
     use crate::testutil::Must;
     use vh_xml::builder::paper_figure2;
 
-    fn sorted_by_pbn(td: &TypedDocument, mut v: Vec<NodeId>) -> Vec<NodeId> {
+    fn sorted_by_pbn(td: &TypedDocument, v: &[NodeId]) -> Vec<NodeId> {
+        let mut v = v.to_vec();
         v.sort_by_key(|&a| td.pbn().pbn_of(a));
         v
     }
@@ -498,7 +499,7 @@ mod tests {
         let td = TypedDocument::analyze(paper_figure2());
         assert!(physical_structural_join(&td, &[], &[]).is_empty());
         let books = td.nodes_of_type(td.guide().lookup_path(&["data", "book"]).must());
-        assert!(physical_structural_join(&td, &books, &[]).is_empty());
+        assert!(physical_structural_join(&td, books, &[]).is_empty());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! [`twig_join_opts`] runs it with throwaway counters and [`twig_join`]
 //! runs that sequentially.
 
+use crate::doc;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use vh_core::axes::v_ancestor;
 use vh_core::exec::{self, ExecOptions};
@@ -254,47 +254,23 @@ pub trait TwigSource {
     }
 }
 
-/// Physical source: plain PBN order and prefix containment.
+/// Physical source: plain PBN order and prefix containment. A name's
+/// stream merges the document type index's lists of the types carrying
+/// it, so opening a source builds nothing.
 pub struct PhysicalTwigSource<'a> {
     td: &'a TypedDocument,
-    by_name: HashMap<String, Vec<NodeId>>,
 }
 
 impl<'a> PhysicalTwigSource<'a> {
-    /// Builds per-name streams once (the name index of §4.3).
+    /// A source over the document's type index.
     pub fn new(td: &'a TypedDocument) -> Self {
-        Self::with_options(td, &ExecOptions::default())
-    }
-
-    /// [`Self::new`] with an execution knob: the document-order pass is
-    /// partitioned into contiguous chunks, each building its own per-name
-    /// lists, which are then appended **in chunk order** — so every stream
-    /// comes out in exactly the document order of the sequential build.
-    pub fn with_options(td: &'a TypedDocument, opts: &ExecOptions) -> Self {
-        let in_order = td.pbn().in_document_order();
-        let partials = exec::par_chunk_map(opts, in_order, |chunk| {
-            let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
-            for &id in chunk {
-                if let Some(name) = td.doc().name(id) {
-                    by_name.entry(name.to_owned()).or_default().push(id);
-                }
-            }
-            by_name
-        });
-        let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for partial in partials {
-            // Chunk order = document order, so appending preserves it.
-            for (name, mut ids) in partial {
-                by_name.entry(name).or_default().append(&mut ids);
-            }
-        }
-        PhysicalTwigSource { td, by_name }
+        PhysicalTwigSource { td }
     }
 }
 
 impl<'a> TwigSource for PhysicalTwigSource<'a> {
     fn stream(&self, test: &str) -> Vec<NodeId> {
-        self.by_name.get(test).cloned().unwrap_or_default()
+        doc::nodes_named(self.td, test, None)
     }
 
     fn cmp(&self, a: NodeId, b: NodeId) -> Ordering {
@@ -1022,10 +998,8 @@ mod tests {
                     cache: true,
                     par_threshold: 1,
                 };
-                // Parallel stream build in the source AND in the join.
-                let phys_par = PhysicalTwigSource::with_options(&td, &opts);
                 assert_eq!(
-                    twig_join_opts(&phys_par, &p, &opts),
+                    twig_join_opts(&phys, &p, &opts),
                     twig_join(&phys, &p),
                     "physical {pat} t={threads}"
                 );

@@ -393,7 +393,7 @@ impl<'d> Evaluator<'d> {
                 return Ok(XValue::Attrs(self.attribute_step(&current, step)));
             }
             // Index fast path: `//name` (descendant-or-self::node()/
-            // child::name) answered from the type/name index when the
+            // child::name) answered from the type index when the
             // document provides one and the predicates are position-free.
             if step.axis == Axis::DescendantOrSelf
                 && step.test == NodeTest::AnyNode

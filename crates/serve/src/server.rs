@@ -490,7 +490,7 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
 /// of counters, in a fixed key order.
 pub fn snapshot_json(engine: &Engine) -> String {
     let snap = engine.snapshot();
-    let fields: [(&str, u64); 12] = [
+    let fields: [(&str, u64); 11] = [
         ("queries", snap.queries.queries),
         ("failures", snap.queries.failures),
         ("edits", snap.queries.edits),
@@ -500,7 +500,6 @@ pub fn snapshot_json(engine: &Engine) -> String {
         ("cache_misses", snap.cache.total_misses()),
         ("maintained", snap.cache.maintained),
         ("recomputed", snap.cache.recomputed),
-        ("fallback_evictions", snap.cache.fallback_evictions),
         ("buffer_hits", snap.buffers.hits),
         ("buffer_misses", snap.buffers.misses),
     ];

@@ -128,7 +128,6 @@ fn the_full_verb_set_round_trips() {
             "cache_misses",
             "maintained",
             "recomputed",
-            "fallback_evictions",
             "buffer_hits",
             "buffer_misses",
         ],

@@ -8,9 +8,10 @@
 //! is a substring of it, a **value index** maps a node's PBN number to the
 //! character range of its value, positions are "some combination of a disk
 //! block number and offset within the block", and per-node **header
-//! information** carries the PBN number and a Type ID. §4.3 additionally
-//! assumes a **type index** ("find all the `<title>` elements") keyed by
-//! PBN numbers.
+//! information** carries the PBN number and a Type ID. §4.3's **type
+//! index** ("find all the `<title>` elements", keyed by PBN numbers) is
+//! the analyzed document's own (`vh_dataguide::TypedDocument::nodes_of_type`),
+//! maintained by every edit, so this crate keeps no copy of it.
 //!
 //! This crate is that DBMS back end, built from scratch:
 //! * [`pages`] — a block-addressed byte store with read accounting (the
@@ -25,8 +26,6 @@
 //!   hit/miss/eviction accounting (cold vs warm experiments) plus
 //!   quarantine/refetch of frames that fail verification.
 //! * [`value_index`] — PBN → byte-range lookup.
-//! * [`type_index`] / [`name_index`] — type- and name-keyed node lists in
-//!   document order (PBN-sorted).
 //! * [`header`] — per-node header records (kind, Type ID, encoded PBN) and
 //!   their space accounting.
 //! * [`wal`] — the CRC32-framed write-ahead edit log behind
@@ -50,13 +49,11 @@ pub mod error;
 pub mod faults;
 pub mod header;
 pub mod io;
-pub mod name_index;
 pub mod pages;
 pub mod pbn_column;
 pub mod retry;
 pub mod stats;
 pub mod store;
-pub mod type_index;
 pub mod value_index;
 pub mod wal;
 
@@ -69,7 +66,6 @@ pub use pbn_column::{decode_arena_column, encode_arena_column};
 pub use retry::RetryPolicy;
 pub use stats::StorageStats;
 pub use store::StoredDocument;
-pub use type_index::TypeIndex;
 pub use value_index::ValueIndex;
 pub use wal::{replay, replay_from_device, EditWal, RecoveryReport, WalRecord};
 

@@ -9,10 +9,6 @@ pub struct StorageStats {
     pub document_pages: usize,
     /// Bytes of the value index.
     pub value_index_bytes: usize,
-    /// Bytes of the type index.
-    pub type_index_bytes: usize,
-    /// Bytes of the name index.
-    pub name_index_bytes: usize,
     /// Bytes of the node header table (kind + type id + encoded PBN).
     pub header_bytes: usize,
     /// Bytes of the persisted PBN key-arena column image.
@@ -39,8 +35,6 @@ impl StorageStats {
         self.document_bytes += other.document_bytes;
         self.document_pages += other.document_pages;
         self.value_index_bytes += other.value_index_bytes;
-        self.type_index_bytes += other.type_index_bytes;
-        self.name_index_bytes += other.name_index_bytes;
         self.header_bytes += other.header_bytes;
         self.pbn_column_bytes += other.pbn_column_bytes;
         self.pages_read += other.pages_read;
@@ -51,14 +45,10 @@ impl StorageStats {
         self.quarantines += other.quarantines;
     }
 
-    /// Total resident bytes (string + indexes + headers).
+    /// Total resident bytes (string, value index, headers and the PBN
+    /// column).
     pub fn total_bytes(&self) -> usize {
-        self.document_bytes
-            + self.value_index_bytes
-            + self.type_index_bytes
-            + self.name_index_bytes
-            + self.header_bytes
-            + self.pbn_column_bytes
+        self.document_bytes + self.value_index_bytes + self.header_bytes + self.pbn_column_bytes
     }
 }
 
@@ -71,13 +61,11 @@ mod tests {
         let s = StorageStats {
             document_bytes: 100,
             value_index_bytes: 10,
-            type_index_bytes: 20,
-            name_index_bytes: 5,
             header_bytes: 15,
             pbn_column_bytes: 50,
             ..StorageStats::default()
         };
-        assert_eq!(s.total_bytes(), 200);
+        assert_eq!(s.total_bytes(), 175);
     }
 
     #[test]
@@ -86,8 +74,6 @@ mod tests {
             document_bytes: 1,
             document_pages: 2,
             value_index_bytes: 3,
-            type_index_bytes: 4,
-            name_index_bytes: 5,
             header_bytes: 6,
             pbn_column_bytes: 7,
             pages_read: 8,
@@ -102,8 +88,6 @@ mod tests {
         assert_eq!(m.document_bytes, 2);
         assert_eq!(m.document_pages, 4);
         assert_eq!(m.value_index_bytes, 6);
-        assert_eq!(m.type_index_bytes, 8);
-        assert_eq!(m.name_index_bytes, 10);
         assert_eq!(m.header_bytes, 12);
         assert_eq!(m.pbn_column_bytes, 14);
         assert_eq!(m.pages_read, 16);

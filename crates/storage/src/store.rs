@@ -2,7 +2,8 @@
 //!
 //! Serializes the document once into a [`PageStore`], recording each node's
 //! byte range into the [`ValueIndex`] during the same walk, and builds the
-//! type, name and header structures. Implements
+//! header table. The type index is the document's own
+//! ([`TypedDocument::nodes_of_type`]), kept current by every edit. Implements
 //! [`vh_core::value::RawValueSource`] so `vh-core`'s §6 value stitcher
 //! reads stored ranges (with page accounting) instead of re-serializing.
 
@@ -10,12 +11,10 @@ use crate::buffer::BufferPool;
 use crate::error::StorageError;
 use crate::faults::FaultConfig;
 use crate::header::HeaderTable;
-use crate::name_index::NameIndex;
 use crate::pages::{PageStore, DEFAULT_PAGE_SIZE};
 use crate::pbn_column::{decode_arena_column, encode_arena_column};
 use crate::retry::RetryPolicy;
 use crate::stats::StorageStats;
-use crate::type_index::TypeIndex;
 use crate::value_index::ValueIndex;
 use vh_core::value::{RawValueSource, ValueError};
 use vh_dataguide::TypedDocument;
@@ -28,8 +27,6 @@ pub struct StoredDocument {
     td: TypedDocument,
     pages: PageStore,
     values: ValueIndex,
-    types: TypeIndex,
-    names: NameIndex,
     headers: HeaderTable,
     pbn_column: Vec<u8>,
     pool: Option<BufferPool>,
@@ -59,16 +56,12 @@ impl StoredDocument {
             Some(cfg) => PageStore::with_fault_injection(data, page_size, cfg),
             None => PageStore::with_page_size(data, page_size),
         };
-        let types = TypeIndex::build(&td);
-        let names = NameIndex::build(&td);
         let headers = HeaderTable::build(&td);
         let pbn_column = encode_arena_column(td.pbn());
         StoredDocument {
             td,
             pages,
             values,
-            types,
-            names,
             headers,
             pbn_column,
             pool: None,
@@ -115,18 +108,6 @@ impl StoredDocument {
     #[inline]
     pub fn values(&self) -> &ValueIndex {
         &self.values
-    }
-
-    /// The type index.
-    #[inline]
-    pub fn types(&self) -> &TypeIndex {
-        &self.types
-    }
-
-    /// The name index.
-    #[inline]
-    pub fn names(&self) -> &NameIndex {
-        &self.names
     }
 
     /// The node header table.
@@ -176,8 +157,6 @@ impl StoredDocument {
             document_bytes: self.pages.len(),
             document_pages: self.pages.page_count(),
             value_index_bytes: self.values.heap_bytes(),
-            type_index_bytes: self.types.heap_bytes(),
-            name_index_bytes: self.names.heap_bytes(),
             header_bytes: self.headers.total_bytes(),
             pbn_column_bytes: self.pbn_column.len(),
             pages_read: self.pages.pages_read(),
@@ -381,8 +360,6 @@ mod tests {
         let st = s.stats();
         assert!(st.document_bytes > 0);
         assert!(st.value_index_bytes > 0);
-        assert!(st.type_index_bytes > 0);
-        assert!(st.name_index_bytes > 0);
         assert!(st.header_bytes > 0);
         assert!(st.pbn_column_bytes > 0);
         assert_eq!(st.document_pages, 1, "small document fits one page");

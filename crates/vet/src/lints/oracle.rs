@@ -14,12 +14,12 @@
 //! Any other lib function may opt in: an `// oracle: <name>` comment on
 //! it is held to the same rule — the named twin must be defined in the
 //! same file. The §5 predicates that walk encoded key bytes name their
-//! decode-then-compare twins this way, and the core crate's
-//! `TypeIndex::maintain` names the recompute oracle its catch-up splice
-//! must equal.
+//! decode-then-compare twins this way, and the dataguide crate's type
+//! index splices (`TypedDocument::list_subtree` / `unlist_subtree`) name
+//! the one-pass rebuild (`rebuild_type_lists`) their lists must equal.
 //!
 //! Test regions are exempt (a helper named `*_swar` inside `mod tests` is
-//! not a kernel), as are bench/bin/example/vendor files — ablation
+//! not a kernel), as are bench/bin/test/example/vendor files — ablation
 //! drivers compare kernels without defining them.
 
 use crate::findings::{Finding, Lint};

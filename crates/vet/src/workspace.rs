@@ -12,15 +12,10 @@ use std::path::{Path, PathBuf};
 pub enum FileClass {
     /// Library source of a workspace crate (`crates/*/src/**`, `src/**`).
     Lib,
-    /// Binary source (`src/main.rs`, `src/bin/**`).
-    Bin,
-    /// Integration tests (`tests/**`).
-    Test,
-    /// Examples (`examples/**`).
-    Example,
-    /// The benchmark harness (`crates/bench/**`, `benches/**`) — a
-    /// measurement tool, exempt from the panic-freedom contract.
-    Bench,
+    /// Every other target of this repo: binaries (`src/main.rs`,
+    /// `src/bin/**`), integration tests (`tests/**`), examples and the
+    /// benchmark harness (`crates/bench/**`, `benches/**`).
+    Other,
     /// Vendored offline stand-ins (`vendor/**`) — not this repo's code.
     Vendor,
 }
@@ -120,23 +115,21 @@ pub fn classify(rel: &str) -> FileClass {
     if rel.starts_with("vendor/") {
         return FileClass::Vendor;
     }
-    if rel.starts_with("crates/bench/") || rel.contains("/benches/") {
-        return FileClass::Bench;
-    }
-    if rel.starts_with("tests/") || rel.contains("/tests/") {
-        return FileClass::Test;
-    }
-    if rel.starts_with("examples/") || rel.contains("/examples/") {
-        return FileClass::Example;
-    }
-    if rel.starts_with("src/bin/")
+    let other = rel.starts_with("crates/bench/")
+        || rel.contains("/benches/")
+        || rel.starts_with("tests/")
+        || rel.contains("/tests/")
+        || rel.starts_with("examples/")
+        || rel.contains("/examples/")
+        || rel.starts_with("src/bin/")
         || rel.contains("/src/bin/")
         || rel.ends_with("/main.rs")
-        || rel == "build.rs"
-    {
-        return FileClass::Bin;
+        || rel == "build.rs";
+    if other {
+        FileClass::Other
+    } else {
+        FileClass::Lib
     }
-    FileClass::Lib
 }
 
 /// Parses every `vet: allow(...)` comment in the stream. Comments that
@@ -371,19 +364,20 @@ mod tests {
 
     #[test]
     fn classification_matches_the_layout() {
-        assert_eq!(classify("crates/core/src/exec.rs"), FileClass::Lib);
-        assert_eq!(classify("src/lib.rs"), FileClass::Lib);
-        assert_eq!(classify("src/error.rs"), FileClass::Lib);
-        assert_eq!(classify("src/bin/vpbn.rs"), FileClass::Bin);
-        assert_eq!(classify("src/main.rs"), FileClass::Bin);
-        assert_eq!(classify("crates/bench/src/lib.rs"), FileClass::Bench);
-        assert_eq!(
-            classify("crates/bench/src/bin/exp_axes.rs"),
-            FileClass::Bench
-        );
-        assert_eq!(classify("tests/oracle.rs"), FileClass::Test);
-        assert_eq!(classify("crates/vet/tests/corpus.rs"), FileClass::Test);
-        assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);
+        for lib in ["crates/core/src/exec.rs", "src/lib.rs", "src/error.rs"] {
+            assert_eq!(classify(lib), FileClass::Lib, "{lib}");
+        }
+        for other in [
+            "src/bin/vpbn.rs",
+            "src/main.rs",
+            "crates/bench/src/lib.rs",
+            "crates/bench/benches/sjoin.rs",
+            "tests/oracle.rs",
+            "crates/vet/tests/corpus.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert_eq!(classify(other), FileClass::Other, "{other}");
+        }
         assert_eq!(classify("vendor/rayon/src/lib.rs"), FileClass::Vendor);
     }
 

@@ -34,8 +34,8 @@ fn main() {
         stats.document_pages
     );
     println!(
-        "indexes: value {} B, type {} B, name {} B, headers {} B\n",
-        stats.value_index_bytes, stats.type_index_bytes, stats.name_index_bytes, stats.header_bytes
+        "indexes: value {} B, headers {} B\n",
+        stats.value_index_bytes, stats.header_bytes
     );
 
     // ----- the reporting view ----------------------------------------------

@@ -283,8 +283,6 @@ fn run(args: &[String]) -> Result<(), VhError> {
                     s.document_bytes, s.document_pages
                 );
                 println!("  value index     : {:>10} B", s.value_index_bytes);
-                println!("  type index      : {:>10} B", s.type_index_bytes);
-                println!("  name index      : {:>10} B", s.name_index_bytes);
                 println!("  node headers    : {:>10} B", s.header_bytes);
                 println!("  total           : {:>10} B", s.total_bytes());
                 let snap = engine.snapshot();

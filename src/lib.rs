@@ -13,7 +13,7 @@
 //! * [`dataguide`] — structural summaries ([`vh_dataguide`]).
 //! * [`core`] — the paper's contribution: vDataGuides, level arrays, vPBN
 //!   numbers, virtual axes and virtual values ([`vh_core`]).
-//! * [`storage`] — simulated XML DBMS storage with value/type indexes
+//! * [`storage`] — simulated XML DBMS storage: page store, value index, WAL
 //!   ([`vh_storage`]).
 //! * [`query`] — XPath and mini-XQuery engine with `virtualDoc`
 //!   ([`vh_query`]); `query::api` is the blessed flat entry surface.

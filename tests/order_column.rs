@@ -215,12 +215,12 @@ fn patterns(vd: &VirtualDocument<'_>) -> Vec<TwigPattern> {
 fn check_joins(td: &TypedDocument, spec: &str, ctx: &str) -> bool {
     let base = VirtualDocument::open(td, spec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert!(
-        !base.type_index().order_checked(),
+        !base.compiled().order_checked(),
         "{ctx}: opening builds no column"
     );
     let col = base.order_column();
     assert!(
-        base.type_index().order_checked(),
+        base.compiled().order_checked(),
         "{ctx}: the first ask caches"
     );
     assert!(!col.is_empty(), "{ctx}: the view places nodes");
@@ -525,7 +525,7 @@ fn cleared_columns_rebuild_to_a_fresh_build_after_edits() {
                     let ctx = format!("{label} step {i} {spec}");
                     let vd = engine.virtual_doc(URI, spec).expect("view opens");
                     assert!(
-                        !vd.type_index().order_checked(),
+                        !vd.compiled().order_checked(),
                         "{ctx}: the catch-up dropped the column"
                     );
                     if !ask(v) {
@@ -535,7 +535,7 @@ fn cleared_columns_rebuild_to_a_fresh_build_after_edits() {
                     let td = engine.document(URI).expect("registered");
                     let fresh = VirtualDocument::open(td, spec).expect("view opens");
                     assert_eq!(vd.order_column(), fresh.order_column(), "{ctx}");
-                    assert!(vd.type_index().order_checked(), "{ctx}: column cached");
+                    assert!(vd.compiled().order_checked(), "{ctx}: column cached");
                 }
             };
         for (i, step) in script.iter().enumerate() {
